@@ -21,17 +21,13 @@
 //!
 //! The `batched_256` row is measured with the SIMD kill switch engaged
 //! (`simd::force_scalar`), so it is the chunked scalar baseline on every
-//! build; `batched_simd_256` and `batched_fast_256` time the bit-exact and
-//! fast-math SIMD tiers against it. The JSON records whatever the machine
-//! honestly measured either way.
+//! build; `batched_simd_256` times the bit-exact SIMD tier against it. The
+//! JSON records whatever the machine honestly measured either way.
 //!
 //! The MNA-backed detailed engine is timed on a 16×16 array instead (its
 //! per-sub-step circuit solve makes 64×64 transients take hours — that
 //! fidelity tier exists for small-array validation, not campaigns); its
-//! entry in the JSON names its own array size. The surrogate entries time
-//! the table-driven reduced-order backend on the large arrays it exists
-//! for; its one-off table-fit cost is recorded separately from the
-//! sustained throughput.
+//! entry in the JSON names its own array size.
 
 use std::time::Instant;
 
@@ -44,7 +40,7 @@ use rram_units::{Seconds, Volts};
 
 const ROWS: usize = 64;
 const COLS: usize = 64;
-/// Production-sized array edge for the threaded/SIMD/surrogate comparison.
+/// Production-sized array edge for the threaded/SIMD comparison.
 const LARGE_EDGE: usize = 256;
 /// Megabit-scale array edge (the arrays the neurohammer setting targets).
 const HUGE_EDGE: usize = 1024;
@@ -78,11 +74,9 @@ fn hammer(engine: &mut dyn HammerBackend, pulses: usize) {
 /// One recorded throughput measurement: the sustained rate plus what the
 /// engine honestly reports about how it ran.
 struct Measurement {
-    /// Sustained hammer throughput, pulses per second (construction and
-    /// table fitting excluded).
+    /// Sustained hammer throughput, pulses per second (construction
+    /// excluded).
     pps: f64,
-    /// Engine construction time, s — the surrogate's one-off table fit.
-    build_seconds: f64,
     /// Effective lane-integration worker threads, from the engine.
     threads: usize,
     /// SIMD tier the lane kernel dispatched to, from the engine.
@@ -95,18 +89,14 @@ fn measure(
     rows: usize,
     cols: usize,
     threads: usize,
-    fast_math: bool,
     pulses: usize,
 ) -> Measurement {
     let hub = CrosstalkHub::two_ring(rows, cols, 0.15, Seconds(30e-9));
     let config = EngineConfig {
         threads,
-        fast_math,
         ..EngineConfig::default()
     };
-    let build_start = Instant::now();
     let mut engine = kind.build(rows, cols, DeviceParams::default(), hub, config);
-    let build_seconds = build_start.elapsed().as_secs_f64();
     let threads = engine.worker_threads();
     let simd_isa = engine.simd_isa();
     // Warm up past the cold-array thermal transient, then keep the best of
@@ -121,7 +111,6 @@ fn measure(
     }
     Measurement {
         pps: pulses as f64 / best,
-        build_seconds,
         threads,
         simd_isa,
     }
@@ -137,7 +126,7 @@ fn measure_forced_scalar(
     pulses: usize,
 ) -> Measurement {
     simd::force_scalar(true);
-    let measurement = measure(kind, rows, cols, threads, false, pulses);
+    let measurement = measure(kind, rows, cols, threads, pulses);
     simd::force_scalar(false);
     measurement
 }
@@ -167,45 +156,20 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threads = cores.min(8);
     let detected = simd::detected();
-    let pulse = measure(BackendKind::Pulse, ROWS, COLS, 1, false, 3);
-    let batched = measure(BackendKind::Batched, ROWS, COLS, 1, false, 60);
-    let detailed = measure(
-        BackendKind::detailed(),
-        DETAILED_EDGE,
-        DETAILED_EDGE,
-        1,
-        false,
-        2,
-    );
+    let pulse = measure(BackendKind::Pulse, ROWS, COLS, 1, 3);
+    let batched = measure(BackendKind::Batched, ROWS, COLS, 1, 60);
+    let detailed = measure(BackendKind::detailed(), DETAILED_EDGE, DETAILED_EDGE, 1, 2);
     let speedup = batched.pps / pulse.pps;
 
-    // 256×256: the scalar chunk loop, the bit-exact SIMD tier, the opt-in
-    // fast-math tier, the threaded path and the surrogate.
+    // 256×256: the scalar chunk loop, the bit-exact SIMD tier and the
+    // threaded path.
     let large_scalar = measure_forced_scalar(BackendKind::Batched, LARGE_EDGE, LARGE_EDGE, 1, 8);
-    let large_simd = measure(BackendKind::Batched, LARGE_EDGE, LARGE_EDGE, 1, false, 8);
-    let large_fast = measure(BackendKind::Batched, LARGE_EDGE, LARGE_EDGE, 1, true, 8);
-    let large_threaded = measure(
-        BackendKind::Batched,
-        LARGE_EDGE,
-        LARGE_EDGE,
-        threads,
-        false,
-        8,
-    );
-    let large_surrogate = measure(BackendKind::Surrogate, LARGE_EDGE, LARGE_EDGE, 1, false, 8);
+    let large_simd = measure(BackendKind::Batched, LARGE_EDGE, LARGE_EDGE, 1, 8);
+    let large_threaded = measure(BackendKind::Batched, LARGE_EDGE, LARGE_EDGE, threads, 8);
     let simd_speedup = large_simd.pps / large_scalar.pps;
-    let fast_speedup = large_fast.pps / large_simd.pps;
     let threaded_speedup = large_threaded.pps / large_simd.pps;
 
-    let huge_threaded = measure(
-        BackendKind::Batched,
-        HUGE_EDGE,
-        HUGE_EDGE,
-        threads,
-        false,
-        2,
-    );
-    let huge_surrogate = measure(BackendKind::Surrogate, HUGE_EDGE, HUGE_EDGE, 1, false, 2);
+    let huge_threaded = measure(BackendKind::Batched, HUGE_EDGE, HUGE_EDGE, threads, 2);
 
     let describe = |m: &Measurement| format!("{} thread(s), {} lane kernel", m.threads, m.simd_isa);
     println!("\nbackend throughput (50 ns pulse + 50 ns gap):");
@@ -237,20 +201,9 @@ fn main() {
     );
     println!(
         "  {:>16}: {:10.2} pulses/s on {LARGE_EDGE}x{LARGE_EDGE} ({})",
-        "batched fast",
-        large_fast.pps,
-        describe(&large_fast)
-    );
-    println!(
-        "  {:>16}: {:10.2} pulses/s on {LARGE_EDGE}x{LARGE_EDGE} ({})",
         format!("batched x{}", large_threaded.threads),
         large_threaded.pps,
         describe(&large_threaded)
-    );
-    println!(
-        "  {:>16}: {:10.2} pulses/s on {LARGE_EDGE}x{LARGE_EDGE} \
-         (one-off table fit {:.2}s)",
-        "surrogate", large_surrogate.pps, large_surrogate.build_seconds
     );
     println!(
         "  {:>16}: {:10.2} pulses/s on {HUGE_EDGE}x{HUGE_EDGE} ({})",
@@ -258,17 +211,12 @@ fn main() {
         huge_threaded.pps,
         describe(&huge_threaded)
     );
-    println!(
-        "  {:>16}: {:10.2} pulses/s on {HUGE_EDGE}x{HUGE_EDGE}",
-        "surrogate", huge_surrogate.pps
-    );
     println!("  batched/pulse speedup on {ROWS}x{COLS}: {speedup:.1}x");
     println!(
         "  simd/scalar speedup on {LARGE_EDGE}x{LARGE_EDGE}: {simd_speedup:.2}x \
          (detected {})",
         detected.label()
     );
-    println!("  fast-math/simd speedup on {LARGE_EDGE}x{LARGE_EDGE}: {fast_speedup:.2}x");
     println!(
         "  threaded/batched speedup on {LARGE_EDGE}x{LARGE_EDGE}: {threaded_speedup:.2}x \
          ({threads} threads on {cores} core(s))"
@@ -316,30 +264,12 @@ fn main() {
                     backend_entry(large.clone(), &large_simd),
                 ),
                 (
-                    "batched_fast_256".into(),
-                    backend_entry(large.clone(), &large_fast),
-                ),
-                (
                     "batched_threaded_256".into(),
-                    backend_entry(large.clone(), &large_threaded),
+                    backend_entry(large, &large_threaded),
                 ),
-                ("surrogate_256".into(), {
-                    let Json::Object(mut fields) = backend_entry(large, &large_surrogate) else {
-                        unreachable!()
-                    };
-                    fields.push((
-                        "table_fit_seconds".into(),
-                        Json::Number(large_surrogate.build_seconds),
-                    ));
-                    Json::Object(fields)
-                }),
                 (
                     "batched_threaded_1024".into(),
-                    backend_entry(huge.clone(), &huge_threaded),
-                ),
-                (
-                    "surrogate_1024".into(),
-                    backend_entry(huge, &huge_surrogate),
+                    backend_entry(huge, &huge_threaded),
                 ),
             ]),
         ),
@@ -347,10 +277,6 @@ fn main() {
         (
             "simd_over_scalar_speedup_256".into(),
             Json::Number(simd_speedup),
-        ),
-        (
-            "fast_math_over_simd_speedup_256".into(),
-            Json::Number(fast_speedup),
         ),
         (
             "threaded_over_batched_speedup_256".into(),

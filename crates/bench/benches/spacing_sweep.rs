@@ -32,7 +32,7 @@ fn attack_with_alpha(nearest_alpha: f64) -> u64 {
 fn bench_spacing(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig3b_spacing_as_coupling");
     group.sample_size(10);
-    // α ≈ 0.22 corresponds to ~10 nm spacing, 0.15 to ~50 nm (see EXPERIMENTS.md).
+    // α ≈ 0.22 corresponds to ~10 nm spacing, 0.15 to ~50 nm.
     for &(label, alpha) in &[("10nm_like", 0.22_f64), ("50nm_like", 0.15)] {
         group.bench_with_input(BenchmarkId::from_parameter(label), &alpha, |b, &alpha| {
             b.iter(|| attack_with_alpha(alpha))

@@ -27,8 +27,8 @@ fn main() {
     let spec = resolve_campaign(spec);
 
     let report = run_figure_campaign(spec.clone(), CampaignAxis::PulseLength);
-    // Machine-readable form, every float bit-exact: two runs of the same
-    // spec must diff empty (the CI surrogate smoke relies on it).
+    // Machine-readable form, every float bit-exact: the CI smoke jobs diff
+    // it against the scalar kernel's and the campaign service's output.
     if maybe_print_report_json(&report) {
         return;
     }

@@ -203,14 +203,6 @@ pub struct CampaignSpec {
     /// bit-identical for any value, so this is deliberately excluded from
     /// point fingerprints; it only pays off on large arrays (≳256×256).
     pub backend_threads: usize,
-    /// Opt-in fast-math tier of the batched backend
-    /// ([`EngineConfig::fast_math`]): deterministic polynomial
-    /// transcendentals instead of libm, tolerance-bounded (not
-    /// bit-identical) against the exact tier. Unlike `backend_threads` this
-    /// *changes results*, so it is part of the execution fingerprint —
-    /// fast-math checkpoints and shards can never merge into (or resume
-    /// from) exact-tier campaigns. Only valid with the batched backend.
-    pub backend_fast_math: bool,
 }
 
 impl Default for CampaignSpec {
@@ -240,7 +232,6 @@ impl Default for CampaignSpec {
                 .map(|n| n.get())
                 .unwrap_or(4),
             backend_threads: 1,
-            backend_fast_math: false,
         }
     }
 }
@@ -365,7 +356,6 @@ impl CampaignPoint {
                 BackendKind::Pulse => 0.0,
                 BackendKind::Detailed(_) => 1.0,
                 BackendKind::Batched => 2.0,
-                BackendKind::Surrogate => 3.0,
             },
             CampaignAxis::Trial => self.trial as f64,
         }
@@ -455,7 +445,6 @@ impl CampaignPoint {
                 p.driver_resistance.0.to_bits(),
             ),
             BackendKind::Batched => (2, 0, 0),
-            BackendKind::Surrogate => (3, 0, 0),
         };
         let [guard_tag, guard_a, guard_b] = self.guard.fingerprint_words();
         fnv1a_words(&[
@@ -757,47 +746,6 @@ impl CampaignSpec {
                 "tau_ns must be finite and ≥ 0".into(),
             ));
         }
-        // The surrogate backend fits one reduced-order model per array and
-        // cannot represent per-cell sampled parameters; any grid that would
-        // sample a table (non-empty spreads with a sampling σ point, see
-        // [`CampaignSpec::sampled_table`]) must use an exact backend.
-        let samples_tables = !self.spreads.is_empty()
-            && (self.spread_scales.iter().any(|&s| s != 0.0)
-                || self.spreads.iter().any(|spread| {
-                    !matches!(
-                        spread.distribution,
-                        Distribution::Normal { mean: None, .. }
-                            | Distribution::LogNormal { median: None, .. }
-                    )
-                }));
-        if samples_tables
-            && self
-                .backends
-                .iter()
-                .any(|b| matches!(b, BackendKind::Surrogate))
-        {
-            return Err(CampaignError::InvalidValue(
-                "the surrogate backend requires homogeneous device parameters: \
-                 drop the spreads (or keep spread_scales at 0) or use the \
-                 batched backend for variability campaigns"
-                    .into(),
-            ));
-        }
-        // The fast-math tier lives in the batched kernel; silently running
-        // other backends at exact math under a fast-math fingerprint would
-        // make their (exact) results unmergeable with themselves.
-        if self.backend_fast_math
-            && self
-                .backends
-                .iter()
-                .any(|b| !matches!(b, BackendKind::Batched))
-        {
-            return Err(CampaignError::InvalidValue(
-                "backend_fast_math is a batched-backend tier: restrict \
-                 backends to \"batched\" or drop the flag"
-                    .into(),
-            ));
-        }
         Ok(())
     }
 
@@ -872,7 +820,10 @@ impl CampaignSpec {
             self.seed,
             u64::from(self.trials),
             self.benign_writes,
-            u64::from(self.backend_fast_math),
+            // Once the removed fast-math tier's flag, always 0 for the
+            // exact math every campaign runs: keeping the word keeps every
+            // PointKey, so checkpoints recorded before the removal resume.
+            0,
             self.spreads.len() as u64,
         ];
         for spread in &self.spreads {
@@ -1085,7 +1036,6 @@ impl CampaignSpec {
             max_substep: Seconds(10e-9),
             ambient: point.ambient,
             threads: self.backend_threads,
-            fast_math: self.backend_fast_math,
         };
         Ok(point.backend.build_heterogeneous(
             point.rows,
@@ -1220,10 +1170,6 @@ impl CampaignSpec {
             (
                 "backend_threads".into(),
                 Json::Number(self.backend_threads as f64),
-            ),
-            (
-                "backend_fast_math".into(),
-                Json::Bool(self.backend_fast_math),
             ),
         ])
     }
@@ -1407,9 +1353,16 @@ impl CampaignSpec {
                     spec.backend_threads =
                         value.as_u64().ok_or_else(|| bad(key, "an integer"))?.max(1) as usize;
                 }
+                // Every spec written before the fast-math tier was removed
+                // carries `"backend_fast_math": false`; keep reading those.
                 "backend_fast_math" => {
-                    spec.backend_fast_math =
-                        value.as_bool().ok_or_else(|| bad(key, "a boolean"))?;
+                    if value.as_bool().ok_or_else(|| bad(key, "a boolean"))? {
+                        return Err(CampaignError::Json(
+                            "the fast-math tier (\"backend_fast_math\": true) was removed; \
+                             drop the key or set it to false"
+                                .into(),
+                        ));
+                    }
                 }
                 other => {
                     return Err(CampaignError::Json(format!(
@@ -1625,7 +1578,6 @@ fn backend_to_json(backend: &BackendKind) -> Json {
     match backend {
         BackendKind::Pulse => Json::String("pulse".into()),
         BackendKind::Batched => Json::String("batched".into()),
-        BackendKind::Surrogate => Json::String("surrogate".into()),
         BackendKind::Detailed(parasitics) => {
             if *parasitics == WiringParasitics::default() {
                 Json::String("detailed".into())
@@ -1649,6 +1601,11 @@ fn backend_to_json(backend: &BackendKind) -> Json {
 /// Parses a backend entry written by [`backend_to_json`].
 fn backend_from_json(value: &Json) -> Result<BackendKind, CampaignError> {
     if let Some(label) = value.as_str() {
+        if label == "surrogate" {
+            return Err(CampaignError::Json(
+                "the surrogate backend was removed; use \"batched\"".into(),
+            ));
+        }
         return label.parse::<BackendKind>().map_err(CampaignError::Json);
     }
     let kind = value.get("kind").and_then(Json::as_str).ok_or_else(|| {
@@ -2034,8 +1991,9 @@ mod tests {
             patterns: vec![AttackPattern::Quad, AttackPattern::Diagonal],
             amplitudes_v: vec![1.0, 1.1],
             coupling: CouplingSpec::Fem { voxel_nm: 25.0 },
-            backends: vec![BackendKind::Pulse],
+            backends: vec![BackendKind::Pulse, BackendKind::Batched],
             batching: false,
+            backend_threads: 3,
             ..CampaignSpec::default()
         };
         let text = spec.to_json();
@@ -2065,139 +2023,49 @@ mod tests {
     }
 
     #[test]
-    fn surrogate_backend_round_trips_and_runs() {
-        let spec = CampaignSpec {
-            name: "surrogate".into(),
-            backends: vec![BackendKind::Batched, BackendKind::Surrogate],
-            backend_threads: 3,
-            max_pulses: 300_000,
-            ..CampaignSpec::default()
-        };
-        let restored = CampaignSpec::from_json(&spec.to_json()).unwrap();
-        assert_eq!(restored, spec);
-        assert!(spec.to_json().contains("\"surrogate\""));
-        assert!(spec.to_json().contains("\"backend_threads\""));
-
-        let report = spec.run().unwrap();
-        assert_eq!(report.outcomes.len(), 2);
-        assert!(report.outcomes.iter().all(|o| o.flipped), "{report:?}");
-        // The backend axis distinguishes the two engines.
-        let labels: Vec<String> = report
-            .outcomes
-            .iter()
-            .map(|o| o.point.axis_label(CampaignAxis::Backend))
-            .collect();
-        assert!(labels.contains(&"batched".to_string()));
-        assert!(labels.contains(&"surrogate".to_string()));
-        assert_ne!(
-            report.outcomes[0].point.axis_value(CampaignAxis::Backend),
-            report.outcomes[1].point.axis_value(CampaignAxis::Backend),
-        );
-    }
-
-    #[test]
-    fn surrogate_points_fingerprint_distinctly() {
-        // The backend tag enters the point id: a surrogate outcome can
-        // never be merged into (or replay as) a batched or pulse one.
+    fn backend_tags_fingerprint_distinctly() {
+        // The backend tag enters the point id: an outcome of one engine can
+        // never be merged into (or replay as) another engine's.
         let mut point = tiny_spec().points()[0];
         let mut ids = Vec::new();
         for backend in [
             BackendKind::Pulse,
             BackendKind::Batched,
             BackendKind::detailed(),
-            BackendKind::Surrogate,
         ] {
             point.backend = backend;
             ids.push(point.id());
         }
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), 4, "backend tags must separate point ids");
+        assert_eq!(ids.len(), 3, "backend tags must separate point ids");
     }
 
     #[test]
-    fn fast_math_round_trips_runs_and_fingerprints_distinctly() {
-        let exact = CampaignSpec {
-            name: "fast math".into(),
-            backends: vec![BackendKind::Batched],
-            max_pulses: 300_000,
-            ..CampaignSpec::default()
-        };
-        let fast = CampaignSpec {
-            backend_fast_math: true,
-            ..exact.clone()
-        };
-        // JSON round trip preserves the flag (and writes it explicitly).
-        let restored = CampaignSpec::from_json(&fast.to_json()).unwrap();
-        assert_eq!(restored, fast);
-        assert!(fast.to_json().contains("\"backend_fast_math\""));
+    fn removed_backend_and_math_tier_are_rejected_by_name() {
+        // Specs archived before the removal still parse: they all carry
+        // `"backend_fast_math": false`, and it keys the points as before.
+        let spec = tiny_spec();
+        let mut archived = spec.to_json();
+        assert!(!archived.contains("backend_fast_math"));
+        archived.insert_str(1, "\"backend_fast_math\": false, ");
+        let restored = CampaignSpec::from_json(&archived).unwrap();
+        assert_eq!(restored, spec);
+        assert_eq!(restored.keyed_points(), spec.keyed_points());
 
-        // The tier separates every point key, so a fast-math shard can
-        // never merge into an exact report (merge sees the same grid index
-        // under a different id).
-        for ((exact_key, _), (fast_key, _)) in exact.keyed_points().iter().zip(fast.keyed_points())
-        {
-            assert_ne!(exact_key.id, fast_key.id);
-        }
-        let exact_report = exact.run().unwrap();
-        let fast_report = fast.run().unwrap();
-        assert!(matches!(
-            CampaignReport::merge([exact_report.clone(), fast_report.clone()]),
-            Err(CampaignError::MergeMismatch { .. })
-        ));
-
-        // Same flip decision on the default point; the tier only perturbs
-        // the trajectory inside its tolerance contract.
-        assert_eq!(exact_report.outcomes.len(), 1);
-        assert_eq!(
-            exact_report.outcomes[0].flipped,
-            fast_report.outcomes[0].flipped
+        let fast = archived.replace(
+            "\"backend_fast_math\": false",
+            "\"backend_fast_math\": true",
         );
-    }
-
-    #[test]
-    fn validation_rejects_fast_math_on_non_batched_backends() {
-        let mut spec = tiny_spec();
-        spec.backend_fast_math = true;
-        spec.backends = vec![BackendKind::Batched];
-        spec.validate().unwrap();
-        for backends in [
-            vec![BackendKind::Pulse],
-            vec![BackendKind::Batched, BackendKind::Surrogate],
-            vec![BackendKind::detailed()],
-        ] {
-            spec.backends = backends;
-            assert!(
-                matches!(spec.validate(), Err(CampaignError::InvalidValue(_))),
-                "{:?} must reject backend_fast_math",
-                spec.backends
-            );
+        let surrogate = spec.to_json().replace("\"pulse\"", "\"surrogate\"");
+        for text in [fast, surrogate] {
+            match CampaignSpec::from_json(&text) {
+                Err(CampaignError::Json(message)) => {
+                    assert!(message.contains("removed"), "{message}");
+                }
+                other => panic!("expected a removal error, got {other:?}"),
+            }
         }
-    }
-
-    #[test]
-    fn validation_rejects_surrogate_variability_campaigns() {
-        use rram_variability::{ParamField, ParamSpread};
-        let nominal = DeviceParams::default();
-        let mut spec = tiny_spec();
-        spec.backends = vec![BackendKind::Surrogate];
-        spec.spreads = vec![ParamSpread::relative_normal(
-            ParamField::FilamentRadius,
-            0.05,
-            &nominal,
-        )];
-        assert!(matches!(
-            spec.validate(),
-            Err(CampaignError::InvalidValue(_))
-        ));
-        // σ pinned to 0 with nominal-centred spreads never samples a
-        // table, so the cheap homogeneous path is exact and allowed.
-        spec.spread_scales = vec![0.0];
-        assert!(spec.validate().is_ok());
-        // ... but a batched backend may keep the sampling grid.
-        spec.spread_scales = vec![1.0];
-        spec.backends = vec![BackendKind::Batched];
-        assert!(spec.validate().is_ok());
     }
 
     #[test]

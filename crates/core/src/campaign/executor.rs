@@ -590,42 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_math_outcomes_never_resume_into_exact_campaigns() {
-        // backend_fast_math is part of the execution fingerprint: a
-        // checkpoint recorded under either tier must fully re-run under the
-        // other, in both directions.
-        let exact = CampaignSpec {
-            backends: vec![rram_crossbar::BackendKind::Batched],
-            ..four_point_spec()
-        };
-        let fast = CampaignSpec {
-            backend_fast_math: true,
-            ..exact.clone()
-        };
-        let exact_outcomes = exact.run().unwrap().outcomes;
-        let fast_outcomes = fast.run().unwrap().outcomes;
-
-        let executor = CampaignExecutor::new(fast.clone())
-            .unwrap()
-            .resume_from(exact_outcomes.clone());
-        assert_eq!(executor.pending_points().len(), 4);
-        let executor = CampaignExecutor::new(exact.clone())
-            .unwrap()
-            .resume_from(fast_outcomes.clone());
-        assert_eq!(executor.pending_points().len(), 4);
-
-        // Each tier still resumes from its own checkpoints.
-        let executor = CampaignExecutor::new(exact)
-            .unwrap()
-            .resume_from(exact_outcomes);
-        assert_eq!(executor.pending_points().len(), 0);
-        let executor = CampaignExecutor::new(fast)
-            .unwrap()
-            .resume_from(fast_outcomes);
-        assert_eq!(executor.pending_points().len(), 0);
-    }
-
-    #[test]
     fn shard_selectors_validate_and_parse() {
         assert!(Shard { index: 0, of: 1 }.validate().is_ok());
         assert!(matches!(

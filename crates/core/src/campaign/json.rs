@@ -391,8 +391,8 @@ impl<'a> Parser<'a> {
                                 .map_err(|_| self.error("non-ASCII \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.error("invalid \\u escape"))?;
-                            // Surrogates are rejected rather than paired; the
-                            // campaign codec never emits them.
+                            // UTF-16 surrogate halves are rejected rather than
+                            // paired; the campaign codec never emits them.
                             let c = char::from_u32(code)
                                 .ok_or_else(|| self.error("invalid \\u code point"))?;
                             out.push(c);

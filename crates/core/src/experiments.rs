@@ -1,18 +1,13 @@
-//! Experiment drivers: one function per figure of the paper's evaluation.
+//! Experiment drivers for the paper artefacts that are not campaign grids.
 //!
-//! Every driver returns plain data that the figure-regeneration binaries in
-//! `neurohammer-bench` format into the same rows/series the paper plots, and
-//! that the integration tests check qualitatively (monotonic trends, decades
-//! spanned, who wins).
+//! The Fig. 3 sweeps are declarative [`crate::campaign::CampaignSpec`]
+//! grids (see the `neurohammer-bench` figure binaries); the drivers here
+//! return plain data that those binaries render alongside.
 //!
 //! | Paper artefact | Driver |
 //! |---|---|
 //! | Fig. 1 (attack phases) | [`fig1_trace`] |
 //! | Fig. 2a + Eq. 3/4 (temperature matrix, R_th, α) | [`fig2a_temperature_matrix`] |
-//! | Fig. 3a (pulse length) | [`fig3a_pulse_length`] |
-//! | Fig. 3b (electrode spacing) | [`fig3b_electrode_spacing`] |
-//! | Fig. 3c (ambient temperature) | [`fig3c_ambient_temperature`] |
-//! | Fig. 3d–h (attack patterns) | [`fig3d_attack_patterns`] |
 //! | Design-choice ablations | [`ablation_report`] |
 
 use serde::{Deserialize, Serialize};
@@ -20,7 +15,6 @@ use serde::{Deserialize, Serialize};
 use crate::attack::{run_attack, AttackConfig, AttackResult};
 use crate::estimate::{estimate_attack, AttackEstimate};
 use crate::pattern::AttackPattern;
-use crate::sweep::{parallel_map, SweepPoint, SweepSeries};
 use rram_crossbar::{
     BackendKind, CellAddress, CrossbarArray, CrosstalkHub, EngineConfig, HammerBackend,
     PulseEngine, WriteScheme,
@@ -70,8 +64,6 @@ pub struct ExperimentSetup {
     pub max_pulses: u64,
     /// Whether the attack engine may batch pulses.
     pub batching: bool,
-    /// Worker threads used for sweep points.
-    pub threads: usize,
     /// Simulation backend the attacks run on. All drivers are generic over
     /// [`HammerBackend`]; the default fast engine is what the paper-scale
     /// sweeps need, while [`BackendKind::Detailed`] runs the same experiments
@@ -90,9 +82,6 @@ impl Default for ExperimentSetup {
             amplitude: Volts(rram_units::V_SET),
             max_pulses: 3_000_000,
             batching: false,
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
             backend: BackendKind::Pulse,
         }
     }
@@ -201,7 +190,6 @@ impl ExperimentSetup {
             max_substep: Seconds(10e-9),
             ambient,
             threads: 1,
-            fast_math: false,
         }
     }
 
@@ -265,18 +253,6 @@ impl ExperimentSetup {
             trace: false,
         }
     }
-
-    fn run_point(
-        &self,
-        spacing_nm: f64,
-        ambient: Kelvin,
-        pulse_length: Seconds,
-        pattern: AttackPattern,
-    ) -> Result<AttackResult, AlphaError> {
-        let mut engine = self.build_backend(spacing_nm, ambient)?;
-        let config = self.attack_config(pulse_length, pattern);
-        Ok(run_attack(engine.as_mut(), &config))
-    }
 }
 
 /// Result of the Fig. 2a / Eq. 3–4 reproduction.
@@ -330,165 +306,6 @@ pub fn fig1_trace(
     config.trace = true;
     config.batching = false;
     Ok(run_attack(engine.as_mut(), &config))
-}
-
-/// Reproduces Fig. 3a: pulses-to-flip vs. pulse length at 50 nm spacing and
-/// 300 K ambient.
-///
-/// # Errors
-///
-/// Propagates [`AlphaError`] from the coupling extraction.
-pub fn fig3a_pulse_length(
-    setup: &ExperimentSetup,
-    lengths_ns: &[f64],
-) -> Result<SweepSeries, AlphaError> {
-    // Extract the coupling once and share it across the sweep points.
-    let shared = ExperimentSetup {
-        coupling: CouplingSource::Provided(setup.alpha_matrix(50.0, Kelvin(300.0))?),
-        ..setup.clone()
-    };
-    let points = parallel_map(lengths_ns, setup.threads, |&ns| {
-        let result = shared
-            .run_point(
-                50.0,
-                Kelvin(300.0),
-                Seconds(ns * 1e-9),
-                AttackPattern::SingleAggressor,
-            )
-            .expect("provided coupling cannot fail");
-        SweepPoint {
-            parameter: ns,
-            label: format!("{ns:.0} ns"),
-            pulses: result.flipped.then_some(result.pulses),
-            flipped: result.flipped,
-        }
-    });
-    Ok(SweepSeries {
-        name: "pulse length sweep (50 nm, 300 K)".into(),
-        points,
-    })
-}
-
-/// Reproduces Fig. 3b: pulses-to-flip vs. electrode spacing, one series per
-/// pulse length.
-///
-/// # Errors
-///
-/// Propagates [`AlphaError`] from the coupling extraction.
-pub fn fig3b_electrode_spacing(
-    setup: &ExperimentSetup,
-    spacings_nm: &[f64],
-    lengths_ns: &[f64],
-) -> Result<Vec<SweepSeries>, AlphaError> {
-    // Extract the coupling once per spacing (the expensive part), then reuse
-    // it for every pulse length.
-    let mut alphas = Vec::new();
-    for &spacing in spacings_nm {
-        alphas.push((spacing, setup.alpha_matrix(spacing, Kelvin(300.0))?));
-    }
-    let mut series = Vec::new();
-    for &ns in lengths_ns {
-        let points = parallel_map(&alphas, setup.threads, |(spacing, alpha)| {
-            let shared = ExperimentSetup {
-                coupling: CouplingSource::Provided(alpha.clone()),
-                ..setup.clone()
-            };
-            let result = shared
-                .run_point(
-                    *spacing,
-                    Kelvin(300.0),
-                    Seconds(ns * 1e-9),
-                    AttackPattern::SingleAggressor,
-                )
-                .expect("provided coupling cannot fail");
-            SweepPoint {
-                parameter: *spacing,
-                label: format!("{spacing:.0} nm"),
-                pulses: result.flipped.then_some(result.pulses),
-                flipped: result.flipped,
-            }
-        });
-        series.push(SweepSeries {
-            name: format!("{ns:.0} ns pulses"),
-            points,
-        });
-    }
-    Ok(series)
-}
-
-/// Reproduces Fig. 3c: pulses-to-flip vs. ambient temperature at 50 nm
-/// spacing, one series per pulse length.
-///
-/// # Errors
-///
-/// Propagates [`AlphaError`] from the coupling extraction.
-pub fn fig3c_ambient_temperature(
-    setup: &ExperimentSetup,
-    ambients_k: &[f64],
-    lengths_ns: &[f64],
-) -> Result<Vec<SweepSeries>, AlphaError> {
-    // The coupling coefficients are temperature-independent (linear heat
-    // equation), so extract once.
-    let shared = ExperimentSetup {
-        coupling: CouplingSource::Provided(setup.alpha_matrix(50.0, Kelvin(300.0))?),
-        ..setup.clone()
-    };
-    let mut series = Vec::new();
-    for &ns in lengths_ns {
-        let points = parallel_map(ambients_k, setup.threads, |&ambient| {
-            let result = shared
-                .run_point(
-                    50.0,
-                    Kelvin(ambient),
-                    Seconds(ns * 1e-9),
-                    AttackPattern::SingleAggressor,
-                )
-                .expect("provided coupling cannot fail");
-            SweepPoint {
-                parameter: ambient,
-                label: format!("{ambient:.0} K"),
-                pulses: result.flipped.then_some(result.pulses),
-                flipped: result.flipped,
-            }
-        });
-        series.push(SweepSeries {
-            name: format!("{ns:.0} ns pulses"),
-            points,
-        });
-    }
-    Ok(series)
-}
-
-/// Reproduces the Fig. 3d–h pattern comparison: pulses-to-flip per attack
-/// pattern at fixed spacing, ambient and pulse length.
-///
-/// # Errors
-///
-/// Propagates [`AlphaError`] from the coupling extraction.
-pub fn fig3d_attack_patterns(
-    setup: &ExperimentSetup,
-    pulse_length: Seconds,
-) -> Result<SweepSeries, AlphaError> {
-    let shared = ExperimentSetup {
-        coupling: CouplingSource::Provided(setup.alpha_matrix(50.0, Kelvin(300.0))?),
-        ..setup.clone()
-    };
-    let patterns = AttackPattern::ALL;
-    let points = parallel_map(&patterns, setup.threads, |&pattern| {
-        let result = shared
-            .run_point(50.0, Kelvin(300.0), pulse_length, pattern)
-            .expect("provided coupling cannot fail");
-        SweepPoint {
-            parameter: pattern as usize as f64,
-            label: pattern.label().to_string(),
-            pulses: result.flipped.then_some(result.pulses),
-            flipped: result.flipped,
-        }
-    });
-    Ok(SweepSeries {
-        name: "attack pattern comparison".into(),
-        points,
-    })
 }
 
 /// One row of the ablation report.
@@ -589,41 +406,6 @@ mod tests {
     fn hammered_power_is_tens_of_microwatts() {
         let p = quick().hammered_power().0;
         assert!(p > 5e-6 && p < 200e-6, "P_LRS = {p}");
-    }
-
-    #[test]
-    fn fig3a_quick_sweep_is_monotonic() {
-        let series = fig3a_pulse_length(&quick(), &[20.0, 100.0]).unwrap();
-        assert!(series.all_flipped(), "{series:?}");
-        assert!(series.is_monotonically_decreasing(), "{series:?}");
-    }
-
-    #[test]
-    fn fig3c_quick_sweep_shows_temperature_dependence() {
-        let series = fig3c_ambient_temperature(&quick(), &[298.0, 373.0], &[50.0]).unwrap();
-        assert_eq!(series.len(), 1);
-        let s = &series[0];
-        assert!(s.all_flipped(), "{s:?}");
-        assert!(s.is_monotonically_decreasing(), "{s:?}");
-        assert!(s.endpoint_ratio().unwrap() > 3.0, "{s:?}");
-    }
-
-    #[test]
-    fn fig3d_quick_patterns_rank_sensibly() {
-        let series = fig3d_attack_patterns(&quick(), Seconds(100e-9)).unwrap();
-        let single = series
-            .points
-            .iter()
-            .find(|p| p.label == "single")
-            .and_then(|p| p.pulses)
-            .expect("single-aggressor attack must flip");
-        let quad = series
-            .points
-            .iter()
-            .find(|p| p.label == "quad")
-            .and_then(|p| p.pulses)
-            .expect("quad attack must flip");
-        assert!(quad <= single, "quad {quad} vs single {single}");
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //!   diagonal; Fig. 3d–h);
 //! * [`estimate`] — a closed-form pulses-to-flip estimator used for
 //!   cross-checks and budget sizing;
-//! * [`experiments`] — one driver per figure of the paper's evaluation
-//!   (Fig. 2a, Fig. 3a–d) plus the design-choice ablations;
-//! * [`sweep`] — sweep data types and a parallel map helper;
+//! * [`experiments`] — the Fig. 1 trace, the Fig. 2a field extraction and
+//!   the design-choice ablations (the Fig. 3 sweeps are campaign grids);
+//! * [`sweep`] — the sweep-series data types reports are sliced into;
 //! * [`countermeasures`] — the guarded-attack harness over the
 //!   `rram-defense` subsystem: write-counter, thermal-sensor and scrubbing
 //!   defences swept as a campaign axis ([`campaign::CampaignSpec::guards`]),
@@ -82,13 +82,12 @@ pub use countermeasures::{
 };
 pub use estimate::{estimate_attack, AttackEstimate};
 pub use experiments::{
-    ablation_report, fig1_trace, fig2a_temperature_matrix, fig3a_pulse_length,
-    fig3b_electrode_spacing, fig3c_ambient_temperature, fig3d_attack_patterns, AblationReport,
-    CouplingSource, ExperimentSetup, Fig2aResult,
+    ablation_report, fig1_trace, fig2a_temperature_matrix, AblationReport, CouplingSource,
+    ExperimentSetup, Fig2aResult,
 };
 pub use pattern::AttackPattern;
 pub use scenario::{
     EscalationOutcome, NeuromorphicOutcome, NeuromorphicScenario, PageTableEntry,
     PrivilegeEscalationScenario,
 };
-pub use sweep::{parallel_map, SweepPoint, SweepSeries};
+pub use sweep::{SweepPoint, SweepSeries};

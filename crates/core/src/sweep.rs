@@ -1,6 +1,5 @@
-//! Sweep utilities: data types for parameter sweeps and a small parallel map
-//! built on `std::thread::scope` — the execution backbone of both the
-//! figure sweeps and the [`crate::campaign`] runner.
+//! Sweep data types: the series a [`crate::campaign::CampaignReport`] is
+//! sliced into along one grid axis (one line of a Fig. 3 plot).
 
 use serde::{Deserialize, Serialize};
 
@@ -67,46 +66,6 @@ impl SweepSeries {
     }
 }
 
-/// Applies `f` to every item, running the evaluations on scoped worker
-/// threads (at most `max_threads` at a time), and returns the results in the
-/// original order.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics.
-pub fn parallel_map<T, R, F>(items: &[T], max_threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let threads = max_threads.max(1).min(items.len());
-    let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results_mutex = std::sync::Mutex::new(&mut results);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                if index >= items.len() {
-                    break;
-                }
-                let value = f(&items[index]);
-                results_mutex.lock().expect("sweep results lock poisoned")[index] = Some(value);
-            });
-        }
-    });
-
-    results
-        .into_iter()
-        .map(|r| r.expect("every index was processed"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,25 +107,5 @@ mod tests {
         assert!(!s.all_flipped());
         // Unflipped points do not contribute pulse counts.
         assert_eq!(s.pulse_counts().len(), 2);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u64> = (0..37).collect();
-        let out = parallel_map(&items, 4, |&x| x * x);
-        assert_eq!(out, items.iter().map(|x| x * x).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_handles_empty_and_single() {
-        let empty: Vec<u64> = vec![];
-        assert!(parallel_map(&empty, 4, |&x: &u64| x).is_empty());
-        assert_eq!(parallel_map(&[7u64], 8, |&x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn parallel_map_runs_with_one_thread() {
-        let items = vec![1, 2, 3];
-        assert_eq!(parallel_map(&items, 0, |&x| x), vec![1, 2, 3]);
     }
 }

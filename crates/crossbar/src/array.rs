@@ -267,38 +267,13 @@ impl CrossbarArray {
     /// Panics if `voltages.len()` does not match the cell count or `dt` is
     /// negative.
     pub fn step_lanes(&mut self, voltages: &[f64], dt: rram_units::Seconds) {
-        self.step_lanes_mode(voltages, dt, rram_jart::MathMode::Exact);
-    }
-
-    /// [`CrossbarArray::step_lanes`] with an explicit
-    /// [`rram_jart::MathMode`] — `Exact` is bit-identical to `step_lanes`,
-    /// `Fast` is the batched engine's opt-in fast-math tier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `voltages.len()` does not match the cell count or `dt` is
-    /// negative.
-    pub fn step_lanes_mode(
-        &mut self,
-        voltages: &[f64],
-        dt: rram_units::Seconds,
-        mode: rram_jart::MathMode,
-    ) {
         match &self.params_table {
-            Some(table) => rram_jart::kernel::step_lanes_mode(
-                &table[..],
-                voltages,
-                &mut self.bank.view_mut(),
-                dt,
-                mode,
-            ),
-            None => rram_jart::kernel::step_lanes_mode(
-                &self.params,
-                voltages,
-                &mut self.bank.view_mut(),
-                dt,
-                mode,
-            ),
+            Some(table) => {
+                rram_jart::kernel::step_lanes(&table[..], voltages, &mut self.bank.view_mut(), dt)
+            }
+            None => {
+                rram_jart::kernel::step_lanes(&self.params, voltages, &mut self.bank.view_mut(), dt)
+            }
         }
     }
 
@@ -317,74 +292,20 @@ impl CrossbarArray {
         dt: rram_units::Seconds,
         threads: usize,
     ) {
-        self.step_lanes_threaded_mode(voltages, dt, threads, rram_jart::MathMode::Exact);
-    }
-
-    /// [`CrossbarArray::step_lanes_threaded`] with an explicit
-    /// [`rram_jart::MathMode`]; bit-identical to
-    /// [`CrossbarArray::step_lanes_mode`] at the same mode for any thread
-    /// count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `voltages.len()` does not match the cell count or `dt` is
-    /// negative.
-    pub fn step_lanes_threaded_mode(
-        &mut self,
-        voltages: &[f64],
-        dt: rram_units::Seconds,
-        threads: usize,
-        mode: rram_jart::MathMode,
-    ) {
         match &self.params_table {
-            Some(table) => rram_jart::kernel::step_lanes_threaded_mode(
+            Some(table) => rram_jart::kernel::step_lanes_threaded(
                 &table[..],
                 voltages,
                 self.bank.view_mut(),
                 dt,
                 threads,
-                mode,
             ),
-            None => rram_jart::kernel::step_lanes_threaded_mode(
+            None => rram_jart::kernel::step_lanes_threaded(
                 &self.params,
                 voltages,
                 self.bank.view_mut(),
                 dt,
                 threads,
-                mode,
-            ),
-        }
-    }
-
-    /// Integrates every cell by `dt` under its per-cell voltage with the
-    /// drift rate, temperature and cell current served by a caller-supplied
-    /// reduced-order `model(lane, v_cell, ΔT, n)` closure instead of the
-    /// full operating-point solve — the surrogate backend's hot path (see
-    /// [`rram_jart::kernel::step_lanes_surrogate`] for the exact contract
-    /// and documented limitations).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `voltages.len()` does not match the cell count or `dt` is
-    /// negative.
-    pub fn step_lanes_surrogate<F>(&mut self, voltages: &[f64], dt: rram_units::Seconds, model: F)
-    where
-        F: FnMut(usize, f64, f64, f64) -> (f64, f64, f64),
-    {
-        match &self.params_table {
-            Some(table) => rram_jart::kernel::step_lanes_surrogate(
-                &table[..],
-                voltages,
-                &mut self.bank.view_mut(),
-                dt,
-                model,
-            ),
-            None => rram_jart::kernel::step_lanes_surrogate(
-                &self.params,
-                voltages,
-                &mut self.bank.view_mut(),
-                dt,
-                model,
             ),
         }
     }

@@ -223,12 +223,6 @@ pub enum BackendKind {
     Batched,
     /// The MNA-backed [`DetailedCrossbar`] with the given wiring parasitics.
     Detailed(WiringParasitics),
-    /// The table-driven reduced-order [`crate::SurrogateEngine`]: drift
-    /// rates interpolated from grids fitted once to the kernel physics —
-    /// the cheap choice for million-point campaign grids where a few tens
-    /// of percent of rate error are acceptable. Requires homogeneous device
-    /// parameters.
-    Surrogate,
 }
 
 impl BackendKind {
@@ -243,7 +237,6 @@ impl BackendKind {
             BackendKind::Pulse => "pulse",
             BackendKind::Batched => "batched",
             BackendKind::Detailed(_) => "detailed",
-            BackendKind::Surrogate => "surrogate",
         }
     }
 
@@ -322,21 +315,12 @@ impl BackendKind {
                 }
                 Box::new(xbar)
             }
-            BackendKind::Surrogate => {
-                assert!(
-                    table.is_none(),
-                    "the surrogate backend requires homogeneous device parameters \
-                     (per-cell tables need the batched backend)"
-                );
-                let array = crate::array::CrossbarArray::new(rows, cols, params);
-                Box::new(crate::surrogate::SurrogateEngine::new(array, hub, config))
-            }
         }
     }
 }
 
-/// Parses a backend label as written in campaign JSON ("pulse", "batched",
-/// "detailed" or "surrogate"); the detailed backend gets default parasitics.
+/// Parses a backend label as written in campaign JSON ("pulse", "batched"
+/// or "detailed"); the detailed backend gets default parasitics.
 impl std::str::FromStr for BackendKind {
     type Err = String;
 
@@ -345,7 +329,6 @@ impl std::str::FromStr for BackendKind {
             "pulse" => Ok(BackendKind::Pulse),
             "batched" => Ok(BackendKind::Batched),
             "detailed" => Ok(BackendKind::detailed()),
-            "surrogate" => Ok(BackendKind::Surrogate),
             other => Err(format!("unknown backend kind {other:?}")),
         }
     }
@@ -365,7 +348,6 @@ mod tests {
             BackendKind::Pulse,
             BackendKind::Batched,
             BackendKind::detailed(),
-            BackendKind::Surrogate,
         ]
         .iter()
         .map(|kind| {
@@ -460,25 +442,10 @@ mod tests {
             BackendKind::Pulse,
             BackendKind::Batched,
             BackendKind::detailed(),
-            BackendKind::Surrogate,
         ] {
             let parsed: BackendKind = kind.label().parse().unwrap();
             assert_eq!(parsed.label(), kind.label());
         }
         assert!("gpu".parse::<BackendKind>().is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "homogeneous device parameters")]
-    fn surrogate_rejects_per_cell_tables() {
-        let table = vec![DeviceParams::default(); 9];
-        let _ = BackendKind::Surrogate.build_heterogeneous(
-            3,
-            3,
-            DeviceParams::default(),
-            Some(table),
-            hub(),
-            EngineConfig::default(),
-        );
     }
 }

@@ -28,7 +28,7 @@ use crate::backend::{HammerBackend, ThermalReadout};
 use crate::crosstalk::CrosstalkHub;
 use crate::engine::EngineConfig;
 use crate::scheme::CellAddress;
-use rram_jart::{DeviceParams, DigitalState, MathMode};
+use rram_jart::{DeviceParams, DigitalState};
 use rram_units::{Kelvin, Seconds, Volts};
 
 /// Shared handle to the pulse counter (one registry registration per
@@ -198,26 +198,16 @@ impl BatchedEngine {
             self.voltages[row * cols..(row + 1) * cols].copy_from_slice(pattern);
         }
 
-        let mode = if self.config.fast_math {
-            MathMode::Fast
-        } else {
-            MathMode::Exact
-        };
         while remaining > 0.0 {
             let dt = remaining.min(substep);
             // Lane-wise crosstalk import, one kernel call over all lanes,
             // lane-borrowed export — no per-sub-step allocation.
             self.array.import_crosstalk(self.hub.deltas());
             if self.threads > 1 {
-                self.array.step_lanes_threaded_mode(
-                    &self.voltages,
-                    Seconds(dt),
-                    self.threads,
-                    mode,
-                );
-            } else {
                 self.array
-                    .step_lanes_mode(&self.voltages, Seconds(dt), mode);
+                    .step_lanes_threaded(&self.voltages, Seconds(dt), self.threads);
+            } else {
+                self.array.step_lanes(&self.voltages, Seconds(dt));
             }
             self.hub
                 .update_batched(self.array.temperatures(), self.config.ambient, Seconds(dt));
@@ -517,46 +507,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn fast_math_engine_tracks_the_exact_engine_closely() {
-        // The fast tier is tolerance-bounded, not bit-identical: same flip
-        // decisions and per-cell states within a tight relative band. The
-        // workspace agreement suite pins the full Fig. 3a behaviour; this
-        // is the in-crate smoke version.
-        let exact = BatchedEngine::with_uniform_coupling(
-            5,
-            5,
-            DeviceParams::default(),
-            0.12,
-            EngineConfig::default(),
-        );
-        let mut fast = exact.clone();
-        fast.config.fast_math = true;
-        let mut exact = exact;
-        let aggressor = CellAddress::new(2, 2);
-        for engine in [&mut exact, &mut fast] {
-            engine
-                .array_mut()
-                .cell_mut(aggressor)
-                .force_state(DigitalState::Lrs);
-            for _ in 0..10 {
-                BatchedEngine::apply_pulse(engine, aggressor, Volts(1.05), 50.0.ns());
-                BatchedEngine::idle(engine, 50.0.ns());
-            }
-        }
-        assert_eq!(exact.array.read_all(), fast.array.read_all());
-        for (address, cell) in exact.array.iter() {
-            let (a, b) = (
-                cell.normalized_state(),
-                fast.array.cell(address).normalized_state(),
-            );
-            assert!(
-                (a - b).abs() < 1e-6 * a.abs().max(1e-6),
-                "{address:?}: exact {a} vs fast {b}"
-            );
         }
     }
 

@@ -38,13 +38,6 @@ pub struct EngineConfig {
     /// single-threaded). Results are bit-identical for any value; other
     /// engines ignore it.
     pub threads: usize,
-    /// Opt-in fast-math tier for the batched engine: the kernel swaps
-    /// `exp`/`sinh`/`asinh` for the deterministic polynomial versions in
-    /// [`rram_jart::fastmath`]. Trajectories are no longer bit-identical to
-    /// the exact tier (only tolerance-bounded), so campaign results carry a
-    /// distinct fingerprint — like `threads`, other engines ignore it, but
-    /// unlike `threads` it *does* change the numbers.
-    pub fast_math: bool,
 }
 
 impl Default for EngineConfig {
@@ -55,7 +48,6 @@ impl Default for EngineConfig {
             max_substep: Seconds(10e-9),
             ambient: Kelvin(300.0),
             threads: 1,
-            fast_math: false,
         }
     }
 }

@@ -14,14 +14,12 @@
 //!   filament temperatures between cells using the α coefficients extracted
 //!   by `rram-fem` (Eq. 5).
 //!
-//! Four simulation engines drive the array: the scalar ideal-driver
+//! Three simulation engines drive the array: the scalar ideal-driver
 //! [`engine::PulseEngine`], the struct-of-arrays
 //! [`batched::BatchedEngine`] that integrates every cell in one kernel call
 //! per sub-step (the fast path for long hammer campaigns on large arrays),
-//! the MNA-backed [`detailed::DetailedCrossbar`] including wiring
-//! parasitics, which also powers the [`sneak`]-path analysis, and the
-//! table-driven reduced-order [`surrogate::SurrogateEngine`] for
-//! million-point campaign grids. All implement
+//! and the MNA-backed [`detailed::DetailedCrossbar`] including wiring
+//! parasitics, which also powers the [`sneak`]-path analysis. All implement
 //! the [`backend::HammerBackend`] trait, so the attack layer, the campaign
 //! runner and the cross-engine agreement tests drive them interchangeably;
 //! [`backend::BackendKind`] selects one declaratively at runtime.
@@ -58,7 +56,6 @@ pub mod detailed;
 pub mod engine;
 pub mod scheme;
 pub mod sneak;
-pub mod surrogate;
 
 pub use array::CrossbarArray;
 pub use backend::{BackendKind, HammerBackend, ThermalReadout};
@@ -69,4 +66,3 @@ pub use detailed::{DetailedCrossbar, WiringParasitics};
 pub use engine::{CellSnapshot, EngineConfig, PulseEngine};
 pub use scheme::{CellAddress, LineBias, WriteScheme};
 pub use sneak::{analyze_read, read_margin, ReadAnalysis, ReadBias, ReadMarginReport};
-pub use surrogate::{SurrogateEngine, SurrogateModel};

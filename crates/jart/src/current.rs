@@ -16,7 +16,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::kinetics::MathMode;
 use crate::params::DeviceParams;
 
 /// The static operating point of a cell for a given applied voltage and
@@ -54,17 +53,6 @@ fn junction_voltage(current: f64, g_j: f64, v0: f64) -> f64 {
     v0 * (current / (g_j * v0)).asinh()
 }
 
-/// Junction voltage with a [`MathMode`]-selected `asinh` — the only
-/// transcendental inside the Newton solve, evaluated once per iteration,
-/// which is what makes the fast tier's solve measurably cheaper.
-#[inline]
-fn junction_voltage_mode(current: f64, g_j: f64, v0: f64, mode: MathMode) -> f64 {
-    match mode {
-        MathMode::Exact => junction_voltage(current, g_j, v0),
-        MathMode::Fast => v0 * crate::fastmath::asinh(current / (g_j * v0)),
-    }
-}
-
 /// Derivative of the junction voltage with respect to current.
 #[inline]
 fn junction_dv_di(current: f64, g_j: f64, v0: f64) -> f64 {
@@ -83,22 +71,6 @@ fn junction_dv_di(current: f64, g_j: f64, v0: f64) -> f64 {
 /// Panics if `v_cell` is not finite (callers always pass controller-generated
 /// voltages).
 pub fn solve_operating_point(params: &DeviceParams, v_cell: f64, n: f64) -> OperatingPoint {
-    solve_operating_point_mode(params, v_cell, n, MathMode::Exact)
-}
-
-/// [`solve_operating_point`] with an explicit [`MathMode`].
-///
-/// `Exact` is bit-identical to [`solve_operating_point`]; `Fast` swaps the
-/// junction `asinh` for the deterministic polynomial of
-/// [`crate::fastmath`], which perturbs the Newton iterates (and therefore
-/// the converged operating point) at the ~10⁻¹³ level — within the fast
-/// tier's fingerprinted tolerance contract, never within the exact one.
-pub fn solve_operating_point_mode(
-    params: &DeviceParams,
-    v_cell: f64,
-    n: f64,
-    mode: MathMode,
-) -> OperatingPoint {
     assert!(v_cell.is_finite(), "applied voltage must be finite");
     if v_cell == 0.0 {
         return OperatingPoint::zero();
@@ -109,7 +81,7 @@ pub fn solve_operating_point_mode(
     let v0 = params.junction_v0;
 
     // f(I) = I·R_ohm + V_j(I) − V_cell, strictly increasing in I.
-    let f = |i: f64| i * r_ohm + junction_voltage_mode(i, g_j, v0, mode) - v_cell;
+    let f = |i: f64| i * r_ohm + junction_voltage(i, g_j, v0) - v_cell;
     let df = |i: f64| r_ohm + junction_dv_di(i, g_j, v0);
 
     // Bracket the root: at I = 0, f = −V_cell (same sign as −V); at
@@ -249,25 +221,6 @@ mod tests {
         let op = solve_operating_point(&p, 1.05, p.n_max);
         let dt = p.r_th_eff * op.power_active;
         assert!(dt > 450.0 && dt < 900.0, "ΔT = {dt}");
-    }
-
-    #[test]
-    fn fast_mode_solve_tracks_exact_closely() {
-        let p = params();
-        for &n in &[p.n_min, 1.0, 5.0, p.n_max] {
-            for &v in &[-1.5, -0.525, 0.2, 0.525, 1.05] {
-                let exact = solve_operating_point_mode(&p, v, n, MathMode::Exact);
-                let fast = solve_operating_point_mode(&p, v, n, MathMode::Fast);
-                let rel = ((fast.current - exact.current) / exact.current).abs();
-                assert!(rel < 1e-9, "v={v} n={n}: rel {rel}");
-                let prel = ((fast.power_active - exact.power_active) / exact.power_active).abs();
-                assert!(prel < 1e-9, "v={v} n={n}: power rel {prel}");
-            }
-        }
-        assert_eq!(
-            solve_operating_point_mode(&p, 0.0, 1.0, MathMode::Fast),
-            OperatingPoint::zero()
-        );
     }
 
     #[test]

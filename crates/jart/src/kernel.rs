@@ -36,9 +36,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::current::{solve_operating_point_mode, OperatingPoint};
+use crate::current::{solve_operating_point, OperatingPoint};
 use crate::device::DigitalState;
-use crate::kinetics::{concentration_rate_mode, MathMode};
+use crate::kinetics::concentration_rate;
 use crate::params::DeviceParams;
 use crate::simd::{self, SimdLevel};
 use crate::thermal::filament_temperature;
@@ -121,9 +121,9 @@ impl CellBank {
     /// Empties every lane's operating-point cache.
     ///
     /// The cache maps `(v_cell, n)` to a solved operating point under the
-    /// device parameters (and [`MathMode`]) the lane was last stepped
-    /// with; callers that change either — e.g. a crossbar installing a new
-    /// per-lane parameter table — must invalidate before the next step.
+    /// device parameters the lane was last stepped with; callers that
+    /// change them — e.g. a crossbar installing a new per-lane parameter
+    /// table — must invalidate before the next step.
     pub fn invalidate_op_cache(&mut self) {
         self.op_cache_v_bits.fill(0);
     }
@@ -436,23 +436,11 @@ pub fn step_lanes<'a>(
     lanes: &mut CellBankView<'_>,
     dt: Seconds,
 ) {
-    step_lanes_mode(params, voltages, lanes, dt, MathMode::Exact)
+    step_lanes_with(params, voltages, lanes, dt, simd::active())
 }
 
-/// [`step_lanes`] with an explicit [`MathMode`], dispatched to the SIMD
-/// level the process detected (see [`simd::active`]).
-pub fn step_lanes_mode<'a>(
-    params: impl Into<LaneParams<'a>>,
-    voltages: &[f64],
-    lanes: &mut CellBankView<'_>,
-    dt: Seconds,
-    mode: MathMode,
-) {
-    step_lanes_with(params, voltages, lanes, dt, mode, simd::active())
-}
-
-/// [`step_lanes`] with the math mode and SIMD level fully explicit — the
-/// entry point the bit-identity proptests drive tier-against-tier.
+/// [`step_lanes`] with the SIMD level explicit — the entry point the
+/// bit-identity proptests drive tier-against-tier.
 ///
 /// The requested `level` is sanitised against the hardware (see
 /// [`simd::sanitize`]), so an impossible request degrades to the scalar
@@ -469,9 +457,8 @@ pub fn step_lanes_mode<'a>(
 /// `(v, ΔT, n, charge)` tuple, so a hit copies the recorded outcome
 /// bit-for-bit instead of re-solving).
 ///
-/// The cache assumes each lane's `(params, mode)` pair is stable between
-/// calls; callers that change either must
-/// [`CellBank::invalidate_op_cache`] first.
+/// The cache assumes each lane's params are stable between calls;
+/// callers that change them must [`CellBank::invalidate_op_cache`] first.
 ///
 /// # Panics
 ///
@@ -482,7 +469,6 @@ pub fn step_lanes_with<'a>(
     voltages: &[f64],
     lanes: &mut CellBankView<'_>,
     dt: Seconds,
-    mode: MathMode,
     level: SimdLevel,
 ) {
     let params = params.into();
@@ -513,14 +499,14 @@ pub fn step_lanes_with<'a>(
             } else {
                 for (offset, &v_cell) in chunk.iter().enumerate() {
                     let lane = base + offset;
-                    step_lane_inner(params.of(lane), lanes, lane, v_cell, dt, mode, false);
+                    step_lane_inner(params.of(lane), lanes, lane, v_cell, dt, false);
                 }
             }
             base += LANE_CHUNK;
         }
         // Scalar remainder loop for the tail lanes.
         for (lane, &v_cell) in voltages.iter().enumerate().skip(base) {
-            step_lane_inner(params.of(lane), lanes, lane, v_cell, dt, mode, false);
+            step_lane_inner(params.of(lane), lanes, lane, v_cell, dt, false);
         }
         return;
     }
@@ -543,9 +529,9 @@ pub fn step_lanes_with<'a>(
                     // no stress-time accrual, a `+0.0` charge term.
                     relax_lane_tuned(params.of(lane), lanes, lane);
                 } else if shared {
-                    step_lane_echoed(params.of(lane), lanes, lane, v_cell, dt, mode, &mut echo);
+                    step_lane_echoed(params.of(lane), lanes, lane, v_cell, dt, &mut echo);
                 } else {
-                    step_lane_inner(params.of(lane), lanes, lane, v_cell, dt, mode, true);
+                    step_lane_inner(params.of(lane), lanes, lane, v_cell, dt, true);
                 }
             }
         }
@@ -555,9 +541,9 @@ pub fn step_lanes_with<'a>(
         if v_cell == 0.0 {
             relax_lane_tuned(params.of(lane), lanes, lane);
         } else if shared {
-            step_lane_echoed(params.of(lane), lanes, lane, v_cell, dt, mode, &mut echo);
+            step_lane_echoed(params.of(lane), lanes, lane, v_cell, dt, &mut echo);
         } else {
-            step_lane_inner(params.of(lane), lanes, lane, v_cell, dt, mode, true);
+            step_lane_inner(params.of(lane), lanes, lane, v_cell, dt, true);
         }
     }
     flush_echo_telemetry(&echo);
@@ -698,6 +684,12 @@ fn relax_chunk_tuned(
     }
 }
 
+/// Upper bound on the scatter blocks of one threaded sub-step; sized so
+/// the block table lives on the caller's stack (no per-sub-step heap
+/// allocation) while still feeding four blocks to each of up to 64
+/// workers.
+const MAX_BLOCKS: usize = 256;
+
 /// Advances every lane by `dt` like [`step_lanes`], with the lane range
 /// split across `threads` scoped worker threads.
 ///
@@ -725,30 +717,6 @@ pub fn step_lanes_threaded<'a>(
     dt: Seconds,
     threads: usize,
 ) {
-    step_lanes_threaded_mode(params, voltages, lanes, dt, threads, MathMode::Exact)
-}
-
-/// Upper bound on the scatter blocks of one threaded sub-step; sized so
-/// the block table lives on the caller's stack (no per-sub-step heap
-/// allocation) while still feeding four blocks to each of up to 64
-/// workers.
-const MAX_BLOCKS: usize = 256;
-
-/// [`step_lanes_threaded`] with an explicit [`MathMode`]; each worker runs
-/// [`step_lanes_with`] at the process's active SIMD level.
-///
-/// # Panics
-///
-/// Panics if `voltages.len()` (or a per-lane table's length) does not match
-/// the lane count, or if `dt` is negative or not finite.
-pub fn step_lanes_threaded_mode<'a>(
-    params: impl Into<LaneParams<'a>>,
-    voltages: &[f64],
-    lanes: CellBankView<'_>,
-    dt: Seconds,
-    threads: usize,
-    mode: MathMode,
-) {
     let params = params.into();
     assert_eq!(
         voltages.len(),
@@ -764,7 +732,7 @@ pub fn step_lanes_threaded_mode<'a>(
     let workers = threads.max(1).min(total).min(MAX_BLOCKS / 4);
     let mut lanes = lanes;
     if workers <= 1 {
-        step_lanes_mode(params, voltages, &mut lanes, dt, mode);
+        step_lanes(params, voltages, &mut lanes, dt);
         return;
     }
     let level = simd::active();
@@ -809,89 +777,11 @@ pub fn step_lanes_threaded_mode<'a>(
                     &voltages[start..start + len],
                     &mut view,
                     dt,
-                    mode,
                     level,
                 );
             });
         }
     });
-}
-
-/// Advances every lane by `dt` under a caller-supplied reduced-order model
-/// instead of the full operating-point solve — the integration loop of the
-/// surrogate backend.
-///
-/// `model(lane, v_cell, delta_t, n)` returns the drift rate (10²⁶ m⁻³/s),
-/// filament temperature (K) and cell current (A) for a lane at
-/// concentration `n` under cell voltage `v_cell` and imported crosstalk ΔT
-/// `delta_t`. The kernel owns everything else: zero-voltage lanes take the
-/// exact relax update, biased lanes integrate forward-Euler with the same
-/// per-sub-step concentration cap as the reference kernel, the charge lane
-/// accrues `|I|·dt` exactly like [`step_lane`] does (including charging
-/// the full remainder once the rate vanishes), and the digital lane is
-/// kept in sync. The stored operating point is zeroed — the reduced-order
-/// model interpolates scalars, not full operating points.
-///
-/// # Panics
-///
-/// Panics if `voltages.len()` (or a per-lane table's length) does not match
-/// the lane count, or if `dt` is negative or not finite.
-pub fn step_lanes_surrogate<'a, F>(
-    params: impl Into<LaneParams<'a>>,
-    voltages: &[f64],
-    lanes: &mut CellBankView<'_>,
-    dt: Seconds,
-    mut model: F,
-) where
-    F: FnMut(usize, f64, f64, f64) -> (f64, f64, f64),
-{
-    let params = params.into();
-    assert_eq!(
-        voltages.len(),
-        lanes.lanes(),
-        "voltage vector length mismatch"
-    );
-    if let LaneParams::PerLane(table) = params {
-        assert_eq!(table.len(), lanes.lanes(), "params table length mismatch");
-    }
-    assert!(dt.0.is_finite() && dt.0 >= 0.0, "dt must be non-negative");
-
-    for (lane, &v_cell) in voltages.iter().enumerate() {
-        let lane_params = params.of(lane);
-        if v_cell == 0.0 {
-            relax_lane(lane_params, lanes, lane, dt);
-            continue;
-        }
-        lanes.stress_time[lane] += dt.0;
-        let delta_t = lanes.crosstalk[lane];
-        let mut remaining = dt.0;
-        loop {
-            let n = lanes.n_disc[lane];
-            let (rate, temperature, current) = model(lane, v_cell, delta_t, n);
-            lanes.temperature[lane] = temperature;
-            if remaining <= 0.0 {
-                break;
-            }
-            if rate == 0.0 {
-                // Nothing will change for the rest of the interval; the
-                // full remaining conduction still counts towards charge.
-                lanes.charge[lane] += current.abs() * remaining;
-                break;
-            }
-            // Same stability cap as the reference kernel: never move the
-            // concentration by more than `max_dn_per_step` (tightened near
-            // the HRS bound) in one Euler sub-step.
-            let allowed_dn = lane_params
-                .max_dn_per_step
-                .min(0.02 * (n - lane_params.n_min) + 1e-3);
-            let sub_dt = remaining.min(allowed_dn / rate.abs());
-            lanes.charge[lane] += current.abs() * sub_dt;
-            lanes.n_disc[lane] = (n + rate * sub_dt).clamp(lane_params.n_min, lane_params.n_max);
-            remaining -= sub_dt;
-        }
-        lanes.last_op[lane] = OperatingPoint::zero();
-        lanes.digital[lane] = digital_of(lane_params, lanes.n_disc[lane]);
-    }
 }
 
 /// Advances a single lane by `dt` under a constant cell voltage, returning
@@ -912,24 +802,7 @@ pub fn step_lane(
     v_cell: f64,
     dt: Seconds,
 ) -> OperatingPoint {
-    step_lane_mode(params, lanes, lane, v_cell, dt, MathMode::Exact)
-}
-
-/// [`step_lane`] with an explicit [`MathMode`] (`Exact` is bit-identical
-/// to [`step_lane`]).
-///
-/// # Panics
-///
-/// Panics if `lane` is out of range or `dt` is negative or not finite.
-pub fn step_lane_mode(
-    params: &DeviceParams,
-    lanes: &mut CellBankView<'_>,
-    lane: usize,
-    v_cell: f64,
-    dt: Seconds,
-    mode: MathMode,
-) -> OperatingPoint {
-    step_lane_inner(params, lanes, lane, v_cell, dt, mode, false)
+    step_lane_inner(params, lanes, lane, v_cell, dt, false)
 }
 
 /// The shared per-lane integrator. `tuned` enables the per-lane one-entry
@@ -946,7 +819,6 @@ fn step_lane_inner(
     lane: usize,
     v_cell: f64,
     dt: Seconds,
-    mode: MathMode,
     tuned: bool,
 ) -> OperatingPoint {
     assert!(dt.0.is_finite() && dt.0 >= 0.0, "dt must be non-negative");
@@ -971,14 +843,14 @@ fn step_lane_inner(
             if cache_v == vb && cache_n == nb {
                 cache_op
             } else {
-                let op = solve_operating_point_mode(params, v_cell, n, mode);
+                let op = solve_operating_point(params, v_cell, n);
                 cache_v = vb;
                 cache_n = nb;
                 cache_op = op;
                 op
             }
         } else {
-            solve_operating_point_mode(params, v_cell, n, mode)
+            solve_operating_point(params, v_cell, n)
         };
         let temperature = filament_temperature(params, op.power_active, delta_t);
         (op, temperature)
@@ -989,7 +861,7 @@ fn step_lane_inner(
     loop {
         let n = lanes.n_disc[lane];
         let (op, temperature) = eval_op(n);
-        let rate = concentration_rate_mode(params, op.v_active, temperature, n, mode);
+        let rate = concentration_rate(params, op.v_active, temperature, n);
         lanes.temperature[lane] = temperature;
         lanes.last_op[lane] = op;
         if first_op.is_none() {
@@ -1016,7 +888,7 @@ fn step_lane_inner(
         // Midpoint (RK2) integration of the stiff drift ODE.
         let n_mid = (n + 0.5 * rate * sub_dt).clamp(params.n_min, params.n_max);
         let (op_mid, t_mid) = eval_op(n_mid);
-        let rate_mid = concentration_rate_mode(params, op_mid.v_active, t_mid, n_mid, mode);
+        let rate_mid = concentration_rate(params, op_mid.v_active, t_mid, n_mid);
         let effective_rate = if rate_mid == 0.0 { rate } else { rate_mid };
         lanes.n_disc[lane] = (n + effective_rate * sub_dt).clamp(params.n_min, params.n_max);
         remaining -= sub_dt;
@@ -1041,7 +913,7 @@ fn step_lane_inner(
 
 /// One-entry cross-lane replay cache for the vector tier's biased lanes.
 ///
-/// With shared `DeviceParams` and a fixed `(dt, mode)` per call, the whole
+/// With shared `DeviceParams` and a fixed `dt` per call, the whole
 /// effect of [`step_lane_inner`] on a lane is a pure function of the tuple
 /// `(v_cell, crosstalk ΔT, n, charge)` — the only per-lane state the
 /// integrator reads (the operating-point cache is excluded on purpose: its
@@ -1143,7 +1015,6 @@ fn step_lane_echoed(
     lane: usize,
     v_cell: f64,
     dt: Seconds,
-    mode: MathMode,
     echo: &mut LaneEcho,
 ) {
     let v_bits = v_cell.to_bits();
@@ -1171,7 +1042,7 @@ fn step_lane_echoed(
         lanes.op_cache_op[lane] = echo.cache_op;
         return;
     }
-    step_lane_inner(params, lanes, lane, v_cell, dt, mode, true);
+    step_lane_inner(params, lanes, lane, v_cell, dt, true);
     *echo = LaneEcho {
         valid: true,
         v_bits,

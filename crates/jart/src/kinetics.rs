@@ -53,24 +53,6 @@ impl Direction {
     }
 }
 
-/// How a kernel call evaluates its transcendentals.
-///
-/// [`MathMode::Exact`] is the default everywhere and uses libm
-/// `exp`/`sinh`/`asinh` — its bit patterns are what every campaign
-/// fingerprint, checkpoint and agreement test pins. [`MathMode::Fast`]
-/// substitutes the deterministic polynomial kernels of [`crate::fastmath`]
-/// (including the fused `exp·sinh` identity below); it is ~10⁻¹³-accurate,
-/// platform-independent, measurably faster on the Newton-solve hot path,
-/// and **must** be fingerprinted separately — engines expose it only
-/// through an explicit opt-in (`EngineConfig::fast_math` upstream).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MathMode {
-    /// libm transcendentals; the reference bit pattern.
-    Exact,
-    /// Deterministic Cephes-style polynomial transcendentals.
-    Fast,
-}
-
 /// Concentration window function limiting growth near the bounds.
 ///
 /// For SET the window is `1 − (n/n_max)^p`, for RESET `1 − (n_min/n)^p`;
@@ -99,25 +81,6 @@ pub fn window(params: &DeviceParams, n: f64, direction: Direction) -> f64 {
 /// The sign of the returned rate matches the switching direction: positive
 /// for SET, negative for RESET, zero for an unbiased cell.
 pub fn concentration_rate(params: &DeviceParams, v_active: f64, temperature: f64, n: f64) -> f64 {
-    concentration_rate_mode(params, v_active, temperature, n, MathMode::Exact)
-}
-
-/// [`concentration_rate`] with an explicit [`MathMode`].
-///
-/// The `Exact` mode is bit-identical to [`concentration_rate`]. The `Fast`
-/// mode fuses the Arrhenius and field factors through the identity
-/// `exp(a)·sinh(f) = ½·(exp(a+f) − exp(a−f))` — one [`crate::fastmath::exp_pair`]
-/// instead of an `exp` plus a `sinh` — which is also where the SIMD build
-/// vectorises the pair. The overflow guard mirrors the exact path: a field
-/// argument beyond 700 substitutes `f64::MAX` for the sinh (here scaled by
-/// the fast `exp(a)`).
-pub fn concentration_rate_mode(
-    params: &DeviceParams,
-    v_active: f64,
-    temperature: f64,
-    n: f64,
-    mode: MathMode,
-) -> f64 {
     let direction = Direction::from_voltage(v_active);
     if direction == Direction::None {
         return 0.0;
@@ -146,59 +109,20 @@ pub fn concentration_rate_mode(
     };
 
     let k0 = 2.0 * c_vo * params.hop_distance * params.attempt_frequency / params.l_disc;
-    let magnitude = match mode {
-        MathMode::Exact => {
-            let arrhenius = (-ea / kt).exp();
-            // Guard against overflow for extreme (unphysical) voltages.
-            let field_factor = if field_arg > 700.0 {
-                f64::MAX
-            } else {
-                field_arg.sinh()
-            };
-            k0 * arrhenius * field_factor * window(params, n, direction)
-        }
-        MathMode::Fast => {
-            let a = -ea / kt;
-            // a < 0 always, so a + field_arg < 700 stays clear of exp
-            // overflow whenever the exact path's sinh guard does.
-            let arrhenius_times_field = if field_arg > 700.0 {
-                crate::fastmath::exp(a) * f64::MAX
-            } else {
-                let (grow, decay) = crate::fastmath::exp_pair(a + field_arg, a - field_arg);
-                0.5 * (grow - decay)
-            };
-            k0 * arrhenius_times_field * window(params, n, direction)
-        }
+    let arrhenius = (-ea / kt).exp();
+    // Guard against overflow for extreme (unphysical) voltages.
+    let field_factor = if field_arg > 700.0 {
+        f64::MAX
+    } else {
+        field_arg.sinh()
     };
+    let magnitude = k0 * arrhenius * field_factor * window(params, n, direction);
 
     match direction {
         Direction::Set => magnitude,
         Direction::Reset => -magnitude,
         Direction::None => 0.0,
     }
-}
-
-/// The analytic (state-only) part of [`concentration_rate`]: the supply
-/// prefactor `K₀ = 2·c_vo·a·ν₀/l_disc` times the window `W(n)`, so that
-///
-/// ```text
-///   |rate| = rate_prefactor(n, direction) · exp(−E_A/kT) · sinh(field_arg)
-/// ```
-///
-/// The reduced-order surrogate backend tabulates only the exponential part
-/// (which needs the operating-point solve for `T` and `E_disc`) and
-/// multiplies this prefactor back analytically, so the concentration window
-/// and vacancy supply stay exact rather than interpolated. Returns zero for
-/// [`Direction::None`].
-#[inline]
-pub fn rate_prefactor(params: &DeviceParams, n: f64, direction: Direction) -> f64 {
-    let c_vo = match direction {
-        Direction::Set => 0.5 * (n + params.n_plug),
-        Direction::Reset => n,
-        Direction::None => return 0.0,
-    };
-    let k0 = 2.0 * c_vo * params.hop_distance * params.attempt_frequency / params.l_disc;
-    k0 * window(params, n, direction)
 }
 
 /// Characteristic time (seconds) to traverse a concentration change `dn`
@@ -280,54 +204,6 @@ mod tests {
     fn traversal_time_handles_zero_rate() {
         assert!(traversal_time(0.0, 1.0).is_infinite());
         assert!((traversal_time(2.0, 1.0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn prefactor_decomposes_the_rate() {
-        // |rate| / prefactor is the pure Arrhenius×sinh factor, which for a
-        // fixed (v_active, T) does not depend on n — the decomposition the
-        // surrogate backend's tables rely on.
-        let params = p();
-        let part = |n: f64| {
-            concentration_rate(&params, 0.8, 400.0, n).abs()
-                / rate_prefactor(&params, n, Direction::Set)
-        };
-        let (a, b) = (part(0.5), part(5.0));
-        assert!((a / b - 1.0).abs() < 1e-12, "{a} vs {b}");
-        assert_eq!(rate_prefactor(&params, 1.0, Direction::None), 0.0);
-        // At the SET bound the window zeroes the prefactor.
-        assert_eq!(rate_prefactor(&params, params.n_max, Direction::Set), 0.0);
-    }
-
-    #[test]
-    fn fast_mode_tracks_the_exact_rate_closely() {
-        let params = p();
-        for &v in &[-1.2, -0.525, 0.3, 0.525, 1.05, 1.5] {
-            for &t in &[300.0, 355.0, 500.0, 900.0] {
-                for &n in &[params.n_min, 0.5, 2.0, params.n_max] {
-                    let exact = concentration_rate_mode(&params, v, t, n, MathMode::Exact);
-                    let fast = concentration_rate_mode(&params, v, t, n, MathMode::Fast);
-                    if exact == 0.0 {
-                        assert_eq!(fast, 0.0, "v={v} t={t} n={n}");
-                    } else {
-                        let rel = ((fast - exact) / exact).abs();
-                        assert!(rel < 1e-10, "v={v} t={t} n={n}: rel {rel}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fast_mode_mirrors_the_overflow_guard() {
-        // A pathological voltage drives the field argument past the sinh
-        // guard; both modes must take the saturated branch.
-        let params = p();
-        let exact = concentration_rate_mode(&params, 60.0, 200.0, 0.5, MathMode::Exact);
-        let fast = concentration_rate_mode(&params, 60.0, 200.0, 0.5, MathMode::Fast);
-        assert!(exact.is_finite() || exact.is_infinite());
-        let rel = ((fast - exact) / exact).abs();
-        assert!(rel < 1e-10 || (exact.is_infinite() && fast.is_infinite()));
     }
 
     #[test]

@@ -52,14 +52,12 @@
 pub mod calibration;
 pub mod current;
 pub mod device;
-// The fastmath/simd modules carry the only unsafe in the crate: `std::arch`
-// intrinsics behind the `simd` feature, each call dominated by the runtime
-// CPU detection in `simd::detected`.
-#[allow(unsafe_code)]
-pub mod fastmath;
 pub mod kernel;
 pub mod kinetics;
 pub mod params;
+// The simd module carries the only unsafe in the crate: `std::arch`
+// intrinsics behind the `simd` feature, each call dominated by the runtime
+// CPU detection in `simd::detected`.
 #[allow(unsafe_code)]
 pub mod simd;
 pub mod thermal;
@@ -67,8 +65,6 @@ pub mod thermal;
 pub use current::OperatingPoint;
 pub use device::{CellMut, CellRef, DigitalState, JartDevice};
 pub use kernel::{
-    relax_lanes, step_lanes, step_lanes_surrogate, step_lanes_threaded, CellBank, CellBankView,
-    LaneParams, LANE_CHUNK,
+    relax_lanes, step_lanes, step_lanes_threaded, CellBank, CellBankView, LaneParams, LANE_CHUNK,
 };
-pub use kinetics::MathMode;
 pub use params::{DeviceParams, DeviceParamsBuilder, ParamError};

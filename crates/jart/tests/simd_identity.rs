@@ -1,9 +1,6 @@
 //! Property tests pinning the SIMD lane kernel to the scalar one, bit for
 //! bit. The vector tiers (`simd::SimdLevel::Avx2` / `Neon`) restructure the
-//! chunk loop but must not change a single result bit in the exact math
-//! mode — and the fast-math tier, while numerically different from exact,
-//! must itself be deterministic across SIMD levels, or fast-math campaign
-//! fingerprints would stop identifying results.
+//! chunk loop but must not change a single result bit.
 //!
 //! On hardware without the vector ISA, `simd::detected()` sanitises to
 //! `Scalar` and every test here degenerates to scalar-vs-scalar: the
@@ -14,7 +11,7 @@
 use proptest::prelude::*;
 use rram_jart::kernel::{relax_lanes_with, step_lanes_with, CellBank, LANE_CHUNK};
 use rram_jart::simd::{self, SimdLevel};
-use rram_jart::{DeviceParams, MathMode};
+use rram_jart::DeviceParams;
 use rram_units::Seconds;
 
 /// A per-lane parameter set scaled from the nominal one, as a variability
@@ -94,11 +91,11 @@ proptest! {
         for &dt in &steps {
             step_lanes_with(
                 &params, &voltages, &mut vector.view_mut(), Seconds(dt),
-                MathMode::Exact, simd::detected(),
+                simd::detected(),
             );
             step_lanes_with(
                 &params, &voltages, &mut scalar.view_mut(), Seconds(dt),
-                MathMode::Exact, SimdLevel::Scalar,
+                SimdLevel::Scalar,
             );
             assert_banks_identical(&vector, &scalar)?;
         }
@@ -127,11 +124,11 @@ proptest! {
 
         step_lanes_with(
             &table[..], &voltages, &mut vector.view_mut(), Seconds(dt),
-            MathMode::Exact, simd::detected(),
+            simd::detected(),
         );
         step_lanes_with(
             &table[..], &voltages, &mut scalar.view_mut(), Seconds(dt),
-            MathMode::Exact, SimdLevel::Scalar,
+            SimdLevel::Scalar,
         );
         assert_banks_identical(&vector, &scalar)?;
     }
@@ -176,36 +173,6 @@ proptest! {
                     );
                 }
             }
-            assert_banks_identical(&vector, &scalar)?;
-        }
-    }
-
-    /// The fast-math tier is *not* bit-identical to exact math — but it must
-    /// be deterministic across SIMD levels, or its campaign fingerprint
-    /// (`backend_fast_math`) would stop identifying one reproducible result
-    /// set. The polynomial kernels use no FMA and evaluate in a fixed order,
-    /// so scalar and vector fast math agree bit for bit.
-    #[test]
-    fn fast_math_is_bit_identical_across_simd_levels(
-        lanes in prop::collection::vec(
-            (0.0f64..1.0, 0.0f64..80.0, -1.5f64..1.5, any::<bool>()),
-            1..(4 * LANE_CHUNK),
-        ),
-        steps in prop::collection::vec(1e-10f64..5e-7, 1..4),
-    ) {
-        let params = DeviceParams::default();
-        let (mut vector, voltages) = bank_of(&lanes, None);
-        let mut scalar = vector.clone();
-
-        for &dt in &steps {
-            step_lanes_with(
-                &params, &voltages, &mut vector.view_mut(), Seconds(dt),
-                MathMode::Fast, simd::detected(),
-            );
-            step_lanes_with(
-                &params, &voltages, &mut scalar.view_mut(), Seconds(dt),
-                MathMode::Fast, SimdLevel::Scalar,
-            );
             assert_banks_identical(&vector, &scalar)?;
         }
     }

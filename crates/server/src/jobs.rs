@@ -1095,24 +1095,27 @@ mod tests {
     }
 
     #[test]
-    fn fast_math_specs_validate_on_submit_and_forward_through_leases() {
+    fn specs_validate_on_submit_and_forward_through_leases() {
         let mut queue = JobQueue::new(Duration::from_secs(30));
-        // The flag is a batched-backend tier: the default pulse backend
-        // is rejected at submission, before any shard is leased.
+        // A malformed grid is rejected at submission, before any shard is
+        // leased.
         let mut invalid = small_spec();
-        invalid.backend_fast_math = true;
+        invalid.max_pulses = 0;
         assert!(matches!(
             queue.submit(invalid, 1, Instant::now()),
             Err(QueueError::Invalid(_))
         ));
-        // A batched fast-math spec survives the submit→lease round trip,
-        // so every fleet worker executes the tier the submitter asked for.
-        let json = small_spec().to_json().replace("\"pulse\"", "\"batched\"");
-        let mut fast = CampaignSpec::from_json(&json).unwrap();
-        fast.backend_fast_math = true;
-        queue.submit(fast, 1, Instant::now()).unwrap();
+        // Non-default execution settings survive the submit→lease round
+        // trip, so every fleet worker executes the spec the submitter asked
+        // for.
+        let tuned = CampaignSpec {
+            backend_threads: 2,
+            batching: false,
+            ..small_spec()
+        };
+        queue.submit(tuned.clone(), 1, Instant::now()).unwrap();
         let granted = grant(queue.lease("w1", Instant::now()));
-        assert!(granted.spec.backend_fast_math);
+        assert_eq!(granted.spec, tuned);
     }
 
     #[test]

@@ -182,134 +182,12 @@ fn pulse_and_batched_engines_agree_under_device_spreads() {
 }
 
 #[test]
-fn surrogate_and_batched_engines_agree_on_the_fig3a_grid() {
-    // The reduced-order surrogate backend on the Fig. 3a pulse-length grid
-    // against the exact batched engine. The surrogate interpolates the
-    // drift rate from fitted tables, so agreement is a *tolerance* band,
-    // not bit-identity (the band documented in the README backend table):
-    // the flip set must match point for point, pulses-to-flip must land
-    // within 10 %, and the victim drift ratio within 1.5×. Measured margins
-    // on this grid are far inside the band (pulse counts within 0.4 %,
-    // drift ratio 1.004) — the band leaves room for other operating points.
-    let spec = CampaignSpec {
-        name: "fig3a surrogate vs batched".into(),
-        pulse_lengths_ns: vec![20.0, 50.0, 100.0],
-        backends: vec![BackendKind::Batched, BackendKind::Surrogate],
-        max_pulses: 300_000,
-        batching: false,
-        ..CampaignSpec::default()
-    };
-    let report = spec.run().expect("agreement campaign failed");
-    assert_eq!(report.outcomes.len(), 6);
-
-    // Flip-set agreement: at every grid point both engines reach the same
-    // verdict (here: everything flips within the pulse budget), and the
-    // pulse counts to get there stay close.
-    let outcome = |length_ns: f64, backend| {
-        report
-            .outcomes
-            .iter()
-            .find(|o| {
-                (o.point.pulse_length.0 * 1e9 - length_ns).abs() < 1e-6
-                    && o.point.backend == backend
-            })
-            .expect("grid point present")
-    };
-    for &length_ns in &spec.pulse_lengths_ns {
-        let batched = outcome(length_ns, BackendKind::Batched);
-        let surrogate = outcome(length_ns, BackendKind::Surrogate);
-        assert_eq!(
-            batched.flipped, surrogate.flipped,
-            "{length_ns} ns: flip sets disagree"
-        );
-        assert!(batched.flipped, "{length_ns} ns: no flip within budget");
-        let pulse_ratio = surrogate.pulses as f64 / batched.pulses as f64;
-        assert!(
-            (1.0 / 1.1..1.1).contains(&pulse_ratio),
-            "{length_ns} ns: pulses-to-flip {} vs {} (ratio {pulse_ratio:.3})",
-            surrogate.pulses,
-            batched.pulses
-        );
-    }
-
-    // Victim drift within the documented 1.5× band on every point.
-    let ratio = report
-        .max_backend_drift_ratio()
-        .expect("both backends per grid point");
-    assert!(
-        ratio < 1.5,
-        "surrogate/batched victim drift disagrees by {ratio:.3}x: {report:?}"
-    );
-
-    // The physics trend survives the reduced-order model: longer pulses
-    // flip with fewer pulses on the surrogate series too.
-    for series in report.series_over(CampaignAxis::PulseLength) {
-        assert!(
-            series.is_monotonically_decreasing(),
-            "non-monotonic series: {series:?}"
-        );
-    }
-}
-
-#[test]
-fn fast_math_tier_agrees_with_exact_batched_on_the_fig3a_grid() {
-    // The opt-in fast-math tier (`backend_fast_math`) swaps the kernel's
-    // transcendental calls for deterministic polynomial approximations, so
-    // like the surrogate it gets a *tolerance* contract against the exact
-    // batched engine — but a much tighter one, because only the last few
-    // ulps of each sub-step differ: the flip set must match point for
-    // point and pulses-to-flip must land within 1 %.
-    let exact_spec = CampaignSpec {
-        name: "fig3a fast math vs exact".into(),
-        pulse_lengths_ns: vec![20.0, 50.0, 100.0],
-        backends: vec![BackendKind::Batched],
-        max_pulses: 300_000,
-        batching: false,
-        ..CampaignSpec::default()
-    };
-    let fast_spec = CampaignSpec {
-        backend_fast_math: true,
-        ..exact_spec.clone()
-    };
-    let exact = exact_spec.run().expect("exact batched run failed");
-    let fast = fast_spec.run().expect("fast-math run failed");
-    assert_eq!(exact.outcomes.len(), 3);
-    assert_eq!(fast.outcomes.len(), 3);
-
-    for (e, f) in exact.outcomes.iter().zip(&fast.outcomes) {
-        let length_ns = e.point.pulse_length.0 * 1e9;
-        assert_eq!(e.flipped, f.flipped, "{length_ns} ns: flip sets disagree");
-        assert!(e.flipped, "{length_ns} ns: no flip within budget");
-        let ratio = f.pulses as f64 / e.pulses as f64;
-        assert!(
-            (1.0 / 1.01..1.01).contains(&ratio),
-            "{length_ns} ns: pulses-to-flip {} vs {} (ratio {ratio:.4})",
-            f.pulses,
-            e.pulses
-        );
-    }
-
-    // The trend survives the approximation.
-    for series in fast.series_over(CampaignAxis::PulseLength) {
-        assert!(
-            series.is_monotonically_decreasing(),
-            "non-monotonic fast-math series: {series:?}"
-        );
-    }
-
-    // And like the surrogate, the tier is fingerprinted: the same grid
-    // point carries a different key, so the two reports never merge.
-    for (e, f) in exact.outcomes.iter().zip(&fast.outcomes) {
-        assert_eq!(e.key.index, f.key.index);
-        assert_ne!(e.key.id, f.key.id, "fast-math key must be distinct");
-    }
-}
-
-#[test]
-fn surrogate_results_never_replay_as_exact_backend_results() {
-    // Where bit-exactness is required the surrogate must be rejected
-    // structurally: its backend tag enters every point fingerprint, so
-    // surrogate outcomes cannot merge into — or resume — a batched grid.
+fn pulse_results_never_replay_as_batched_backend_results() {
+    // The two ideal-driver engines agree only to float-accumulation
+    // precision, so where bit-exactness is required one engine's results
+    // must be rejected structurally for the other: the backend tag enters
+    // every point fingerprint, so pulse outcomes cannot merge into — or
+    // resume — a batched grid.
     use neurohammer_repro::attack::campaign::{CampaignExecutor, CampaignReport};
     let batched_spec = CampaignSpec {
         name: "exactness".into(),
@@ -317,27 +195,27 @@ fn surrogate_results_never_replay_as_exact_backend_results() {
         backends: vec![BackendKind::Batched],
         ..CampaignSpec::default()
     };
-    let surrogate_spec = CampaignSpec {
-        backends: vec![BackendKind::Surrogate],
+    let pulse_spec = CampaignSpec {
+        backends: vec![BackendKind::Pulse],
         ..batched_spec.clone()
     };
     let batched = batched_spec.run().expect("batched run failed");
-    let surrogate = surrogate_spec.run().expect("surrogate run failed");
+    let pulse = pulse_spec.run().expect("pulse run failed");
 
     assert!(
-        CampaignReport::merge([batched.clone(), surrogate.clone()]).is_err(),
-        "merging surrogate outcomes into a batched report must fail loudly"
+        CampaignReport::merge([batched.clone(), pulse.clone()]).is_err(),
+        "merging pulse outcomes into a batched report must fail loudly"
     );
 
-    // Resuming the exact grid from a surrogate checkpoint replays nothing:
+    // Resuming the batched grid from a pulse checkpoint replays nothing:
     // every recorded key is stale, so the full grid re-runs.
     let resumed = CampaignExecutor::new(batched_spec.clone())
         .expect("spec validates")
-        .resume_from(surrogate.outcomes);
+        .resume_from(pulse.outcomes);
     assert_eq!(
         resumed.pending_points().len(),
         batched_spec.num_points(),
-        "surrogate outcomes must not satisfy exact-backend points"
+        "pulse outcomes must not satisfy batched-backend points"
     );
     // ... while its own checkpoints replay fine.
     let resumed = CampaignExecutor::new(batched_spec)

@@ -1,25 +1,29 @@
-//! Qualitative reproduction checks of the paper's evaluation figures, using
-//! the quick experiment setup so the whole file runs in tens of seconds.
+//! Qualitative reproduction checks of the paper's evaluation figures, run
+//! as the campaign specs the figure binaries execute (built from
+//! `figure_campaign(true)`: synthetic coupling, 1.5 M pulse budget).
 //!
 //! The absolute pulse counts differ from the paper (different compact-model
-//! calibration, see EXPERIMENTS.md); these tests pin down the *shapes*:
-//! the direction of every trend and rough effect sizes.
+//! calibration); these tests pin down the *shapes*: the direction of every
+//! trend and rough effect sizes.
 
-use neurohammer_repro::attack::{
-    fig3a_pulse_length, fig3c_ambient_temperature, fig3d_attack_patterns, ExperimentSetup,
-};
-use neurohammer_repro::units::Seconds;
+use neurohammer_bench::figure_campaign;
+use neurohammer_repro::attack::campaign::{CampaignAxis, CampaignSpec};
+use neurohammer_repro::attack::{AttackPattern, SweepSeries};
 
-fn quick() -> ExperimentSetup {
-    ExperimentSetup {
-        max_pulses: 1_500_000,
-        ..ExperimentSetup::quick()
-    }
+/// Runs the quick figure campaign with `grid` applied and slices the report
+/// into sweep series over `axis`.
+fn sweep(axis: CampaignAxis, grid: impl FnOnce(&mut CampaignSpec)) -> Vec<SweepSeries> {
+    let mut spec = figure_campaign(true);
+    grid(&mut spec);
+    spec.run().expect("figure campaign").series_over(axis)
 }
 
 #[test]
 fn fig3a_longer_pulses_need_fewer_pulses() {
-    let series = fig3a_pulse_length(&quick(), &[20.0, 50.0, 100.0]).expect("fig3a");
+    let series = sweep(CampaignAxis::PulseLength, |spec| {
+        spec.pulse_lengths_ns = vec![20.0, 50.0, 100.0];
+    });
+    let series = &series[0];
     assert!(series.all_flipped(), "{series:?}");
     assert!(series.is_monotonically_decreasing(), "{series:?}");
     // Going from 20 ns to 100 ns pulses should save at least 2× in pulse count.
@@ -28,8 +32,10 @@ fn fig3a_longer_pulses_need_fewer_pulses() {
 
 #[test]
 fn fig3c_hotter_ambient_needs_fewer_pulses() {
-    let series =
-        fig3c_ambient_temperature(&quick(), &[273.0, 323.0, 373.0], &[50.0]).expect("fig3c");
+    let series = sweep(CampaignAxis::Ambient, |spec| {
+        spec.ambients_k = vec![273.0, 323.0, 373.0];
+        spec.pulse_lengths_ns = vec![50.0];
+    });
     let s = &series[0];
     assert!(s.all_flipped(), "{s:?}");
     assert!(s.is_monotonically_decreasing(), "{s:?}");
@@ -40,7 +46,11 @@ fn fig3c_hotter_ambient_needs_fewer_pulses() {
 
 #[test]
 fn fig3d_line_coupled_patterns_beat_the_diagonal_pattern() {
-    let series = fig3d_attack_patterns(&quick(), Seconds(100e-9)).expect("fig3d");
+    let series = sweep(CampaignAxis::Pattern, |spec| {
+        spec.patterns = AttackPattern::ALL.to_vec();
+        spec.pulse_lengths_ns = vec![100.0];
+    });
+    let series = &series[0];
     let pulses_of = |label: &str| {
         series
             .points

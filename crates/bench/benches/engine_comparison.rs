@@ -1,5 +1,5 @@
 //! Compares the fast ideal-driver pulse engine against the MNA-backed
-//! detailed engine for a short hammer burst (the DESIGN.md "two fidelities"
+//! detailed engine for a short hammer burst (the "two fidelities"
 //! ablation).
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -87,9 +87,9 @@ use rram_defense::{BenignWorkload, DefenseOutcome, GuardSpec};
 use rram_fem::alpha::{extract_alpha_cached, AlphaConfig};
 use rram_fem::{AlphaError, AlphaMatrix, CrossbarGeometry};
 use rram_jart::current::solve_operating_point;
-use rram_jart::DeviceParams;
+use rram_jart::{DeviceParams, ParamColumns};
 use rram_units::{Kelvin, Ohms, Seconds, Volts, Watts};
-use rram_variability::{try_sample_table, Distribution, ParamField, ParamSpread};
+use rram_variability::{try_sample_columns, Distribution, ParamField, ParamSpread};
 
 /// Where a campaign's thermal-coupling coefficients come from.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -965,8 +965,9 @@ impl CampaignSpec {
         fnv1a_words(&[self.seed, point.device_id()])
     }
 
-    /// Samples the per-cell parameter table of one grid point, or `None`
-    /// when the spec carries no spreads — or the point's σ-axis value is
+    /// Samples the per-cell parameters of one grid point as a column table
+    /// (the nominal set plus one column per spread field), or `None` when
+    /// the spec carries no spreads — or the point's σ-axis value is
     /// exactly `0.0` *and* every spread is centred on the nominal value
     /// (omitted `mean`/`median`), in which case scaled sampling would
     /// reproduce the nominal device anyway and the cheap homogeneous path
@@ -986,10 +987,10 @@ impl CampaignSpec {
     /// bounds, or wide spreads on relationally constrained fields such as
     /// `lrs_threshold`), so a bad spec fails the campaign cleanly instead
     /// of panicking a worker thread.
-    pub fn sampled_table(
+    pub fn sampled_columns(
         &self,
         point: &CampaignPoint,
-    ) -> Result<Option<Vec<DeviceParams>>, CampaignError> {
+    ) -> Result<Option<ParamColumns>, CampaignError> {
         let centred_on_nominal = |spread: &ParamSpread| {
             matches!(
                 spread.distribution,
@@ -1007,7 +1008,7 @@ impl CampaignSpec {
             .iter()
             .map(|spread| spread.scaled(point.spread_scale))
             .collect();
-        try_sample_table(
+        try_sample_columns(
             &DeviceParams::default(),
             &spreads,
             self.point_seed(point),
@@ -1019,6 +1020,19 @@ impl CampaignSpec {
                 "spreads sample invalid device parameters ({e}); tighten the truncation bounds"
             ))
         })
+    }
+
+    /// [`CampaignSpec::sampled_columns`] expanded into a full table, one
+    /// `DeviceParams` per cell (row-major).
+    ///
+    /// # Errors
+    ///
+    /// As [`CampaignSpec::sampled_columns`].
+    pub fn sampled_table(
+        &self,
+        point: &CampaignPoint,
+    ) -> Result<Option<Vec<DeviceParams>>, CampaignError> {
+        Ok(self.sampled_columns(point)?.map(|columns| columns.expand()))
     }
 
     /// Builds the backend a given point runs on, using a pre-resolved
@@ -1041,7 +1055,7 @@ impl CampaignSpec {
             point.rows,
             point.cols,
             DeviceParams::default(),
-            self.sampled_table(point)?,
+            self.sampled_columns(point)?,
             hub,
             config,
         ))
@@ -2668,6 +2682,64 @@ mod tests {
         let mut bad = spec;
         bad.spread_scales.clear();
         assert!(matches!(bad.validate(), Err(CampaignError::EmptyAxis(_))));
+    }
+
+    #[test]
+    fn sampled_tables_are_the_expanded_sampled_columns() {
+        let nominal = DeviceParams::default();
+        let spec = CampaignSpec {
+            name: "columns".into(),
+            spreads: vec![
+                ParamSpread::relative_normal(ParamField::FilamentRadius, 1.0, &nominal),
+                ParamSpread::relative_normal(ParamField::LDisc, 1.0, &nominal),
+            ],
+            spread_scales: vec![0.0, 0.05],
+            amplitudes_v: vec![1.05, 1.15],
+            trials: 2,
+            seed: 42,
+            ..CampaignSpec::default()
+        };
+        let mut sampled = 0;
+        for point in spec.points() {
+            let table = spec.sampled_table(&point).unwrap();
+            let columns = spec.sampled_columns(&point).unwrap();
+            // σ = 0 points of nominal-centred spreads sample nothing, in
+            // either form.
+            assert_eq!(table.is_some(), point.spread_scale != 0.0);
+            assert_eq!(columns.is_some(), table.is_some());
+            let (Some(table), Some(columns)) = (table, columns) else {
+                continue;
+            };
+            sampled += 1;
+            // The column form stores only the spread fields...
+            assert!(columns.has_column(ParamField::FilamentRadius));
+            assert!(columns.has_column(ParamField::LDisc));
+            assert!(!columns.has_column(ParamField::EaSet));
+            // ...and every lane equals the per-cell row-form sampling, bit
+            // for bit, in every field.
+            let spreads: Vec<ParamSpread> = spec
+                .spreads
+                .iter()
+                .map(|s| s.scaled(point.spread_scale))
+                .collect();
+            assert_eq!(table.len(), point.rows * point.cols);
+            for (lane, entry) in table.iter().enumerate() {
+                let row = rram_variability::try_sample_params(
+                    &nominal,
+                    &spreads,
+                    spec.point_seed(&point),
+                    lane as u64,
+                )
+                .unwrap();
+                let column = columns.lane(lane);
+                for &field in ParamField::ALL {
+                    let bits = field.get(&row).to_bits();
+                    assert_eq!(field.get(entry).to_bits(), bits, "lane {lane}");
+                    assert_eq!(field.get(&column).to_bits(), bits, "lane {lane}");
+                }
+            }
+        }
+        assert_eq!(sampled, spec.num_points() / 2);
     }
 
     #[test]

@@ -319,9 +319,9 @@ pub struct AblationRow {
     pub flipped: bool,
 }
 
-/// Ablation study over the design choices called out in `DESIGN.md`:
-/// crosstalk hub on/off, thermal time constant, pulse batching and the
-/// analytic estimator.
+/// Ablation study over the model's main design choices: crosstalk hub
+/// on/off, thermal time constant, pulse batching and the analytic
+/// estimator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AblationReport {
     /// Simulated variants.

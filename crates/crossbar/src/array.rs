@@ -3,32 +3,34 @@
 //! Since the struct-of-arrays refactor the array no longer stores one
 //! `JartDevice` per cell; the whole grid's state lives in a single
 //! [`CellBank`] (row-major lane order) shared with the integration kernel,
-//! and [`CrossbarArray::cell`]/[`CrossbarArray::cell_mut`] hand out borrowed
+//! and [`CrossbarArray::cell`]/[`CrossbarArray::cell_mut`] hand out
 //! [`CellRef`]/[`CellMut`] views with the familiar per-device method
 //! surface. Engines that want the whole array at once go through
-//! [`CrossbarArray::bank`]/[`CrossbarArray::bank_mut`] and
-//! [`rram_jart::kernel::step_lanes`].
+//! [`CrossbarArray::step_lanes`]/[`CrossbarArray::relax_lanes`], which call
+//! [`rram_jart::kernel::step_lanes`] on every cell.
+
+use std::borrow::Cow;
 
 use serde::{Deserialize, Serialize};
 
 use crate::scheme::CellAddress;
-use rram_jart::{CellBank, CellMut, CellRef, DeviceParams, DigitalState};
+use rram_jart::{CellBank, CellMut, CellRef, DeviceParams, DigitalState, ParamColumns};
 use rram_units::{Ohms, Volts};
 
 /// A rows × cols array of memristive cells backed by one
 /// struct-of-arrays [`CellBank`] (row-major).
 ///
-/// By default every cell shares the nominal `params`; arrays with
-/// device-to-device variability install a per-cell parameter table with
-/// [`CrossbarArray::set_params_table`], after which every view, scalar step
+/// The device parameters are a [`ParamColumns`] table: by default uniform,
+/// so every cell shares the nominal set. Arrays with device-to-device
+/// variability install columns for the sampled fields with
+/// [`CrossbarArray::set_param_columns`] (or a full per-cell table with
+/// [`CrossbarArray::set_params_table`]), after which every view, scalar step
 /// and batched kernel call resolves each cell's own parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CrossbarArray {
     rows: usize,
     cols: usize,
-    params: DeviceParams,
-    /// Per-cell parameters (row-major), when the array is heterogeneous.
-    params_table: Option<Vec<DeviceParams>>,
+    params: ParamColumns,
     bank: CellBank,
 }
 
@@ -44,8 +46,7 @@ impl CrossbarArray {
         CrossbarArray {
             rows,
             cols,
-            params,
-            params_table: None,
+            params: ParamColumns::uniform(params, rows * cols),
             bank,
         }
     }
@@ -54,7 +55,7 @@ impl CrossbarArray {
     pub fn filled(rows: usize, cols: usize, params: DeviceParams, state: DigitalState) -> Self {
         let mut array = CrossbarArray::new(rows, cols, params);
         for lane in 0..array.bank.lanes() {
-            array.bank.force_state(lane, state, &array.params);
+            array.bank.force_state(lane, state, array.params.nominal());
         }
         array
     }
@@ -80,60 +81,63 @@ impl CrossbarArray {
         self.bank.lanes() == 0
     }
 
-    /// The nominal device parameters — shared by every cell unless a
-    /// per-cell table was installed (see [`CrossbarArray::set_params_table`]).
+    /// The nominal device parameters — every cell's value of each field
+    /// without a per-cell column (see [`CrossbarArray::param_columns`]).
     pub fn params(&self) -> &DeviceParams {
+        self.params.nominal()
+    }
+
+    /// The per-cell parameter table (row-major); uniform unless columns
+    /// were installed.
+    pub fn param_columns(&self) -> &ParamColumns {
         &self.params
     }
 
-    /// The per-cell parameter table (row-major), when the array is
-    /// heterogeneous.
-    pub fn params_table(&self) -> Option<&[DeviceParams]> {
-        self.params_table.as_deref()
-    }
-
-    /// The parameters governing one cell: its table entry when a table is
-    /// installed, the shared nominal set otherwise.
+    /// The parameters governing one cell: a borrow of the nominal set on a
+    /// uniform array, an owned copy carrying the cell's column values
+    /// otherwise.
     ///
     /// # Panics
     ///
     /// Panics if the address is out of range.
-    pub fn cell_params(&self, address: CellAddress) -> &DeviceParams {
-        let lane = self.index(address);
-        self.lane_params(lane)
+    pub fn cell_params(&self, address: CellAddress) -> Cow<'_, DeviceParams> {
+        self.params.lane(self.index(address))
     }
 
     /// Installs a per-cell parameter table (row-major) and re-initialises
     /// every cell to the HRS at ambient under its new parameters — the
     /// Monte Carlo entry point: sample a table, install it, then run the
-    /// attack preparation as usual.
+    /// attack preparation as usual. The table's nominal set becomes the
+    /// array's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table's lane count does not match the cell count.
+    pub fn set_param_columns(&mut self, columns: ParamColumns) {
+        assert_eq!(
+            columns.lanes(),
+            self.bank.lanes(),
+            "params table length mismatch"
+        );
+        let bank = &mut self.bank;
+        columns.for_each_lane(|lane, params| bank.force_state(lane, DigitalState::Hrs, params));
+        // The kernel's per-lane operating-point cache is keyed on (v, n)
+        // under the *current* parameters; swapping the table invalidates
+        // every cached solve.
+        self.bank.invalidate_op_cache();
+        self.params = columns;
+    }
+
+    /// [`CrossbarArray::set_param_columns`] from a full table with one
+    /// `DeviceParams` per cell (row-major), compacted against the array's
+    /// nominal set: only the fields that vary are stored per cell.
     ///
     /// # Panics
     ///
     /// Panics if the table length does not match the cell count.
     pub fn set_params_table(&mut self, table: Vec<DeviceParams>) {
-        assert_eq!(
-            table.len(),
-            self.bank.lanes(),
-            "params table length mismatch"
-        );
-        for (lane, params) in table.iter().enumerate() {
-            self.bank.force_state(lane, DigitalState::Hrs, params);
-        }
-        // The kernel's per-lane operating-point cache is keyed on (v, n)
-        // under the *current* parameters; swapping the table invalidates
-        // every cached solve.
-        self.bank.invalidate_op_cache();
-        self.params_table = Some(table);
-    }
-
-    /// Resolves the parameters of one lane.
-    #[inline]
-    fn lane_params(&self, lane: usize) -> &DeviceParams {
-        match &self.params_table {
-            Some(table) => &table[lane],
-            None => &self.params,
-        }
+        let columns = ParamColumns::compact(self.params.nominal().clone(), &table);
+        self.set_param_columns(columns);
     }
 
     /// The struct-of-arrays state bank (row-major lane order).
@@ -164,7 +168,7 @@ impl CrossbarArray {
     /// Panics if the address is out of range.
     pub fn cell(&self, address: CellAddress) -> CellRef<'_> {
         let lane = self.index(address);
-        CellRef::new(self.lane_params(lane), &self.bank, lane)
+        CellRef::new(self.params.lane(lane), &self.bank, lane)
     }
 
     /// Mutable view of a cell.
@@ -174,11 +178,7 @@ impl CrossbarArray {
     /// Panics if the address is out of range.
     pub fn cell_mut(&mut self, address: CellAddress) -> CellMut<'_> {
         let lane = self.index(address);
-        let params = match &self.params_table {
-            Some(table) => &table[lane],
-            None => &self.params,
-        };
-        CellMut::new(params, &mut self.bank, lane)
+        CellMut::new(self.params.lane(lane), &mut self.bank, lane)
     }
 
     /// Iterates over `(address, cell)` pairs in row-major order.
@@ -186,7 +186,7 @@ impl CrossbarArray {
         (0..self.bank.lanes()).map(move |lane| {
             (
                 CellAddress::new(lane / self.cols, lane % self.cols),
-                CellRef::new(self.lane_params(lane), &self.bank, lane),
+                CellRef::new(self.params.lane(lane), &self.bank, lane),
             )
         })
     }
@@ -196,17 +196,11 @@ impl CrossbarArray {
     /// iteration takes a closure).
     pub fn for_each_cell_mut(&mut self, mut f: impl FnMut(CellAddress, CellMut<'_>)) {
         let cols = self.cols;
-        let shared = &self.params;
-        let table = self.params_table.as_deref();
         let bank = &mut self.bank;
-        for lane in 0..bank.lanes() {
+        self.params.for_each_lane(|lane, params| {
             let address = CellAddress::new(lane / cols, lane % cols);
-            let params = match table {
-                Some(table) => &table[lane],
-                None => shared,
-            };
-            f(address, CellMut::new(params, bank, lane));
-        }
+            f(address, CellMut::new(Cow::Borrowed(params), bank, lane));
+        });
     }
 
     /// Digital read-out of the whole array, row-major.
@@ -223,7 +217,7 @@ impl CrossbarArray {
 
     /// Digital state of one cell.
     pub fn read(&self, address: CellAddress) -> DigitalState {
-        self.cell(address).digital_state()
+        self.bank.digital()[self.index(address)]
     }
 
     /// Read resistance of one cell at the given read voltage.
@@ -260,21 +254,14 @@ impl CrossbarArray {
     }
 
     /// Integrates every cell by `dt` under its per-cell voltage (row-major)
-    /// in one kernel call — the batched engine's hot path.
+    /// in one kernel call — the hot path of both ideal-driver engines.
     ///
     /// # Panics
     ///
     /// Panics if `voltages.len()` does not match the cell count or `dt` is
     /// negative.
     pub fn step_lanes(&mut self, voltages: &[f64], dt: rram_units::Seconds) {
-        match &self.params_table {
-            Some(table) => {
-                rram_jart::kernel::step_lanes(&table[..], voltages, &mut self.bank.view_mut(), dt)
-            }
-            None => {
-                rram_jart::kernel::step_lanes(&self.params, voltages, &mut self.bank.view_mut(), dt)
-            }
-        }
+        rram_jart::kernel::step_lanes(&self.params, voltages, &mut self.bank.view_mut(), dt)
     }
 
     /// Like [`CrossbarArray::step_lanes`], with the lane range split across
@@ -292,39 +279,25 @@ impl CrossbarArray {
         dt: rram_units::Seconds,
         threads: usize,
     ) {
-        match &self.params_table {
-            Some(table) => rram_jart::kernel::step_lanes_threaded(
-                &table[..],
-                voltages,
-                self.bank.view_mut(),
-                dt,
-                threads,
-            ),
-            None => rram_jart::kernel::step_lanes_threaded(
-                &self.params,
-                voltages,
-                self.bank.view_mut(),
-                dt,
-                threads,
-            ),
-        }
+        rram_jart::kernel::step_lanes_threaded(
+            &self.params,
+            voltages,
+            self.bank.view_mut(),
+            dt,
+            threads,
+        )
     }
 
     /// Advances every cell by `dt` with all lines grounded — bit-identical
     /// to [`CrossbarArray::step_lanes`] with an all-zero voltage vector,
-    /// without needing the voltage buffer at all. The batched engine's gap
-    /// phase runs on this.
+    /// without needing the voltage buffer at all. Both ideal-driver
+    /// engines' gap phases run on this.
     ///
     /// # Panics
     ///
     /// Panics if `dt` is negative.
     pub fn relax_lanes(&mut self, dt: rram_units::Seconds) {
-        match &self.params_table {
-            Some(table) => {
-                rram_jart::kernel::relax_lanes(&table[..], &mut self.bank.view_mut(), dt)
-            }
-            None => rram_jart::kernel::relax_lanes(&self.params, &mut self.bank.view_mut(), dt),
-        }
+        rram_jart::kernel::relax_lanes(&self.params, &mut self.bank.view_mut(), dt)
     }
 
     /// Number of cells whose digital state differs from `reference`
@@ -476,7 +449,7 @@ mod tests {
         // Give one cell a much wider filament: more current, faster SET.
         let mut table = vec![nominal.clone(); 4];
         table[3].filament_radius = 2.0 * nominal.filament_radius;
-        a.set_params_table(table);
+        a.set_params_table(table.clone());
 
         assert_eq!(
             a.cell_params(CellAddress::new(1, 1)).filament_radius,
@@ -486,7 +459,12 @@ mod tests {
             a.cell_params(CellAddress::new(0, 0)).filament_radius,
             nominal.filament_radius
         );
-        assert_eq!(a.params_table().unwrap().len(), 4);
+        // Only the field that varies is stored per cell.
+        let columns = a.param_columns();
+        assert_eq!(columns.lanes(), 4);
+        assert!(columns.has_column(rram_jart::ParamField::FilamentRadius));
+        assert!(!columns.has_column(rram_jart::ParamField::LDisc));
+        assert_eq!(columns.expand(), table);
         // Installing the table re-initialised the array to all-HRS.
         assert!(a.read_all().iter().all(|&s| s == DigitalState::Hrs));
 
@@ -501,9 +479,9 @@ mod tests {
         // cell through its CellMut view matches a standalone device with
         // the same parameter set, bit for bit.
         let mut reference =
-            rram_jart::JartDevice::new(a.cell_params(CellAddress::new(1, 1)).clone());
+            rram_jart::JartDevice::new(a.cell_params(CellAddress::new(1, 1)).into_owned());
         let mut fresh = CrossbarArray::new(2, 2, nominal.clone());
-        fresh.set_params_table(a.params_table().unwrap().to_vec());
+        fresh.set_param_columns(a.param_columns().clone());
         fresh
             .cell_mut(CellAddress::new(1, 1))
             .step(Volts(1.05), rram_units::Seconds(2e-9));
@@ -512,6 +490,17 @@ mod tests {
             fresh.cell(CellAddress::new(1, 1)).concentration().to_bits(),
             reference.concentration().to_bits()
         );
+    }
+
+    #[test]
+    fn a_nominal_table_compacts_to_a_uniform_array() {
+        let mut a = array();
+        a.set_params_table(vec![DeviceParams::default(); 12]);
+        assert!(a.param_columns().is_uniform());
+        assert!(matches!(
+            a.cell_params(CellAddress::new(2, 3)),
+            Cow::Borrowed(_)
+        ));
     }
 
     #[test]

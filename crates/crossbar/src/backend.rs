@@ -2,7 +2,7 @@
 //! simulation engine.
 //!
 //! The workspace ships three engines with different cost/fidelity
-//! trade-offs — the scalar ideal-driver [`crate::engine::PulseEngine`], the
+//! trade-offs — the ideal-driver reference [`crate::engine::PulseEngine`], the
 //! struct-of-arrays [`crate::batched::BatchedEngine`] and the MNA-backed
 //! [`crate::detailed::DetailedCrossbar`] — and the attack layer
 //! (`neurohammer`) should not care which one it is driving. `HammerBackend`
@@ -43,7 +43,7 @@ use crate::crosstalk::CrosstalkHub;
 use crate::detailed::{DetailedCrossbar, WiringParasitics};
 use crate::engine::{EngineConfig, PulseEngine};
 use crate::scheme::CellAddress;
-use rram_jart::{DeviceParams, DigitalState};
+use rram_jart::{DeviceParams, DigitalState, ParamColumns, ParamField};
 use rram_units::{Kelvin, Seconds, Volts};
 
 /// Thermal/electrical snapshot of one cell, as exposed by any backend.
@@ -215,11 +215,12 @@ pub trait HammerBackend {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum BackendKind {
-    /// The scalar ideal-driver [`PulseEngine`].
+    /// The ideal-driver reference [`PulseEngine`] (dense crosstalk
+    /// gather).
     Pulse,
-    /// The struct-of-arrays [`crate::BatchedEngine`]: identical physics to
-    /// [`PulseEngine`], integrated one whole-array kernel call per sub-step
-    /// — the fast choice for large arrays and long campaigns.
+    /// The struct-of-arrays [`crate::BatchedEngine`]: identical physics and
+    /// kernel call to [`PulseEngine`], with a scatter-based crosstalk hub —
+    /// the fast choice for large arrays and long campaigns.
     Batched,
     /// The MNA-backed [`DetailedCrossbar`] with the given wiring parasitics.
     Detailed(WiringParasitics),
@@ -260,24 +261,26 @@ impl BackendKind {
     }
 
     /// Builds a fresh all-HRS backend with an optional per-cell parameter
-    /// table (row-major) — the Monte Carlo variability entry point. With
-    /// `table == None` this is exactly [`BackendKind::build`].
+    /// table (row-major columns) — the Monte Carlo variability entry point.
+    /// With `table == None` this is exactly [`BackendKind::build`]. The
+    /// ideal-driver engines install the columns as they are; the detailed
+    /// engine receives the expanded table, one `DeviceParams` per cell.
     ///
     /// The ambient temperature of the nominal parameters *and of every
-    /// table entry* is aligned with `config.ambient`: the campaign's
-    /// ambient axis always wins over a sampled ambient, so thermal
-    /// baselines stay comparable across the grid.
+    /// table lane* is aligned with `config.ambient`: the campaign's ambient
+    /// axis always wins over a sampled ambient, so thermal baselines stay
+    /// comparable across the grid.
     ///
     /// # Panics
     ///
     /// Panics if the hub dimensions do not match `rows`/`cols`, or the
-    /// table length does not match the cell count.
+    /// table's lane count does not match the cell count.
     pub fn build_heterogeneous(
         &self,
         rows: usize,
         cols: usize,
         params: DeviceParams,
-        table: Option<Vec<DeviceParams>>,
+        table: Option<ParamColumns>,
         hub: CrosstalkHub,
         config: EngineConfig,
     ) -> Box<dyn HammerBackend> {
@@ -286,32 +289,29 @@ impl BackendKind {
             ..params
         };
         let table = table.map(|mut table| {
-            for entry in &mut table {
-                entry.ambient_temperature = config.ambient.0;
-            }
+            table.set_shared(ParamField::AmbientTemperature, config.ambient.0);
             table
         });
+        let array = |table: Option<ParamColumns>| {
+            let mut array = crate::array::CrossbarArray::new(rows, cols, params.clone());
+            if let Some(table) = table {
+                array.set_param_columns(table);
+            }
+            array
+        };
         match self {
-            BackendKind::Pulse => {
-                let mut array = crate::array::CrossbarArray::new(rows, cols, params);
-                if let Some(table) = table {
-                    array.set_params_table(table);
-                }
-                Box::new(PulseEngine::new(array, hub, config))
-            }
-            BackendKind::Batched => {
-                let mut array = crate::array::CrossbarArray::new(rows, cols, params);
-                if let Some(table) = table {
-                    array.set_params_table(table);
-                }
-                Box::new(crate::batched::BatchedEngine::new(array, hub, config))
-            }
+            BackendKind::Pulse => Box::new(PulseEngine::new(array(table), hub, config)),
+            BackendKind::Batched => Box::new(crate::batched::BatchedEngine::new(
+                array(table),
+                hub,
+                config,
+            )),
             BackendKind::Detailed(parasitics) => {
                 let mut xbar =
                     DetailedCrossbar::new(rows, cols, params, *parasitics, hub, config.scheme)
                         .with_time_step(config.max_substep);
                 if let Some(table) = table {
-                    xbar.set_params_table(&table);
+                    xbar.set_params_table(&table.expand());
                 }
                 Box::new(xbar)
             }

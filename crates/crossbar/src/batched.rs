@@ -1,11 +1,12 @@
 //! The batched (struct-of-arrays) pulse engine.
 //!
 //! [`BatchedEngine`] drives the same ideal-driver physics as
-//! [`crate::engine::PulseEngine`], but organises each sub-step around the
-//! array instead of the cell:
+//! [`crate::engine::PulseEngine`], through the same one kernel call per
+//! sub-step, and differs in how it feeds and couples that call:
 //!
-//! 1. the write scheme's line biases are evaluated **once per pulse** into a
-//!    reused per-cell voltage buffer (they are constant while the bias is),
+//! 1. the write scheme's line biases are stamped **once per pulse** into a
+//!    reused per-cell voltage buffer from two row patterns (they are
+//!    constant while the bias is),
 //! 2. all cells integrate in a single [`rram_jart::kernel::step_lanes`] call
 //!    over the array's [`rram_jart::CellBank`] lanes,
 //! 3. crosstalk import/export moves lane-wise — the hub state is copied into
@@ -13,12 +14,12 @@
 //!    straight back — and the hub advances through its scatter-based
 //!    [`crate::crosstalk::CrosstalkHub::update_batched`].
 //!
-//! No sub-step allocates, and the hub cost drops from `O(cells²)` to
-//! `O(cells · coupling-support)`, which is what makes 10²–10⁵-pulse
-//! campaigns on large arrays tractable. Because the integration kernel is
-//! shared with the scalar engine, per-cell trajectories are bit-identical to
-//! [`crate::engine::PulseEngine`]; only the hub's floating-point
-//! accumulation order differs. `tests/engine_agreement.rs` (workspace root)
+//! No sub-step allocates, and the hub cost drops from the pulse engine's
+//! `O(cells²)` gather to `O(cells · coupling-support)`, which is what makes
+//! 10²–10⁵-pulse campaigns on large arrays tractable. Because the kernel
+//! call is shared with the pulse engine, per-cell trajectories are
+//! bit-identical to [`crate::engine::PulseEngine`]; only the hub's
+//! floating-point accumulation order differs. `tests/engine_agreement.rs` (workspace root)
 //! pins the Pulse↔Batched agreement across write schemes.
 
 use serde::{Deserialize, Serialize};

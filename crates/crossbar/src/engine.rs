@@ -5,9 +5,13 @@
 //! the outcome, because with ideal line drivers the voltage across every cell
 //! follows directly from the write scheme. This engine exploits that:
 //!
-//! 1. the scheme determines each cell's voltage,
-//! 2. every cell integrates its own state/temperature for the sub-step,
-//! 3. the crosstalk hub redistributes the exported filament temperatures.
+//! 1. the scheme determines each cell's voltage, once per pulse,
+//! 2. one [`rram_jart::kernel::step_lanes`] call per sub-step integrates
+//!    every cell's state/temperature (the same kernel call as
+//!    [`crate::BatchedEngine`]; gaps take the all-grounded relax update),
+//! 3. the crosstalk hub redistributes the exported filament temperatures
+//!    through its dense per-destination gather,
+//!    [`CrosstalkHub::update`].
 //!
 //! The sub-step length is chosen from the hub's thermal time constant so the
 //! first-order coupling lag is resolved. The `detailed` module provides the
@@ -88,13 +92,27 @@ pub struct CellSnapshot {
 }
 
 /// The ideal-driver pulse engine: array + hub + scheme.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PulseEngine {
     array: CrossbarArray,
     hub: CrosstalkHub,
     config: EngineConfig,
     /// Simulated time elapsed, s.
     elapsed: f64,
+    /// Reused per-cell voltage buffer (row-major), filled once per pulse.
+    #[serde(skip)]
+    voltages: Vec<f64>,
+}
+
+/// Two engines are equal when their array, hub, configuration and clock
+/// agree; the voltage buffer is scratch and excluded.
+impl PartialEq for PulseEngine {
+    fn eq(&self, other: &Self) -> bool {
+        self.array == other.array
+            && self.hub == other.hub
+            && self.config == other.config
+            && self.elapsed == other.elapsed
+    }
 }
 
 impl PulseEngine {
@@ -111,6 +129,7 @@ impl PulseEngine {
             hub,
             config,
             elapsed: 0.0,
+            voltages: Vec::new(),
         }
     }
 
@@ -164,29 +183,33 @@ impl PulseEngine {
     fn advance(&mut self, selected: Option<(CellAddress, Volts)>, duration: Seconds) {
         let mut remaining = duration.0;
         let substep = self.config.substep(selected.is_some());
-        let bias = selected.map(|(address, amplitude)| {
-            self.config
-                .scheme
-                .line_bias(self.array.rows(), self.array.cols(), address, amplitude)
-        });
+        // The line biases are constant for the whole advance: evaluate the
+        // scheme once per cell into the reused buffer.
+        if let Some((address, amplitude)) = selected {
+            let (rows, cols) = (self.array.rows(), self.array.cols());
+            let bias = self.config.scheme.line_bias(rows, cols, address, amplitude);
+            self.voltages.clear();
+            self.voltages.extend((0..rows * cols).map(|lane| {
+                bias.cell_voltage(CellAddress::new(lane / cols, lane % cols))
+                    .0
+            }));
+        }
         while remaining > 0.0 {
-            let dt = remaining.min(substep);
-            // Import the hub state, then step every cell under its bias.
-            // Both transfers borrow the struct-of-arrays lanes directly, so
-            // no sub-step allocates.
+            let dt = Seconds(remaining.min(substep));
+            // Import the hub state, step every cell in one kernel call (or
+            // relax them all when the lines are grounded), then redistribute
+            // the exported temperatures. Every transfer borrows the
+            // struct-of-arrays lanes directly, so no sub-step allocates.
             self.array.import_crosstalk(self.hub.deltas());
-            self.array.for_each_cell_mut(|address, mut cell| {
-                let v = match &bias {
-                    Some(b) => b.cell_voltage(address),
-                    None => Volts(0.0),
-                };
-                cell.step(v, Seconds(dt));
-            });
-            // Redistribute the exported temperatures.
+            if selected.is_some() {
+                self.array.step_lanes(&self.voltages, dt);
+            } else {
+                self.array.relax_lanes(dt);
+            }
             self.hub
-                .update(self.array.temperatures(), self.config.ambient, Seconds(dt));
-            remaining -= dt;
-            self.elapsed += dt;
+                .update(self.array.temperatures(), self.config.ambient, dt);
+            remaining -= dt.0;
+            self.elapsed += dt.0;
         }
     }
 
@@ -242,6 +265,10 @@ impl PulseEngine {
 impl HammerBackend for PulseEngine {
     fn label(&self) -> &'static str {
         "pulse"
+    }
+
+    fn simd_isa(&self) -> &'static str {
+        rram_jart::simd::active().label()
     }
 
     fn rows(&self) -> usize {

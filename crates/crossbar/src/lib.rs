@@ -14,11 +14,11 @@
 //!   filament temperatures between cells using the α coefficients extracted
 //!   by `rram-fem` (Eq. 5).
 //!
-//! Three simulation engines drive the array: the scalar ideal-driver
-//! [`engine::PulseEngine`], the struct-of-arrays
-//! [`batched::BatchedEngine`] that integrates every cell in one kernel call
-//! per sub-step (the fast path for long hammer campaigns on large arrays),
-//! and the MNA-backed [`detailed::DetailedCrossbar`] including wiring
+//! Three simulation engines drive the array: two ideal-driver engines that
+//! integrate every cell in one kernel call per sub-step — the reference
+//! [`engine::PulseEngine`] with a dense crosstalk gather, and
+//! [`batched::BatchedEngine`] with a scatter-based hub (the fast path for
+//! long hammer campaigns on large arrays) — and the MNA-backed [`detailed::DetailedCrossbar`] including wiring
 //! parasitics, which also powers the [`sneak`]-path analysis. All implement
 //! the [`backend::HammerBackend`] trait, so the attack layer, the campaign
 //! runner and the cross-engine agreement tests drive them interchangeably;

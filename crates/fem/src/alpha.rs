@@ -668,20 +668,35 @@ mod tests {
 
     #[test]
     fn cached_extraction_matches_and_memoises() {
+        // Other tests in this binary fill the same process-wide memo in
+        // parallel, so this checks the memo's entries for its own keys
+        // rather than the global entry count.
+        let memoised = |key: &ExtractionKey| {
+            extraction_cache()
+                .lock()
+                .expect("cache poisoned")
+                .get(key)
+                .cloned()
+        };
         let geometry = fast_geometry(40.0);
         let config = quick_config();
+        let key = extraction_key(&geometry, &config);
         let fresh = extract_alpha(&geometry, &config).unwrap();
         let first = extract_alpha_cached(&geometry, &config).unwrap();
         assert_eq!(first, fresh);
-        let count_after_first = cached_extraction_count();
-        // A bit-identical request must not add a cache entry.
+        assert_eq!(memoised(&key), Some(fresh.clone()));
+        // A bit-identical request replays the memoised entry.
         let second = extract_alpha_cached(&geometry, &config).unwrap();
         assert_eq!(second, fresh);
-        assert_eq!(cached_extraction_count(), count_after_first);
-        // A different geometry is a different field problem.
-        let third = extract_alpha_cached(&fast_geometry(75.0), &config).unwrap();
+        // A different geometry is a different field problem with its own
+        // entry.
+        let other = fast_geometry(75.0);
+        let other_key = extraction_key(&other, &config);
+        assert_ne!(other_key, key);
+        let third = extract_alpha_cached(&other, &config).unwrap();
         assert_ne!(third.alpha, fresh.alpha);
-        assert_eq!(cached_extraction_count(), count_after_first + 1);
+        assert_eq!(memoised(&other_key), Some(third));
+        assert_eq!(memoised(&key), Some(fresh));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Calibration sweep used to pick the default kinetic parameters.
 //!
 //! Prints, for a grid of (activation energy, attempt frequency) pairs, the
-//! three characteristic times that define the NeuroHammer operating regime
-//! (see DESIGN.md): nominal SET, half-select disturb at ambient, and
+//! three characteristic times that define the NeuroHammer operating regime:
+//! nominal SET, half-select disturb at ambient, and
 //! half-select disturb with a Fig. 2a-like 55 K crosstalk temperature.
 //!
 //! Run with `cargo run -p rram-jart --release --example calibrate_sweep`.

@@ -79,7 +79,7 @@ pub struct CalibrationReport {
 }
 
 /// Runs the three characteristic measurements used to validate a parameter
-/// set (see `DESIGN.md`, "Calibration").
+/// set.
 pub fn calibrate(params: &DeviceParams) -> CalibrationReport {
     let v_set = Volts(rram_units::V_SET);
     let v_half = Volts(rram_units::V_SET / 2.0);

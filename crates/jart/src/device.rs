@@ -9,6 +9,8 @@
 //! surface, and all integration funnels through the one kernel routine, so
 //! scalar and batched stepping are bit-identical.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 use crate::current::OperatingPoint;
@@ -41,27 +43,31 @@ impl DigitalState {
 
 /// Read-only view of one lane of a [`CellBank`] — what a bank owner hands
 /// out for inspection (thermal snapshots, digital read-out, resistance).
-#[derive(Debug, Clone, Copy)]
+///
+/// The view carries the lane's parameter set: a borrow of a shared set, or
+/// an owned copy for a cell of a heterogeneous array (see
+/// [`crate::ParamColumns::lane`]).
+#[derive(Debug, Clone)]
 pub struct CellRef<'a> {
-    params: &'a DeviceParams,
+    params: Cow<'a, DeviceParams>,
     bank: &'a CellBank,
     lane: usize,
 }
 
 impl<'a> CellRef<'a> {
-    /// Creates a view of `lane` of `bank`.
+    /// Creates a view of `lane` of `bank` governed by `params`.
     ///
     /// # Panics
     ///
     /// Panics if `lane` is out of range.
-    pub fn new(params: &'a DeviceParams, bank: &'a CellBank, lane: usize) -> Self {
+    pub fn new(params: Cow<'a, DeviceParams>, bank: &'a CellBank, lane: usize) -> Self {
         assert!(lane < bank.lanes(), "lane out of range");
         CellRef { params, bank, lane }
     }
 
-    /// Parameters shared by every lane of the bank.
+    /// The parameter set governing this lane.
     pub fn params(&self) -> &DeviceParams {
-        self.params
+        &self.params
     }
 
     /// Current disc vacancy concentration (10²⁶ m⁻³).
@@ -126,7 +132,7 @@ impl<'a> CellRef<'a> {
     /// this does not advance the internal state.
     pub fn read_resistance(&self, v_read: Volts) -> Ohms {
         Ohms(crate::current::read_resistance(
-            self.params,
+            &self.params,
             v_read.0,
             self.concentration(),
         ))
@@ -134,21 +140,23 @@ impl<'a> CellRef<'a> {
 }
 
 /// Mutable view of one lane of a [`CellBank`] — what a bank owner hands out
-/// for initialisation, fault injection and scalar stepping.
+/// for initialisation, fault injection and scalar stepping. Like
+/// [`CellRef`], it borrows a shared parameter set or owns a heterogeneous
+/// cell's copy.
 #[derive(Debug)]
 pub struct CellMut<'a> {
-    params: &'a DeviceParams,
+    params: Cow<'a, DeviceParams>,
     bank: &'a mut CellBank,
     lane: usize,
 }
 
 impl<'a> CellMut<'a> {
-    /// Creates a mutable view of `lane` of `bank`.
+    /// Creates a mutable view of `lane` of `bank` governed by `params`.
     ///
     /// # Panics
     ///
     /// Panics if `lane` is out of range.
-    pub fn new(params: &'a DeviceParams, bank: &'a mut CellBank, lane: usize) -> Self {
+    pub fn new(params: Cow<'a, DeviceParams>, bank: &'a mut CellBank, lane: usize) -> Self {
         assert!(lane < bank.lanes(), "lane out of range");
         CellMut { params, bank, lane }
     }
@@ -156,7 +164,7 @@ impl<'a> CellMut<'a> {
     /// Reborrows as a read-only view.
     pub fn as_ref(&self) -> CellRef<'_> {
         CellRef {
-            params: self.params,
+            params: Cow::Borrowed(&self.params),
             bank: self.bank,
             lane: self.lane,
         }
@@ -183,12 +191,12 @@ impl<'a> CellMut<'a> {
     /// (used by the memory controller to initialise memory contents without
     /// simulating forming/write transients).
     pub fn force_state(&mut self, state: DigitalState) {
-        self.bank.force_state(self.lane, state, self.params);
+        self.bank.force_state(self.lane, state, &self.params);
     }
 
     /// Forces the raw concentration value (clamped into the valid range).
     pub fn force_concentration(&mut self, n: f64) {
-        self.bank.force_concentration(self.lane, n, self.params);
+        self.bank.force_concentration(self.lane, n, &self.params);
     }
 
     /// Forces the normalised state (0 = HRS, 1 = LRS) — the inverse of
@@ -207,7 +215,7 @@ impl<'a> CellMut<'a> {
     /// Panics if `dt` is negative or not finite.
     pub fn step(&mut self, v_cell: Volts, dt: Seconds) -> OperatingPoint {
         step_lane(
-            self.params,
+            &self.params,
             &mut self.bank.view_mut(),
             self.lane,
             v_cell.0,
@@ -248,19 +256,11 @@ impl JartDevice {
     }
 
     fn cell(&self) -> CellRef<'_> {
-        CellRef {
-            params: &self.params,
-            bank: &self.bank,
-            lane: 0,
-        }
+        CellRef::new(Cow::Borrowed(&self.params), &self.bank, 0)
     }
 
     fn cell_mut(&mut self) -> CellMut<'_> {
-        CellMut {
-            params: &self.params,
-            bank: &mut self.bank,
-            lane: 0,
-        }
+        CellMut::new(Cow::Borrowed(&self.params), &mut self.bank, 0)
     }
 
     /// Parameters of the device.

@@ -11,10 +11,15 @@
 //! per-sub-step allocation at all.
 //!
 //! The integration itself lives in one stateless per-lane routine shared by
-//! every consumer: [`crate::JartDevice`] is a thin single-cell view over a
-//! 1-lane bank, so a bank stepped by [`step_lanes`] is *bit-identical* to the
-//! same cells stepped one [`crate::JartDevice::step`] at a time (a property
-//! test in `tests/` pins this down).
+//! every consumer. [`step_lane`] runs it uncached: it is what
+//! [`crate::JartDevice::step`] does on its private 1-lane bank, and it is
+//! the reference the array kernel is checked against. [`step_lanes`], the
+//! kernel both crossbar engines call, runs the same routine behind replay
+//! caches that skip Newton solves without changing a bit, so a bank stepped
+//! by [`step_lanes`] is *bit-identical* to the same cells stepped one
+//! [`crate::JartDevice::step`] at a time (property tests in `tests/` pin
+//! this down). The caches run on every build; the `simd` cargo feature only
+//! swaps intrinsics into the block-wide helpers of [`crate::simd`].
 //!
 //! # Examples
 //!
@@ -34,12 +39,14 @@
 //! assert_eq!(bank.concentrations()[2], params.n_min);
 //! ```
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 use crate::current::{solve_operating_point, OperatingPoint};
 use crate::device::DigitalState;
 use crate::kinetics::concentration_rate;
-use crate::params::DeviceParams;
+use crate::params::{DeviceParams, ParamColumns, ParamField};
 use crate::simd::{self, SimdLevel};
 use crate::thermal::filament_temperature;
 use rram_units::Seconds;
@@ -80,9 +87,10 @@ pub struct CellBank {
 }
 
 /// Equality compares the observable lanes only; the operating-point cache
-/// is a pure accelerator whose occupancy depends on which kernel tier ran,
-/// so two banks that took different tiers to bit-identical state compare
-/// equal (the same convention the crosstalk hub uses for its scratch).
+/// is a pure accelerator whose occupancy depends on which path stepped the
+/// bank (the uncached [`step_lane`] never fills it), so two banks that took
+/// different paths to bit-identical state compare equal (the same
+/// convention the crosstalk hub uses for its scratch).
 impl PartialEq for CellBank {
     fn eq(&self, other: &Self) -> bool {
         self.n_disc == other.n_disc
@@ -325,23 +333,25 @@ fn digital_of(params: &DeviceParams, n: f64) -> DigitalState {
 }
 
 /// The parameter source of a [`step_lanes`] call: one shared set for a
-/// homogeneous bank, or a per-lane table for arrays with device-to-device
-/// variability (one `DeviceParams` per lane, same order as the lanes).
+/// homogeneous bank, or a [`ParamColumns`] table for arrays with
+/// device-to-device variability (lane `i` of the bank is lane `i` of the
+/// table).
 ///
-/// Both `&DeviceParams` and `&[DeviceParams]` convert into this, so
-/// homogeneous callers keep their old `step_lanes(&params, …)` shape and
-/// heterogeneous callers pass the table:
+/// `&DeviceParams` and `&ParamColumns` both convert into this, so
+/// homogeneous callers keep the `step_lanes(&params, …)` shape and
+/// heterogeneous callers pass the table. A uniform table converts to
+/// [`LaneParams::Shared`]:
 ///
 /// ```
 /// use rram_jart::kernel::{step_lanes, CellBank};
-/// use rram_jart::DeviceParams;
+/// use rram_jart::{DeviceParams, ParamColumns, ParamField};
 /// use rram_units::Seconds;
 ///
 /// let nominal = DeviceParams::default();
-/// let wide = DeviceParams { filament_radius: 18e-9, ..nominal.clone() };
-/// let table = vec![nominal.clone(), wide];
+/// let mut table = ParamColumns::uniform(nominal.clone(), 2);
+/// table.set_column(ParamField::FilamentRadius, vec![nominal.filament_radius, 18e-9]);
 /// let mut bank = CellBank::new(2, &nominal);
-/// step_lanes(&table[..], &[1.05, 1.05], &mut bank.view_mut(), Seconds(1e-9));
+/// step_lanes(&table, &[1.05, 1.05], &mut bank.view_mut(), Seconds(1e-9));
 /// // The wider filament conducts more, so its state moves faster.
 /// assert!(bank.concentrations()[1] > bank.concentrations()[0]);
 /// ```
@@ -349,21 +359,42 @@ fn digital_of(params: &DeviceParams, n: f64) -> DigitalState {
 pub enum LaneParams<'a> {
     /// Every lane shares one parameter set.
     Shared(&'a DeviceParams),
-    /// Lane `i` uses `table[i]` (heterogeneous cells).
-    PerLane(&'a [DeviceParams]),
+    /// Lane `i` uses lane `base + i` of a non-uniform column table; the
+    /// call covers `len` lanes.
+    Columns {
+        /// The column table.
+        table: &'a ParamColumns,
+        /// Table lane of the call's first lane.
+        base: usize,
+        /// Number of lanes the call covers.
+        len: usize,
+    },
 }
 
+/// The fields the zero-bias lane update reads: the relax temperature
+/// (`ambient + ΔT`, clamped) and the digital read-out. When none of them
+/// is a column, every zero-voltage lane can relax under the nominal set.
+const RELAX_FIELDS: [ParamField; 6] = [
+    ParamField::AmbientTemperature,
+    ParamField::MaxTemperature,
+    ParamField::RThEff,
+    ParamField::NMin,
+    ParamField::NMax,
+    ParamField::LrsThreshold,
+];
+
 impl<'a> LaneParams<'a> {
-    /// The parameter set of one lane.
+    /// The parameter set of one lane: borrowed when shared, built on the
+    /// stack from the table's columns otherwise.
     ///
     /// # Panics
     ///
-    /// Panics if `lane` is out of a per-lane table's range.
+    /// Panics if `lane` is out of the table's range.
     #[inline]
-    pub fn of(&self, lane: usize) -> &'a DeviceParams {
-        match self {
-            LaneParams::Shared(params) => params,
-            LaneParams::PerLane(table) => &table[lane],
+    pub fn of(&self, lane: usize) -> Cow<'a, DeviceParams> {
+        match *self {
+            LaneParams::Shared(params) => Cow::Borrowed(params),
+            LaneParams::Columns { table, base, .. } => table.lane(base + lane),
         }
     }
 
@@ -373,12 +404,42 @@ impl<'a> LaneParams<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the range is out of a per-lane table's bounds.
+    /// Panics if the range is out of the table's bounds.
     #[inline]
     pub fn narrow(&self, base: usize, len: usize) -> LaneParams<'a> {
         match *self {
             LaneParams::Shared(params) => LaneParams::Shared(params),
-            LaneParams::PerLane(table) => LaneParams::PerLane(&table[base..base + len]),
+            LaneParams::Columns {
+                table,
+                base: start,
+                len: total,
+            } => {
+                assert!(base + len <= total, "params table range out of bounds");
+                LaneParams::Columns {
+                    table,
+                    base: start + base,
+                    len,
+                }
+            }
+        }
+    }
+
+    /// Checks a table covers exactly `lanes` lanes.
+    fn check_lanes(&self, lanes: usize) {
+        if let LaneParams::Columns { len, .. } = *self {
+            assert_eq!(len, lanes, "params table length mismatch");
+        }
+    }
+
+    /// The set every zero-voltage lane relaxes under, when the lanes agree
+    /// on every field the relax update reads ([`RELAX_FIELDS`]).
+    fn relax_shared(&self) -> Option<&'a DeviceParams> {
+        match *self {
+            LaneParams::Shared(params) => Some(params),
+            LaneParams::Columns { table, .. } => {
+                let per_lane = RELAX_FIELDS.iter().any(|&field| table.has_column(field));
+                (!per_lane).then(|| table.nominal())
+            }
         }
     }
 }
@@ -389,9 +450,17 @@ impl<'a> From<&'a DeviceParams> for LaneParams<'a> {
     }
 }
 
-impl<'a> From<&'a [DeviceParams]> for LaneParams<'a> {
-    fn from(table: &'a [DeviceParams]) -> Self {
-        LaneParams::PerLane(table)
+impl<'a> From<&'a ParamColumns> for LaneParams<'a> {
+    fn from(table: &'a ParamColumns) -> Self {
+        if table.is_uniform() {
+            LaneParams::Shared(table.nominal())
+        } else {
+            LaneParams::Columns {
+                table,
+                base: 0,
+                len: table.lanes(),
+            }
+        }
     }
 }
 
@@ -399,37 +468,55 @@ impl<'a> From<&'a [DeviceParams]> for LaneParams<'a> {
 ///
 /// Eight f64 lanes span one or two SIMD registers on every target the
 /// workspace builds for (AVX-512, AVX2, NEON), and a fixed trip count is
-/// what lets the autovectorizer unroll the all-idle relax update without a
-/// runtime remainder check inside the chunk.
+/// what lets the all-idle relax update run without a runtime remainder
+/// check inside the chunk.
 pub const LANE_CHUNK: usize = 8;
 
 /// Advances every lane of the bank by `dt` under its per-lane cell voltage.
 ///
-/// This is the one integration routine of the workspace: the scalar
-/// [`crate::JartDevice::step`] calls [`step_lane`] on its private 1-lane
-/// bank, and the batched crossbar engine calls `step_lanes` on the whole
-/// array, so the two paths are bit-identical by construction. Lanes are
-/// independent within a call (thermal coupling happens *between* engine
-/// sub-steps, through the crosstalk lane), which keeps the per-lane loop
-/// free of cross-lane dependencies.
+/// This is the one array integration routine of the workspace: both
+/// ideal-driver crossbar engines call it once per sub-step on the whole
+/// array. Lanes are independent within a call (thermal coupling happens
+/// *between* engine sub-steps, through the crosstalk lane), which keeps the
+/// per-lane loop free of cross-lane dependencies.
 ///
-/// The lane loop walks fixed-width [`LANE_CHUNK`] slices with a scalar
-/// remainder loop. A chunk whose voltages are all exactly zero — the common
-/// case on a large array, where only the selected row and column are biased
-/// — takes a branch-free relax update that the autovectorizer can unroll;
-/// any other chunk falls back to the per-lane [`step_lane`] reference. Both
-/// paths are bit-identical to calling [`step_lane`] on every lane (the
-/// proptests in `tests/kernel_lanes.rs` pin this down, remainders and all).
+/// The result is bit-identical to calling the uncached reference
+/// [`step_lane`] (that is, [`crate::JartDevice::step`]) on every lane — the
+/// proptests in `tests/kernel_lanes.rs` pin this down, remainders and all —
+/// while skipping most of its work through four bit-preserving shortcuts:
 ///
-/// `params` is either one shared `&DeviceParams` or a per-lane
-/// `&[DeviceParams]` table (see [`LaneParams`]); a lane stepped with its
-/// table entry is bit-identical to a 1-lane bank stepped with that entry,
-/// so heterogeneous arrays keep the scalar↔batched identity.
+/// * the lane loop walks fixed-width [`LANE_CHUNK`] blocks with a
+///   remainder loop, and a block whose voltages are all exactly zero (the
+///   common case on a large array, where only the selected row and column
+///   are biased) takes a block-wide relax update;
+/// * a zero-voltage lane inside a biased block takes the same relax update
+///   (at `v = 0` the reference step solves nothing, accrues no stress time
+///   and adds a `+0.0` charge term);
+/// * a biased lane reuses its one-entry operating-point cache: `(v_cell, n)`
+///   pins the Newton solve completely (temperature does not enter it), and
+///   the refresh solve at the end of one sub-step is the first solve of the
+///   next;
+/// * with shared params, consecutive biased lanes replay through a
+///   one-entry `LaneEcho` cache — the integrator is pure in the lane's
+///   `(v, ΔT, n, charge)` tuple, so a hit copies the recorded outcome
+///   instead of re-solving. Line-bias schemes stamp long runs of identical
+///   voltages onto lanes with identical histories, so most biased lanes of
+///   a quiet array hit.
+///
+/// `params` is either one shared `&DeviceParams` or a `&ParamColumns`
+/// table (see [`LaneParams`]). A biased lane of a table builds its
+/// parameter set on the stack from the nominal set and its column values;
+/// zero-voltage lanes relax under the nominal set unless a field the relax
+/// update reads is a column.
+///
+/// The operating-point cache assumes each lane's params are stable between
+/// calls; callers that change them must [`CellBank::invalidate_op_cache`]
+/// first.
 ///
 /// # Panics
 ///
-/// Panics if `voltages.len()` (or a per-lane table's length) does not match
-/// the lane count, or if `dt` is negative or not finite.
+/// Panics if `voltages.len()` (or a table's length) does not match the lane
+/// count, or if `dt` is negative or not finite.
 pub fn step_lanes<'a>(
     params: impl Into<LaneParams<'a>>,
     voltages: &[f64],
@@ -440,30 +527,19 @@ pub fn step_lanes<'a>(
 }
 
 /// [`step_lanes`] with the SIMD level explicit — the entry point the
-/// bit-identity proptests drive tier-against-tier.
+/// bit-identity proptests drive level against level.
 ///
-/// The requested `level` is sanitised against the hardware (see
-/// [`simd::sanitize`]), so an impossible request degrades to the scalar
-/// tier instead of faulting. The scalar tier is the PR 6 chunked loop,
-/// unchanged. The vector tiers add four bit-preserving accelerations on
-/// top of the intrinsics themselves: all-idle chunks take a vectorised
-/// relax update with lazy operating-point stores, mixed chunks route their
-/// zero-voltage lanes to the relax update (bit-identical to
-/// [`step_lane`] at `v = 0`, which never accrues stress time), biased
-/// lanes reuse a per-lane one-entry operating-point cache (`(v_cell, n)`
-/// pins the solve completely — temperature does not enter it), and with
-/// shared params consecutive biased lanes replay through a one-entry
-/// `LaneEcho` cache (the integrator is pure in the lane's
-/// `(v, ΔT, n, charge)` tuple, so a hit copies the recorded outcome
-/// bit-for-bit instead of re-solving).
-///
-/// The cache assumes each lane's params are stable between calls;
-/// callers that change them must [`CellBank::invalidate_op_cache`] first.
+/// The level only selects the intrinsics of the block-wide helpers in
+/// [`crate::simd`] (the all-zero test and the relax temperature update);
+/// every level runs the same cached loop, and each helper's scalar arm is
+/// bit-identical to its vector arms. The requested `level` is sanitised
+/// against the hardware (see [`simd::sanitize`]), so an impossible request
+/// degrades to the scalar arms instead of faulting.
 ///
 /// # Panics
 ///
-/// Panics if `voltages.len()` (or a per-lane table's length) does not match
-/// the lane count, or if `dt` is negative or not finite.
+/// Panics if `voltages.len()` (or a table's length) does not match the lane
+/// count, or if `dt` is negative or not finite.
 pub fn step_lanes_with<'a>(
     params: impl Into<LaneParams<'a>>,
     voltages: &[f64],
@@ -477,76 +553,52 @@ pub fn step_lanes_with<'a>(
         lanes.lanes(),
         "voltage vector length mismatch"
     );
-    if let LaneParams::PerLane(table) = params {
-        assert_eq!(table.len(), lanes.lanes(), "params table length mismatch");
-    }
+    params.check_lanes(lanes.lanes());
     assert!(dt.0.is_finite() && dt.0 >= 0.0, "dt must be non-negative");
 
     let level = simd::sanitize(level);
+    let relax = params.relax_shared();
     let total = lanes.lanes();
-    let mut base = 0;
-    if level == SimdLevel::Scalar {
-        while base + LANE_CHUNK <= total {
-            let chunk: &[f64; LANE_CHUNK] = voltages[base..base + LANE_CHUNK]
-                .try_into()
-                .expect("chunk slice has LANE_CHUNK lanes");
-            if chunk.iter().all(|&v| v == 0.0) {
-                // All-idle chunk: the fixed-width relax update.
-                for offset in 0..LANE_CHUNK {
-                    let lane = base + offset;
-                    relax_lane(params.of(lane), lanes, lane, dt);
-                }
-            } else {
-                for (offset, &v_cell) in chunk.iter().enumerate() {
-                    let lane = base + offset;
-                    step_lane_inner(params.of(lane), lanes, lane, v_cell, dt, false);
-                }
-            }
-            base += LANE_CHUNK;
-        }
-        // Scalar remainder loop for the tail lanes.
-        for (lane, &v_cell) in voltages.iter().enumerate().skip(base) {
-            step_lane_inner(params.of(lane), lanes, lane, v_cell, dt, false);
-        }
-        return;
-    }
-
-    // The cross-lane replay cache is sound only when every lane shares one
-    // `DeviceParams`; per-lane tables fall back to the plain tuned step.
-    let shared = matches!(params, LaneParams::Shared(_));
     let mut echo = LaneEcho::cold();
+    let mut base = 0;
     while base + LANE_CHUNK <= total {
         let chunk: &[f64; LANE_CHUNK] = voltages[base..base + LANE_CHUNK]
             .try_into()
             .expect("chunk slice has LANE_CHUNK lanes");
         if simd::chunk_all_zero(level, chunk) {
-            relax_chunk_tuned(level, params, lanes, base, dt);
+            relax_chunk(level, params, relax, lanes, base);
         } else {
             for (offset, &v_cell) in chunk.iter().enumerate() {
-                let lane = base + offset;
-                if v_cell == 0.0 {
-                    // Bit-identical to step_lane at v = 0: the zero solve,
-                    // no stress-time accrual, a `+0.0` charge term.
-                    relax_lane_tuned(params.of(lane), lanes, lane);
-                } else if shared {
-                    step_lane_echoed(params.of(lane), lanes, lane, v_cell, dt, &mut echo);
-                } else {
-                    step_lane_inner(params.of(lane), lanes, lane, v_cell, dt, true);
-                }
+                step_lane_cached(params, relax, lanes, base + offset, v_cell, dt, &mut echo);
             }
         }
         base += LANE_CHUNK;
     }
     for (lane, &v_cell) in voltages.iter().enumerate().skip(base) {
-        if v_cell == 0.0 {
-            relax_lane_tuned(params.of(lane), lanes, lane);
-        } else if shared {
-            step_lane_echoed(params.of(lane), lanes, lane, v_cell, dt, &mut echo);
-        } else {
-            step_lane_inner(params.of(lane), lanes, lane, v_cell, dt, true);
-        }
+        step_lane_cached(params, relax, lanes, lane, v_cell, dt, &mut echo);
     }
     flush_echo_telemetry(&echo);
+}
+
+/// One lane of [`step_lanes`]: the relax update at zero voltage, the echo
+/// cache under shared params, the operating-point cache otherwise.
+#[inline]
+fn step_lane_cached(
+    params: LaneParams<'_>,
+    relax: Option<&DeviceParams>,
+    lanes: &mut CellBankView<'_>,
+    lane: usize,
+    v_cell: f64,
+    dt: Seconds,
+    echo: &mut LaneEcho,
+) {
+    if v_cell == 0.0 {
+        relax_lane_of(params, relax, lanes, lane);
+    } else if let LaneParams::Shared(shared) = params {
+        step_lane_echoed(shared, lanes, lane, v_cell, dt, echo);
+    } else {
+        step_lane_inner(&params.of(lane), lanes, lane, v_cell, dt, true);
+    }
 }
 
 /// Advances every lane of the bank by `dt` with *all lines grounded* — the
@@ -562,8 +614,8 @@ pub fn step_lanes_with<'a>(
 ///
 /// # Panics
 ///
-/// Panics if a per-lane table's length does not match the lane count, or if
-/// `dt` is negative or not finite.
+/// Panics if a table's length does not match the lane count, or if `dt` is
+/// negative or not finite.
 pub fn relax_lanes<'a>(
     params: impl Into<LaneParams<'a>>,
     lanes: &mut CellBankView<'_>,
@@ -573,14 +625,13 @@ pub fn relax_lanes<'a>(
 }
 
 /// [`relax_lanes`] with the SIMD level explicit (sanitised like
-/// [`step_lanes_with`]); the vector tiers update the temperature lane a
-/// [`LANE_CHUNK`] at a time and skip the redundant operating-point and
-/// charge stores, bit-identically to the scalar loop.
+/// [`step_lanes_with`]): the level selects the intrinsics of the
+/// block-wide temperature update, bit-identically to its scalar arm.
 ///
 /// # Panics
 ///
-/// Panics if a per-lane table's length does not match the lane count, or if
-/// `dt` is negative or not finite.
+/// Panics if a table's length does not match the lane count, or if `dt` is
+/// negative or not finite.
 pub fn relax_lanes_with<'a>(
     params: impl Into<LaneParams<'a>>,
     lanes: &mut CellBankView<'_>,
@@ -588,45 +639,26 @@ pub fn relax_lanes_with<'a>(
     level: SimdLevel,
 ) {
     let params = params.into();
-    if let LaneParams::PerLane(table) = params {
-        assert_eq!(table.len(), lanes.lanes(), "params table length mismatch");
-    }
+    params.check_lanes(lanes.lanes());
     assert!(dt.0.is_finite() && dt.0 >= 0.0, "dt must be non-negative");
     let level = simd::sanitize(level);
-    if level == SimdLevel::Scalar {
-        for lane in 0..lanes.lanes() {
-            relax_lane(params.of(lane), lanes, lane, dt);
-        }
-        return;
-    }
+    let relax = params.relax_shared();
     let total = lanes.lanes();
     let mut base = 0;
     while base + LANE_CHUNK <= total {
-        relax_chunk_tuned(level, params, lanes, base, dt);
+        relax_chunk(level, params, relax, lanes, base);
         base += LANE_CHUNK;
     }
     for lane in base..total {
-        relax_lane_tuned(params.of(lane), lanes, lane);
+        relax_lane_of(params, relax, lanes, lane);
     }
 }
 
 /// The zero-voltage lane update, bit-identical to
 /// `step_lane(params, lanes, lane, 0.0, dt)`: refresh the temperature from
 /// the imported crosstalk, zero the operating point, leave the state and
-/// diagnostics lanes untouched.
-#[inline]
-fn relax_lane(params: &DeviceParams, lanes: &mut CellBankView<'_>, lane: usize, dt: Seconds) {
-    lanes.temperature[lane] = filament_temperature(params, 0.0, lanes.crosstalk[lane]);
-    lanes.last_op[lane] = OperatingPoint::zero();
-    if dt.0 > 0.0 {
-        // Mirrors the reference loop: charge accrues |I|·dt with I = 0.
-        lanes.charge[lane] += 0.0;
-    }
-    lanes.digital[lane] = digital_of(params, lanes.n_disc[lane]);
-}
-
-/// [`relax_lane`] minus the stores the scalar form only performs for
-/// bit-pattern fidelity with the reference loop:
+/// diagnostics lanes untouched. Two stores of the reference are skipped
+/// because they cannot change a bit:
 ///
 /// * the operating point is zeroed **lazily** — a stored point with
 ///   `v_cell != 0.0` can only have come from a biased solve (every zero-
@@ -637,48 +669,62 @@ fn relax_lane(params: &DeviceParams, lanes: &mut CellBankView<'_>, lane: usize, 
 ///   only `|I|·dt ≥ +0.0` terms from a `+0.0` start, so it never holds
 ///   `-0.0` and adding `+0.0` is a bitwise no-op.
 #[inline]
-fn relax_lane_tuned(params: &DeviceParams, lanes: &mut CellBankView<'_>, lane: usize) {
+fn relax_lane(params: &DeviceParams, lanes: &mut CellBankView<'_>, lane: usize) {
     lanes.temperature[lane] = filament_temperature(params, 0.0, lanes.crosstalk[lane]);
-    finish_relax_tuned(params, lanes, lane);
+    finish_relax(params, lanes, lane);
+}
+
+/// [`relax_lane`] under the shared relax set when there is one (see
+/// [`LaneParams::relax_shared`]), under the lane's own set otherwise.
+#[inline]
+fn relax_lane_of(
+    params: LaneParams<'_>,
+    relax: Option<&DeviceParams>,
+    lanes: &mut CellBankView<'_>,
+    lane: usize,
+) {
+    match relax {
+        Some(shared) => relax_lane(shared, lanes, lane),
+        None => relax_lane(&params.of(lane), lanes, lane),
+    }
 }
 
 #[inline]
-fn finish_relax_tuned(params: &DeviceParams, lanes: &mut CellBankView<'_>, lane: usize) {
+fn finish_relax(params: &DeviceParams, lanes: &mut CellBankView<'_>, lane: usize) {
     if lanes.last_op[lane].v_cell != 0.0 {
         lanes.last_op[lane] = OperatingPoint::zero();
     }
     lanes.digital[lane] = digital_of(params, lanes.n_disc[lane]);
 }
 
-/// One all-idle [`LANE_CHUNK`]-wide block on a vector tier: the
-/// temperature update runs through the SIMD arm (shared-parameter banks
-/// only — a per-lane table falls back to the scalar tuned update, since
-/// its ambient/clamp constants vary per lane).
+/// One all-idle [`LANE_CHUNK`]-wide block: with a shared relax set the
+/// temperature update runs block-wide through
+/// [`simd::relax_chunk_temperature`]; otherwise each lane relaxes under its
+/// own parameter set.
 #[inline]
-fn relax_chunk_tuned(
+fn relax_chunk(
     level: SimdLevel,
     params: LaneParams<'_>,
+    relax: Option<&DeviceParams>,
     lanes: &mut CellBankView<'_>,
     base: usize,
-    _dt: Seconds,
 ) {
-    match params {
-        LaneParams::Shared(p) => {
+    match relax {
+        Some(shared) => {
             simd::relax_chunk_temperature(
                 level,
-                p.ambient_temperature,
-                p.max_temperature,
+                shared.ambient_temperature,
+                shared.max_temperature,
                 &lanes.crosstalk[base..base + LANE_CHUNK],
                 &mut lanes.temperature[base..base + LANE_CHUNK],
             );
-            for offset in 0..LANE_CHUNK {
-                finish_relax_tuned(p, lanes, base + offset);
+            for lane in base..base + LANE_CHUNK {
+                finish_relax(shared, lanes, lane);
             }
         }
-        LaneParams::PerLane(_) => {
-            for offset in 0..LANE_CHUNK {
-                let lane = base + offset;
-                relax_lane_tuned(params.of(lane), lanes, lane);
+        None => {
+            for lane in base..base + LANE_CHUNK {
+                relax_lane_of(params, None, lanes, lane);
             }
         }
     }
@@ -723,9 +769,7 @@ pub fn step_lanes_threaded<'a>(
         lanes.lanes(),
         "voltage vector length mismatch"
     );
-    if let LaneParams::PerLane(table) = params {
-        assert_eq!(table.len(), lanes.lanes(), "params table length mismatch");
-    }
+    params.check_lanes(lanes.lanes());
     assert!(dt.0.is_finite() && dt.0 >= 0.0, "dt must be non-negative");
 
     let total = lanes.lanes();
@@ -805,7 +849,7 @@ pub fn step_lane(
     step_lane_inner(params, lanes, lane, v_cell, dt, false)
 }
 
-/// The shared per-lane integrator. `tuned` enables the per-lane one-entry
+/// The shared per-lane integrator. `cached` enables the per-lane one-entry
 /// operating-point cache — the solve is a pure function of
 /// `(params, v_cell, n)` (the filament temperature feeds the *rate*, not
 /// the I–V solve), so replaying a cached point is bit-identical to
@@ -819,7 +863,7 @@ fn step_lane_inner(
     lane: usize,
     v_cell: f64,
     dt: Seconds,
-    tuned: bool,
+    cached: bool,
 ) -> OperatingPoint {
     assert!(dt.0.is_finite() && dt.0 >= 0.0, "dt must be non-negative");
     let mut remaining = dt.0;
@@ -835,9 +879,9 @@ fn step_lane_inner(
     let mut cache_op = lanes.op_cache_op[lane];
 
     // Operating point + filament temperature at a given concentration
-    // (solved, or replayed from the cache when tuned).
+    // (solved, or replayed from the lane's cache when `cached`).
     let mut eval_op = |n: f64| -> (OperatingPoint, f64) {
-        let op = if tuned {
+        let op = if cached {
             let vb = v_cell.to_bits();
             let nb = n.to_bits();
             if cache_v == vb && cache_n == nb {
@@ -902,7 +946,7 @@ fn step_lane_inner(
         }
     }
 
-    if tuned {
+    if cached {
         lanes.op_cache_v_bits[lane] = cache_v;
         lanes.op_cache_n_bits[lane] = cache_n;
         lanes.op_cache_op[lane] = cache_op;
@@ -911,7 +955,8 @@ fn step_lane_inner(
     first_op.unwrap_or_else(OperatingPoint::zero)
 }
 
-/// One-entry cross-lane replay cache for the vector tier's biased lanes.
+/// One-entry cross-lane replay cache for the biased lanes of a
+/// shared-params [`step_lanes`] call.
 ///
 /// With shared `DeviceParams` and a fixed `dt` per call, the whole
 /// effect of [`step_lane_inner`] on a lane is a pure function of the tuple
@@ -1004,11 +1049,11 @@ fn flush_echo_telemetry(echo: &LaneEcho) {
     lookups.add(echo.lookups);
 }
 
-/// [`step_lane_inner`] behind the [`LaneEcho`] replay cache (vector tier,
-/// shared params only). On a key hit every lane output is copied from the
-/// recorded outcome — bit-identical to re-running the integrator because
-/// the integrator is pure in the key; on a miss the lane is stepped
-/// normally and its outcome recorded.
+/// [`step_lane_inner`] behind the [`LaneEcho`] replay cache (shared params
+/// only). On a key hit every lane output is copied from the recorded
+/// outcome — bit-identical to re-running the integrator because the
+/// integrator is pure in the key; on a miss the lane is stepped normally
+/// and its outcome recorded.
 fn step_lane_echoed(
     params: &DeviceParams,
     lanes: &mut CellBankView<'_>,

@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn victim_regime_rates_bracket_the_attack_window() {
-        // Order-of-magnitude calibration check (see DESIGN.md): under
+        // Order-of-magnitude calibration check: under
         // half-select stress the rate at a crosstalk-heated ~355 K filament
         // must be 2–4 orders of magnitude faster than at 300 K.
         let params = p();

@@ -67,4 +67,4 @@ pub use device::{CellMut, CellRef, DigitalState, JartDevice};
 pub use kernel::{
     relax_lanes, step_lanes, step_lanes_threaded, CellBank, CellBankView, LaneParams, LANE_CHUNK,
 };
-pub use params::{DeviceParams, DeviceParamsBuilder, ParamError};
+pub use params::{DeviceParams, DeviceParamsBuilder, ParamColumns, ParamError, ParamField};

@@ -1,8 +1,7 @@
 //! Parameters of the VCM compact model, with validation and a builder.
 //!
-//! The default parameter set is calibrated (see `calibration` and
-//! `DESIGN.md`) so that the device operates in the regime the paper
-//! describes:
+//! The default parameter set is calibrated (see [`crate::calibration`]) so
+//! that the device operates in the regime the paper describes:
 //!
 //! * nominal SET at `V_SET = 1.05 V` and 300 K ambient completes in well under
 //!   a microsecond,
@@ -11,9 +10,15 @@
 //!   unless it is heated, and
 //! * the LRS filament of a hammered cell reaches ≈950 K, matching the
 //!   selected-cell temperature of Fig. 2a.
+//!
+//! Arrays with device-to-device variability store their per-cell sets as a
+//! [`ParamColumns`] table: the nominal set plus one `Vec<f64>` per
+//! [`ParamField`] that actually varies.
 
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
+use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
@@ -363,6 +368,268 @@ impl DeviceParamsBuilder {
     }
 }
 
+macro_rules! param_fields {
+    ($($(#[$meta:meta])* $variant:ident => $field:ident),* $(,)?) => {
+        /// One `f64` field of [`DeviceParams`]: what a variability spread
+        /// targets and what a [`ParamColumns`] table stores per lane.
+        /// Labels are the `DeviceParams` field names, so a spread spec reads
+        /// the same as the parameter struct.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+        pub enum ParamField {
+            $($(#[$meta])* $variant,)*
+        }
+
+        impl ParamField {
+            /// Every field, in declaration order.
+            pub const ALL: &'static [ParamField] = &[$(ParamField::$variant,)*];
+
+            /// The `DeviceParams` field name (the JSON label).
+            pub fn label(&self) -> &'static str {
+                match self {
+                    $(ParamField::$variant => stringify!($field),)*
+                }
+            }
+
+            /// The field's value in a parameter set.
+            pub fn get(&self, params: &DeviceParams) -> f64 {
+                match self {
+                    $(ParamField::$variant => params.$field,)*
+                }
+            }
+
+            /// Overwrites the field's value in a parameter set.
+            pub fn set(&self, params: &mut DeviceParams, value: f64) {
+                match self {
+                    $(ParamField::$variant => params.$field = value,)*
+                }
+            }
+
+            /// Stable index of the field (its position in
+            /// [`ParamField::ALL`], used in the per-field seed mix).
+            pub fn index(&self) -> usize {
+                Self::ALL.iter().position(|f| f == self).expect("field listed in ALL")
+            }
+        }
+
+        impl FromStr for ParamField {
+            type Err = String;
+
+            fn from_str(s: &str) -> Result<Self, Self::Err> {
+                match s {
+                    $(stringify!($field) => Ok(ParamField::$variant),)*
+                    other => Err(format!("unknown device parameter field {other:?}")),
+                }
+            }
+        }
+    };
+}
+
+param_fields! {
+    /// HRS disc vacancy concentration, 10²⁶ m⁻³.
+    NMin => n_min,
+    /// LRS disc vacancy concentration, 10²⁶ m⁻³.
+    NMax => n_max,
+    /// Plug vacancy concentration, 10²⁶ m⁻³.
+    NPlug => n_plug,
+    /// Filament radius, m — the dominant device-to-device spread in VCM
+    /// variability studies.
+    FilamentRadius => filament_radius,
+    /// Disc (switching region) length, m — the second dominant spread.
+    LDisc => l_disc,
+    /// Plug length, m.
+    LPlug => l_plug,
+    /// Electron mobility, m²/(V·s).
+    ElectronMobility => electron_mobility,
+    /// Vacancy charge number.
+    ZVo => z_vo,
+    /// Series resistance, Ω.
+    RSeries => r_series,
+    /// Junction shape voltage, V.
+    JunctionV0 => junction_v0,
+    /// Junction conductance at `n_min`, S.
+    JunctionGMin => junction_g_min,
+    /// Junction conductance at `n_max`, S.
+    JunctionGMax => junction_g_max,
+    /// Effective thermal resistance, K/W.
+    RThEff => r_th_eff,
+    /// Ion hopping distance, m.
+    HopDistance => hop_distance,
+    /// Attempt frequency, Hz.
+    AttemptFrequency => attempt_frequency,
+    /// SET activation energy, eV.
+    EaSet => ea_set,
+    /// RESET activation energy, eV.
+    EaReset => ea_reset,
+    /// Window-function exponent.
+    WindowExponent => window_exponent,
+    /// Ambient temperature, K. Note: campaign execution aligns every
+    /// cell's ambient with the campaign's ambient axis *after* sampling, so
+    /// spreading this field only takes effect outside campaigns.
+    AmbientTemperature => ambient_temperature,
+    /// Maximum filament temperature clamp, K.
+    MaxTemperature => max_temperature,
+    /// LRS read threshold (fraction of the state range).
+    LrsThreshold => lrs_threshold,
+    /// Maximum state change per integration sub-step.
+    MaxDnPerStep => max_dn_per_step,
+}
+
+/// Per-lane device parameters stored by column: the nominal set plus one
+/// `Vec<f64>` per [`ParamField`] that varies from lane to lane.
+///
+/// A Monte Carlo array usually samples two or three fields, so a column
+/// table of a 256×256 array holds about 1 MB instead of the 11 MB of one
+/// full `DeviceParams` per cell. A lane's parameter set is the nominal set
+/// with the lane's column values written over it — the same `f64` values a
+/// full table would hold, so stepping a lane from either form is
+/// bit-identical. A table without columns is *uniform*: every lane shares
+/// the nominal set.
+///
+/// # Examples
+///
+/// ```
+/// use rram_jart::{DeviceParams, ParamColumns, ParamField};
+///
+/// let nominal = DeviceParams::default();
+/// let mut table = ParamColumns::uniform(nominal.clone(), 3);
+/// table.set_column(ParamField::FilamentRadius, vec![14e-9, 15e-9, 16e-9]);
+/// assert_eq!(table.lane(2).filament_radius, 16e-9);
+/// assert_eq!(table.lane(2).l_disc, nominal.l_disc);
+/// // The expanded row form compacts back to the same columns.
+/// let rows = table.expand();
+/// assert_eq!(ParamColumns::compact(nominal, &rows), table);
+/// ```
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ParamColumns {
+    nominal: DeviceParams,
+    lanes: usize,
+    /// At most one column per field, each `lanes` long.
+    columns: Vec<(ParamField, Vec<f64>)>,
+}
+
+impl ParamColumns {
+    /// A uniform table: `lanes` lanes sharing `nominal`.
+    pub fn uniform(nominal: DeviceParams, lanes: usize) -> Self {
+        ParamColumns {
+            nominal,
+            lanes,
+            columns: Vec::new(),
+        }
+    }
+
+    /// Compacts a full per-lane table against `nominal`: every field whose
+    /// value differs from the nominal one, bit for bit, in at least one
+    /// entry becomes a column; every other field is shared.
+    pub fn compact(nominal: DeviceParams, table: &[DeviceParams]) -> Self {
+        let mut columns = ParamColumns::uniform(nominal, table.len());
+        for &field in ParamField::ALL {
+            let shared = field.get(&columns.nominal).to_bits();
+            if table.iter().any(|p| field.get(p).to_bits() != shared) {
+                columns.set_column(field, table.iter().map(|p| field.get(p)).collect());
+            }
+        }
+        columns
+    }
+
+    /// Number of lanes.
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// The nominal set: every lane's value of each field without a column.
+    pub fn nominal(&self) -> &DeviceParams {
+        &self.nominal
+    }
+
+    /// Whether every lane shares the nominal set (no columns).
+    pub fn is_uniform(&self) -> bool {
+        self.columns.is_empty()
+    }
+
+    /// Whether `field` varies per lane.
+    pub fn has_column(&self, field: ParamField) -> bool {
+        self.columns.iter().any(|(f, _)| *f == field)
+    }
+
+    /// Stores `values` as the per-lane column of `field`, replacing any
+    /// column it already has.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len()` does not match the lane count.
+    pub fn set_column(&mut self, field: ParamField, values: Vec<f64>) {
+        assert_eq!(values.len(), self.lanes, "column length mismatch");
+        match self.columns.iter_mut().find(|(f, _)| *f == field) {
+            Some((_, column)) => *column = values,
+            None => self.columns.push((field, values)),
+        }
+    }
+
+    /// Gives every lane the same `value` of `field`: sets it in the nominal
+    /// set and drops the field's column, if any.
+    pub fn set_shared(&mut self, field: ParamField, value: f64) {
+        field.set(&mut self.nominal, value);
+        self.columns.retain(|(f, _)| *f != field);
+    }
+
+    /// Writes lane `lane`'s column values into `params`; every other field
+    /// of `params` is left as it is.
+    #[inline]
+    fn write_lane(&self, lane: usize, params: &mut DeviceParams) {
+        for (field, values) in &self.columns {
+            field.set(params, values[lane]);
+        }
+    }
+
+    /// The parameter set of one lane: a borrow of the nominal set when the
+    /// table is uniform, an owned copy with the lane's column values
+    /// otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range.
+    pub fn lane(&self, lane: usize) -> Cow<'_, DeviceParams> {
+        assert!(lane < self.lanes, "lane out of range");
+        if self.is_uniform() {
+            return Cow::Borrowed(&self.nominal);
+        }
+        let mut params = self.nominal.clone();
+        self.write_lane(lane, &mut params);
+        Cow::Owned(params)
+    }
+
+    /// Visits every lane's parameter set in lane order. One working copy
+    /// is reused, and only its column fields change between lanes.
+    pub fn for_each_lane(&self, mut f: impl FnMut(usize, &DeviceParams)) {
+        let mut params = self.nominal.clone();
+        for lane in 0..self.lanes {
+            self.write_lane(lane, &mut params);
+            f(lane, &params);
+        }
+    }
+
+    /// The full per-lane table, one `DeviceParams` per lane.
+    pub fn expand(&self) -> Vec<DeviceParams> {
+        let mut table = Vec::with_capacity(self.lanes);
+        self.for_each_lane(|_, params| table.push(params.clone()));
+        table
+    }
+
+    /// Validates every lane's parameter set, in lane order.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`ParamError`] found.
+    pub fn validate(&self) -> Result<(), ParamError> {
+        let mut params = self.nominal.clone();
+        for lane in 0..self.lanes {
+            self.write_lane(lane, &mut params);
+            params.validate()?;
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,5 +725,83 @@ mod tests {
     fn error_messages_mention_the_field() {
         let err = DeviceParams::builder().ea_set(0.0).build().unwrap_err();
         assert!(err.to_string().contains("ea_set"));
+    }
+
+    fn spread_table() -> Vec<DeviceParams> {
+        let nominal = DeviceParams::default();
+        (0..5)
+            .map(|i| DeviceParams {
+                filament_radius: nominal.filament_radius * (1.0 + 0.01 * i as f64),
+                ea_set: nominal.ea_set + 0.001 * (i % 2) as f64,
+                ..nominal.clone()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn compacting_keeps_only_the_fields_that_vary() {
+        let table = spread_table();
+        let columns = ParamColumns::compact(DeviceParams::default(), &table);
+        assert_eq!(columns.lanes(), 5);
+        assert!(columns.has_column(ParamField::FilamentRadius));
+        assert!(columns.has_column(ParamField::EaSet));
+        assert!(!columns.has_column(ParamField::LDisc));
+        // Expanding reproduces every entry bit for bit.
+        assert_eq!(columns.expand(), table);
+        for (lane, entry) in table.iter().enumerate() {
+            assert_eq!(&*columns.lane(lane), entry);
+        }
+        // A table of nominal entries compacts to a uniform one.
+        let uniform = ParamColumns::compact(DeviceParams::default(), &[DeviceParams::default()]);
+        assert!(uniform.is_uniform());
+        assert!(matches!(uniform.lane(0), Cow::Borrowed(_)));
+    }
+
+    #[test]
+    fn set_shared_drops_the_column() {
+        let mut columns = ParamColumns::compact(DeviceParams::default(), &spread_table());
+        columns.set_shared(ParamField::EaSet, 1.3);
+        assert!(!columns.has_column(ParamField::EaSet));
+        assert!(columns.has_column(ParamField::FilamentRadius));
+        columns.for_each_lane(|_, params| assert_eq!(params.ea_set, 1.3));
+    }
+
+    #[test]
+    fn validation_reports_the_first_invalid_lane() {
+        let mut columns = ParamColumns::uniform(DeviceParams::default(), 3);
+        columns.validate().unwrap();
+        columns.set_column(ParamField::LDisc, vec![0.4e-9, -1.0, 0.4e-9]);
+        assert!(matches!(
+            columns.validate(),
+            Err(ParamError::NotPositive { name: "l_disc", .. })
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "column length mismatch")]
+    fn short_columns_panic() {
+        ParamColumns::uniform(DeviceParams::default(), 3)
+            .set_column(ParamField::LDisc, vec![1e-9; 2]);
+    }
+
+    #[test]
+    fn field_labels_round_trip() {
+        for &field in ParamField::ALL {
+            let parsed: ParamField = field.label().parse().unwrap();
+            assert_eq!(parsed, field);
+        }
+        assert!("bogus_field".parse::<ParamField>().is_err());
+    }
+
+    #[test]
+    fn field_get_set_round_trip() {
+        let mut p = DeviceParams::default();
+        for &field in ParamField::ALL {
+            let v = field.get(&p);
+            field.set(&mut p, v * 1.5);
+            assert_eq!(field.get(&p), v * 1.5, "{}", field.label());
+            field.set(&mut p, v);
+        }
+        assert_eq!(p, DeviceParams::default());
     }
 }

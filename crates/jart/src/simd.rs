@@ -1,19 +1,24 @@
-//! Runtime-dispatched `std::arch` SIMD support for the lane kernel.
+//! Runtime-dispatched `std::arch` SIMD support for the lane kernel and the
+//! crosstalk hub.
 //!
-//! The kernel's fixed-width [`crate::kernel::LANE_CHUNK`] blocks were sized
-//! for exactly this module: eight f64 lanes span two AVX2 registers on
-//! x86_64 and four NEON registers on aarch64. Everything here is gated
-//! twice — at compile time behind the `simd` cargo feature, and at run time
-//! behind a one-time CPU detection — so a binary built with the feature
-//! still runs (and produces bit-identical results through the scalar
-//! fallback) on hardware without the ISA.
+//! The lane kernel ([`crate::kernel::step_lanes`]) runs one loop on every
+//! build, replay caches included; this module only supplies the
+//! intrinsics for its block-wide helpers — the all-zero test of a
+//! [`crate::kernel::LANE_CHUNK`]-wide voltage block and the relax
+//! temperature update — plus the crosstalk hub's axpy, stencil, blend and
+//! rise passes. Eight f64 lanes span two AVX2 registers on x86_64 and four
+//! NEON registers on aarch64. Every helper has a scalar arm, and the vector
+//! arms are gated twice — at compile time behind the `simd` cargo feature,
+//! and at run time behind a one-time CPU detection — so a binary built with
+//! the feature still runs (and produces bit-identical results through the
+//! scalar arms) on hardware without the ISA.
 //!
 //! The vector arms are deliberately restricted to operations whose IEEE-754
-//! semantics match the scalar kernel bit-for-bit: adds, min/max with the
-//! scalar `f64::max` NaN behaviour, and equality compares. Transcendental
-//! calls stay scalar-per-lane in the kernel itself, which is what keeps the
-//! exact tier's scalar↔SIMD bit-identity provable by proptest rather than
-//! merely plausible.
+//! semantics match the scalar arms bit-for-bit: adds, multiplies without
+//! FMA contraction, min/max with the scalar `f64::max` NaN behaviour, and
+//! compares. Transcendental calls stay scalar-per-lane in the kernel
+//! itself, which is what keeps the scalar↔SIMD bit-identity provable by
+//! proptest rather than merely plausible.
 //!
 //! Setting the environment variable `NEUROHAMMER_SIMD=0` disables detection
 //! (useful for A/B benchmarking one binary against itself), and
@@ -24,16 +29,16 @@ use std::sync::OnceLock;
 
 use crate::kernel::LANE_CHUNK;
 
-/// The instruction set a kernel call vectorizes with.
+/// The instruction set the block-wide helpers vectorize with.
 ///
-/// `Scalar` is always available and always bit-identical to the reference
-/// per-lane loop; the vector variants are only ever *returned* by
-/// [`detected`] on hardware that supports them, and kernel entry points
-/// sanitise any explicitly requested level against [`detected`] so an
-/// impossible request degrades to `Scalar` instead of faulting.
+/// `Scalar` is always available; the vector variants are only ever
+/// *returned* by [`detected`] on hardware that supports them, and kernel
+/// entry points sanitise any explicitly requested level against
+/// [`detected`] so an impossible request degrades to `Scalar` instead of
+/// faulting. Every level gives bit-identical results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdLevel {
-    /// Portable chunked scalar loop (the PR 6 kernel, unchanged).
+    /// Portable scalar arms.
     Scalar,
     /// 4-wide f64 AVX2 on x86_64.
     Avx2,
@@ -93,7 +98,7 @@ fn detect_isa() -> SimdLevel {
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
 /// Forces every subsequent kernel call in this process onto the scalar
-/// tier (or releases the override again with `false`).
+/// arms (or releases the override again with `false`).
 ///
 /// This is the benchmark harness's lever for measuring the SIMD speedup as
 /// a ratio *within one binary*; it does not affect [`detected`].

@@ -1,23 +1,55 @@
-//! Property test pinning the struct-of-arrays contract: stepping an N-lane
-//! [`CellBank`] through the batched kernel is *bit-identical* to stepping N
-//! independent [`JartDevice`]s, for any mix of states, crosstalk imports,
-//! voltages and step lengths. This is what lets the batched crossbar engine
-//! share one integration routine with the scalar engine.
+//! Property tests pinning the struct-of-arrays contract: stepping an N-lane
+//! [`CellBank`] through the cached array kernel is *bit-identical* to
+//! stepping N independent [`JartDevice`]s through the uncached reference,
+//! for any mix of states, crosstalk imports, voltages, step lengths and
+//! per-lane parameter columns. This is what lets both crossbar engines
+//! share one cached kernel call without moving a result bit.
+
+use std::borrow::Cow;
 
 use proptest::prelude::*;
 use rram_jart::kernel::{step_lane, step_lanes, step_lanes_threaded, CellBank, LANE_CHUNK};
-use rram_jart::{DeviceParams, JartDevice};
+use rram_jart::{DeviceParams, JartDevice, ParamColumns, ParamField};
 use rram_units::{Kelvin, Seconds, Volts};
 
-/// A per-lane parameter set scaled from the nominal one: the kind of
-/// heterogeneity a Monte Carlo variability campaign installs.
-fn spread_params(radius_scale: f64, disc_scale: f64) -> DeviceParams {
+/// Per-lane spread scales: (filament radius, disc length, ambient).
+type Scales = (f64, f64, f64);
+
+/// A column table scaled from the nominal set: the kind of heterogeneity a
+/// Monte Carlo variability campaign installs. Filament radius and disc
+/// length always vary per lane; with `relax_spread` the ambient
+/// temperature does too, and since the zero-bias update reads it, idle
+/// lanes then relax under their own parameter sets.
+fn spread_columns(scales: &[Scales], relax_spread: bool) -> ParamColumns {
     let nominal = DeviceParams::default();
-    DeviceParams {
-        filament_radius: radius_scale * nominal.filament_radius,
-        l_disc: disc_scale * nominal.l_disc,
-        ..nominal
+    let column = |field: ParamField, scale: fn(&Scales) -> f64| -> Vec<f64> {
+        scales
+            .iter()
+            .map(|s| scale(s) * field.get(&nominal))
+            .collect()
+    };
+    let mut table = ParamColumns::uniform(nominal.clone(), scales.len());
+    table.set_column(
+        ParamField::FilamentRadius,
+        column(ParamField::FilamentRadius, |s| s.0),
+    );
+    table.set_column(ParamField::LDisc, column(ParamField::LDisc, |s| s.1));
+    if relax_spread {
+        table.set_column(
+            ParamField::AmbientTemperature,
+            column(ParamField::AmbientTemperature, |s| s.2),
+        );
     }
+    table
+}
+
+/// The spread scales a proptest case draws per lane.
+fn scales() -> (
+    std::ops::Range<f64>,
+    std::ops::Range<f64>,
+    std::ops::Range<f64>,
+) {
+    (0.7f64..1.3, 0.7f64..1.3, 0.95f64..1.05)
 }
 
 /// Per-lane proptest input: (initial state, crosstalk ΔT, cell voltage,
@@ -28,14 +60,14 @@ type LaneInput = (f64, f64, f64, bool);
 
 /// A fully populated bank from proptest lane inputs, plus the resolved
 /// voltage vector.
-fn bank_of(lanes: &[LaneInput], table: Option<&[DeviceParams]>) -> (CellBank, Vec<f64>) {
+fn bank_of(lanes: &[LaneInput], table: Option<&ParamColumns>) -> (CellBank, Vec<f64>) {
     let nominal = DeviceParams::default();
     let mut bank = CellBank::new(lanes.len(), &nominal);
     let mut voltages = Vec::with_capacity(lanes.len());
     for (lane, &(state, delta, voltage, grounded)) in lanes.iter().enumerate() {
-        let params = table.map_or(&nominal, |t| &t[lane]);
+        let params = table.map_or(Cow::Borrowed(&nominal), |t| t.lane(lane));
         let n = params.n_min + state * (params.n_max - params.n_min);
-        bank.force_concentration(lane, n, params);
+        bank.force_concentration(lane, n, &params);
         bank.set_crosstalk(lane, delta);
         voltages.push(if grounded { 0.0 } else { voltage });
     }
@@ -123,32 +155,32 @@ proptest! {
     }
 
     /// The same identity under device-to-device spreads: stepping a bank
-    /// with a per-lane parameter table is bit-identical to stepping each
-    /// lane as an independent `JartDevice` built from its table entry.
+    /// with a column table is bit-identical to stepping each lane as an
+    /// independent `JartDevice` built from its table lane — with and
+    /// without a column the zero-bias update reads.
     #[test]
     fn per_lane_params_keep_the_bank_bit_identical_to_devices(
-        // One (radius scale, disc-length scale, initial state, ΔT, voltage)
-        // per lane: each lane is a different device.
+        // One (spread scales, initial state, ΔT, voltage) per lane: each
+        // lane is a different device.
         lanes in prop::collection::vec(
-            (0.7f64..1.3, 0.7f64..1.3, 0.0f64..1.0, 0.0f64..80.0, -1.5f64..1.5),
+            (scales(), 0.0f64..1.0, 0.0f64..80.0, -1.5f64..1.5),
             1..8,
         ),
+        relax_spread in any::<bool>(),
         steps in prop::collection::vec(1e-10f64..5e-7, 1..4),
     ) {
         let nominal = DeviceParams::default();
-        let table: Vec<DeviceParams> = lanes
-            .iter()
-            .map(|&(radius, disc, ..)| spread_params(radius, disc))
-            .collect();
+        let scales: Vec<Scales> = lanes.iter().map(|&(scales, ..)| scales).collect();
+        let table = spread_columns(&scales, relax_spread);
         let mut bank = CellBank::new(lanes.len(), &nominal);
         let mut devices: Vec<JartDevice> = Vec::with_capacity(lanes.len());
         let mut voltages: Vec<f64> = Vec::with_capacity(lanes.len());
-        for (lane, &(_, _, state, delta, voltage)) in lanes.iter().enumerate() {
-            let params = &table[lane];
+        for (lane, &(_, state, delta, voltage)) in lanes.iter().enumerate() {
+            let params = table.lane(lane).into_owned();
             let n = params.n_min + state * (params.n_max - params.n_min);
-            bank.force_concentration(lane, n, params);
+            bank.force_concentration(lane, n, &params);
             bank.set_crosstalk(lane, delta);
-            let mut device = JartDevice::new(params.clone());
+            let mut device = JartDevice::new(params);
             device.force_concentration(n);
             device.set_crosstalk_delta(Kelvin(delta));
             devices.push(device);
@@ -156,7 +188,7 @@ proptest! {
         }
 
         for &dt in &steps {
-            step_lanes(&table[..], &voltages, &mut bank.view_mut(), Seconds(dt));
+            step_lanes(&table, &voltages, &mut bank.view_mut(), Seconds(dt));
             for (lane, device) in devices.iter_mut().enumerate() {
                 device.step(Volts(voltages[lane]), Seconds(dt));
             }
@@ -207,9 +239,9 @@ proptest! {
         }
     }
 
-    /// The same chunk-vs-reference identity under a per-lane parameter
-    /// table: chunk boundaries must narrow the table consistently with the
-    /// per-lane lookup.
+    /// The same chunk-vs-reference identity under a column table: chunk
+    /// boundaries must resolve the table consistently with the per-lane
+    /// lookup, on the shared relax path and on the per-lane one.
     #[test]
     fn chunked_step_lanes_matches_the_reference_under_spreads(
         lanes in prop::collection::vec(
@@ -217,21 +249,19 @@ proptest! {
             1..(3 * LANE_CHUNK),
         ),
         scales in prop::collection::vec(
-            (0.7f64..1.3, 0.7f64..1.3),
+            scales(),
             (3 * LANE_CHUNK)..(3 * LANE_CHUNK + 1),
         ),
+        relax_spread in any::<bool>(),
         dt in 1e-10f64..5e-7,
     ) {
-        let table: Vec<DeviceParams> = scales[..lanes.len()]
-            .iter()
-            .map(|&(radius, disc)| spread_params(radius, disc))
-            .collect();
+        let table = spread_columns(&scales[..lanes.len()], relax_spread);
         let (mut chunked, voltages) = bank_of(&lanes, Some(&table));
         let mut reference = chunked.clone();
 
-        step_lanes(&table[..], &voltages, &mut chunked.view_mut(), Seconds(dt));
+        step_lanes(&table, &voltages, &mut chunked.view_mut(), Seconds(dt));
         for (lane, &v_cell) in voltages.iter().enumerate() {
-            step_lane(&table[lane], &mut reference.view_mut(), lane, v_cell, Seconds(dt));
+            step_lane(&table.lane(lane), &mut reference.view_mut(), lane, v_cell, Seconds(dt));
         }
         assert_banks_identical(&chunked, &reference)?;
     }
@@ -240,7 +270,7 @@ proptest! {
     /// bit-identical to the single-threaded kernel for any thread count
     /// 1–8 and any lane count (lanes are independent within a sub-step, so
     /// only the partitioning could go wrong — this pins it), under shared
-    /// and per-lane parameters alike.
+    /// parameters and column tables alike.
     #[test]
     fn threaded_step_lanes_is_bit_identical_for_any_thread_count(
         lanes in prop::collection::vec(
@@ -248,19 +278,17 @@ proptest! {
             1..(5 * LANE_CHUNK),
         ),
         scales in prop::collection::vec(
-            (0.7f64..1.3, 0.7f64..1.3),
+            scales(),
             (5 * LANE_CHUNK)..(5 * LANE_CHUNK + 1),
         ),
         threads in 1usize..9,
         per_lane in any::<bool>(),
+        relax_spread in any::<bool>(),
         dt in 1e-10f64..5e-7,
     ) {
         let nominal = DeviceParams::default();
-        let table: Vec<DeviceParams> = scales[..lanes.len()]
-            .iter()
-            .map(|&(radius, disc)| spread_params(radius, disc))
-            .collect();
-        let params_table = per_lane.then_some(&table[..]);
+        let table = spread_columns(&scales[..lanes.len()], relax_spread);
+        let params_table = per_lane.then_some(&table);
         let (mut threaded, voltages) = bank_of(&lanes, params_table);
         let mut reference = threaded.clone();
 

@@ -1,6 +1,8 @@
 //! Property tests pinning the SIMD lane kernel to the scalar one, bit for
-//! bit. The vector tiers (`simd::SimdLevel::Avx2` / `Neon`) restructure the
-//! chunk loop but must not change a single result bit.
+//! bit. Every level runs the same cached lane loop; the vector levels
+//! (`simd::SimdLevel::Avx2` / `Neon`) only swap intrinsics into the
+//! block-wide helpers (the all-zero test and the relax temperature update)
+//! and must not change a single result bit.
 //!
 //! On hardware without the vector ISA, `simd::detected()` sanitises to
 //! `Scalar` and every test here degenerates to scalar-vs-scalar: the
@@ -8,21 +10,31 @@
 //! Compile with `--features simd` on AVX2/NEON hardware to exercise the
 //! vector arms for real.
 
+use std::borrow::Cow;
+
 use proptest::prelude::*;
 use rram_jart::kernel::{relax_lanes_with, step_lanes_with, CellBank, LANE_CHUNK};
 use rram_jart::simd::{self, SimdLevel};
-use rram_jart::DeviceParams;
+use rram_jart::{DeviceParams, ParamColumns, ParamField};
 use rram_units::Seconds;
 
-/// A per-lane parameter set scaled from the nominal one, as a variability
-/// campaign would install.
-fn spread_params(radius_scale: f64, disc_scale: f64) -> DeviceParams {
+/// A column table scaled from the nominal set, as a variability campaign
+/// would install: per-lane filament radius and disc length.
+fn spread_columns(scales: &[(f64, f64)]) -> ParamColumns {
     let nominal = DeviceParams::default();
-    DeviceParams {
-        filament_radius: radius_scale * nominal.filament_radius,
-        l_disc: disc_scale * nominal.l_disc,
-        ..nominal
-    }
+    let mut table = ParamColumns::uniform(nominal.clone(), scales.len());
+    table.set_column(
+        ParamField::FilamentRadius,
+        scales
+            .iter()
+            .map(|s| s.0 * nominal.filament_radius)
+            .collect(),
+    );
+    table.set_column(
+        ParamField::LDisc,
+        scales.iter().map(|s| s.1 * nominal.l_disc).collect(),
+    );
+    table
 }
 
 /// Per-lane proptest input: (initial state, crosstalk ΔT, cell voltage,
@@ -30,14 +42,14 @@ fn spread_params(radius_scale: f64, disc_scale: f64) -> DeviceParams {
 /// cover the all-zero chunk fast path and zero lanes inside active chunks.
 type LaneInput = (f64, f64, f64, bool);
 
-fn bank_of(lanes: &[LaneInput], table: Option<&[DeviceParams]>) -> (CellBank, Vec<f64>) {
+fn bank_of(lanes: &[LaneInput], table: Option<&ParamColumns>) -> (CellBank, Vec<f64>) {
     let nominal = DeviceParams::default();
     let mut bank = CellBank::new(lanes.len(), &nominal);
     let mut voltages = Vec::with_capacity(lanes.len());
     for (lane, &(state, delta, voltage, grounded)) in lanes.iter().enumerate() {
-        let params = table.map_or(&nominal, |t| &t[lane]);
+        let params = table.map_or(Cow::Borrowed(&nominal), |t| t.lane(lane));
         let n = params.n_min + state * (params.n_max - params.n_min);
-        bank.force_concentration(lane, n, params);
+        bank.force_concentration(lane, n, &params);
         bank.set_crosstalk(lane, delta);
         voltages.push(if grounded { 0.0 } else { voltage });
     }
@@ -72,8 +84,8 @@ fn assert_banks_identical(a: &CellBank, b: &CellBank) -> Result<(), TestCaseErro
 }
 
 proptest! {
-    /// The detected vector tier is bit-identical to the scalar chunk loop
-    /// in exact math mode — across chunk-aligned lane counts, remainders
+    /// The detected vector level is bit-identical to the scalar one —
+    /// across chunk-aligned lane counts, remainders
     /// shorter than `LANE_CHUNK`, exact-zero voltages mixed into active
     /// chunks, and whole all-zero chunks.
     #[test]
@@ -101,8 +113,7 @@ proptest! {
         }
     }
 
-    /// The same identity under a per-lane parameter table: the vector tier
-    /// must narrow the table per chunk exactly like the scalar loop.
+    /// The same identity under a column table.
     #[test]
     fn vector_step_lanes_matches_scalar_under_spreads(
         lanes in prop::collection::vec(
@@ -115,27 +126,24 @@ proptest! {
         ),
         dt in 1e-10f64..5e-7,
     ) {
-        let table: Vec<DeviceParams> = scales[..lanes.len()]
-            .iter()
-            .map(|&(radius, disc)| spread_params(radius, disc))
-            .collect();
+        let table = spread_columns(&scales[..lanes.len()]);
         let (mut vector, voltages) = bank_of(&lanes, Some(&table));
         let mut scalar = vector.clone();
 
         step_lanes_with(
-            &table[..], &voltages, &mut vector.view_mut(), Seconds(dt),
+            &table, &voltages, &mut vector.view_mut(), Seconds(dt),
             simd::detected(),
         );
         step_lanes_with(
-            &table[..], &voltages, &mut scalar.view_mut(), Seconds(dt),
+            &table, &voltages, &mut scalar.view_mut(), Seconds(dt),
             SimdLevel::Scalar,
         );
         assert_banks_identical(&vector, &scalar)?;
     }
 
     /// The vectorised relaxation (zero-voltage cooling between pulses) is
-    /// bit-identical to the scalar loop, under shared and per-lane
-    /// parameters alike.
+    /// bit-identical to the scalar one, under shared parameters and column
+    /// tables alike.
     #[test]
     fn vector_relax_lanes_is_bit_identical_to_scalar(
         lanes in prop::collection::vec(
@@ -150,11 +158,8 @@ proptest! {
         steps in prop::collection::vec(1e-10f64..5e-7, 1..4),
     ) {
         let nominal = DeviceParams::default();
-        let table: Vec<DeviceParams> = scales[..lanes.len()]
-            .iter()
-            .map(|&(radius, disc)| spread_params(radius, disc))
-            .collect();
-        let params_table = per_lane.then_some(&table[..]);
+        let table = spread_columns(&scales[..lanes.len()]);
+        let params_table = per_lane.then_some(&table);
         let (mut vector, _) = bank_of(&lanes, params_table);
         let mut scalar = vector.clone();
 

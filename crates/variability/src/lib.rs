@@ -11,7 +11,10 @@
 //! * [`Distribution`] is a normal / log-normal / uniform law, optionally
 //!   truncated through [`ParamSpread`];
 //! * [`sample_params`] draws one cell's parameters from a seed and the
-//!   cell's index — and nothing else.
+//!   cell's index — and nothing else;
+//! * [`try_sample_columns`] draws a whole array into a
+//!   [`rram_jart::ParamColumns`] table, storing only the spread fields per
+//!   cell.
 //!
 //! # Determinism contract
 //!
@@ -48,12 +51,15 @@
 
 use std::error::Error;
 use std::fmt;
-use std::str::FromStr;
 
 use rand::rngs::Xoshiro256StarStar;
 use rand::{Rng, SeedableRng};
-use rram_jart::{DeviceParams, ParamError};
+use rram_jart::{DeviceParams, ParamColumns, ParamError};
 use serde::{Deserialize, Serialize};
+
+/// One `f64` field of [`DeviceParams`] a spread can target; defined next
+/// to the parameter struct in `rram_jart`.
+pub use rram_jart::ParamField;
 
 /// FNV-1a over the little-endian bytes of `words` — the same stable mixing
 /// primitive the campaign layer uses for point fingerprints, duplicated
@@ -67,110 +73,6 @@ fn fnv1a_words(words: &[u64]) -> u64 {
         }
     }
     hash
-}
-
-macro_rules! param_fields {
-    ($($(#[$meta:meta])* $variant:ident => $field:ident),* $(,)?) => {
-        /// One `f64` field of [`DeviceParams`] that a [`ParamSpread`] can
-        /// target. Labels are the `DeviceParams` field names, so a spread
-        /// spec reads the same as the parameter struct.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-        pub enum ParamField {
-            $($(#[$meta])* $variant,)*
-        }
-
-        impl ParamField {
-            /// Every spreadable field, in declaration order.
-            pub const ALL: &'static [ParamField] = &[$(ParamField::$variant,)*];
-
-            /// The `DeviceParams` field name (the JSON label).
-            pub fn label(&self) -> &'static str {
-                match self {
-                    $(ParamField::$variant => stringify!($field),)*
-                }
-            }
-
-            /// The field's value in a parameter set.
-            pub fn get(&self, params: &DeviceParams) -> f64 {
-                match self {
-                    $(ParamField::$variant => params.$field,)*
-                }
-            }
-
-            /// Overwrites the field's value in a parameter set.
-            pub fn set(&self, params: &mut DeviceParams, value: f64) {
-                match self {
-                    $(ParamField::$variant => params.$field = value,)*
-                }
-            }
-
-            /// Stable index of the field (used in the per-field seed mix).
-            pub fn index(&self) -> usize {
-                Self::ALL.iter().position(|f| f == self).expect("field listed in ALL")
-            }
-        }
-
-        impl FromStr for ParamField {
-            type Err = String;
-
-            fn from_str(s: &str) -> Result<Self, Self::Err> {
-                match s {
-                    $(stringify!($field) => Ok(ParamField::$variant),)*
-                    other => Err(format!("unknown device parameter field {other:?}")),
-                }
-            }
-        }
-    };
-}
-
-param_fields! {
-    /// HRS disc vacancy concentration, 10²⁶ m⁻³.
-    NMin => n_min,
-    /// LRS disc vacancy concentration, 10²⁶ m⁻³.
-    NMax => n_max,
-    /// Plug vacancy concentration, 10²⁶ m⁻³.
-    NPlug => n_plug,
-    /// Filament radius, m — the dominant device-to-device spread in VCM
-    /// variability studies.
-    FilamentRadius => filament_radius,
-    /// Disc (switching region) length, m — the second dominant spread.
-    LDisc => l_disc,
-    /// Plug length, m.
-    LPlug => l_plug,
-    /// Electron mobility, m²/(V·s).
-    ElectronMobility => electron_mobility,
-    /// Vacancy charge number.
-    ZVo => z_vo,
-    /// Series resistance, Ω.
-    RSeries => r_series,
-    /// Junction shape voltage, V.
-    JunctionV0 => junction_v0,
-    /// Junction conductance at `n_min`, S.
-    JunctionGMin => junction_g_min,
-    /// Junction conductance at `n_max`, S.
-    JunctionGMax => junction_g_max,
-    /// Effective thermal resistance, K/W.
-    RThEff => r_th_eff,
-    /// Ion hopping distance, m.
-    HopDistance => hop_distance,
-    /// Attempt frequency, Hz.
-    AttemptFrequency => attempt_frequency,
-    /// SET activation energy, eV.
-    EaSet => ea_set,
-    /// RESET activation energy, eV.
-    EaReset => ea_reset,
-    /// Window-function exponent.
-    WindowExponent => window_exponent,
-    /// Ambient temperature, K. Note: campaign execution aligns every
-    /// cell's ambient with the campaign's ambient axis *after* sampling, so
-    /// spreading this field only takes effect outside campaigns.
-    AmbientTemperature => ambient_temperature,
-    /// Maximum filament temperature clamp, K.
-    MaxTemperature => max_temperature,
-    /// LRS read threshold (fraction of the state range).
-    LrsThreshold => lrs_threshold,
-    /// Maximum state change per integration sub-step.
-    MaxDnPerStep => max_dn_per_step,
 }
 
 /// The probability law of one parameter spread.
@@ -601,6 +503,42 @@ pub fn try_sample_table(
         .collect()
 }
 
+/// Samples a whole array's parameters straight into a [`ParamColumns`]
+/// table (row-major lane order): the nominal set plus one column per
+/// spread field, with the same values [`try_sample_table`] gives each
+/// cell, bit for bit, at a fraction of the memory.
+///
+/// Each spread fills its field's column from the same per-(seed, cell,
+/// field) streams [`try_sample_params`] draws from; a later spread on the
+/// same field replaces the column, so the last spread wins here too. Every
+/// lane is validated after sampling, in lane order.
+///
+/// # Errors
+///
+/// Returns the first constraint violation found, as [`try_sample_table`]
+/// does.
+pub fn try_sample_columns(
+    nominal: &DeviceParams,
+    spreads: &[ParamSpread],
+    seed: u64,
+    cells: usize,
+) -> Result<ParamColumns, ParamError> {
+    let mut columns = ParamColumns::uniform(nominal.clone(), cells);
+    for spread in spreads {
+        let centre = spread.field.get(nominal);
+        let values = (0..cells)
+            .map(|cell| {
+                let mut rng =
+                    Xoshiro256StarStar::seed_from_u64(stream_seed(seed, cell as u64, spread.field));
+                draw(spread, centre, &mut rng)
+            })
+            .collect();
+        columns.set_column(spread.field, values);
+    }
+    columns.validate()?;
+    Ok(columns)
+}
+
 /// Samples a whole array's parameter table (row-major lane order) — one
 /// [`sample_params`] call per cell.
 ///
@@ -624,15 +562,6 @@ mod tests {
 
     fn nominal() -> DeviceParams {
         DeviceParams::default()
-    }
-
-    #[test]
-    fn field_labels_round_trip() {
-        for &field in ParamField::ALL {
-            let parsed: ParamField = field.label().parse().unwrap();
-            assert_eq!(parsed, field);
-        }
-        assert!("bogus_field".parse::<ParamField>().is_err());
     }
 
     #[test]
@@ -673,18 +602,6 @@ mod tests {
             panic!("kind changed")
         };
         assert_eq!((low, high), (1.5, 1.5));
-    }
-
-    #[test]
-    fn field_get_set_round_trip() {
-        let mut p = nominal();
-        for &field in ParamField::ALL {
-            let v = field.get(&p);
-            field.set(&mut p, v * 1.5);
-            assert_eq!(field.get(&p), v * 1.5, "{}", field.label());
-            field.set(&mut p, v);
-        }
-        assert_eq!(p, nominal());
     }
 
     #[test]
@@ -906,6 +823,51 @@ mod tests {
                 direct.filament_radius.to_bits()
             );
         }
+    }
+
+    #[test]
+    fn sampled_columns_expand_to_the_per_cell_table() {
+        let n = nominal();
+        let spreads = vec![
+            ParamSpread::relative_normal(ParamField::FilamentRadius, 0.08, &n),
+            ParamSpread::relative_lognormal(ParamField::LDisc, 0.15),
+            // A duplicate field: the later spread must win in both forms.
+            ParamSpread::relative_normal(ParamField::FilamentRadius, 0.02, &n),
+        ];
+        let columns = try_sample_columns(&n, &spreads, 23, 40).unwrap();
+        assert!(columns.has_column(ParamField::FilamentRadius));
+        assert!(columns.has_column(ParamField::LDisc));
+        assert!(!columns.has_column(ParamField::EaSet));
+        let table = try_sample_table(&n, &spreads, 23, 40).unwrap();
+        let expanded = columns.expand();
+        assert_eq!(expanded.len(), table.len());
+        for (lane, (a, b)) in expanded.iter().zip(&table).enumerate() {
+            for &field in ParamField::ALL {
+                assert_eq!(
+                    field.get(a).to_bits(),
+                    field.get(b).to_bits(),
+                    "lane {lane} {}",
+                    field.label()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sampled_columns_report_the_per_cell_error() {
+        let n = nominal();
+        let spread = ParamSpread {
+            field: ParamField::LrsThreshold,
+            distribution: Distribution::Uniform {
+                low: 0.5,
+                high: 1.5,
+            },
+            truncate_low: None,
+            truncate_high: None,
+        };
+        let columns = try_sample_columns(&n, &[spread], 4, 64).unwrap_err();
+        let table = try_sample_table(&n, &[spread], 4, 64).unwrap_err();
+        assert_eq!(columns, table);
     }
 
     #[test]

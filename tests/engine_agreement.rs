@@ -67,7 +67,7 @@ fn fast_and_detailed_engines_agree_on_victim_progress() {
 
 #[test]
 fn pulse_and_batched_engines_agree_across_schemes() {
-    // The batched engine shares the scalar engine's integration kernel, so
+    // The batched engine shares the pulse engine's integration kernel, so
     // the two must agree far more tightly than the MNA comparison above —
     // only the crosstalk hub's floating-point accumulation order differs.
     // Checked across write schemes, since the batched engine evaluates the

@@ -2,27 +2,22 @@
 //! up to the production-sized 256×256 and megabit 1024×1024 arrays.
 //!
 //! Times how many (pulse + idle-gap) hammer cycles per second each
-//! [`BackendKind`] sustains, prints a comparison and records it in
+//! configuration sustains, prints a comparison and records it in
 //! `BENCH_backends.json` at the workspace root. Every row records the
-//! *effective* worker-thread count and SIMD tier the engine reports —
-//! [`HammerBackend::worker_threads`] / [`HammerBackend::simd_isa`] — not
-//! whatever was requested. Three acceptance gates are asserted at the end
-//! so a regression fails `cargo bench`:
+//! *effective* worker-thread count and instruction-set tier the engine
+//! reports — [`HammerBackend::worker_threads`] / [`HammerBackend::simd_isa`]
+//! — not whatever was requested. Three acceptance gates are asserted at the
+//! end so a regression fails `cargo bench`:
 //!
-//! - the struct-of-arrays batched engine must beat the pulse engine (whose
-//!   dense crosstalk gather dominates) by ≥3× on 64×64,
-//! - on 256×256 the threaded batched engine must beat the single-threaded
-//!   one by ≥3× — *skipped with a printed notice on machines with fewer
-//!   than four cores*, where the speedup is physically unobtainable, and
+//! - on 64×64 the ideal-driver engine (`batched`) must beat the same
+//!   sub-step loop coupled through the crosstalk hub's dense gather,
+//!   [`CrosstalkHub::update`] (`gather_64`), by ≥3×,
+//! - on 256×256 the threaded engine must beat the single-threaded one by
+//!   ≥3× — *skipped with a printed notice on machines with fewer than four
+//!   cores*, where the speedup is physically unobtainable, and
 //! - on 256×256 the cached lane kernel (`batched_256`) must beat the same
 //!   sub-step loop stepping every lane through the uncached reference
-//!   [`kernel::step_lane`] (`reference_256`) by ≥2×, on every build.
-//!
-//! The `batched_256` row is measured with the SIMD kill switch engaged
-//! (`simd::force_scalar`), so it runs the scalar arms on every build and
-//! CPU; `batched_simd_256` times the detected vector arms against it, and
-//! their ratio is recorded as `simd_over_scalar_speedup_256` without a
-//! gate.
+//!   [`kernel::step_lane`] (`reference_256`) by ≥2×.
 //!
 //! The MNA-backed detailed engine is timed on a 16×16 array instead (its
 //! per-sub-step circuit solve makes 64×64 transients take hours — that
@@ -37,13 +32,13 @@ use rram_crossbar::{
     BackendKind, CellAddress, CrossbarArray, CrosstalkHub, EngineConfig, HammerBackend,
 };
 use rram_jart::kernel;
-use rram_jart::simd;
 use rram_jart::{DeviceParams, DigitalState};
 use rram_units::{Seconds, Volts};
 
 const ROWS: usize = 64;
 const COLS: usize = 64;
-/// Production-sized array edge for the threaded/SIMD comparison.
+/// Production-sized array edge for the cached-kernel and threaded
+/// comparisons.
 const LARGE_EDGE: usize = 256;
 /// Megabit-scale array edge (the arrays the neurohammer setting targets).
 const HUGE_EDGE: usize = 1024;
@@ -82,7 +77,7 @@ struct Measurement {
     pps: f64,
     /// Effective lane-integration worker threads, from the engine.
     threads: usize,
-    /// SIMD tier the lane kernel dispatched to, from the engine.
+    /// Instruction-set tier the lane kernel ran on, from the engine.
     simd_isa: &'static str,
 }
 
@@ -124,14 +119,19 @@ fn measure(
     }
 }
 
-/// The batched engine's sub-step loop on an `edge`×`edge` array with every
-/// lane stepped through the uncached reference [`kernel::step_lane`] — the
-/// baseline the cached lane kernel is gated against.
-fn measure_reference(edge: usize, pulses: usize) -> Measurement {
+/// The ideal-driver engine's sub-step loop written out on an
+/// `edge`×`edge` array: every sub-step imports the hub state, then
+/// `sub_step` integrates the lanes under the given cell voltages and
+/// advances the hub. The baselines the engine is gated against swap one
+/// layer of it for a slower one.
+fn measure_loop(
+    edge: usize,
+    pulses: usize,
+    mut sub_step: impl FnMut(&mut CrossbarArray, &mut CrosstalkHub, &[f64], Seconds),
+) -> Measurement {
     let config = EngineConfig::default();
     let mut array = CrossbarArray::new(edge, edge, DeviceParams::default());
     let mut hub = CrosstalkHub::two_ring(edge, edge, 0.15, Seconds(30e-9));
-    let params = array.params().clone();
     let aggressor = CellAddress::new(edge / 2, edge / 2);
     let bias = config.scheme.line_bias(edge, edge, aggressor, Volts(1.05));
     let pulse_voltages: Vec<f64> = (0..edge * edge)
@@ -147,11 +147,7 @@ fn measure_reference(edge: usize, pulses: usize) -> Measurement {
         while remaining > 0.0 {
             let dt = Seconds(remaining.min(config.substep(active)));
             array.import_crosstalk(hub.deltas());
-            let mut view = array.bank_mut().view_mut();
-            for (lane, &v_cell) in voltages.iter().enumerate() {
-                kernel::step_lane(&params, &mut view, lane, v_cell, dt);
-            }
-            hub.update_batched(array.temperatures(), config.ambient, dt);
+            sub_step(&mut array, &mut hub, voltages, dt);
             remaining -= dt.0;
         }
     };
@@ -168,117 +164,72 @@ fn measure_reference(edge: usize, pulses: usize) -> Measurement {
     }
 }
 
-/// [`measure`] with the SIMD kill switch engaged: the cached kernel on its
-/// scalar arms, identical on every build and CPU.
-fn measure_forced_scalar(
-    kind: BackendKind,
-    rows: usize,
-    cols: usize,
-    threads: usize,
-    pulses: usize,
-) -> Measurement {
-    simd::force_scalar(true);
-    let measurement = measure(kind, rows, cols, threads, pulses);
-    simd::force_scalar(false);
-    measurement
-}
-
 fn main() {
-    // Criterion-style per-burst timings (one warm-up + two samples each).
+    // Criterion-style per-burst timing (one warm-up + two samples).
     let mut criterion = Criterion::default();
     let mut group = criterion.benchmark_group("backend_throughput_64x64");
     group.sample_size(2);
-    for (name, kind, pulses) in [
-        ("pulse", BackendKind::Pulse, 1),
-        ("batched", BackendKind::Batched, 8),
-    ] {
-        group.bench_function(format!("{name}_{pulses}_hammer_pulses"), |b| {
-            b.iter_batched(
-                || build(kind, ROWS, COLS),
-                |mut engine| hammer(engine.as_mut(), pulses),
-                BatchSize::LargeInput,
-            )
-        });
-    }
+    group.bench_function("batched_8_hammer_pulses", |b| {
+        b.iter_batched(
+            || build(BackendKind::Batched, ROWS, COLS),
+            |mut engine| hammer(engine.as_mut(), 8),
+            BatchSize::LargeInput,
+        )
+    });
     group.finish();
 
-    // The recorded comparison: sustained pulses/sec per backend. The
+    // The recorded comparison: sustained pulses/sec per configuration. The
     // threaded rows use as many workers as the machine offers (capped at
     // 8 — the lane blocks stop amortising dispatch beyond that).
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threads = cores.min(8);
-    let detected = simd::detected();
-    let pulse = measure(BackendKind::Pulse, ROWS, COLS, 1, 3);
+    let ambient = EngineConfig::default().ambient;
+    // 64×64: the engine against its own loop on the dense gather hub.
+    let gather = measure_loop(ROWS, 3, |array, hub, voltages, dt| {
+        array.step_lanes(voltages, dt);
+        hub.update(array.temperatures(), ambient, dt);
+    });
     let batched = measure(BackendKind::Batched, ROWS, COLS, 1, 60);
     let detailed = measure(BackendKind::detailed(), DETAILED_EDGE, DETAILED_EDGE, 1, 2);
-    let speedup = batched.pps / pulse.pps;
+    let speedup = batched.pps / gather.pps;
 
-    // 256×256: the uncached reference loop, the cached kernel on its scalar
-    // and its detected vector arms, and the threaded path.
-    let large_reference = measure_reference(LARGE_EDGE, 8);
-    let large_scalar = measure_forced_scalar(BackendKind::Batched, LARGE_EDGE, LARGE_EDGE, 1, 8);
-    let large_simd = measure(BackendKind::Batched, LARGE_EDGE, LARGE_EDGE, 1, 8);
+    // 256×256: the uncached reference loop, the cached kernel and the
+    // threaded path.
+    let params = DeviceParams::default();
+    let large_reference = measure_loop(LARGE_EDGE, 8, |array, hub, voltages, dt| {
+        let mut view = array.bank_mut().view_mut();
+        for (lane, &v_cell) in voltages.iter().enumerate() {
+            kernel::step_lane(&params, &mut view, lane, v_cell, dt);
+        }
+        hub.update_batched(array.temperatures(), ambient, dt);
+    });
+    let large = measure(BackendKind::Batched, LARGE_EDGE, LARGE_EDGE, 1, 8);
     let large_threaded = measure(BackendKind::Batched, LARGE_EDGE, LARGE_EDGE, threads, 8);
-    let cached_speedup = large_scalar.pps / large_reference.pps;
-    let simd_speedup = large_simd.pps / large_scalar.pps;
-    let threaded_speedup = large_threaded.pps / large_simd.pps;
+    let cached_speedup = large.pps / large_reference.pps;
+    let threaded_speedup = large_threaded.pps / large.pps;
 
     let huge_threaded = measure(BackendKind::Batched, HUGE_EDGE, HUGE_EDGE, threads, 2);
 
     let describe = |m: &Measurement| format!("{} thread(s), {} lane kernel", m.threads, m.simd_isa);
     println!("\nbackend throughput (50 ns pulse + 50 ns gap):");
-    println!(
-        "  {:>16}: {:10.2} pulses/s on {ROWS}x{COLS}",
-        "pulse", pulse.pps
-    );
-    println!(
-        "  {:>16}: {:10.2} pulses/s on {ROWS}x{COLS} ({})",
-        "batched",
-        batched.pps,
-        describe(&batched)
-    );
-    println!(
-        "  {:>16}: {:10.2} pulses/s on {DETAILED_EDGE}x{DETAILED_EDGE}",
-        "detailed", detailed.pps
-    );
-    println!(
-        "  {:>16}: {:10.2} pulses/s on {LARGE_EDGE}x{LARGE_EDGE} ({})",
-        "reference",
-        large_reference.pps,
-        describe(&large_reference)
-    );
-    println!(
-        "  {:>16}: {:10.2} pulses/s on {LARGE_EDGE}x{LARGE_EDGE} ({})",
-        "batched scalar",
-        large_scalar.pps,
-        describe(&large_scalar)
-    );
-    println!(
-        "  {:>16}: {:10.2} pulses/s on {LARGE_EDGE}x{LARGE_EDGE} ({})",
-        "batched simd",
-        large_simd.pps,
-        describe(&large_simd)
-    );
-    println!(
-        "  {:>16}: {:10.2} pulses/s on {LARGE_EDGE}x{LARGE_EDGE} ({})",
-        format!("batched x{}", large_threaded.threads),
-        large_threaded.pps,
-        describe(&large_threaded)
-    );
-    println!(
-        "  {:>16}: {:10.2} pulses/s on {HUGE_EDGE}x{HUGE_EDGE} ({})",
-        format!("batched x{}", huge_threaded.threads),
-        huge_threaded.pps,
-        describe(&huge_threaded)
-    );
-    println!("  batched/pulse speedup on {ROWS}x{COLS}: {speedup:.1}x");
+    for (name, edge, m) in [
+        ("gather", ROWS, &gather),
+        ("batched", ROWS, &batched),
+        ("detailed", DETAILED_EDGE, &detailed),
+        ("reference", LARGE_EDGE, &large_reference),
+        ("batched", LARGE_EDGE, &large),
+        ("batched threaded", LARGE_EDGE, &large_threaded),
+        ("batched threaded", HUGE_EDGE, &huge_threaded),
+    ] {
+        println!(
+            "  {name:>16}: {:10.2} pulses/s on {edge}x{edge} ({})",
+            m.pps,
+            describe(m)
+        );
+    }
+    println!("  batched/gather speedup on {ROWS}x{COLS}: {speedup:.1}x");
     println!(
         "  cached/reference kernel speedup on {LARGE_EDGE}x{LARGE_EDGE}: {cached_speedup:.2}x"
-    );
-    println!(
-        "  simd/scalar speedup on {LARGE_EDGE}x{LARGE_EDGE}: {simd_speedup:.2}x \
-         (detected {})",
-        detected.label()
     );
     println!(
         "  threaded/batched speedup on {LARGE_EDGE}x{LARGE_EDGE}: {threaded_speedup:.2}x \
@@ -293,58 +244,40 @@ fn main() {
             ("pulses_per_second".into(), Json::Number(m.pps)),
         ])
     };
-    let large = format!("{LARGE_EDGE}x{LARGE_EDGE}");
-    let huge = format!("{HUGE_EDGE}x{HUGE_EDGE}");
+    let small = format!("{ROWS}x{COLS}");
+    let large_array = format!("{LARGE_EDGE}x{LARGE_EDGE}");
     let report = Json::Object(vec![
         ("pulse_ns".into(), Json::Number(PULSE.0 * 1e9)),
         ("gap_ns".into(), Json::Number(PULSE.0 * 1e9)),
         ("machine_cores".into(), Json::Number(cores as f64)),
         (
-            "simd_detected".into(),
-            Json::String(detected.label().into()),
-        ),
-        (
             "backends".into(),
             Json::Object(vec![
-                (
-                    "pulse".into(),
-                    backend_entry(format!("{ROWS}x{COLS}"), &pulse),
-                ),
-                (
-                    "batched".into(),
-                    backend_entry(format!("{ROWS}x{COLS}"), &batched),
-                ),
+                ("gather_64".into(), backend_entry(small.clone(), &gather)),
+                ("batched".into(), backend_entry(small, &batched)),
                 (
                     "detailed".into(),
                     backend_entry(format!("{DETAILED_EDGE}x{DETAILED_EDGE}"), &detailed),
                 ),
                 (
                     "reference_256".into(),
-                    backend_entry(large.clone(), &large_reference),
+                    backend_entry(large_array.clone(), &large_reference),
                 ),
                 (
                     "batched_256".into(),
-                    backend_entry(large.clone(), &large_scalar),
-                ),
-                (
-                    "batched_simd_256".into(),
-                    backend_entry(large.clone(), &large_simd),
+                    backend_entry(large_array.clone(), &large),
                 ),
                 (
                     "batched_threaded_256".into(),
-                    backend_entry(large, &large_threaded),
+                    backend_entry(large_array, &large_threaded),
                 ),
                 (
                     "batched_threaded_1024".into(),
-                    backend_entry(huge, &huge_threaded),
+                    backend_entry(format!("{HUGE_EDGE}x{HUGE_EDGE}"), &huge_threaded),
                 ),
             ]),
         ),
-        ("batched_over_pulse_speedup".into(), Json::Number(speedup)),
-        (
-            "simd_over_scalar_speedup_256".into(),
-            Json::Number(simd_speedup),
-        ),
+        ("batched_over_gather_speedup".into(), Json::Number(speedup)),
         (
             "threaded_over_batched_speedup_256".into(),
             Json::Number(threaded_speedup),
@@ -356,8 +289,8 @@ fn main() {
 
     assert!(
         speedup >= 3.0,
-        "batched backend must sustain >=3x the pulse backend's throughput \
-         on a {ROWS}x{COLS} array, measured {speedup:.2}x"
+        "the engine must sustain >=3x the throughput of its loop on the dense \
+         gather hub on a {ROWS}x{COLS} array, measured {speedup:.2}x"
     );
     if cores >= 4 {
         assert!(

@@ -198,8 +198,8 @@ pub struct CampaignSpec {
     pub batching: bool,
     /// Worker threads executing grid points.
     pub threads: usize,
-    /// Worker threads *inside* each batched-backend sub-step (the
-    /// [`rram_crossbar::BatchedEngine`] `threads` knob). Results are
+    /// Worker threads *inside* each ideal-driver sub-step (the
+    /// [`rram_crossbar::EngineConfig`] `threads` knob). Results are
     /// bit-identical for any value, so this is deliberately excluded from
     /// point fingerprints; it only pays off on large arrays (≳256×256).
     pub backend_threads: usize,

@@ -6,7 +6,10 @@
 //! `crates/vendor/README.md`), so the campaign layer carries its own small
 //! codec instead of a serde data format. Only the JSON subset campaign specs
 //! need is implemented: objects, arrays, strings (with the standard escape
-//! sequences), finite numbers, booleans and `null`.
+//! sequences), finite numbers, booleans and `null`. Parsing runs in linear
+//! time and nests at most 128 arrays/objects deep, so hostile input (the
+//! campaign service parses every request body) gets an error instead of a
+//! quadratic scan or a stack overflow.
 //!
 //! Floating-point values survive the round trip **bit for bit**: numbers are
 //! rendered with Rust's shortest-round-trip formatting, so a
@@ -58,16 +61,24 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Campaign documents
+/// nest a handful of levels; the bound keeps the recursive descent far from
+/// the stack limit of any thread (RFC 8259 §9 lets parsers set one).
+const MAX_DEPTH: usize = 128;
+
 impl Json {
     /// Parses a JSON document (exactly one value plus whitespace).
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] on malformed input or trailing garbage.
+    /// Returns a [`JsonError`] on malformed input, trailing garbage or
+    /// nesting deeper than 128 arrays/objects.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut parser = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_whitespace();
         let value = parser.value()?;
@@ -276,8 +287,11 @@ impl fmt::Display for Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -307,6 +321,21 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses one array or object with `parse`, failing instead when
+    /// [`MAX_DEPTH`] containers are already open.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
+    }
+
     fn literal(&mut self, text: &str, value: Json) -> Result<Json, JsonError> {
         if self.bytes[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
@@ -322,8 +351,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.error(format!("unexpected character {:?}", c as char))),
             None => Err(self.error("unexpected end of input")),
@@ -366,13 +395,24 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next quote or
+            // backslash as one slice. Both delimiters are ASCII, so the run
+            // ends on a character boundary of the (already valid UTF-8)
+            // input.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                // The run stopped at a backslash.
+                Some(_) => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -401,14 +441,6 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.error("invalid escape sequence")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty rest");
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -922,6 +954,44 @@ mod tests {
         for doc in ["{", "[1,", "tru", "\"unterminated", "1 2", "{\"a\" 1}"] {
             assert!(Json::parse(doc).is_err(), "{doc:?} should fail");
         }
+    }
+
+    #[test]
+    fn a_mebibyte_string_parses_in_linear_time() {
+        // Multi-byte characters and escapes throughout. Copying each plain
+        // run whole keeps this linear; re-validating the rest of the input
+        // per character would take tens of seconds here.
+        let unit = "αβγ δ→ε \"q\" \\ ";
+        let text: String = unit.repeat((1 << 20) / unit.len() + 1);
+        let value = Json::String(text);
+        let rendered = value.to_compact_string();
+        assert!(rendered.len() > 1 << 20);
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&rendered).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(parsed, value);
+        assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        for deep in [arrays(100_000), objects(100_000), arrays(MAX_DEPTH + 1)] {
+            let err = Json::parse(&deep).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+        }
+        for ok in [
+            arrays(64),
+            objects(64),
+            arrays(MAX_DEPTH),
+            objects(MAX_DEPTH),
+        ] {
+            assert!(Json::parse(&ok).is_ok());
+        }
+        // Depth counts open containers, not how many were seen.
+        let wide = format!("[{}]", vec![arrays(MAX_DEPTH - 1); 3].join(","));
+        assert!(Json::parse(&wide).is_ok());
     }
 
     #[test]

@@ -254,7 +254,7 @@ impl CrossbarArray {
     }
 
     /// Integrates every cell by `dt` under its per-cell voltage (row-major)
-    /// in one kernel call — the hot path of both ideal-driver engines.
+    /// in one kernel call — the hot path of the ideal-driver engine.
     ///
     /// # Panics
     ///
@@ -290,8 +290,8 @@ impl CrossbarArray {
 
     /// Advances every cell by `dt` with all lines grounded — bit-identical
     /// to [`CrossbarArray::step_lanes`] with an all-zero voltage vector,
-    /// without needing the voltage buffer at all. Both ideal-driver
-    /// engines' gap phases run on this.
+    /// without needing the voltage buffer at all. The ideal-driver engine's
+    /// gap phases run on this.
     ///
     /// # Panics
     ///

@@ -1,16 +1,15 @@
 //! The [`HammerBackend`] abstraction: one interface over every crossbar
 //! simulation engine.
 //!
-//! The workspace ships three engines with different cost/fidelity
-//! trade-offs — the ideal-driver reference [`crate::engine::PulseEngine`], the
-//! struct-of-arrays [`crate::batched::BatchedEngine`] and the MNA-backed
-//! [`crate::detailed::DetailedCrossbar`] — and the attack layer
+//! The workspace ships two engines with different cost/fidelity
+//! trade-offs — the ideal-driver [`crate::engine::PulseEngine`] and the
+//! MNA-backed [`crate::detailed::DetailedCrossbar`] — and the attack layer
 //! (`neurohammer`) should not care which one it is driving. `HammerBackend`
 //! captures exactly what a hammering campaign needs from an engine: pulse
 //! application, idling, digital and analogue cell read-out, a thermal
 //! snapshot per cell, crosstalk-hub access and a whole-array reset. Every
 //! attack driver, countermeasure evaluation, scenario and campaign in
-//! `neurohammer` is generic over this trait, so adding a fourth engine
+//! `neurohammer` is generic over this trait, so adding another engine
 //! (e.g. a GPU backend) only requires implementing it here.
 //!
 //! [`BackendKind`] is the declarative, serialisable selector used by campaign
@@ -18,7 +17,7 @@
 //!
 //! # Examples
 //!
-//! Running the same burst on either engine through the trait:
+//! Running the same burst on every backend kind through the trait:
 //!
 //! ```
 //! use rram_crossbar::{BackendKind, CellAddress, EngineConfig, HammerBackend};
@@ -83,7 +82,9 @@ pub struct ThermalReadout {
 /// assert!(hammer_once(&mut engine) > 0.0);
 /// ```
 pub trait HammerBackend {
-    /// Short human-readable engine name used in reports and tables.
+    /// Short human-readable engine name for diagnostics. Reports and point
+    /// fingerprints use the [`BackendKind`] label instead, which can differ
+    /// (both ideal-driver kinds build a [`PulseEngine`]).
     fn label(&self) -> &'static str;
 
     /// Number of array rows.
@@ -132,8 +133,8 @@ pub trait HammerBackend {
     /// The hottest imported crosstalk ΔT anywhere in the array, K — what an
     /// on-die thermal-sensor network reports to a countermeasure. The
     /// default implementation scans the hub's lane-wise delta vector, so it
-    /// works unchanged on the scalar, batched (`CellBank`-backed) and
-    /// detailed engines without touching the shared `step_lanes` kernel.
+    /// works unchanged on every engine without touching the `step_lanes`
+    /// kernel.
     fn peak_crosstalk(&self) -> Kelvin {
         Kelvin(
             self.hub()
@@ -150,9 +151,9 @@ pub trait HammerBackend {
         1
     }
 
-    /// The SIMD tier this engine's lane kernel dispatches to right now
-    /// (`"scalar"` / `"avx2"` / `"neon"`, see `rram_jart::simd`). Engines
-    /// that never enter the lane kernel report `"scalar"`.
+    /// The instruction-set tier this engine's lane kernel runs on. There is
+    /// one scalar tier (see `rram_jart::simd`), so every engine reports
+    /// `"scalar"`.
     fn simd_isa(&self) -> &'static str {
         "scalar"
     }
@@ -196,7 +197,7 @@ pub trait HammerBackend {
 /// # Examples
 ///
 /// `Batched` is selected from campaign JSON by its `"batched"` label and
-/// runs the struct-of-arrays engine:
+/// runs the ideal-driver engine:
 ///
 /// ```
 /// use rram_crossbar::{BackendKind, CellAddress, CrosstalkHub, EngineConfig, WriteScheme};
@@ -213,14 +214,17 @@ pub trait HammerBackend {
 /// engine.apply_pulse(aggressor, Volts(1.05), Seconds(50e-9));
 /// assert!(engine.thermal_readout(CellAddress::new(2, 1)).crosstalk.0 > 0.0);
 /// ```
+///
+/// `Pulse` and `Batched` build the same engine, [`PulseEngine`], and produce
+/// bit-identical outcomes. They stay two variants because each keeps its own
+/// label and fingerprint tag, and both enter every `PointKey` and every
+/// report: removing either would change recorded report bytes and orphan
+/// existing checkpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum BackendKind {
-    /// The ideal-driver reference [`PulseEngine`] (dense crosstalk
-    /// gather).
+    /// The ideal-driver [`PulseEngine`], under the `"pulse"` label.
     Pulse,
-    /// The struct-of-arrays [`crate::BatchedEngine`]: identical physics and
-    /// kernel call to [`PulseEngine`], with a scatter-based crosstalk hub —
-    /// the fast choice for large arrays and long campaigns.
+    /// The ideal-driver [`PulseEngine`], under the `"batched"` label.
     Batched,
     /// The MNA-backed [`DetailedCrossbar`] with the given wiring parasitics.
     Detailed(WiringParasitics),
@@ -244,7 +248,7 @@ impl BackendKind {
     /// Builds a fresh all-HRS backend of this kind.
     ///
     /// The device ambient temperature is aligned with `config.ambient` so
-    /// both engines see the same thermal baseline.
+    /// every engine sees the same thermal baseline.
     ///
     /// # Panics
     ///
@@ -300,12 +304,9 @@ impl BackendKind {
             array
         };
         match self {
-            BackendKind::Pulse => Box::new(PulseEngine::new(array(table), hub, config)),
-            BackendKind::Batched => Box::new(crate::batched::BatchedEngine::new(
-                array(table),
-                hub,
-                config,
-            )),
+            BackendKind::Pulse | BackendKind::Batched => {
+                Box::new(PulseEngine::new(array(table), hub, config))
+            }
             BackendKind::Detailed(parasitics) => {
                 let mut xbar =
                     DetailedCrossbar::new(rows, cols, params, *parasitics, hub, config.scheme)

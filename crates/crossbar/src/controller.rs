@@ -5,7 +5,7 @@
 //! *stimuli* file lists the pulses (amplitude, length, duty cycle) the
 //! controller must generate. This module provides both formats as simple
 //! line-oriented text files plus a controller that executes a parsed stimulus
-//! on a [`PulseEngine`].
+//! on the ideal-driver [`PulseEngine`].
 
 use std::error::Error;
 use std::fmt;

@@ -294,16 +294,18 @@ impl CrosstalkHub {
     /// For the compact synthetic/extracted α profiles a hammer campaign uses
     /// (a handful of coupled rings), this turns the per-sub-step cost from
     /// `O((rows·cols)²)` into `O(rows·cols · support)` — the hot-path win of
-    /// the batched engine on large arrays — and the offset-major loop walks
+    /// the pulse engine on large arrays — and the offset-major loop walks
     /// both buffers contiguously with the boundary clipping hoisted out of
     /// the inner loop. When the support is as dense as the array itself the
     /// method falls back to the gather loop.
     ///
-    /// The descending offset order of `support` makes every destination
-    /// accumulate its contributions in ascending-source order, so the sums
-    /// are **bit-identical** to a per-source scatter (a test pins this);
-    /// only the gather loop's per-destination accumulation is merely
-    /// float-equal.
+    /// For finite temperatures the result is **bit-identical** to
+    /// [`CrosstalkHub::update`] (tests pin this). The descending offset
+    /// order of `support` makes every destination accumulate its
+    /// contributions in ascending-source order, the order the gather adds
+    /// them in; the terms only one side adds — the gather's sources outside
+    /// the support, the axpy's cold sources — are all `±0.0`, which leave
+    /// an accumulator that is never `-0.0` unchanged.
     ///
     /// # Panics
     ///
@@ -325,26 +327,25 @@ impl CrosstalkHub {
             return;
         }
         let blend = self.blend(dt);
-        let level = rram_jart::simd::active();
         std::mem::swap(&mut self.state, &mut self.scratch);
         // Clamped self-heating rises, computed once per source. Storing an
-        // exact `0.0` where a source contributes nothing keeps the axpy
-        // bit-neutral there: the accumulator is never `-0.0` (it starts at
-        // `+0.0` and partial sums of finite terms that cancel round to
-        // `+0.0`), so adding `α·0.0` preserves every bit.
-        rram_jart::simd::positive_rise(
-            level,
-            ambient.0,
-            temperatures,
-            &self.scratch,
-            &mut self.rise,
-        );
+        // exact `0.0` where a source contributes nothing (`r > 0.0` is false
+        // for NaN and `-0.0` too) keeps the axpy bit-neutral there: the
+        // accumulator is never `-0.0` (it starts at `+0.0` and partial sums
+        // of finite terms that cancel round to `+0.0`), so adding `α·0.0`
+        // preserves every bit.
+        for (slot, (&t, &p)) in self
+            .rise
+            .iter_mut()
+            .zip(temperatures.iter().zip(&self.scratch))
+        {
+            let r = t - ambient.0 - p;
+            *slot = if r > 0.0 { r } else { 0.0 };
+        }
         // Per-row nonzero span of the rises. Crosstalk is local, so away
         // from the biased lines whole rows are exactly `0.0`; clipping the
         // accumulation below to the span only skips `α · 0.0` terms, which
-        // are bit-neutral on an accumulator that is never `-0.0` (it
-        // starts at `+0.0`, exact cancellations round to `+0.0`, and
-        // `x + ±0.0 == x` for every such `x`).
+        // are bit-neutral for the same reason.
         for (row, span) in self.span.iter_mut().enumerate() {
             let rise_row = &self.rise[row * self.cols..(row + 1) * self.cols];
             let lo = rise_row.iter().position(|&r| r != 0.0);
@@ -363,77 +364,37 @@ impl CrosstalkHub {
         // instead of one full `state` pass per support offset (the offsets
         // of one destination row read the same few source rows over and
         // over, so they stay resident). Per destination the contributions
-        // still arrive in descending-offset order — identical to the
-        // offset-major sweep — so the sums carry the same bits.
+        // still arrive in descending-offset order.
         let (rows, cols) = (self.rows as isize, self.cols as isize);
         for dst_row in 0..rows {
             let dst_base = (dst_row * cols) as usize;
             let state_row = &mut self.state[dst_base..dst_base + self.cols];
-            state_row.iter_mut().for_each(|v| *v = 0.0);
-            // The support is sorted descending by `(d_row, d_col)`, so the
-            // offsets sharing one source row form a contiguous run; each
-            // run becomes one fused stencil pass over that source row (the
-            // per-destination term order — `d_row` descending, then
-            // `d_col` descending — is exactly the stored order, so the
-            // fusion carries the same bits as per-offset axpy sweeps).
-            let mut k = 0;
-            while k < self.support.len() {
-                let d_row = self.support[k].0;
-                let mut end = k + 1;
-                while end < self.support.len() && self.support[end].0 == d_row {
-                    end += 1;
-                }
-                let run = &self.support[k..end];
-                k = end;
+            state_row.fill(0.0);
+            for &(d_row, d_col, alpha) in &self.support {
                 let src_row = dst_row - d_row;
                 if src_row < 0 || src_row >= rows {
                     continue;
                 }
+                // Hot source columns whose destination `src + d_col` lies
+                // inside the row; a cold row's empty span skips it whole.
                 let (nz_lo, nz_hi) = self.span[src_row as usize];
-                if nz_lo == nz_hi {
-                    // The whole source row is cold; every term is `0.0`.
+                let col_lo = (-d_col).max(nz_lo as isize);
+                let col_hi = (cols - d_col).min(nz_hi as isize);
+                if col_lo >= col_hi {
                     continue;
                 }
-                // Destination columns that can receive a nonzero term:
-                // `dst = src + d_col` over the span and the run's offsets.
-                let min_c = run.iter().map(|&(_, c, _)| c).min().unwrap_or(0);
-                let max_c = run.iter().map(|&(_, c, _)| c).max().unwrap_or(0);
-                let dst_lo = (nz_lo as isize + min_c).clamp(0, cols) as usize;
-                let dst_hi = (nz_hi as isize + max_c).clamp(dst_lo as isize, cols) as usize;
-                let src_base = (src_row * cols) as usize;
-                let rise = &self.rise[src_base..src_base + self.cols];
-                let mut shifts = [(0isize, 0.0f64); 8];
-                if run.len() <= shifts.len() {
-                    for (slot, &(_, d_col, alpha)) in shifts.iter_mut().zip(run) {
-                        *slot = (d_col, alpha);
-                    }
-                    rram_jart::simd::stencil_accumulate_range(
-                        level,
-                        &shifts[..run.len()],
-                        rise,
-                        state_row,
-                        dst_lo,
-                        dst_hi,
-                    );
-                } else {
-                    // A denser kernel than the stack buffer holds: fall
-                    // back to one clipped axpy pass per offset.
-                    for &(_, d_col, alpha) in run {
-                        let col_lo = (-d_col).max(nz_lo as isize);
-                        let col_hi = (cols - d_col).min(nz_hi as isize);
-                        if col_lo >= col_hi {
-                            continue;
-                        }
-                        let width = (col_hi - col_lo) as usize;
-                        let src = &rise[col_lo as usize..col_lo as usize + width];
-                        let dst_off = (col_lo + d_col) as usize;
-                        let row = &mut state_row[dst_off..dst_off + width];
-                        rram_jart::simd::axpy(level, alpha, src, row);
-                    }
+                let src_base = (src_row * cols + col_lo) as usize;
+                let width = (col_hi - col_lo) as usize;
+                let src = &self.rise[src_base..src_base + width];
+                let dst_off = (col_lo + d_col) as usize;
+                for (d, &r) in state_row[dst_off..dst_off + width].iter_mut().zip(src) {
+                    *d += alpha * r;
                 }
             }
             let scratch_row = &self.scratch[dst_base..dst_base + self.cols];
-            rram_jart::simd::blend_into(level, blend, scratch_row, state_row);
+            for (a, &p) in state_row.iter_mut().zip(scratch_row) {
+                *a = p + (*a - p) * blend;
+            }
         }
     }
 }
@@ -530,18 +491,77 @@ mod tests {
         assert!((hub.delta(2, 2).0 - 120.0).abs() < 1e-9);
     }
 
+    /// A synthetic α map shaped like a field-solve extraction: every entry
+    /// nonzero and decaying with distance from the centre.
+    fn fem_shaped_alpha(edge: usize) -> AlphaMatrix {
+        let centre = edge / 2;
+        let values = (0..edge * edge)
+            .map(|i| {
+                let d2 = (i / edge).abs_diff(centre).pow(2) + (i % edge).abs_diff(centre).pow(2);
+                if d2 == 0 {
+                    1.0
+                } else {
+                    0.17 / (d2 as f64).powf(1.3)
+                }
+            })
+            .collect();
+        AlphaMatrix::from_values(edge, edge, (centre, centre), values)
+    }
+
     #[test]
     fn batched_update_matches_gather_update() {
-        let mut gather = CrosstalkHub::uniform(6, 7, 0.1, 0.05, 0.02, Seconds(40e-9));
-        let mut scatter = gather.clone();
-        // An uneven temperature field, including sub-ambient cells.
-        let temps: Vec<f64> = (0..42).map(|i| 280.0 + (i as f64 * 37.0) % 650.0).collect();
-        for _ in 0..5 {
-            gather.update(&temps, Kelvin(300.0), Seconds(20e-9));
-            scatter.update_batched(&temps, Kelvin(300.0), Seconds(20e-9));
+        // An uneven field with sub-ambient cells on the two-ring profile.
+        let uneven: Vec<f64> = (0..42).map(|i| 280.0 + (i as f64 * 37.0) % 650.0).collect();
+        // Whole rows at ambient (empty spans) around hot rows holding
+        // sub-ambient sources; after the first step the ambient sources'
+        // rises turn negative from the crosstalk they imported.
+        let mut cold_rows = vec![300.0; 48];
+        for col in 0..6 {
+            cold_rows[12 + col] = if col % 2 == 0 { 850.0 } else { 260.0 };
+            cold_rows[18 + col] = 300.0 + 90.0 * col as f64;
         }
-        for (a, b) in gather.deltas().iter().zip(scatter.deltas()) {
-            assert!((a - b).abs() < 1e-9 * a.abs().max(1.0), "{a} vs {b}");
+        cold_rows[41] = 1200.0;
+        cold_rows[36] = 150.0;
+        let field = |cells: usize| -> Vec<f64> {
+            (0..cells)
+                .map(|i| 300.0 + (i as f64 * 53.0) % 700.0)
+                .collect()
+        };
+        let cases = [
+            (
+                CrosstalkHub::uniform(6, 7, 0.1, 0.05, 0.02, Seconds(40e-9)),
+                uneven,
+            ),
+            (
+                CrosstalkHub::uniform(8, 6, 0.13, 0.06, 0.03, Seconds(25e-9)),
+                cold_rows,
+            ),
+            // FEM-shaped α on arrays the size of the extraction: the support
+            // is cells − 1, one short of the gather fallback, so the axpy
+            // path runs with every offset coupled.
+            (
+                CrosstalkHub::new(5, 5, fem_shaped_alpha(5), Seconds(30e-9)),
+                field(25),
+            ),
+            (
+                CrosstalkHub::new(7, 7, fem_shaped_alpha(7), Seconds(30e-9)),
+                field(49),
+            ),
+        ];
+        for (case, (hub, temps)) in cases.into_iter().enumerate() {
+            assert!(hub.support.len() < hub.rows * hub.cols, "case {case}");
+            let (mut gather, mut scatter) = (hub.clone(), hub);
+            for step in 0..6 {
+                gather.update(&temps, Kelvin(300.0), Seconds(20e-9));
+                scatter.update_batched(&temps, Kelvin(300.0), Seconds(20e-9));
+                for (idx, (a, b)) in gather.deltas().iter().zip(scatter.deltas()).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "case {case} step {step} cell {idx}: {a} vs {b}"
+                    );
+                }
+            }
         }
     }
 

@@ -3,9 +3,11 @@
 //! This engine models the crossbar as an electrical network with explicit
 //! word/bit-line segment resistances and driver output resistances, and
 //! solves every pulse with the `rram-circuit` transient simulator. It is the
-//! reference the fast ideal-driver engine is validated against, and it is
-//! what the sneak-path analysis builds on. It is orders of magnitude slower
-//! than [`crate::engine::PulseEngine`], so hammer campaigns do not use it.
+//! reference the ideal-driver [`crate::engine::PulseEngine`] is validated
+//! against, and it is what the sneak-path analysis builds on. Its cells
+//! couple through the crosstalk hub's dense gather,
+//! [`crate::CrosstalkHub::update`]. It is orders of magnitude slower than the
+//! pulse engine, so hammer campaigns do not use it.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -263,7 +265,7 @@ impl DetailedCrossbar {
 
         // The crosstalk state evolves on the hub's time constant, so the
         // pulse is cut into slices: electrical transient → hub update →
-        // next slice, mirroring the fast engine's sub-stepping.
+        // next slice, mirroring the pulse engine's sub-stepping.
         let hub_slice = 10e-9_f64.max(dt.0);
         let slices = (length.0 / hub_slice).ceil().max(1.0) as usize;
         let slice_len = length.0 / slices as f64;

@@ -14,13 +14,13 @@
 //!   filament temperatures between cells using the α coefficients extracted
 //!   by `rram-fem` (Eq. 5).
 //!
-//! Three simulation engines drive the array: two ideal-driver engines that
-//! integrate every cell in one kernel call per sub-step — the reference
-//! [`engine::PulseEngine`] with a dense crosstalk gather, and
-//! [`batched::BatchedEngine`] with a scatter-based hub (the fast path for
-//! long hammer campaigns on large arrays) — and the MNA-backed [`detailed::DetailedCrossbar`] including wiring
-//! parasitics, which also powers the [`sneak`]-path analysis. All implement
-//! the [`backend::HammerBackend`] trait, so the attack layer, the campaign
+//! Two simulation engines drive the array: the ideal-driver
+//! [`engine::PulseEngine`], which integrates every cell in one kernel call
+//! per sub-step and couples them through the scatter-based crosstalk hub
+//! (the engine of every hammer campaign), and the MNA-backed
+//! [`detailed::DetailedCrossbar`] including wiring parasitics, which also
+//! powers the [`sneak`]-path analysis. Both implement the
+//! [`backend::HammerBackend`] trait, so the attack layer, the campaign
 //! runner and the cross-engine agreement tests drive them interchangeably;
 //! [`backend::BackendKind`] selects one declaratively at runtime.
 //!
@@ -49,7 +49,6 @@
 
 pub mod array;
 pub mod backend;
-pub mod batched;
 pub mod controller;
 pub mod crosstalk;
 pub mod detailed;
@@ -59,7 +58,6 @@ pub mod sneak;
 
 pub use array::CrossbarArray;
 pub use backend::{BackendKind, HammerBackend, ThermalReadout};
-pub use batched::BatchedEngine;
 pub use controller::{ControllerReport, InitState, MemoryController, Operation, Stimulus};
 pub use crosstalk::CrosstalkHub;
 pub use detailed::{DetailedCrossbar, WiringParasitics};

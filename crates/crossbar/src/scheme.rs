@@ -152,7 +152,7 @@ impl WriteScheme {
     /// The bias levels of unselected (word, bit) lines for a write at
     /// `v_write` — the two degrees of freedom that distinguish the schemes.
     /// [`WriteScheme::line_bias`] expands these into full per-line vectors;
-    /// the batched engine uses them directly to build the two distinct
+    /// the pulse engine uses them directly to build the two distinct
     /// voltage row patterns a write access produces.
     pub fn unselected_levels(&self, v_write: Volts) -> (Volts, Volts) {
         let v = v_write.0;
@@ -253,7 +253,7 @@ mod tests {
 
     #[test]
     fn unselected_levels_are_the_line_bias_levels_bitwise() {
-        // The batched engine builds its voltage patterns from the raw
+        // The pulse engine builds its voltage patterns from the raw
         // levels; they must be the very same floats line_bias installs.
         for scheme in WriteScheme::ALL {
             let v = Volts(1.05);

@@ -14,12 +14,11 @@
 //! every consumer. [`step_lane`] runs it uncached: it is what
 //! [`crate::JartDevice::step`] does on its private 1-lane bank, and it is
 //! the reference the array kernel is checked against. [`step_lanes`], the
-//! kernel both crossbar engines call, runs the same routine behind replay
+//! kernel the crossbar pulse engine calls, runs the same routine behind replay
 //! caches that skip Newton solves without changing a bit, so a bank stepped
 //! by [`step_lanes`] is *bit-identical* to the same cells stepped one
 //! [`crate::JartDevice::step`] at a time (property tests in `tests/` pin
-//! this down). The caches run on every build; the `simd` cargo feature only
-//! swaps intrinsics into the block-wide helpers of [`crate::simd`].
+//! this down). The caches run on every build, on one scalar path.
 //!
 //! # Examples
 //!
@@ -47,7 +46,6 @@ use crate::current::{solve_operating_point, OperatingPoint};
 use crate::device::DigitalState;
 use crate::kinetics::concentration_rate;
 use crate::params::{DeviceParams, ParamColumns, ParamField};
-use crate::simd::{self, SimdLevel};
 use crate::thermal::filament_temperature;
 use rram_units::Seconds;
 
@@ -466,16 +464,15 @@ impl<'a> From<&'a ParamColumns> for LaneParams<'a> {
 
 /// Number of lanes integrated per fixed-width chunk of [`step_lanes`].
 ///
-/// Eight f64 lanes span one or two SIMD registers on every target the
-/// workspace builds for (AVX-512, AVX2, NEON), and a fixed trip count is
-/// what lets the all-idle relax update run without a runtime remainder
-/// check inside the chunk.
+/// A fixed trip count lets the compiler vectorize the all-zero voltage test
+/// and the all-idle relax update without a runtime remainder check inside
+/// the chunk.
 pub const LANE_CHUNK: usize = 8;
 
 /// Advances every lane of the bank by `dt` under its per-lane cell voltage.
 ///
-/// This is the one array integration routine of the workspace: both
-/// ideal-driver crossbar engines call it once per sub-step on the whole
+/// This is the one array integration routine of the workspace: the
+/// ideal-driver crossbar engine calls it once per sub-step on the whole
 /// array. Lanes are independent within a call (thermal coupling happens
 /// *between* engine sub-steps, through the crosstalk lane), which keeps the
 /// per-lane loop free of cross-lane dependencies.
@@ -523,30 +520,6 @@ pub fn step_lanes<'a>(
     lanes: &mut CellBankView<'_>,
     dt: Seconds,
 ) {
-    step_lanes_with(params, voltages, lanes, dt, simd::active())
-}
-
-/// [`step_lanes`] with the SIMD level explicit — the entry point the
-/// bit-identity proptests drive level against level.
-///
-/// The level only selects the intrinsics of the block-wide helpers in
-/// [`crate::simd`] (the all-zero test and the relax temperature update);
-/// every level runs the same cached loop, and each helper's scalar arm is
-/// bit-identical to its vector arms. The requested `level` is sanitised
-/// against the hardware (see [`simd::sanitize`]), so an impossible request
-/// degrades to the scalar arms instead of faulting.
-///
-/// # Panics
-///
-/// Panics if `voltages.len()` (or a table's length) does not match the lane
-/// count, or if `dt` is negative or not finite.
-pub fn step_lanes_with<'a>(
-    params: impl Into<LaneParams<'a>>,
-    voltages: &[f64],
-    lanes: &mut CellBankView<'_>,
-    dt: Seconds,
-    level: SimdLevel,
-) {
     let params = params.into();
     assert_eq!(
         voltages.len(),
@@ -556,7 +529,6 @@ pub fn step_lanes_with<'a>(
     params.check_lanes(lanes.lanes());
     assert!(dt.0.is_finite() && dt.0 >= 0.0, "dt must be non-negative");
 
-    let level = simd::sanitize(level);
     let relax = params.relax_shared();
     let total = lanes.lanes();
     let mut echo = LaneEcho::cold();
@@ -565,8 +537,8 @@ pub fn step_lanes_with<'a>(
         let chunk: &[f64; LANE_CHUNK] = voltages[base..base + LANE_CHUNK]
             .try_into()
             .expect("chunk slice has LANE_CHUNK lanes");
-        if simd::chunk_all_zero(level, chunk) {
-            relax_chunk(level, params, relax, lanes, base);
+        if chunk.iter().all(|&v| v == 0.0) {
+            relax_chunk(params, relax, lanes, base);
         } else {
             for (offset, &v_cell) in chunk.iter().enumerate() {
                 step_lane_cached(params, relax, lanes, base + offset, v_cell, dt, &mut echo);
@@ -609,8 +581,8 @@ fn step_lane_cached(
 /// is [`OperatingPoint::zero`], the drift rate vanishes, and the only state
 /// change is the filament temperature tracking the imported crosstalk ΔT.
 /// Engines use it to skip both the per-pulse voltage-buffer refill and the
-/// full kernel dispatch during gap phases (a unit test on the batched
-/// engine pins the before/after bit-identity).
+/// full kernel dispatch during gap phases (a unit test on the crossbar
+/// pulse engine pins the before/after bit-identity).
 ///
 /// # Panics
 ///
@@ -621,32 +593,14 @@ pub fn relax_lanes<'a>(
     lanes: &mut CellBankView<'_>,
     dt: Seconds,
 ) {
-    relax_lanes_with(params, lanes, dt, simd::active())
-}
-
-/// [`relax_lanes`] with the SIMD level explicit (sanitised like
-/// [`step_lanes_with`]): the level selects the intrinsics of the
-/// block-wide temperature update, bit-identically to its scalar arm.
-///
-/// # Panics
-///
-/// Panics if a table's length does not match the lane count, or if `dt` is
-/// negative or not finite.
-pub fn relax_lanes_with<'a>(
-    params: impl Into<LaneParams<'a>>,
-    lanes: &mut CellBankView<'_>,
-    dt: Seconds,
-    level: SimdLevel,
-) {
     let params = params.into();
     params.check_lanes(lanes.lanes());
     assert!(dt.0.is_finite() && dt.0 >= 0.0, "dt must be non-negative");
-    let level = simd::sanitize(level);
     let relax = params.relax_shared();
     let total = lanes.lanes();
     let mut base = 0;
     while base + LANE_CHUNK <= total {
-        relax_chunk(level, params, relax, lanes, base);
+        relax_chunk(params, relax, lanes, base);
         base += LANE_CHUNK;
     }
     for lane in base..total {
@@ -698,12 +652,14 @@ fn finish_relax(params: &DeviceParams, lanes: &mut CellBankView<'_>, lane: usize
 }
 
 /// One all-idle [`LANE_CHUNK`]-wide block: with a shared relax set the
-/// temperature update runs block-wide through
-/// [`simd::relax_chunk_temperature`]; otherwise each lane relaxes under its
+/// temperature update runs block-wide as
+/// `T = min(ambient + max(ΔT, 0), max_temperature)`, which is bit-identical
+/// to `filament_temperature(params, 0.0, ΔT)` (the zero self-heating term
+/// adds an exact `+0.0`, and the lower clamp bound cannot bind because the
+/// crosstalk term is non-negative); otherwise each lane relaxes under its
 /// own parameter set.
 #[inline]
 fn relax_chunk(
-    level: SimdLevel,
     params: LaneParams<'_>,
     relax: Option<&DeviceParams>,
     lanes: &mut CellBankView<'_>,
@@ -711,13 +667,11 @@ fn relax_chunk(
 ) {
     match relax {
         Some(shared) => {
-            simd::relax_chunk_temperature(
-                level,
-                shared.ambient_temperature,
-                shared.max_temperature,
-                &lanes.crosstalk[base..base + LANE_CHUNK],
-                &mut lanes.temperature[base..base + LANE_CHUNK],
-            );
+            let crosstalk = &lanes.crosstalk[base..base + LANE_CHUNK];
+            let temperature = &mut lanes.temperature[base..base + LANE_CHUNK];
+            for (slot, &x) in temperature.iter_mut().zip(crosstalk) {
+                *slot = (shared.ambient_temperature + x.max(0.0)).min(shared.max_temperature);
+            }
             for lane in base..base + LANE_CHUNK {
                 finish_relax(shared, lanes, lane);
             }
@@ -779,7 +733,6 @@ pub fn step_lanes_threaded<'a>(
         step_lanes(params, voltages, &mut lanes, dt);
         return;
     }
-    let level = simd::active();
 
     // Chunk-aligned blocks, four per worker, pulled from a shared queue so
     // a worker that lands on the expensive switching lanes does not
@@ -816,12 +769,11 @@ pub fn step_lanes_threaded<'a>(
                     break;
                 };
                 let len = view.lanes();
-                step_lanes_with(
+                step_lanes(
                     params.narrow(start, len),
                     &voltages[start..start + len],
                     &mut view,
                     dt,
-                    level,
                 );
             });
         }

@@ -55,10 +55,6 @@ pub mod device;
 pub mod kernel;
 pub mod kinetics;
 pub mod params;
-// The simd module carries the only unsafe in the crate: `std::arch`
-// intrinsics behind the `simd` feature, each call dominated by the runtime
-// CPU detection in `simd::detected`.
-#[allow(unsafe_code)]
 pub mod simd;
 pub mod thermal;
 

@@ -2,8 +2,9 @@
 //! [`CellBank`] through the cached array kernel is *bit-identical* to
 //! stepping N independent [`JartDevice`]s through the uncached reference,
 //! for any mix of states, crosstalk imports, voltages, step lengths and
-//! per-lane parameter columns. This is what lets both crossbar engines
-//! share one cached kernel call without moving a result bit.
+//! per-lane parameter columns. This is what lets the crossbar pulse engine
+//! run every cell through one cached kernel call without moving a result
+//! bit.
 
 use std::borrow::Cow;
 

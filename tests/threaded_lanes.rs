@@ -1,4 +1,4 @@
-//! Threaded-lane bit-identity at the engine level: splitting the batched
+//! Threaded-lane bit-identity at the engine level: splitting the pulse
 //! engine's lane integration across worker threads must not change a single
 //! bit of any cell trajectory — for any thread count 1–8, for odd array
 //! shapes that leave chunk-sized remainders, and on heterogeneous arrays
@@ -10,7 +10,7 @@
 //! around it.
 
 use neurohammer_repro::crossbar::{
-    BatchedEngine, CellAddress, EngineConfig, HammerBackend, WriteScheme,
+    CellAddress, EngineConfig, HammerBackend, PulseEngine, WriteScheme,
 };
 use neurohammer_repro::jart::{DeviceParams, DigitalState};
 use neurohammer_repro::units::{Seconds, Volts};
@@ -27,22 +27,23 @@ fn sampled_table(cells: usize, seed: u64) -> Vec<DeviceParams> {
     try_sample_table(&nominal, &spreads, seed, cells).expect("nominal spreads sample validly")
 }
 
-/// Builds a heterogeneous batched engine and runs a hammer burst with
-/// interleaved idles on it, returning the engine for inspection.
+/// Builds a heterogeneous pulse engine with `threads` lane workers and runs
+/// a hammer burst with interleaved idles on it, returning the engine for
+/// inspection.
 fn hammered_engine(
     rows: usize,
     cols: usize,
     scheme: WriteScheme,
     threads: usize,
     seed: u64,
-) -> BatchedEngine {
+) -> PulseEngine {
     let config = EngineConfig {
         scheme,
+        threads,
         ..EngineConfig::default()
     };
     let mut engine =
-        BatchedEngine::with_uniform_coupling(rows, cols, DeviceParams::default(), 0.12, config)
-            .with_threads(threads);
+        PulseEngine::with_uniform_coupling(rows, cols, DeviceParams::default(), 0.12, config);
     engine
         .array_mut()
         .set_params_table(sampled_table(rows * cols, seed));
@@ -58,7 +59,7 @@ fn hammered_engine(
 /// Bitwise equality over every state lane of two engines' banks, plus the
 /// hub state (threading never reorders the hub update, which stays on the
 /// coordinating thread).
-fn assert_engines_identical(a: &BatchedEngine, b: &BatchedEngine, context: &str) {
+fn assert_engines_identical(a: &PulseEngine, b: &PulseEngine, context: &str) {
     let (a_bank, b_bank) = (a.array().bank(), b.array().bank());
     for lane in 0..a_bank.lanes() {
         assert_eq!(

@@ -7,7 +7,7 @@
 //! `backends` axis.
 
 use neurohammer_repro::attack::campaign::{
-    CampaignOutcome, CampaignPoint, CampaignReport, CampaignSpec,
+    CampaignAxis, CampaignOutcome, CampaignPoint, CampaignReport, CampaignSpec,
 };
 use neurohammer_repro::attack::run_attack;
 use neurohammer_repro::crossbar::{
@@ -131,39 +131,80 @@ fn assert_pulse_and_batched_bit_identical(spec: CampaignSpec) -> CampaignReport 
 }
 
 #[test]
-fn pulse_and_batched_backends_are_bit_identical() {
-    // Both labels build the same ideal-driver engine, so every outcome must
-    // match bit for bit: across write schemes (the engine stamps each
-    // scheme's line biases itself) and on heterogeneous arrays sampled from
-    // filament-radius and disc-length spreads (the sampling seed excludes
-    // the backend, so both labels simulate the identical devices).
-    let schemes = assert_pulse_and_batched_bit_identical(CampaignSpec {
+fn pulse_and_batched_engines_agree_across_schemes() {
+    // Both labels build the same ideal-driver engine, so the two must agree
+    // far more tightly than the MNA comparison above — bit for bit. Checked
+    // across write schemes, since the engine stamps each scheme's line
+    // biases itself.
+    let spec = CampaignSpec {
         name: "pulse vs batched".into(),
         schemes: vec![WriteScheme::HalfVoltage, WriteScheme::ThirdVoltage],
+        backends: vec![BackendKind::Pulse, BackendKind::Batched],
         max_pulses: 400,
         batching: false,
         ..CampaignSpec::default()
-    });
-    assert_eq!(schemes.outcomes.len(), 2);
-    assert!(schemes.outcomes.iter().all(|o| o.victim_drift > 0.0));
-    // V/3 hammering disturbs the victim less than V/2.
-    let drift = |scheme| {
-        schemes
+    };
+    assert_pulse_and_batched_bit_identical(spec.clone());
+    let report = spec.run().expect("agreement campaign failed");
+    assert_eq!(report.outcomes.len(), 4);
+    assert!(report.outcomes.iter().all(|o| o.victim_drift > 0.0));
+
+    let ratio = report
+        .max_backend_drift_ratio()
+        .expect("both backends per grid point");
+    assert!(
+        ratio < 1.0001,
+        "pulse/batched victim drift disagrees by {ratio:.6}x: {report:?}"
+    );
+
+    // Per-scheme crosstalk agreement: the hub ΔT at the victim must match
+    // within each scheme group.
+    for series in report.series_over(CampaignAxis::Backend) {
+        assert_eq!(series.points.len(), 2, "{series:?}");
+    }
+    for scheme in [WriteScheme::HalfVoltage, WriteScheme::ThirdVoltage] {
+        let deltas: Vec<f64> = report
             .outcomes
             .iter()
-            .find(|o| o.point.scheme == scheme)
+            .filter(|o| o.point.scheme == scheme)
+            .map(|o| o.final_crosstalk.0)
+            .collect();
+        assert_eq!(deltas.len(), 2);
+        assert!(
+            (deltas[0] - deltas[1]).abs() <= 1e-9 * deltas[0].abs().max(1e-9),
+            "{scheme:?}: crosstalk ΔT disagrees: {deltas:?}"
+        );
+    }
+
+    // V/3 hammering disturbs the victim less than V/2 on either label.
+    let drift = |scheme, backend| {
+        report
+            .outcomes
+            .iter()
+            .find(|o| o.point.scheme == scheme && o.point.backend == backend)
             .expect("grid point present")
             .victim_drift
     };
-    assert!(
-        drift(WriteScheme::HalfVoltage) > drift(WriteScheme::ThirdVoltage),
-        "V/3 should disturb less than V/2"
-    );
+    for backend in [BackendKind::Pulse, BackendKind::Batched] {
+        assert!(
+            drift(WriteScheme::HalfVoltage, backend) > drift(WriteScheme::ThirdVoltage, backend),
+            "{backend:?}: V/3 should disturb less than V/2"
+        );
+    }
+}
 
+#[test]
+fn pulse_and_batched_engines_agree_under_device_spreads() {
+    // The identity must survive heterogeneous cells: with a per-cell
+    // parameter table sampled from filament-radius and disc-length spreads,
+    // both labels resolve the same per-cell parameters through the shared
+    // kernel. The sampling seed deliberately excludes the backend, so both
+    // labels simulate the identical devices.
     use rram_variability::{ParamField, ParamSpread};
     let nominal = DeviceParams::default();
-    let spreads = assert_pulse_and_batched_bit_identical(CampaignSpec {
+    let spec = CampaignSpec {
         name: "pulse vs batched under spreads".into(),
+        backends: vec![BackendKind::Pulse, BackendKind::Batched],
         spreads: vec![
             ParamSpread::relative_normal(ParamField::FilamentRadius, 0.08, &nominal),
             ParamSpread::relative_normal(ParamField::LDisc, 0.08, &nominal),
@@ -173,13 +214,42 @@ fn pulse_and_batched_backends_are_bit_identical() {
         max_pulses: 400,
         batching: false,
         ..CampaignSpec::default()
-    });
+    };
+    let single = assert_pulse_and_batched_bit_identical(spec.clone());
     // Guard against a trivially passing check: the spreads really produced
     // heterogeneous trials.
-    assert_eq!(spreads.outcomes.len(), 2);
+    assert_eq!(single.outcomes.len(), 2);
     assert_ne!(
-        spreads.outcomes[0].victim_drift, spreads.outcomes[1].victim_drift,
+        single.outcomes[0].victim_drift, single.outcomes[1].victim_drift,
         "the two sampled trials should simulate different devices"
+    );
+
+    let report = spec.run().expect("agreement campaign failed");
+    assert_eq!(report.outcomes.len(), 4);
+    assert!(report.outcomes.iter().all(|o| o.victim_drift > 0.0));
+
+    let ratio = report
+        .max_backend_drift_ratio()
+        .expect("both backends per trial");
+    assert!(
+        ratio < 1.0001,
+        "pulse/batched victim drift disagrees under spreads by {ratio:.6}x: {report:?}"
+    );
+
+    // Sanity: the trials of either label disagree far more than the two
+    // labels of either trial.
+    let drift = |backend, trial| {
+        report
+            .outcomes
+            .iter()
+            .find(|o| o.point.backend == backend && o.point.trial == trial)
+            .expect("grid point present")
+            .victim_drift
+    };
+    let across_trials = (drift(BackendKind::Pulse, 0) / drift(BackendKind::Pulse, 1) - 1.0).abs();
+    assert!(
+        across_trials > 100.0 * (ratio - 1.0),
+        "trials barely differ ({across_trials}) vs backend drift ({ratio})"
     );
 }
 

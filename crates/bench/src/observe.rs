@@ -221,24 +221,6 @@ impl TuiDriver {
     }
 }
 
-/// Human axis label for chart captions.
-fn axis_caption(axis: CampaignAxis) -> &'static str {
-    match axis {
-        CampaignAxis::ArraySize => "array rows",
-        CampaignAxis::Pattern => "attack pattern (index)",
-        CampaignAxis::Amplitude => "amplitude [V]",
-        CampaignAxis::PulseLength => "pulse length [ns]",
-        CampaignAxis::DutyCycle => "duty cycle",
-        CampaignAxis::Spacing => "electrode spacing [nm]",
-        CampaignAxis::Ambient => "ambient temperature [K]",
-        CampaignAxis::Scheme => "write scheme (index)",
-        CampaignAxis::Guard => "guard threshold",
-        CampaignAxis::Spread => "spread scale σ",
-        CampaignAxis::Backend => "backend (index)",
-        CampaignAxis::Trial => "trial",
-    }
-}
-
 /// Whether a sweep axis reads better log-scaled: strictly positive
 /// values spanning at least one decade.
 fn log_axis(values: impl Iterator<Item = f64> + Clone) -> bool {
@@ -292,12 +274,12 @@ pub fn render_html(
                 name: "pulses to flip".into(),
                 points,
             }],
-            axis_caption(axis),
+            axis.caption(),
             "pulses to a bit-flip",
             log_x,
             true,
         ));
-        doc.preformatted(crate::series_table(&series, axis_caption(axis)).to_string());
+        doc.preformatted(crate::series_table(&series, axis.caption()).to_string());
     }
 
     if report.outcomes.iter().any(|o| o.defense.is_some()) {

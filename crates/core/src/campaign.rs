@@ -60,36 +60,38 @@
 //! assert_eq!(restored, spec);
 //! ```
 
+mod axes;
 pub mod checkpoint;
 pub mod defense;
 pub mod executor;
 pub mod json;
 pub mod stats;
 
+use axes::require;
+pub use axes::CampaignAxis;
 pub use checkpoint::{read_checkpoint, CheckpointWriter};
 pub use defense::{DefenseGroup, DefenseParetoPoint};
 pub use executor::{CampaignEvent, CampaignExecutor, Shard};
 pub use stats::VariabilityGroup;
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use crate::attack::AttackConfig;
 use crate::pattern::AttackPattern;
 use crate::sweep::{SweepPoint, SweepSeries};
-use json::{Json, JsonError};
+use json::{parse, Json, JsonError, ToJson};
 use rram_crossbar::{
-    BackendKind, CellAddress, CrosstalkHub, EngineConfig, HammerBackend, WiringParasitics,
-    WriteScheme,
+    BackendKind, CellAddress, CrosstalkHub, EngineConfig, HammerBackend, WriteScheme,
 };
 use rram_defense::{BenignWorkload, DefenseOutcome, GuardSpec};
 use rram_fem::alpha::{extract_alpha_cached, AlphaConfig};
 use rram_fem::{AlphaError, AlphaMatrix, CrossbarGeometry};
 use rram_jart::current::solve_operating_point;
 use rram_jart::{DeviceParams, ParamColumns};
-use rram_units::{Kelvin, Ohms, Seconds, Volts, Watts};
-use rram_variability::{try_sample_columns, Distribution, ParamField, ParamSpread};
+use rram_units::{Kelvin, Seconds, Volts, Watts};
+use rram_variability::{try_sample_columns, Distribution, ParamSpread};
 
 /// Where a campaign's thermal-coupling coefficients come from.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -288,101 +290,7 @@ pub struct PointKey {
     pub id: u64,
 }
 
-/// One grid axis of a campaign (used to slice reports into sweep series).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CampaignAxis {
-    /// Array size (parameter value: number of rows).
-    ArraySize,
-    /// Attack pattern (parameter value: index in [`AttackPattern::ALL`]).
-    Pattern,
-    /// Hammer amplitude in volts.
-    Amplitude,
-    /// Pulse length in nanoseconds.
-    PulseLength,
-    /// Hammer duty cycle (fraction of the period under bias).
-    DutyCycle,
-    /// Electrode spacing in nanometres.
-    Spacing,
-    /// Ambient temperature in kelvin.
-    Ambient,
-    /// Write scheme (parameter value: index in
-    /// [`rram_crossbar::WriteScheme::ALL`]).
-    Scheme,
-    /// Guard specification (parameter value: the guard's threshold
-    /// coordinate, see [`GuardSpec::axis_value`]).
-    Guard,
-    /// Spread scale — the σ axis (parameter value: the scale factor).
-    Spread,
-    /// Simulation backend (parameter value: 0 = pulse, 1 = detailed,
-    /// 2 = batched).
-    Backend,
-    /// Monte Carlo trial index.
-    Trial,
-}
-
-impl CampaignAxis {
-    /// All axes, in the column order reports use.
-    pub const ALL: [CampaignAxis; 12] = [
-        CampaignAxis::ArraySize,
-        CampaignAxis::Pattern,
-        CampaignAxis::Amplitude,
-        CampaignAxis::PulseLength,
-        CampaignAxis::DutyCycle,
-        CampaignAxis::Spacing,
-        CampaignAxis::Ambient,
-        CampaignAxis::Scheme,
-        CampaignAxis::Guard,
-        CampaignAxis::Spread,
-        CampaignAxis::Backend,
-        CampaignAxis::Trial,
-    ];
-}
-
 impl CampaignPoint {
-    /// Numeric coordinate of this point along `axis`.
-    pub fn axis_value(&self, axis: CampaignAxis) -> f64 {
-        match axis {
-            CampaignAxis::ArraySize => self.rows as f64,
-            CampaignAxis::Pattern => self.pattern.index() as f64,
-            CampaignAxis::Amplitude => self.amplitude.0,
-            CampaignAxis::PulseLength => self.pulse_length.0 * 1e9,
-            CampaignAxis::DutyCycle => self.duty_cycle,
-            CampaignAxis::Spacing => self.spacing_nm,
-            CampaignAxis::Ambient => self.ambient.0,
-            CampaignAxis::Scheme => self.scheme.index() as f64,
-            CampaignAxis::Guard => self.guard.axis_value(),
-            CampaignAxis::Spread => self.spread_scale,
-            CampaignAxis::Backend => match self.backend {
-                BackendKind::Pulse => 0.0,
-                BackendKind::Detailed(_) => 1.0,
-                BackendKind::Batched => 2.0,
-            },
-            CampaignAxis::Trial => self.trial as f64,
-        }
-    }
-
-    /// Human-readable label of this point along `axis`.
-    pub fn axis_label(&self, axis: CampaignAxis) -> String {
-        match axis {
-            CampaignAxis::ArraySize => format!("{}x{}", self.rows, self.cols),
-            CampaignAxis::Pattern => self.pattern.label().to_string(),
-            CampaignAxis::Amplitude => format!("{:.2} V", self.amplitude.0),
-            CampaignAxis::PulseLength => format!("{:.0} ns", self.pulse_length.0 * 1e9),
-            CampaignAxis::DutyCycle => format!("d={:.0}%", self.duty_cycle * 100.0),
-            CampaignAxis::Spacing => format!("{:.0} nm", self.spacing_nm),
-            CampaignAxis::Ambient => format!("{:.0} K", self.ambient.0),
-            CampaignAxis::Scheme => match self.scheme {
-                WriteScheme::HalfVoltage => "V/2".to_string(),
-                WriteScheme::ThirdVoltage => "V/3".to_string(),
-                WriteScheme::GroundedUnselected => "grounded".to_string(),
-            },
-            CampaignAxis::Guard => self.guard.label(),
-            CampaignAxis::Spread => format!("σ×{}", self.spread_scale),
-            CampaignAxis::Backend => self.backend.label().to_string(),
-            CampaignAxis::Trial => format!("trial {}", self.trial),
-        }
-    }
-
     /// Label of this point over every axis except `excluded` — the grouping
     /// key used when slicing a report into series (and the series name the
     /// live TUI dashboard groups under). Sweeping the guard axis keeps each
@@ -416,19 +324,7 @@ impl CampaignPoint {
     /// sweep — simulates the identical sampled devices (guard comparisons
     /// are paired, not confounded by resampling).
     pub fn device_id(&self) -> u64 {
-        fnv1a_words(&[
-            self.rows as u64,
-            self.cols as u64,
-            self.pattern.index() as u64,
-            self.amplitude.0.to_bits(),
-            self.pulse_length.0.to_bits(),
-            self.duty_cycle.to_bits(),
-            self.spacing_nm.to_bits(),
-            self.ambient.0.to_bits(),
-            self.scheme.index() as u64,
-            self.spread_scale.to_bits(),
-            u64::from(self.trial),
-        ])
+        self.coordinate_hash(true)
     }
 
     /// Content fingerprint of this point: an FNV-1a hash over the exact bit
@@ -437,49 +333,38 @@ impl CampaignPoint {
     /// execution fingerprint to form the [`PointKey`] id, so outcomes from
     /// a different execution profile never silently replay.
     pub fn id(&self) -> u64 {
-        let (backend_tag, segment_bits, driver_bits) = match self.backend {
-            BackendKind::Pulse => (0u64, 0u64, 0u64),
-            BackendKind::Detailed(p) => (
-                1,
-                p.segment_resistance.0.to_bits(),
-                p.driver_resistance.0.to_bits(),
-            ),
-            BackendKind::Batched => (2, 0, 0),
-        };
-        let [guard_tag, guard_a, guard_b] = self.guard.fingerprint_words();
-        fnv1a_words(&[
-            self.rows as u64,
-            self.cols as u64,
-            self.pattern.index() as u64,
-            self.amplitude.0.to_bits(),
-            self.pulse_length.0.to_bits(),
-            self.duty_cycle.to_bits(),
-            self.spacing_nm.to_bits(),
-            self.ambient.0.to_bits(),
-            self.scheme.index() as u64,
-            guard_tag,
-            guard_a,
-            guard_b,
-            self.spread_scale.to_bits(),
-            backend_tag,
-            segment_bits,
-            driver_bits,
-            u64::from(self.trial),
-        ])
+        self.coordinate_hash(false)
     }
 }
 
-/// FNV-1a over the little-endian bytes of `words` — the stable fingerprint
-/// primitive behind [`PointKey`].
-pub(crate) fn fnv1a_words(words: &[u64]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for word in words {
+/// Streaming FNV-1a over little-endian `u64` words — the stable
+/// fingerprint primitive behind [`PointKey`].
+pub(crate) struct Fnv1a(u64);
+
+impl Fnv1a {
+    pub(crate) fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    pub(crate) fn write(&mut self, word: u64) {
         for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-    hash
+
+    pub(crate) fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// [`Fnv1a`] over `words`.
+pub(crate) fn fnv1a_words(words: &[u64]) -> u64 {
+    let mut hash = Fnv1a::new();
+    for &word in words {
+        hash.write(word);
+    }
+    hash.finish()
 }
 
 /// Result of one executed grid point.
@@ -633,166 +518,68 @@ impl From<JsonError> for CampaignError {
     }
 }
 
+/// Most points [`CampaignSpec::validate`] accepts in one grid. The largest
+/// figure grid, the full `fig_defense`, has 1,440.
+pub const MAX_GRID_POINTS: usize = 1 << 20;
+
+/// Most cells [`CampaignSpec::validate`] accepts in one array of the grid.
+/// The largest array the figures and benchmarks run is 1024².
+pub const MAX_ARRAY_CELLS: usize = 1 << 22;
+
 /// Key identifying one resolved coupling matrix: rows, cols and the spacing
 /// bit pattern (exact f64 identity is what we want for de-duplication).
 type CouplingKey = (usize, usize, u64);
 
 impl CampaignSpec {
     /// Number of grid points the campaign will execute (Monte Carlo trials
-    /// count as grid points).
+    /// count as grid points). Saturates at `usize::MAX`;
+    /// [`CampaignSpec::validate`] rejects grids above [`MAX_GRID_POINTS`].
     pub fn num_points(&self) -> usize {
-        self.array_sizes.len()
-            * self.patterns.len()
-            * self.amplitudes_v.len()
-            * self.pulse_lengths_ns.len()
-            * self.duty_cycles.len()
-            * self.spacings_nm.len()
-            * self.ambients_k.len()
-            * self.schemes.len()
-            * self.guards.len()
-            * self.spread_scales.len()
-            * self.backends.len()
-            * self.trials as usize
+        CampaignAxis::ALL
+            .iter()
+            .try_fold(1usize, |n, &axis| n.checked_mul(self.axis_len(axis)))
+            .unwrap_or(usize::MAX)
     }
 
-    /// Checks the grid is well formed.
+    /// Checks the grid is well formed: no axis is empty, every axis value
+    /// is in range, the grid has at most [`MAX_GRID_POINTS`] points and no
+    /// array more than [`MAX_ARRAY_CELLS`] cells.
     ///
     /// # Errors
     ///
     /// Returns the first [`CampaignError`] found.
     pub fn validate(&self) -> Result<(), CampaignError> {
-        let axes: [(&'static str, bool); 11] = [
-            ("array_sizes", self.array_sizes.is_empty()),
-            ("patterns", self.patterns.is_empty()),
-            ("amplitudes_v", self.amplitudes_v.is_empty()),
-            ("pulse_lengths_ns", self.pulse_lengths_ns.is_empty()),
-            ("duty_cycles", self.duty_cycles.is_empty()),
-            ("spacings_nm", self.spacings_nm.is_empty()),
-            ("ambients_k", self.ambients_k.is_empty()),
-            ("schemes", self.schemes.is_empty()),
-            ("guards", self.guards.is_empty()),
-            ("spread_scales", self.spread_scales.is_empty()),
-            ("backends", self.backends.is_empty()),
-        ];
-        for (name, empty) in axes {
-            if empty {
-                return Err(CampaignError::EmptyAxis(name));
-            }
-        }
-        for &(rows, cols) in &self.array_sizes {
-            if rows < 2 || cols < 2 {
-                return Err(CampaignError::ArrayTooSmall { rows, cols });
-            }
-        }
-        let finite_positive = |values: &[f64]| values.iter().all(|&v| v > 0.0 && v.is_finite());
-        let positive: [(&str, bool); 4] = [
-            ("amplitudes_v", finite_positive(&self.amplitudes_v)),
-            ("pulse_lengths_ns", finite_positive(&self.pulse_lengths_ns)),
-            ("spacings_nm", finite_positive(&self.spacings_nm)),
-            ("ambients_k", finite_positive(&self.ambients_k)),
-        ];
-        for (name, ok) in positive {
-            if !ok {
-                return Err(CampaignError::InvalidValue(format!(
-                    "{name} must be strictly positive and finite"
-                )));
-            }
-        }
-        if self
-            .duty_cycles
-            .iter()
-            .any(|&d| !(d > 0.0 && d <= 1.0 && d.is_finite()))
-        {
-            return Err(CampaignError::InvalidValue(
-                "duty_cycles must lie in (0, 1]".into(),
-            ));
-        }
-        for guard in &self.guards {
-            guard
-                .validate()
-                .map_err(|e| CampaignError::InvalidValue(format!("invalid guard: {e}")))?;
-        }
-        if self
-            .spread_scales
-            .iter()
-            .any(|&s| !(s >= 0.0 && s.is_finite()))
-        {
-            return Err(CampaignError::InvalidValue(
-                "spread_scales must be finite and ≥ 0".into(),
-            ));
-        }
-        if self.max_pulses == 0 {
-            return Err(CampaignError::InvalidValue(
-                "max_pulses must be at least 1".into(),
-            ));
-        }
-        if self.benign_writes == 0 {
-            return Err(CampaignError::InvalidValue(
-                "benign_writes must be at least 1".into(),
-            ));
-        }
-        if self.trials == 0 {
-            return Err(CampaignError::InvalidValue(
-                "trials must be at least 1".into(),
-            ));
-        }
+        self.check_axes()?;
+        let grid_fits = self.num_points() <= MAX_GRID_POINTS;
+        let bound = format!("must have at most {MAX_GRID_POINTS} points");
+        require("the grid", grid_fits, &bound)?;
+        require("max_pulses", self.max_pulses > 0, "must be at least 1")?;
+        let benign = self.benign_writes > 0;
+        require("benign_writes", benign, "must be at least 1")?;
         for spread in &self.spreads {
             spread
                 .validate()
                 .map_err(|e| CampaignError::InvalidValue(format!("invalid spread: {e}")))?;
         }
-        if self.tau_ns < 0.0 || !self.tau_ns.is_finite() {
-            return Err(CampaignError::InvalidValue(
-                "tau_ns must be finite and ≥ 0".into(),
-            ));
-        }
-        Ok(())
+        let tau_ok = self.tau_ns >= 0.0 && self.tau_ns.is_finite();
+        require("tau_ns", tau_ok, "must be finite and ≥ 0")
     }
 
-    /// Expands the grid into its points (row-major over the axes in
-    /// [`CampaignAxis::ALL`] order).
+    /// Expands the grid into its points: point `i` takes the values whose
+    /// indices are the mixed-radix digits of `i` over the axes in
+    /// [`CampaignAxis::ALL`] order, the trial innermost.
     pub fn points(&self) -> Vec<CampaignPoint> {
-        let mut points = Vec::with_capacity(self.num_points());
-        for &(rows, cols) in &self.array_sizes {
-            for &pattern in &self.patterns {
-                for &amplitude in &self.amplitudes_v {
-                    for &length_ns in &self.pulse_lengths_ns {
-                        for &duty in &self.duty_cycles {
-                            for &spacing in &self.spacings_nm {
-                                for &ambient in &self.ambients_k {
-                                    for &scheme in &self.schemes {
-                                        for &guard in &self.guards {
-                                            for &spread_scale in &self.spread_scales {
-                                                for &backend in &self.backends {
-                                                    for trial in 0..self.trials {
-                                                        points.push(CampaignPoint {
-                                                            rows,
-                                                            cols,
-                                                            pattern,
-                                                            amplitude: Volts(amplitude),
-                                                            pulse_length: Seconds(length_ns * 1e-9),
-                                                            duty_cycle: duty,
-                                                            spacing_nm: spacing,
-                                                            ambient: Kelvin(ambient),
-                                                            scheme,
-                                                            guard,
-                                                            spread_scale,
-                                                            backend,
-                                                            trial,
-                                                        });
-                                                    }
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
+        let lens = CampaignAxis::ALL.map(|axis| self.axis_len(axis));
+        (0..self.num_points())
+            .map(|mut rest| {
+                let mut digits = [0; CampaignAxis::ALL.len()];
+                for (digit, &len) in digits.iter_mut().zip(&lens).rev() {
+                    *digit = rest % len;
+                    rest /= len;
                 }
-            }
-        }
-        points
+                self.point_at(&digits)
+            })
+            .collect()
     }
 
     /// Fingerprint of the execution-relevant spec fields that are *not*
@@ -801,7 +588,9 @@ impl CampaignSpec {
     /// the FEM power sweep is anchored to. Mixed into every [`PointKey`] so
     /// a checkpoint recorded under a different execution profile (e.g. a
     /// `--quick` run) never silently replays into a full-fidelity one.
-    fn execution_fingerprint(&self) -> u64 {
+    /// The `--html` export stamps it next to the campaign name so two
+    /// artifacts are comparable at a glance.
+    pub fn fingerprint(&self) -> u64 {
         let (coupling_tag, coupling_bits) = match self.coupling {
             CouplingSpec::Uniform { nearest } => (0u64, nearest.to_bits()),
             CouplingSpec::Fem { voxel_nm } => (1u64, voxel_nm.to_bits()),
@@ -832,19 +621,12 @@ impl CampaignSpec {
         fnv1a_words(&words)
     }
 
-    /// Public form of the execution fingerprint, for report provenance
-    /// (the `--html` export stamps it next to the campaign name so two
-    /// artifacts are comparable at a glance).
-    pub fn fingerprint(&self) -> u64 {
-        self.execution_fingerprint()
-    }
-
     /// Expands the grid into `(key, point)` pairs in grid order — the form
     /// the [`CampaignExecutor`] shards and checkpoints operate on. Each
     /// key's `id` fingerprints both the point's coordinates and the spec's
     /// execution-relevant fields.
     pub fn keyed_points(&self) -> Vec<(PointKey, CampaignPoint)> {
-        let execution = self.execution_fingerprint();
+        let execution = self.fingerprint();
         self.points()
             .into_iter()
             .enumerate()
@@ -1114,78 +896,21 @@ impl CampaignSpec {
     /// renders. The campaign service embeds this in lease grants so a
     /// worker executes exactly the spec the server validated.
     pub fn to_json_value(&self) -> Json {
-        let sizes = self
-            .array_sizes
-            .iter()
-            .map(|&(r, c)| Json::Array(vec![Json::Number(r as f64), Json::Number(c as f64)]))
-            .collect();
-        let coupling = match self.coupling {
-            CouplingSpec::Uniform { nearest } => Json::Object(vec![
-                ("kind".into(), Json::String("uniform".into())),
-                ("nearest".into(), Json::Number(nearest)),
-            ]),
-            CouplingSpec::Fem { voxel_nm } => Json::Object(vec![
-                ("kind".into(), Json::String("fem".into())),
-                ("voxel_nm".into(), Json::Number(voxel_nm)),
-            ]),
-        };
-        let numbers =
-            |values: &[f64]| Json::Array(values.iter().map(|&v| Json::Number(v)).collect());
-        Json::Object(vec![
-            ("name".into(), Json::String(self.name.clone())),
-            ("array_sizes".into(), Json::Array(sizes)),
-            (
-                "patterns".into(),
-                Json::Array(
-                    self.patterns
-                        .iter()
-                        .map(|p| Json::String(p.label().into()))
-                        .collect(),
-                ),
-            ),
-            ("amplitudes_v".into(), numbers(&self.amplitudes_v)),
-            ("pulse_lengths_ns".into(), numbers(&self.pulse_lengths_ns)),
-            ("duty_cycles".into(), numbers(&self.duty_cycles)),
-            ("spacings_nm".into(), numbers(&self.spacings_nm)),
-            ("ambients_k".into(), numbers(&self.ambients_k)),
-            (
-                "schemes".into(),
-                Json::Array(
-                    self.schemes
-                        .iter()
-                        .map(|s| Json::String(s.label().into()))
-                        .collect(),
-                ),
-            ),
-            (
-                "guards".into(),
-                Json::Array(self.guards.iter().map(guard_to_json).collect()),
-            ),
-            ("spread_scales".into(), numbers(&self.spread_scales)),
-            (
-                "backends".into(),
-                Json::Array(self.backends.iter().map(backend_to_json).collect()),
-            ),
-            ("coupling".into(), coupling),
-            (
-                "spreads".into(),
-                Json::Array(self.spreads.iter().map(spread_to_json).collect()),
-            ),
-            ("trials".into(), Json::Number(f64::from(self.trials))),
+        let mut entries = vec![("name".into(), self.name.to_json())];
+        entries.extend(self.axes_json());
+        entries.extend([
+            ("coupling".into(), self.coupling.to_json()),
+            ("spreads".into(), self.spreads.to_json()),
+            ("trials".into(), self.trials.to_json()),
             ("seed".into(), seed_to_json(self.seed)),
-            (
-                "benign_writes".into(),
-                Json::Number(self.benign_writes as f64),
-            ),
-            ("tau_ns".into(), Json::Number(self.tau_ns)),
-            ("max_pulses".into(), Json::Number(self.max_pulses as f64)),
-            ("batching".into(), Json::Bool(self.batching)),
-            ("threads".into(), Json::Number(self.threads as f64)),
-            (
-                "backend_threads".into(),
-                Json::Number(self.backend_threads as f64),
-            ),
-        ])
+            ("benign_writes".into(), self.benign_writes.to_json()),
+            ("tau_ns".into(), self.tau_ns.to_json()),
+            ("max_pulses".into(), self.max_pulses.to_json()),
+            ("batching".into(), self.batching.to_json()),
+            ("threads".into(), self.threads.to_json()),
+            ("backend_threads".into(), self.backend_threads.to_json()),
+        ]);
+        Json::Object(entries)
     }
 
     /// Parses a spec from its JSON form. Missing keys keep their
@@ -1212,172 +937,31 @@ impl CampaignSpec {
             return Err(CampaignError::Json("expected a top-level object".into()));
         };
         let mut spec = CampaignSpec::default();
-
-        let bad = |key: &str, expected: &str| {
-            CampaignError::Json(format!("key {key:?} must be {expected}"))
-        };
-        let number_list = |key: &str, value: &Json| -> Result<Vec<f64>, CampaignError> {
-            value
-                .as_array()
-                .ok_or_else(|| bad(key, "an array of numbers"))?
-                .iter()
-                .map(|v| v.as_f64().ok_or_else(|| bad(key, "an array of numbers")))
-                .collect()
-        };
-
         for (key, value) in entries {
+            if spec.axis_from_json(key, value)? {
+                continue;
+            }
             match key.as_str() {
-                "name" => {
-                    spec.name = value
-                        .as_str()
-                        .ok_or_else(|| bad(key, "a string"))?
-                        .to_string();
-                }
-                "array_sizes" => {
-                    let sizes = value
-                        .as_array()
-                        .ok_or_else(|| bad(key, "an array of [rows, cols] pairs"))?;
-                    spec.array_sizes = sizes
-                        .iter()
-                        .map(|pair| {
-                            let pair = pair
-                                .as_array()
-                                .filter(|p| p.len() == 2)
-                                .ok_or_else(|| bad(key, "an array of [rows, cols] pairs"))?;
-                            let rows = pair[0]
-                                .as_u64()
-                                .ok_or_else(|| bad(key, "an array of [rows, cols] pairs"))?;
-                            let cols = pair[1]
-                                .as_u64()
-                                .ok_or_else(|| bad(key, "an array of [rows, cols] pairs"))?;
-                            Ok((rows as usize, cols as usize))
-                        })
-                        .collect::<Result<_, CampaignError>>()?;
-                }
-                "patterns" => {
-                    let patterns = value
-                        .as_array()
-                        .ok_or_else(|| bad(key, "an array of pattern labels"))?;
-                    spec.patterns = patterns
-                        .iter()
-                        .map(|p| {
-                            p.as_str()
-                                .ok_or_else(|| bad(key, "an array of pattern labels"))?
-                                .parse::<AttackPattern>()
-                                .map_err(CampaignError::Json)
-                        })
-                        .collect::<Result<_, CampaignError>>()?;
-                }
-                "amplitudes_v" => spec.amplitudes_v = number_list(key, value)?,
-                "pulse_lengths_ns" => spec.pulse_lengths_ns = number_list(key, value)?,
-                "duty_cycles" => spec.duty_cycles = number_list(key, value)?,
-                "spacings_nm" => spec.spacings_nm = number_list(key, value)?,
-                "ambients_k" => spec.ambients_k = number_list(key, value)?,
-                "spread_scales" => spec.spread_scales = number_list(key, value)?,
-                "schemes" => {
-                    let schemes = value
-                        .as_array()
-                        .ok_or_else(|| bad(key, "an array of scheme labels"))?;
-                    spec.schemes = schemes
-                        .iter()
-                        .map(|s| {
-                            s.as_str()
-                                .ok_or_else(|| bad(key, "an array of scheme labels"))?
-                                .parse::<WriteScheme>()
-                                .map_err(CampaignError::Json)
-                        })
-                        .collect::<Result<_, CampaignError>>()?;
-                }
-                "guards" => {
-                    let guards = value
-                        .as_array()
-                        .ok_or_else(|| bad(key, "an array of guard labels/objects"))?;
-                    spec.guards = guards
-                        .iter()
-                        .map(guard_from_json)
-                        .collect::<Result<_, CampaignError>>()?;
-                }
-                "backends" => {
-                    let backends = value
-                        .as_array()
-                        .ok_or_else(|| bad(key, "an array of backend labels/objects"))?;
-                    spec.backends = backends.iter().map(backend_from_json).collect::<Result<
-                        _,
-                        CampaignError,
-                    >>(
-                    )?;
-                }
-                "coupling" => {
-                    let kind = value
-                        .get("kind")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| bad(key, "an object with a \"kind\""))?;
-                    spec.coupling = match kind {
-                        "uniform" => CouplingSpec::Uniform {
-                            nearest: value
-                                .get("nearest")
-                                .and_then(Json::as_f64)
-                                .ok_or_else(|| bad(key, "uniform coupling with \"nearest\""))?,
-                        },
-                        "fem" => CouplingSpec::Fem {
-                            voxel_nm: value
-                                .get("voxel_nm")
-                                .and_then(Json::as_f64)
-                                .ok_or_else(|| bad(key, "fem coupling with \"voxel_nm\""))?,
-                        },
-                        other => {
-                            return Err(CampaignError::Json(format!(
-                                "unknown coupling kind {other:?}"
-                            )))
-                        }
-                    };
-                }
-                "spreads" => {
-                    let spreads = value
-                        .as_array()
-                        .ok_or_else(|| bad(key, "an array of spread objects"))?;
-                    spec.spreads = spreads
-                        .iter()
-                        .map(spread_from_json)
-                        .collect::<Result<_, CampaignError>>()?;
-                }
-                "trials" => {
-                    let trials = value.as_u64().ok_or_else(|| bad(key, "an integer"))?;
-                    spec.trials = u32::try_from(trials)
-                        .map_err(|_| bad(key, "an integer fitting in 32 bits"))?;
-                }
+                "name" => spec.name = parse(key, value)?,
+                "coupling" => spec.coupling = parse(key, value)?,
+                "spreads" => spec.spreads = parse(key, value)?,
                 "seed" => spec.seed = seed_from_json(value)?,
-                "benign_writes" => {
-                    spec.benign_writes = value.as_u64().ok_or_else(|| bad(key, "an integer"))?;
-                }
-                "tau_ns" => {
-                    spec.tau_ns = value.as_f64().ok_or_else(|| bad(key, "a number"))?;
-                }
-                "max_pulses" => {
-                    spec.max_pulses = value.as_u64().ok_or_else(|| bad(key, "an integer"))?;
-                }
-                "batching" => {
-                    spec.batching = value.as_bool().ok_or_else(|| bad(key, "a boolean"))?;
-                }
-                "threads" => {
-                    spec.threads =
-                        value.as_u64().ok_or_else(|| bad(key, "an integer"))?.max(1) as usize;
-                }
-                "backend_threads" => {
-                    spec.backend_threads =
-                        value.as_u64().ok_or_else(|| bad(key, "an integer"))?.max(1) as usize;
-                }
+                "benign_writes" => spec.benign_writes = parse(key, value)?,
+                "tau_ns" => spec.tau_ns = parse(key, value)?,
+                "max_pulses" => spec.max_pulses = parse(key, value)?,
+                "batching" => spec.batching = parse(key, value)?,
+                "threads" => spec.threads = parse::<usize>(key, value)?.max(1),
+                "backend_threads" => spec.backend_threads = parse::<usize>(key, value)?.max(1),
                 // Every spec written before the fast-math tier was removed
                 // carries `"backend_fast_math": false`; keep reading those.
-                "backend_fast_math" => {
-                    if value.as_bool().ok_or_else(|| bad(key, "a boolean"))? {
-                        return Err(CampaignError::Json(
-                            "the fast-math tier (\"backend_fast_math\": true) was removed; \
-                             drop the key or set it to false"
-                                .into(),
-                        ));
-                    }
+                "backend_fast_math" if parse(key, value)? => {
+                    return Err(CampaignError::Json(
+                        "the fast-math tier (\"backend_fast_math\": true) was removed; \
+                         drop the key or set it to false"
+                            .into(),
+                    ))
                 }
+                "backend_fast_math" => {}
                 other => {
                     return Err(CampaignError::Json(format!(
                         "unknown campaign key {other:?}"
@@ -1426,224 +1010,74 @@ fn seed_from_json(value: &Json) -> Result<u64, CampaignError> {
         })
 }
 
-/// Serialises one device-parameter spread: the field label, the
-/// distribution kind and its parameters, plus any truncation bounds.
-/// Omitted `mean`/`median` mean "centred on the nominal value".
-fn spread_to_json(spread: &ParamSpread) -> Json {
-    let mut entries = vec![(
-        "field".into(),
-        Json::String(spread.field.label().to_string()),
-    )];
-    match spread.distribution {
-        Distribution::Normal { mean, sigma } => {
-            entries.push(("kind".into(), Json::String("normal".into())));
-            if let Some(mean) = mean {
-                entries.push(("mean".into(), Json::Number(mean)));
-            }
-            entries.push(("sigma".into(), Json::Number(sigma)));
-        }
-        Distribution::LogNormal { median, sigma } => {
-            entries.push(("kind".into(), Json::String("lognormal".into())));
-            if let Some(median) = median {
-                entries.push(("median".into(), Json::Number(median)));
-            }
-            entries.push(("sigma".into(), Json::Number(sigma)));
-        }
-        Distribution::Uniform { low, high } => {
-            entries.push(("kind".into(), Json::String("uniform".into())));
-            entries.push(("low".into(), Json::Number(low)));
-            entries.push(("high".into(), Json::Number(high)));
-        }
+/// A rendering's column: its header and the cell it shows for a row.
+pub(crate) type Column<T, C = String> = (&'static str, fn(&T) -> C);
+
+/// Renders `rows` as an `rram-analysis` text table of `columns`.
+pub(crate) fn table_of<T>(rows: &[T], columns: &[Column<T>]) -> rram_analysis::Table {
+    let headers: Vec<&str> = columns.iter().map(|&(header, _)| header).collect();
+    let mut table = rram_analysis::Table::with_headers(&headers);
+    for row in rows {
+        table.push_row(columns.iter().map(|(_, cell)| cell(row)).collect());
     }
-    if let Some(low) = spread.truncate_low {
-        entries.push(("truncate_low".into(), Json::Number(low)));
-    }
-    if let Some(high) = spread.truncate_high {
-        entries.push(("truncate_high".into(), Json::Number(high)));
-    }
-    Json::Object(entries)
+    table
 }
 
-/// Parses a spread entry written by [`spread_to_json`].
-fn spread_from_json(value: &Json) -> Result<ParamSpread, CampaignError> {
-    let bad = |message: &str| CampaignError::Json(format!("invalid spread: {message}"));
-    let field = value
-        .get("field")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad("missing \"field\" label"))?
-        .parse::<ParamField>()
-        .map_err(CampaignError::Json)?;
-    let kind = value
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad("missing \"kind\""))?;
-    let number = |key: &str| -> Result<f64, CampaignError> {
-        value
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| bad(&format!("{key:?} must be a number")))
-    };
-    let optional = |key: &str| -> Result<Option<f64>, CampaignError> {
-        match value.get(key) {
-            None => Ok(None),
-            Some(v) => v
-                .as_f64()
-                .map(Some)
-                .ok_or_else(|| bad(&format!("{key:?} must be a number"))),
-        }
-    };
-    let distribution = match kind {
-        "normal" => Distribution::Normal {
-            mean: optional("mean")?,
-            sigma: number("sigma")?,
-        },
-        "lognormal" => Distribution::LogNormal {
-            median: optional("median")?,
-            sigma: number("sigma")?,
-        },
-        "uniform" => Distribution::Uniform {
-            low: number("low")?,
-            high: number("high")?,
-        },
-        other => return Err(bad(&format!("unknown distribution kind {other:?}"))),
-    };
-    Ok(ParamSpread {
-        field,
-        distribution,
-        truncate_low: optional("truncate_low")?,
-        truncate_high: optional("truncate_high")?,
-    })
+/// Renders `rows` as CSV with `columns`.
+pub(crate) fn csv_of<T>(rows: &[T], columns: &[Column<T>]) -> String {
+    let headers: Vec<&str> = columns.iter().map(|&(header, _)| header).collect();
+    let cells: Vec<Vec<String>> = rows
+        .iter()
+        .map(|row| columns.iter().map(|(_, cell)| cell(row)).collect())
+        .collect();
+    rram_analysis::csv::to_csv_string(&headers, &cells)
 }
 
-/// Serialises one guard specification. The undefended baseline is the
-/// plain string `"none"`; real guards are objects carrying the kind tag and
-/// their exact operating point:
-/// `{"kind": "counter", "threshold": 64, "window_s": 1.0}`,
-/// `{"kind": "thermal", "threshold_k": 20.0, "cooldown_s": 1e-6}`,
-/// `{"kind": "scrub", "period_s": 5e-6}`.
-pub(crate) fn guard_to_json(guard: &GuardSpec) -> Json {
-    match guard {
-        GuardSpec::None => Json::String("none".into()),
-        GuardSpec::WriteCounter { threshold, window } => Json::Object(vec![
-            ("kind".into(), Json::String("counter".into())),
-            ("threshold".into(), Json::Number(*threshold as f64)),
-            ("window_s".into(), Json::Number(window.0)),
-        ]),
-        GuardSpec::ThermalSensor {
-            threshold,
-            cooldown,
-        } => Json::Object(vec![
-            ("kind".into(), Json::String("thermal".into())),
-            ("threshold_k".into(), Json::Number(threshold.0)),
-            ("cooldown_s".into(), Json::Number(cooldown.0)),
-        ]),
-        GuardSpec::Scrubbing { period } => Json::Object(vec![
-            ("kind".into(), Json::String("scrub".into())),
-            ("period_s".into(), Json::Number(period.0)),
-        ]),
-    }
-}
+/// The table's result columns, after the axis columns.
+const OUTCOME_TABLE: [Column<CampaignOutcome>; 2] = [
+    ("# pulses to bit-flip", |o| match o.flipped {
+        true => o.pulses.to_string(),
+        false => "no flip within budget".into(),
+    }),
+    ("victim drift", |o| match o.victim_drift.abs() < 1e-3 {
+        true => format!("{:.3e}", o.victim_drift),
+        false => format!("{:.3}", o.victim_drift),
+    }),
+];
 
-/// Parses a guard entry written by [`guard_to_json`].
-pub(crate) fn guard_from_json(value: &Json) -> Result<GuardSpec, CampaignError> {
-    let bad = |message: &str| CampaignError::Json(format!("invalid guard: {message}"));
-    if let Some(label) = value.as_str() {
-        return match label {
-            "none" => Ok(GuardSpec::None),
-            other => Err(bad(&format!(
-                "unknown guard label {other:?} (only \"none\" is a bare label; \
-                 real guards are objects with a \"kind\")"
-            ))),
-        };
-    }
-    let kind = value
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad("guard entries must be \"none\" or an object with a \"kind\""))?;
-    let number = |key: &str| -> Result<f64, CampaignError> {
-        value
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| bad(&format!("{key:?} must be a number")))
-    };
-    match kind {
-        "counter" => Ok(GuardSpec::WriteCounter {
-            threshold: value
-                .get("threshold")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("\"threshold\" must be a non-negative integer"))?,
-            window: Seconds(number("window_s")?),
-        }),
-        "thermal" => Ok(GuardSpec::ThermalSensor {
-            threshold: Kelvin(number("threshold_k")?),
-            cooldown: Seconds(number("cooldown_s")?),
-        }),
-        "scrub" => Ok(GuardSpec::Scrubbing {
-            period: Seconds(number("period_s")?),
-        }),
-        other => Err(bad(&format!("unknown guard kind {other:?}"))),
-    }
-}
-
-/// Serialises a backend choice: `"pulse"`, `"detailed"` (default
-/// parasitics), or an object carrying non-default wiring parasitics so the
-/// archived spec reproduces the same physics.
-fn backend_to_json(backend: &BackendKind) -> Json {
-    match backend {
-        BackendKind::Pulse => Json::String("pulse".into()),
-        BackendKind::Batched => Json::String("batched".into()),
-        BackendKind::Detailed(parasitics) => {
-            if *parasitics == WiringParasitics::default() {
-                Json::String("detailed".into())
-            } else {
-                Json::Object(vec![
-                    ("kind".into(), Json::String("detailed".into())),
-                    (
-                        "segment_ohms".into(),
-                        Json::Number(parasitics.segment_resistance.0),
-                    ),
-                    (
-                        "driver_ohms".into(),
-                        Json::Number(parasitics.driver_resistance.0),
-                    ),
-                ])
-            }
-        }
-    }
-}
-
-/// Parses a backend entry written by [`backend_to_json`].
-fn backend_from_json(value: &Json) -> Result<BackendKind, CampaignError> {
-    if let Some(label) = value.as_str() {
-        if label == "surrogate" {
-            return Err(CampaignError::Json(
-                "the surrogate backend was removed; use \"batched\"".into(),
-            ));
-        }
-        return label.parse::<BackendKind>().map_err(CampaignError::Json);
-    }
-    let kind = value.get("kind").and_then(Json::as_str).ok_or_else(|| {
-        CampaignError::Json(r#"backend entries must be a label or an object with a "kind""#.into())
-    })?;
-    if kind != "detailed" {
-        return Err(CampaignError::Json(format!(
-            "only the detailed backend takes parameters, got kind {kind:?}"
-        )));
-    }
-    let defaults = WiringParasitics::default();
-    let field = |name: &str, fallback: f64| -> Result<f64, CampaignError> {
-        match value.get(name) {
-            None => Ok(fallback),
-            Some(v) => v.as_f64().filter(|n| *n >= 0.0).ok_or_else(|| {
-                CampaignError::Json(format!("backend field {name:?} must be a number ≥ 0"))
-            }),
-        }
-    };
-    Ok(BackendKind::Detailed(WiringParasitics {
-        segment_resistance: Ohms(field("segment_ohms", defaults.segment_resistance.0)?),
-        driver_resistance: Ohms(field("driver_ohms", defaults.driver_resistance.0)?),
-    }))
-}
+/// The CSV's result columns, after the axis columns. Defence columns are
+/// empty on unguarded points.
+type OutcomeCell = fn(&CampaignOutcome) -> Option<String>;
+const OUTCOME_CSV: [(&str, OutcomeCell); 14] = [
+    ("flipped", |o| Some(o.flipped.to_string())),
+    ("pulses", |o| Some(o.pulses.to_string())),
+    ("victim_drift", |o| Some(format!("{}", o.victim_drift))),
+    ("final_crosstalk_k", |o| {
+        Some(format!("{}", o.final_crosstalk.0))
+    }),
+    ("sim_time_s", |o| Some(format!("{}", o.sim_time.0))),
+    ("collateral_flips", |o| Some(o.collateral_flips.to_string())),
+    ("blocked", |o| Some(o.defense?.blocked.to_string())),
+    ("pulses_to_detection", |o| {
+        Some(o.defense?.pulses_to_detection?.to_string())
+    }),
+    ("refreshes", |o| Some(o.defense?.refreshes.to_string())),
+    ("throttle_time_s", |o| {
+        Some(format!("{}", o.defense?.throttle_time.0))
+    }),
+    ("false_triggers", |o| {
+        Some(o.defense?.false_triggers.to_string())
+    }),
+    ("energy_overhead_j", |o| {
+        Some(format!("{}", o.defense?.energy_overhead.0))
+    }),
+    ("latency_overhead_s", |o| {
+        Some(format!("{}", o.defense?.latency_overhead.0))
+    }),
+    ("overhead_fraction", |o| {
+        Some(format!("{}", o.defense?.overhead_fraction))
+    }),
+];
 
 /// Aggregated results of a campaign run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -1699,22 +1133,14 @@ impl CampaignReport {
         I: IntoIterator<Item = CampaignReport>,
     {
         let mut name: Option<String> = None;
-        let mut by_index: std::collections::BTreeMap<usize, CampaignOutcome> =
-            std::collections::BTreeMap::new();
+        let mut by_index: BTreeMap<usize, CampaignOutcome> = BTreeMap::new();
         for report in reports {
             name.get_or_insert(report.name);
             for outcome in report.outcomes {
-                match by_index.entry(outcome.key.index) {
-                    std::collections::btree_map::Entry::Vacant(slot) => {
-                        slot.insert(outcome);
-                    }
-                    std::collections::btree_map::Entry::Occupied(slot) => {
-                        if slot.get().key.id != outcome.key.id {
-                            return Err(CampaignError::MergeMismatch {
-                                index: outcome.key.index,
-                            });
-                        }
-                    }
+                let index = outcome.key.index;
+                let kept = by_index.entry(index).or_insert(outcome.clone());
+                if kept.key.id != outcome.key.id {
+                    return Err(CampaignError::MergeMismatch { index });
                 }
             }
         }
@@ -1726,48 +1152,17 @@ impl CampaignReport {
 
     /// Renders the report as an `rram-analysis` text table.
     pub fn to_table(&self) -> rram_analysis::Table {
-        let mut table = rram_analysis::Table::with_headers(&[
-            "backend",
-            "array",
-            "pattern",
-            "amplitude",
-            "pulse len",
-            "duty",
-            "spacing",
-            "ambient",
-            "scheme",
-            "guard",
-            "σ scale",
-            "trial",
-            "# pulses to bit-flip",
-            "victim drift",
-        ]);
+        let headers: Vec<&str> = CampaignAxis::report_order()
+            .map(CampaignAxis::table_header)
+            .chain(OUTCOME_TABLE.iter().map(|&(header, _)| header))
+            .collect();
+        let mut table = rram_analysis::Table::with_headers(&headers);
         for outcome in &self.outcomes {
-            let p = &outcome.point;
-            table.push_row(vec![
-                p.axis_label(CampaignAxis::Backend),
-                p.axis_label(CampaignAxis::ArraySize),
-                p.axis_label(CampaignAxis::Pattern),
-                p.axis_label(CampaignAxis::Amplitude),
-                p.axis_label(CampaignAxis::PulseLength),
-                p.axis_label(CampaignAxis::DutyCycle),
-                p.axis_label(CampaignAxis::Spacing),
-                p.axis_label(CampaignAxis::Ambient),
-                p.axis_label(CampaignAxis::Scheme),
-                p.guard.label(),
-                format!("{}", p.spread_scale),
-                p.trial.to_string(),
-                if outcome.flipped {
-                    outcome.pulses.to_string()
-                } else {
-                    "no flip within budget".into()
-                },
-                if outcome.victim_drift.abs() < 1e-3 {
-                    format!("{:.3e}", outcome.victim_drift)
-                } else {
-                    format!("{:.3}", outcome.victim_drift)
-                },
-            ]);
+            let axes = CampaignAxis::report_order().map(|axis| outcome.point.table_cell(axis));
+            table.push_row(
+                axes.chain(OUTCOME_TABLE.iter().map(|(_, cell)| cell(outcome)))
+                    .collect(),
+            );
         }
         table
     }
@@ -1775,83 +1170,23 @@ impl CampaignReport {
     /// Renders the report as CSV (same columns as the table, plus the raw
     /// numeric extras).
     pub fn to_csv_string(&self) -> String {
-        // Defence columns are empty on unguarded points.
-        let optional = |value: Option<String>| value.unwrap_or_default();
         let rows: Vec<Vec<String>> = self
             .outcomes
             .iter()
             .map(|outcome| {
-                let p = &outcome.point;
-                vec![
-                    p.backend.label().to_string(),
-                    p.rows.to_string(),
-                    p.cols.to_string(),
-                    p.pattern.label().to_string(),
-                    format!("{}", p.amplitude.0),
-                    format!("{}", p.pulse_length.0 * 1e9),
-                    format!("{}", p.duty_cycle),
-                    format!("{}", p.spacing_nm),
-                    format!("{}", p.ambient.0),
-                    p.scheme.label().to_string(),
-                    p.guard.kind_label().to_string(),
-                    format!("{}", p.guard.axis_value()),
-                    format!("{}", p.spread_scale),
-                    p.trial.to_string(),
-                    outcome.flipped.to_string(),
-                    outcome.pulses.to_string(),
-                    format!("{}", outcome.victim_drift),
-                    format!("{}", outcome.final_crosstalk.0),
-                    format!("{}", outcome.sim_time.0),
-                    outcome.collateral_flips.to_string(),
-                    optional(outcome.defense.map(|d| d.blocked.to_string())),
-                    optional(
-                        outcome
-                            .defense
-                            .and_then(|d| d.pulses_to_detection)
-                            .map(|p| p.to_string()),
-                    ),
-                    optional(outcome.defense.map(|d| d.refreshes.to_string())),
-                    optional(outcome.defense.map(|d| format!("{}", d.throttle_time.0))),
-                    optional(outcome.defense.map(|d| d.false_triggers.to_string())),
-                    optional(outcome.defense.map(|d| format!("{}", d.energy_overhead.0))),
-                    optional(outcome.defense.map(|d| format!("{}", d.latency_overhead.0))),
-                    optional(outcome.defense.map(|d| format!("{}", d.overhead_fraction))),
-                ]
+                let axes =
+                    CampaignAxis::report_order().flat_map(|axis| outcome.point.csv_cells(axis));
+                let results = OUTCOME_CSV
+                    .iter()
+                    .map(|(_, cell)| cell(outcome).unwrap_or_default());
+                axes.chain(results).collect()
             })
             .collect();
-        rram_analysis::csv::to_csv_string(
-            &[
-                "backend",
-                "rows",
-                "cols",
-                "pattern",
-                "amplitude_v",
-                "pulse_length_ns",
-                "duty_cycle",
-                "spacing_nm",
-                "ambient_k",
-                "scheme",
-                "guard_kind",
-                "guard_threshold",
-                "spread_scale",
-                "trial",
-                "flipped",
-                "pulses",
-                "victim_drift",
-                "final_crosstalk_k",
-                "sim_time_s",
-                "collateral_flips",
-                "blocked",
-                "pulses_to_detection",
-                "refreshes",
-                "throttle_time_s",
-                "false_triggers",
-                "energy_overhead_j",
-                "latency_overhead_s",
-                "overhead_fraction",
-            ],
-            &rows,
-        )
+        let headers: Vec<&str> = CampaignAxis::report_order()
+            .flat_map(CampaignAxis::csv_headers)
+            .chain(OUTCOME_CSV.iter().map(|&(header, _)| header))
+            .collect();
+        rram_analysis::csv::to_csv_string(&headers, &rows)
     }
 
     /// Slices the report into one [`SweepSeries`] per combination of the
@@ -1859,19 +1194,9 @@ impl CampaignReport {
     /// figure binaries plot. Series and points keep grid order; points are
     /// sorted by the axis value.
     pub fn series_over(&self, axis: CampaignAxis) -> Vec<SweepSeries> {
-        let mut order: Vec<String> = Vec::new();
-        let mut groups: HashMap<String, Vec<&CampaignOutcome>> = HashMap::new();
-        for outcome in &self.outcomes {
-            let key = outcome.point.series_key(axis);
-            if !groups.contains_key(&key) {
-                order.push(key.clone());
-            }
-            groups.entry(key).or_default().push(outcome);
-        }
-        order
+        self.groups_by(|outcome| outcome.point.series_key(axis))
             .into_iter()
-            .map(|key| {
-                let mut members = groups.remove(&key).expect("group exists");
+            .map(|mut members| {
                 members.sort_by(|a, b| {
                     a.point
                         .axis_value(axis)
@@ -1879,7 +1204,7 @@ impl CampaignReport {
                         .expect("axis values are finite")
                 });
                 SweepSeries {
-                    name: key,
+                    name: members[0].point.series_key(axis),
                     points: members
                         .into_iter()
                         .map(|outcome| SweepPoint {
@@ -1894,26 +1219,37 @@ impl CampaignReport {
             .collect()
     }
 
+    /// The outcomes grouped by `key`, groups in first-seen (grid) order.
+    pub(crate) fn groups_by<K: Eq + std::hash::Hash>(
+        &self,
+        key: impl Fn(&CampaignOutcome) -> K,
+    ) -> Vec<Vec<&CampaignOutcome>> {
+        let mut slots: HashMap<K, usize> = HashMap::new();
+        let mut groups: Vec<Vec<&CampaignOutcome>> = Vec::new();
+        for outcome in &self.outcomes {
+            let slot = *slots.entry(key(outcome)).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[slot].push(outcome);
+        }
+        groups
+    }
+
     /// Cross-backend agreement in one number: for every group of points that
     /// differ *only* in their backend, the victim-drift ratio between the
     /// most- and least-progressed backend; the maximum over all groups is
     /// returned. `None` when no group contains more than one backend or a
     /// drift is not positive.
     pub fn max_backend_drift_ratio(&self) -> Option<f64> {
-        let mut groups: HashMap<String, Vec<f64>> = HashMap::new();
-        for outcome in &self.outcomes {
-            groups
-                .entry(outcome.point.series_key(CampaignAxis::Backend))
-                .or_default()
-                .push(outcome.victim_drift);
-        }
         let mut worst: Option<f64> = None;
-        for drifts in groups.values() {
-            if drifts.len() < 2 {
+        for members in self.groups_by(|outcome| outcome.point.series_key(CampaignAxis::Backend)) {
+            if members.len() < 2 {
                 continue;
             }
-            let min = drifts.iter().cloned().fold(f64::INFINITY, f64::min);
-            let max = drifts.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            let drifts = members.iter().map(|outcome| outcome.victim_drift);
+            let min = drifts.clone().fold(f64::INFINITY, f64::min);
+            let max = drifts.fold(f64::NEG_INFINITY, f64::max);
             if min <= 0.0 {
                 return None;
             }
@@ -1928,6 +1264,7 @@ impl CampaignReport {
 mod tests {
     use super::*;
     use crate::attack::run_attack;
+    use rram_variability::ParamField;
 
     fn tiny_spec() -> CampaignSpec {
         CampaignSpec {
@@ -2751,5 +2088,176 @@ mod tests {
         let config = spec.attack_config(&point);
         let result = run_attack(backend.as_mut(), &config);
         assert!(result.flipped);
+    }
+
+    /// A valid grid with two values on every axis.
+    fn two_of_everything() -> CampaignSpec {
+        CampaignSpec {
+            name: "two of everything".into(),
+            array_sizes: vec![(3, 3), (4, 5)],
+            patterns: vec![AttackPattern::SingleAggressor, AttackPattern::Quad],
+            amplitudes_v: vec![1.05, 1.15],
+            pulse_lengths_ns: vec![50.0, 100.0],
+            duty_cycles: vec![0.5, 1.0],
+            spacings_nm: vec![50.0, 70.0],
+            ambients_k: vec![300.0, 350.0],
+            schemes: vec![WriteScheme::HalfVoltage, WriteScheme::ThirdVoltage],
+            guards: vec![
+                GuardSpec::None,
+                GuardSpec::WriteCounter {
+                    threshold: 64,
+                    window: Seconds(1.0),
+                },
+            ],
+            spread_scales: vec![0.5, 1.0],
+            backends: vec![
+                BackendKind::Pulse,
+                BackendKind::Detailed(rram_crossbar::WiringParasitics {
+                    segment_resistance: rram_units::Ohms(200.0),
+                    driver_resistance: rram_units::Ohms(1_000.0),
+                }),
+            ],
+            trials: 2,
+            ..CampaignSpec::default()
+        }
+    }
+
+    #[test]
+    fn every_axis_fingerprints_and_seeds_as_its_table_entry_says() {
+        // Guards and backends are compared on identical sampled devices;
+        // every other axis samples its own population.
+        for axis in CampaignAxis::ALL {
+            let paired = matches!(axis, CampaignAxis::Guard | CampaignAxis::Backend);
+            assert_eq!(axis.device_relevant(), !paired, "{axis:?}");
+        }
+        // Points 0 and `stride` differ only in the axis's value index.
+        let spec = two_of_everything();
+        let points = spec.points();
+        let mut stride = points.len();
+        for axis in CampaignAxis::ALL {
+            stride /= spec.axis_len(axis);
+            let (a, b) = (&points[0], &points[stride]);
+            for other in CampaignAxis::ALL {
+                assert_eq!(
+                    a.axis_label(other) == b.axis_label(other),
+                    other != axis,
+                    "{axis:?} step changes {other:?}"
+                );
+            }
+            assert_ne!(a.id(), b.id(), "{axis:?}");
+            let relevant = axis.device_relevant();
+            assert_eq!(a.device_id() != b.device_id(), relevant, "{axis:?}");
+            assert_eq!(
+                spec.point_seed(a) != spec.point_seed(b),
+                relevant,
+                "{axis:?}"
+            );
+        }
+        assert_eq!(stride, 1);
+    }
+
+    #[test]
+    fn points_walk_the_mixed_radix_digits_of_their_index() {
+        let spec = two_of_everything();
+        assert_eq!(spec.num_points(), 1 << 12);
+        assert_eq!(CampaignSpec::from_json(&spec.to_json()).unwrap(), spec);
+        for (index, point) in spec.points().into_iter().enumerate() {
+            // Binary digits of the index, most significant first, in ALL
+            // order: the trial is the last (innermost) digit.
+            let d = |axis: CampaignAxis| (index >> (11 - axis as usize)) & 1;
+            let (rows, cols) = spec.array_sizes[d(CampaignAxis::ArraySize)];
+            let expected = CampaignPoint {
+                rows,
+                cols,
+                pattern: spec.patterns[d(CampaignAxis::Pattern)],
+                amplitude: Volts(spec.amplitudes_v[d(CampaignAxis::Amplitude)]),
+                pulse_length: Seconds(spec.pulse_lengths_ns[d(CampaignAxis::PulseLength)] * 1e-9),
+                duty_cycle: spec.duty_cycles[d(CampaignAxis::DutyCycle)],
+                spacing_nm: spec.spacings_nm[d(CampaignAxis::Spacing)],
+                ambient: Kelvin(spec.ambients_k[d(CampaignAxis::Ambient)]),
+                scheme: spec.schemes[d(CampaignAxis::Scheme)],
+                guard: spec.guards[d(CampaignAxis::Guard)],
+                spread_scale: spec.spread_scales[d(CampaignAxis::Spread)],
+                backend: spec.backends[d(CampaignAxis::Backend)],
+                trial: d(CampaignAxis::Trial) as u32,
+            };
+            assert_eq!(point, expected, "point {index}");
+        }
+    }
+
+    #[test]
+    fn hostile_grids_are_rejected_before_anything_is_allocated() {
+        // 4e9 trials × 64⁵ values × 10 duty cycles ≈ 2^65 points.
+        let values = format!(
+            "[{}]",
+            (1..=64)
+                .map(|v| v.to_string())
+                .collect::<Vec<_>>()
+                .join(",")
+        );
+        let overflowing = format!(
+            r#"{{"trials": 4000000000, "amplitudes_v": {values}, "pulse_lengths_ns": {values},
+                "spacings_nm": {values}, "ambients_k": {values}, "spread_scales": {values},
+                "duty_cycles": [0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1]}}"#
+        );
+        for body in [
+            // 4e9 trials: expanding the points would allocate ~480 GB.
+            r#"{"trials": 4000000000}"#,
+            // An axis product that overflows usize.
+            &overflowing,
+            // One point, but its array alone would take 16 GB of cells.
+            r#"{"array_sizes": [[2, 1000000000]]}"#,
+        ] {
+            match CampaignSpec::from_json(body) {
+                Err(CampaignError::InvalidValue(message)) => {
+                    assert!(message.contains("at most") || message.contains("more than"));
+                }
+                other => panic!("{body} was not rejected: {other:?}"),
+            }
+        }
+        // The bounds leave room for the largest grids and arrays in use.
+        let big = CampaignSpec {
+            array_sizes: vec![(1024, 1024)],
+            trials: 1 << 20,
+            ..CampaignSpec::default()
+        };
+        assert!(big.validate().is_ok());
+        let bigger = CampaignSpec {
+            trials: (1 << 20) + 1,
+            ..big
+        };
+        assert!(matches!(
+            bigger.validate(),
+            Err(CampaignError::InvalidValue(_))
+        ));
+    }
+
+    #[test]
+    fn axis_flags_and_captions_are_stable() {
+        let named: Vec<(&str, &str)> = CampaignAxis::ALL
+            .iter()
+            .map(|axis| (axis.flag(), axis.caption()))
+            .collect();
+        assert_eq!(
+            named,
+            [
+                ("array-size", "array rows"),
+                ("pattern", "attack pattern (index)"),
+                ("amplitude", "amplitude [V]"),
+                ("pulse-length", "pulse length [ns]"),
+                ("duty-cycle", "duty cycle"),
+                ("spacing", "electrode spacing [nm]"),
+                ("ambient", "ambient temperature [K]"),
+                ("scheme", "write scheme (index)"),
+                ("guard", "guard threshold"),
+                ("spread", "spread scale σ"),
+                ("backend", "backend (index)"),
+                ("trial", "trial"),
+            ]
+        );
+        for axis in CampaignAxis::ALL {
+            assert_eq!(CampaignAxis::from_flag(axis.flag()), Some(axis));
+        }
+        assert_eq!(CampaignAxis::from_flag("voltage"), None);
     }
 }

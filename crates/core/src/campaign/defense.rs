@@ -52,10 +52,8 @@
 //! println!("{}", report.defense_table());
 //! ```
 
-use std::collections::HashMap;
-
-use super::{CampaignAxis, CampaignOutcome, CampaignReport};
-use crate::campaign::json::Json;
+use super::{csv_of, table_of, CampaignAxis, CampaignOutcome, CampaignReport, Column};
+use crate::campaign::json::{object, Json, ToJson};
 use rram_analysis::pareto::pareto_front_indices;
 use rram_analysis::stats::{percentile, wilson_interval};
 use rram_analysis::Table;
@@ -173,6 +171,59 @@ impl Tally {
     }
 }
 
+const DEFENSE_TABLE: [Column<DefenseGroup>; 9] = [
+    ("point", |g| g.name.clone()),
+    ("trials", |g| g.trials.to_string()),
+    ("blocked", |g| g.blocked.to_string()),
+    ("P(block)", |g| format!("{:.3}", g.protection)),
+    ("95% Wilson", |g| {
+        format!("[{:.3}, {:.3}]", g.wilson_low, g.wilson_high)
+    }),
+    ("overhead", |g| format!("{:.4}", g.mean_overhead)),
+    ("energy [pJ]", |g| {
+        format!("{:.3}", g.mean_energy_overhead_j * 1e12)
+    }),
+    ("false trig", |g| format!("{:.1}", g.mean_false_triggers)),
+    ("detect p50", |g| {
+        g.detection_p50
+            .map_or_else(|| "—".into(), |p| format!("{p:.0}"))
+    }),
+];
+
+const PARETO_TABLE: [Column<DefenseParetoPoint>; 8] = [
+    ("guard", |p| p.label.clone()),
+    ("points", |p| p.points.to_string()),
+    ("P(block)", |p| format!("{:.3}", p.protection)),
+    ("95% Wilson", |p| {
+        format!("[{:.3}, {:.3}]", p.wilson_low, p.wilson_high)
+    }),
+    ("overhead", |p| format!("{:.4}", p.mean_overhead)),
+    ("energy [pJ]", |p| {
+        format!("{:.3}", p.mean_energy_overhead_j * 1e12)
+    }),
+    ("false trig", |p| format!("{:.1}", p.mean_false_triggers)),
+    ("Pareto", |p| if p.on_front { "*" } else { "" }.into()),
+];
+
+const PARETO_CSV: [Column<DefenseParetoPoint>; 12] = [
+    ("guard_kind", |p| p.guard.kind_label().into()),
+    ("guard", |p| p.label.clone()),
+    ("guard_threshold", |p| format!("{}", p.guard.axis_value())),
+    ("points", |p| p.points.to_string()),
+    ("blocked", |p| p.blocked.to_string()),
+    ("protection", |p| format!("{}", p.protection)),
+    ("wilson_low_95", |p| format!("{}", p.wilson_low)),
+    ("wilson_high_95", |p| format!("{}", p.wilson_high)),
+    ("mean_overhead_fraction", |p| format!("{}", p.mean_overhead)),
+    ("mean_energy_overhead_j", |p| {
+        format!("{}", p.mean_energy_overhead_j)
+    }),
+    ("mean_false_triggers", |p| {
+        format!("{}", p.mean_false_triggers)
+    }),
+    ("on_front", |p| p.on_front.to_string()),
+];
+
 impl CampaignReport {
     /// Collapses the trial axis of a defence campaign: one [`DefenseGroup`]
     /// per combination of the remaining axes, in first-seen (grid) order.
@@ -185,19 +236,9 @@ impl CampaignReport {
             point.trial = 0;
             point.id()
         };
-        let mut order: Vec<u64> = Vec::new();
-        let mut groups: HashMap<u64, Vec<&CampaignOutcome>> = HashMap::new();
-        for outcome in &self.outcomes {
-            let key = group_id(outcome);
-            if !groups.contains_key(&key) {
-                order.push(key);
-            }
-            groups.entry(key).or_default().push(outcome);
-        }
-        order
+        self.groups_by(group_id)
             .into_iter()
-            .map(|key| {
-                let members = groups.remove(&key).expect("group exists");
+            .map(|members| {
                 let tally = Tally::of(&members);
                 let (wilson_low, wilson_high) = tally.wilson();
                 DefenseGroup {
@@ -225,20 +266,10 @@ impl CampaignReport {
     /// deterministic and identical across shard counts, backends and
     /// resumes of the same campaign.
     pub fn defense_pareto(&self) -> Vec<DefenseParetoPoint> {
-        let mut order: Vec<u64> = Vec::new();
-        let mut groups: HashMap<u64, Vec<&CampaignOutcome>> = HashMap::new();
-        for outcome in &self.outcomes {
-            let words = outcome.point.guard.fingerprint_words();
-            let key = super::fnv1a_words(&words);
-            if !groups.contains_key(&key) {
-                order.push(key);
-            }
-            groups.entry(key).or_default().push(outcome);
-        }
-        let mut points: Vec<DefenseParetoPoint> = order
+        let mut points: Vec<DefenseParetoPoint> = self
+            .groups_by(|outcome| outcome.point.guard.fingerprint_words())
             .into_iter()
-            .map(|key| {
-                let members = groups.remove(&key).expect("group exists");
+            .map(|members| {
                 let guard = members[0].point.guard;
                 let tally = Tally::of(&members);
                 let (wilson_low, wilson_high) = tally.wilson();
@@ -269,172 +300,64 @@ impl CampaignReport {
 
     /// Renders the per-point defence statistics as a text table.
     pub fn defense_table(&self) -> Table {
-        let mut table = Table::with_headers(&[
-            "point",
-            "trials",
-            "blocked",
-            "P(block)",
-            "95% Wilson",
-            "overhead",
-            "energy [pJ]",
-            "false trig",
-            "detect p50",
-        ]);
-        for group in self.defense_groups() {
-            table.push_row(vec![
-                group.name.clone(),
-                group.trials.to_string(),
-                group.blocked.to_string(),
-                format!("{:.3}", group.protection),
-                format!("[{:.3}, {:.3}]", group.wilson_low, group.wilson_high),
-                format!("{:.4}", group.mean_overhead),
-                format!("{:.3}", group.mean_energy_overhead_j * 1e12),
-                format!("{:.1}", group.mean_false_triggers),
-                group
-                    .detection_p50
-                    .map_or_else(|| "—".into(), |p| format!("{p:.0}")),
-            ]);
-        }
-        table
+        table_of(&self.defense_groups(), &DEFENSE_TABLE)
     }
 
     /// Renders the guard-level Pareto analysis as a text table (one row per
     /// guard, front members marked `*`).
     pub fn pareto_table(&self) -> Table {
-        let mut table = Table::with_headers(&[
-            "guard",
-            "points",
-            "P(block)",
-            "95% Wilson",
-            "overhead",
-            "energy [pJ]",
-            "false trig",
-            "Pareto",
-        ]);
-        for point in self.defense_pareto() {
-            table.push_row(vec![
-                point.label.clone(),
-                point.points.to_string(),
-                format!("{:.3}", point.protection),
-                format!("[{:.3}, {:.3}]", point.wilson_low, point.wilson_high),
-                format!("{:.4}", point.mean_overhead),
-                format!("{:.3}", point.mean_energy_overhead_j * 1e12),
-                format!("{:.1}", point.mean_false_triggers),
-                if point.on_front { "*" } else { "" }.to_string(),
-            ]);
-        }
-        table
+        table_of(&self.defense_pareto(), &PARETO_TABLE)
     }
 
     /// Renders the guard-level Pareto analysis as CSV (raw numeric
     /// columns; see the README for the column semantics).
     pub fn pareto_csv(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .defense_pareto()
-            .into_iter()
-            .map(|point| {
-                vec![
-                    point.guard.kind_label().to_string(),
-                    point.label.clone(),
-                    format!("{}", point.guard.axis_value()),
-                    point.points.to_string(),
-                    point.blocked.to_string(),
-                    format!("{}", point.protection),
-                    format!("{}", point.wilson_low),
-                    format!("{}", point.wilson_high),
-                    format!("{}", point.mean_overhead),
-                    format!("{}", point.mean_energy_overhead_j),
-                    format!("{}", point.mean_false_triggers),
-                    point.on_front.to_string(),
-                ]
-            })
-            .collect();
-        rram_analysis::csv::to_csv_string(
-            &[
-                "guard_kind",
-                "guard",
-                "guard_threshold",
-                "points",
-                "blocked",
-                "protection",
-                "wilson_low_95",
-                "wilson_high_95",
-                "mean_overhead_fraction",
-                "mean_energy_overhead_j",
-                "mean_false_triggers",
-                "on_front",
-            ],
-            &rows,
-        )
+        csv_of(&self.defense_pareto(), &PARETO_CSV)
     }
 
     /// Renders the defence analysis as pretty-printed JSON:
     /// `{"groups": [...], "pareto": [...]}` with every float bit-exact, so
     /// two runs of the same campaign diff empty.
     pub fn defense_json(&self) -> String {
-        let opt = |p: Option<f64>| p.map_or(Json::Null, Json::Number);
-        let groups = self
-            .defense_groups()
-            .into_iter()
-            .map(|group| {
-                Json::Object(vec![
-                    ("point".into(), Json::String(group.name)),
-                    ("guard".into(), Json::String(group.guard.label())),
-                    ("trials".into(), Json::Number(group.trials as f64)),
-                    ("blocked".into(), Json::Number(group.blocked as f64)),
-                    ("protection".into(), Json::Number(group.protection)),
-                    ("wilson_low_95".into(), Json::Number(group.wilson_low)),
-                    ("wilson_high_95".into(), Json::Number(group.wilson_high)),
-                    (
-                        "mean_overhead_fraction".into(),
-                        Json::Number(group.mean_overhead),
-                    ),
-                    (
-                        "mean_energy_overhead_j".into(),
-                        Json::Number(group.mean_energy_overhead_j),
-                    ),
-                    (
-                        "mean_false_triggers".into(),
-                        Json::Number(group.mean_false_triggers),
-                    ),
-                    ("detection_p50".into(), opt(group.detection_p50)),
-                ])
-            })
-            .collect();
-        let pareto = self
-            .defense_pareto()
-            .into_iter()
-            .map(|point| {
-                Json::Object(vec![
-                    ("guard".into(), Json::String(point.label)),
-                    (
-                        "guard_kind".into(),
-                        Json::String(point.guard.kind_label().into()),
-                    ),
-                    ("points".into(), Json::Number(point.points as f64)),
-                    ("blocked".into(), Json::Number(point.blocked as f64)),
-                    ("protection".into(), Json::Number(point.protection)),
-                    ("wilson_low_95".into(), Json::Number(point.wilson_low)),
-                    ("wilson_high_95".into(), Json::Number(point.wilson_high)),
-                    (
-                        "mean_overhead_fraction".into(),
-                        Json::Number(point.mean_overhead),
-                    ),
-                    (
-                        "mean_energy_overhead_j".into(),
-                        Json::Number(point.mean_energy_overhead_j),
-                    ),
-                    (
-                        "mean_false_triggers".into(),
-                        Json::Number(point.mean_false_triggers),
-                    ),
-                    ("on_front".into(), Json::Bool(point.on_front)),
-                ])
-            })
-            .collect();
-        Json::Object(vec![
-            ("groups".into(), Json::Array(groups)),
-            ("pareto".into(), Json::Array(pareto)),
+        let groups = self.defense_groups().into_iter().map(|group| {
+            object([
+                ("point", group.name.to_json()),
+                ("guard", group.guard.label().to_json()),
+                ("trials", group.trials.to_json()),
+                ("blocked", group.blocked.to_json()),
+                ("protection", group.protection.to_json()),
+                ("wilson_low_95", group.wilson_low.to_json()),
+                ("wilson_high_95", group.wilson_high.to_json()),
+                ("mean_overhead_fraction", group.mean_overhead.to_json()),
+                (
+                    "mean_energy_overhead_j",
+                    group.mean_energy_overhead_j.to_json(),
+                ),
+                ("mean_false_triggers", group.mean_false_triggers.to_json()),
+                ("detection_p50", group.detection_p50.to_json()),
+            ])
+        });
+        let pareto = self.defense_pareto().into_iter().map(|point| {
+            object([
+                ("guard", point.label.to_json()),
+                ("guard_kind", Json::String(point.guard.kind_label().into())),
+                ("points", point.points.to_json()),
+                ("blocked", point.blocked.to_json()),
+                ("protection", point.protection.to_json()),
+                ("wilson_low_95", point.wilson_low.to_json()),
+                ("wilson_high_95", point.wilson_high.to_json()),
+                ("mean_overhead_fraction", point.mean_overhead.to_json()),
+                (
+                    "mean_energy_overhead_j",
+                    point.mean_energy_overhead_j.to_json(),
+                ),
+                ("mean_false_triggers", point.mean_false_triggers.to_json()),
+                ("on_front", point.on_front.to_json()),
+            ])
+        });
+        object([
+            ("groups", Json::Array(groups.collect())),
+            ("pareto", Json::Array(pareto.collect())),
         ])
         .to_string()
     }

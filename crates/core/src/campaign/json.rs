@@ -11,6 +11,11 @@
 //! campaign service parses every request body) gets an error instead of a
 //! quadratic scan or a stack overflow.
 //!
+//! Every campaign value is written and read through one crate-internal pair
+//! of traits, `ToJson` and `FromJson`: numbers, units, labelled kinds,
+//! guards, backends, spreads, points and outcomes. The axis table calls them
+//! for spec lists and point coordinates.
+//!
 //! Floating-point values survive the round trip **bit for bit**: numbers are
 //! rendered with Rust's shortest-round-trip formatting, so a
 //! [`CampaignReport`] recovered from JSON produces byte-identical CSV — the
@@ -19,13 +24,13 @@
 use std::fmt;
 
 use super::{
-    backend_from_json, backend_to_json, guard_from_json, guard_to_json, CampaignError,
-    CampaignEvent, CampaignOutcome, CampaignPoint, CampaignReport, PointKey,
+    CampaignError, CampaignEvent, CampaignOutcome, CampaignReport, CouplingSpec, PointKey,
 };
 use crate::pattern::AttackPattern;
-use rram_crossbar::WriteScheme;
+use rram_crossbar::{BackendKind, WiringParasitics, WriteScheme};
 use rram_defense::{DefenseOutcome, GuardSpec};
-use rram_units::{Joules, Kelvin, Seconds, Volts};
+use rram_units::{Joules, Kelvin, Ohms, Seconds, Volts};
+use rram_variability::{Distribution, ParamField, ParamSpread};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,102 +148,73 @@ impl Json {
     /// files store, one outcome per line.
     pub fn to_compact_string(&self) -> String {
         let mut out = String::new();
-        self.render_compact_into(&mut out);
+        self.render(&mut out, None);
         out
     }
 
-    fn render_compact_into(&self, out: &mut String) {
+    /// Renders into `out`: compact without an `indent`, else pretty-printed
+    /// at that nesting depth.
+    fn render(&self, out: &mut String, indent: Option<usize>) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Number(n) => push_number(out, *n),
             Json::String(s) => push_string(out, s),
             Json::Array(values) => {
-                out.push('[');
-                for (i, value) in values.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    value.render_compact_into(out);
-                }
-                out.push(']');
-            }
-            Json::Object(entries) => {
-                out.push('{');
-                for (i, (key, value)) in entries.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_string(out, key);
-                    out.push(':');
-                    value.render_compact_into(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    fn render_into(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
-        let inner_pad = "  ".repeat(indent + 1);
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Number(n) => push_number(out, *n),
-            Json::String(s) => push_string(out, s),
-            Json::Array(values) => {
-                if values.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                // Scalar-only arrays render on one line for readability.
-                let scalar = values
+                // Pretty-printed arrays of scalars stay on one line.
+                let nested = values
                     .iter()
-                    .all(|v| !matches!(v, Json::Object(_) | Json::Array(_)));
-                if scalar {
-                    out.push('[');
-                    for (i, v) in values.iter().enumerate() {
-                        if i > 0 {
-                            out.push_str(", ");
-                        }
-                        v.render_into(out, indent);
-                    }
-                    out.push(']');
-                } else {
-                    out.push_str("[\n");
-                    for (i, v) in values.iter().enumerate() {
-                        out.push_str(&inner_pad);
-                        v.render_into(out, indent + 1);
-                        if i + 1 < values.len() {
-                            out.push(',');
-                        }
-                        out.push('\n');
-                    }
-                    out.push_str(&pad);
-                    out.push(']');
-                }
+                    .any(|v| matches!(v, Json::Object(_) | Json::Array(_)));
+                let items = values.iter().map(|value| (None, value));
+                render_items(out, ['[', ']'], items, indent, nested);
             }
             Json::Object(entries) => {
-                if entries.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (key, value)) in entries.iter().enumerate() {
-                    out.push_str(&inner_pad);
-                    Json::String(key.clone()).render_into(out, indent + 1);
-                    out.push_str(": ");
-                    value.render_into(out, indent + 1);
-                    if i + 1 < entries.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                out.push_str(&pad);
-                out.push('}');
+                let items = entries
+                    .iter()
+                    .map(|(key, value)| (Some(key.as_str()), value));
+                render_items(out, ['{', '}'], items, indent, true);
             }
         }
     }
+}
+
+/// Renders a container's `(key, value)` items between `brackets`. Pretty
+/// output (an `indent`) puts each item on its own line, two spaces deeper,
+/// when `multiline`, and separates inline items with `", "`.
+fn render_items<'a>(
+    out: &mut String,
+    [open, close]: [char; 2],
+    items: impl Iterator<Item = (Option<&'a str>, &'a Json)>,
+    indent: Option<usize>,
+    multiline: bool,
+) {
+    let lines = indent.filter(|_| multiline);
+    out.push(open);
+    let mut empty = true;
+    for (key, value) in items {
+        if !empty {
+            out.push_str(if indent.is_some() && lines.is_none() {
+                ", "
+            } else {
+                ","
+            });
+        }
+        empty = false;
+        if let Some(depth) = lines {
+            out.push('\n');
+            out.push_str(&"  ".repeat(depth + 1));
+        }
+        if let Some(key) = key {
+            push_string(out, key);
+            out.push_str(if indent.is_some() { ": " } else { ":" });
+        }
+        value.render(out, lines.map(|depth| depth + 1).or(indent));
+    }
+    if let (Some(depth), false) = (lines, empty) {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+    }
+    out.push(close);
 }
 
 /// Renders a number with shortest-round-trip precision (integers without a
@@ -281,7 +257,7 @@ fn push_string(out: &mut String, s: &str) {
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut out = String::new();
-        self.render_into(&mut out, 0);
+        self.render(&mut out, Some(0));
         f.write_str(&out)
     }
 }
@@ -499,217 +475,455 @@ impl<'a> Parser<'a> {
 }
 
 // ---------------------------------------------------------------------------
+// Value codecs
+// ---------------------------------------------------------------------------
+
+/// Renders a campaign value as JSON. The axis table writes spec lists and
+/// point coordinates through it.
+pub(crate) trait ToJson {
+    fn to_json(&self) -> Json;
+}
+
+/// Parses a value [`ToJson`] wrote.
+pub(crate) trait FromJson: Sized {
+    fn from_json(value: &Json) -> Result<Self, CampaignError>;
+
+    /// The value an absent key reads as: none, except for options.
+    fn absent() -> Option<Self> {
+        None
+    }
+}
+
+fn expected(what: &str) -> CampaignError {
+    CampaignError::Json(format!("expected {what}"))
+}
+
+/// Parses `value` as the value of `key`, naming the key in any error.
+pub(crate) fn parse<T: FromJson>(key: &str, value: &Json) -> Result<T, CampaignError> {
+    T::from_json(value).map_err(|e| match e {
+        CampaignError::Json(message) => CampaignError::Json(format!("key {key:?}: {message}")),
+        other => other,
+    })
+}
+
+/// Parses `object[key]`; an absent key takes `default`, or fails without
+/// one.
+pub(crate) fn field_or<T: FromJson>(
+    object: &Json,
+    key: &str,
+    default: Option<T>,
+) -> Result<T, CampaignError> {
+    match object.get(key) {
+        Some(value) => parse(key, value),
+        None => default.ok_or_else(|| CampaignError::Json(format!("key {key:?} is missing"))),
+    }
+}
+
+/// Parses `object[key]`, which only an optional field may leave out.
+pub(crate) fn field<T: FromJson>(object: &Json, key: &str) -> Result<T, CampaignError> {
+    field_or(object, key, T::absent())
+}
+
+/// A JSON object with the given entries, in order.
+pub(crate) fn object<const N: usize>(entries: [(&str, Json); N]) -> Json {
+    Json::Object(entries.map(|(key, value)| (key.into(), value)).into())
+}
+
+/// Scalar codecs: how a value is written, how it is read back (`None` when
+/// the JSON value does not fit) and what a bad value was expected to be.
+macro_rules! scalar_codec {
+    ($($ty:ty: |$value:ident| $write:expr, |$json:ident| $read:expr, $expected:literal;)+) => {$(
+        impl ToJson for $ty {
+            fn to_json(&self) -> Json {
+                let $value = self;
+                $write
+            }
+        }
+
+        impl FromJson for $ty {
+            fn from_json($json: &Json) -> Result<Self, CampaignError> {
+                $read.ok_or_else(|| expected($expected))
+            }
+        }
+    )+};
+}
+
+scalar_codec! {
+    f64: |x| Json::Number(*x), |json| json.as_f64(), "a number";
+    u64: |n| Json::Number(*n as f64), |json| json.as_u64(), "a non-negative integer";
+    usize: |n| Json::Number(*n as f64), |json| json.as_u64().map(|n| n as usize),
+        "a non-negative integer";
+    u32: |n| Json::Number(f64::from(*n)), |json| json.as_u64().and_then(|n| u32::try_from(n).ok()),
+        "an integer fitting in 32 bits";
+    bool: |b| Json::Bool(*b), |json| json.as_bool(), "a boolean";
+    String: |text| Json::String(text.clone()), |json| json.as_str().map(str::to_string),
+        "a string";
+    Volts: |v| Json::Number(v.0), |json| json.as_f64().map(Volts), "a number";
+    Seconds: |s| Json::Number(s.0), |json| json.as_f64().map(Seconds), "a number";
+    Kelvin: |k| Json::Number(k.0), |json| json.as_f64().map(Kelvin), "a number";
+    Joules: |j| Json::Number(j.0), |json| json.as_f64().map(Joules), "a number";
+}
+
+/// Labelled kinds are their label.
+macro_rules! label_codec {
+    ($($kind:ty),+) => {$(
+        impl ToJson for $kind {
+            fn to_json(&self) -> Json {
+                Json::String(self.label().into())
+            }
+        }
+
+        impl FromJson for $kind {
+            fn from_json(value: &Json) -> Result<Self, CampaignError> {
+                String::from_json(value)?.parse().map_err(CampaignError::Json)
+            }
+        }
+    )+};
+}
+
+label_codec!(AttackPattern, WriteScheme);
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Array(self.iter().map(T::to_json).collect())
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(value: &Json) -> Result<Self, CampaignError> {
+        value
+            .as_array()
+            .ok_or_else(|| expected("an array"))?
+            .iter()
+            .map(T::from_json)
+            .collect()
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::to_json)
+    }
+}
+
+/// `null` or absent is `None`.
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(value: &Json) -> Result<Self, CampaignError> {
+        match value {
+            Json::Null => Ok(None),
+            value => T::from_json(value).map(Some),
+        }
+    }
+
+    fn absent() -> Option<Self> {
+        Some(None)
+    }
+}
+
+/// An array size: `[rows, cols]`.
+impl ToJson for (usize, usize) {
+    fn to_json(&self) -> Json {
+        Json::Array(vec![self.0.to_json(), self.1.to_json()])
+    }
+}
+
+impl FromJson for (usize, usize) {
+    fn from_json(value: &Json) -> Result<Self, CampaignError> {
+        match value.as_array() {
+            Some([rows, cols]) => Ok((usize::from_json(rows)?, usize::from_json(cols)?)),
+            _ => Err(expected("a [rows, cols] pair")),
+        }
+    }
+}
+
+/// The undefended baseline is the plain string `"none"`; real guards are
+/// objects carrying the kind tag and their exact operating point:
+/// `{"kind": "counter", "threshold": 64, "window_s": 1.0}`,
+/// `{"kind": "thermal", "threshold_k": 20.0, "cooldown_s": 1e-6}`,
+/// `{"kind": "scrub", "period_s": 5e-6}`.
+impl ToJson for GuardSpec {
+    fn to_json(&self) -> Json {
+        match *self {
+            GuardSpec::None => Json::String("none".into()),
+            GuardSpec::WriteCounter { threshold, window } => object([
+                ("kind", Json::String("counter".into())),
+                ("threshold", threshold.to_json()),
+                ("window_s", window.to_json()),
+            ]),
+            GuardSpec::ThermalSensor {
+                threshold,
+                cooldown,
+            } => object([
+                ("kind", Json::String("thermal".into())),
+                ("threshold_k", threshold.to_json()),
+                ("cooldown_s", cooldown.to_json()),
+            ]),
+            GuardSpec::Scrubbing { period } => object([
+                ("kind", Json::String("scrub".into())),
+                ("period_s", period.to_json()),
+            ]),
+        }
+    }
+}
+
+impl FromJson for GuardSpec {
+    fn from_json(value: &Json) -> Result<Self, CampaignError> {
+        let bad = |message: &str| CampaignError::Json(format!("invalid guard: {message}"));
+        if let Some(label) = value.as_str() {
+            return match label {
+                "none" => Ok(GuardSpec::None),
+                other => Err(bad(&format!(
+                    "unknown guard label {other:?} (only \"none\" is a bare label; \
+                     real guards are objects with a \"kind\")"
+                ))),
+            };
+        }
+        let kind = value
+            .get("kind")
+            .and_then(Json::as_str)
+            .ok_or_else(|| bad("guard entries must be \"none\" or an object with a \"kind\""))?;
+        match kind {
+            "counter" => Ok(GuardSpec::WriteCounter {
+                threshold: field(value, "threshold")?,
+                window: field(value, "window_s")?,
+            }),
+            "thermal" => Ok(GuardSpec::ThermalSensor {
+                threshold: field(value, "threshold_k")?,
+                cooldown: field(value, "cooldown_s")?,
+            }),
+            "scrub" => Ok(GuardSpec::Scrubbing {
+                period: field(value, "period_s")?,
+            }),
+            other => Err(bad(&format!("unknown guard kind {other:?}"))),
+        }
+    }
+}
+
+/// `"pulse"`, `"batched"`, `"detailed"` (default parasitics), or an object
+/// carrying non-default wiring parasitics so the archived spec reproduces
+/// the same physics.
+impl ToJson for BackendKind {
+    fn to_json(&self) -> Json {
+        match self {
+            BackendKind::Detailed(parasitics) if *parasitics != WiringParasitics::default() => {
+                object([
+                    ("kind", Json::String("detailed".into())),
+                    (
+                        "segment_ohms",
+                        Json::Number(parasitics.segment_resistance.0),
+                    ),
+                    ("driver_ohms", Json::Number(parasitics.driver_resistance.0)),
+                ])
+            }
+            backend => Json::String(backend.label().into()),
+        }
+    }
+}
+
+impl FromJson for BackendKind {
+    fn from_json(value: &Json) -> Result<Self, CampaignError> {
+        if let Some(label) = value.as_str() {
+            if label == "surrogate" {
+                return Err(CampaignError::Json(
+                    "the surrogate backend was removed; use \"batched\"".into(),
+                ));
+            }
+            return label.parse::<BackendKind>().map_err(CampaignError::Json);
+        }
+        let kind = value.get("kind").and_then(Json::as_str).ok_or_else(|| {
+            CampaignError::Json(
+                r#"backend entries must be a label or an object with a "kind""#.into(),
+            )
+        })?;
+        if kind != "detailed" {
+            return Err(CampaignError::Json(format!(
+                "only the detailed backend takes parameters, got kind {kind:?}"
+            )));
+        }
+        let defaults = WiringParasitics::default();
+        let ohms = |name: &str, fallback: Ohms| -> Result<Ohms, CampaignError> {
+            match value.get(name) {
+                None => Ok(fallback),
+                Some(v) => v.as_f64().filter(|n| *n >= 0.0).map(Ohms).ok_or_else(|| {
+                    CampaignError::Json(format!("backend field {name:?} must be a number ≥ 0"))
+                }),
+            }
+        };
+        Ok(BackendKind::Detailed(WiringParasitics {
+            segment_resistance: ohms("segment_ohms", defaults.segment_resistance)?,
+            driver_resistance: ohms("driver_ohms", defaults.driver_resistance)?,
+        }))
+    }
+}
+
+impl ToJson for CouplingSpec {
+    fn to_json(&self) -> Json {
+        let (kind, key, value) = match *self {
+            CouplingSpec::Uniform { nearest } => ("uniform", "nearest", nearest),
+            CouplingSpec::Fem { voxel_nm } => ("fem", "voxel_nm", voxel_nm),
+        };
+        object([
+            ("kind", Json::String(kind.into())),
+            (key, Json::Number(value)),
+        ])
+    }
+}
+
+impl FromJson for CouplingSpec {
+    fn from_json(value: &Json) -> Result<Self, CampaignError> {
+        match field::<String>(value, "kind")?.as_str() {
+            "uniform" => Ok(CouplingSpec::Uniform {
+                nearest: field(value, "nearest")?,
+            }),
+            "fem" => Ok(CouplingSpec::Fem {
+                voxel_nm: field(value, "voxel_nm")?,
+            }),
+            other => Err(CampaignError::Json(format!(
+                "unknown coupling kind {other:?}"
+            ))),
+        }
+    }
+}
+
+/// One device-parameter spread: the field label, the distribution kind
+/// and its parameters, plus any truncation bounds. An omitted
+/// `mean`/`median` means "centred on the nominal value".
+impl ToJson for ParamSpread {
+    fn to_json(&self) -> Json {
+        let mut entries = vec![("field", Json::String(self.field.label().into()))];
+        match self.distribution {
+            Distribution::Normal { mean, sigma } => {
+                entries.push(("kind", Json::String("normal".into())));
+                entries.extend(mean.map(|mean| ("mean", mean.to_json())));
+                entries.push(("sigma", sigma.to_json()));
+            }
+            Distribution::LogNormal { median, sigma } => {
+                entries.push(("kind", Json::String("lognormal".into())));
+                entries.extend(median.map(|median| ("median", median.to_json())));
+                entries.push(("sigma", sigma.to_json()));
+            }
+            Distribution::Uniform { low, high } => {
+                entries.push(("kind", Json::String("uniform".into())));
+                entries.push(("low", low.to_json()));
+                entries.push(("high", high.to_json()));
+            }
+        }
+        entries.extend(self.truncate_low.map(|low| ("truncate_low", low.to_json())));
+        entries.extend(
+            self.truncate_high
+                .map(|high| ("truncate_high", high.to_json())),
+        );
+        Json::Object(entries.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+}
+
+impl FromJson for ParamSpread {
+    fn from_json(value: &Json) -> Result<Self, CampaignError> {
+        let field_name: ParamField = field::<String>(value, "field")?
+            .parse()
+            .map_err(CampaignError::Json)?;
+        let distribution = match field::<String>(value, "kind")?.as_str() {
+            "normal" => Distribution::Normal {
+                mean: field(value, "mean")?,
+                sigma: field(value, "sigma")?,
+            },
+            "lognormal" => Distribution::LogNormal {
+                median: field(value, "median")?,
+                sigma: field(value, "sigma")?,
+            },
+            "uniform" => Distribution::Uniform {
+                low: field(value, "low")?,
+                high: field(value, "high")?,
+            },
+            other => {
+                return Err(CampaignError::Json(format!(
+                    "invalid spread: unknown distribution kind {other:?}"
+                )))
+            }
+        };
+        Ok(ParamSpread {
+            field: field_name,
+            distribution,
+            truncate_low: field(value, "truncate_low")?,
+            truncate_high: field(value, "truncate_high")?,
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Campaign outcome / report codecs
 // ---------------------------------------------------------------------------
 
-fn bad_key(key: &str, expected: &str) -> CampaignError {
-    CampaignError::Json(format!("key {key:?} must be {expected}"))
+/// The fingerprint is written as a hex string: a JSON number (f64) cannot
+/// represent all 64 bits exactly.
+impl ToJson for PointKey {
+    fn to_json(&self) -> Json {
+        object([
+            ("index", self.index.to_json()),
+            ("id", Json::String(format!("{:016x}", self.id))),
+        ])
+    }
 }
 
-fn required_f64(value: &Json, key: &str) -> Result<f64, CampaignError> {
-    value
-        .get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| bad_key(key, "a number"))
+impl FromJson for PointKey {
+    fn from_json(value: &Json) -> Result<Self, CampaignError> {
+        Ok(PointKey {
+            index: field(value, "index")?,
+            id: u64::from_str_radix(&field::<String>(value, "id")?, 16).map_err(|_| {
+                CampaignError::Json("key \"id\": expected a 64-bit hex fingerprint".into())
+            })?,
+        })
+    }
 }
 
-fn required_u64(value: &Json, key: &str) -> Result<u64, CampaignError> {
-    value
-        .get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| bad_key(key, "a non-negative integer"))
-}
-
-fn required_bool(value: &Json, key: &str) -> Result<bool, CampaignError> {
-    value
-        .get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| bad_key(key, "a boolean"))
-}
-
-fn required_str<'a>(value: &'a Json, key: &str) -> Result<&'a str, CampaignError> {
-    value
-        .get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad_key(key, "a string"))
-}
-
-/// Serialises a point key. The fingerprint is written as a hex string:
-/// a JSON number (f64) cannot represent all 64 bits exactly.
-fn key_to_json(key: &PointKey) -> Json {
-    Json::Object(vec![
-        ("index".into(), Json::Number(key.index as f64)),
-        ("id".into(), Json::String(format!("{:016x}", key.id))),
-    ])
-}
-
-fn key_from_json(value: &Json) -> Result<PointKey, CampaignError> {
-    Ok(PointKey {
-        index: required_u64(value, "index")? as usize,
-        id: u64::from_str_radix(required_str(value, "id")?, 16)
-            .map_err(|_| bad_key("id", "a 64-bit hex fingerprint"))?,
-    })
-}
-
-/// Serialises a grid point. `pulse_length` is stored in raw seconds (not
-/// the spec's nanoseconds) so the value — and therefore the point's
-/// fingerprint — survives bit for bit.
-fn point_to_json(point: &CampaignPoint) -> Json {
-    Json::Object(vec![
-        ("backend".into(), backend_to_json(&point.backend)),
-        ("rows".into(), Json::Number(point.rows as f64)),
-        ("cols".into(), Json::Number(point.cols as f64)),
-        ("pattern".into(), Json::String(point.pattern.label().into())),
-        ("amplitude_v".into(), Json::Number(point.amplitude.0)),
-        ("pulse_length_s".into(), Json::Number(point.pulse_length.0)),
-        ("duty_cycle".into(), Json::Number(point.duty_cycle)),
-        ("spacing_nm".into(), Json::Number(point.spacing_nm)),
-        ("ambient_k".into(), Json::Number(point.ambient.0)),
-        ("scheme".into(), Json::String(point.scheme.label().into())),
-        ("guard".into(), guard_to_json(&point.guard)),
-        ("spread_scale".into(), Json::Number(point.spread_scale)),
-        ("trial".into(), Json::Number(f64::from(point.trial))),
-    ])
-}
-
-fn point_from_json(value: &Json) -> Result<CampaignPoint, CampaignError> {
-    let backend = backend_from_json(
-        value
-            .get("backend")
-            .ok_or_else(|| bad_key("backend", "present"))?,
-    )?;
-    Ok(CampaignPoint {
-        rows: required_u64(value, "rows")? as usize,
-        cols: required_u64(value, "cols")? as usize,
-        pattern: required_str(value, "pattern")?
-            .parse::<AttackPattern>()
-            .map_err(CampaignError::Json)?,
-        amplitude: Volts(required_f64(value, "amplitude_v")?),
-        pulse_length: Seconds(required_f64(value, "pulse_length_s")?),
-        // duty_cycle and trial default when absent so checkpoints written
-        // before these axes existed still *parse*; their keys then simply
-        // fail the fingerprint match and re-run as stale records, instead
-        // of aborting the whole --resume with a JSON error.
-        duty_cycle: match value.get("duty_cycle") {
-            None => 0.5,
-            Some(v) => v
-                .as_f64()
-                .ok_or_else(|| bad_key("duty_cycle", "a number"))?,
-        },
-        spacing_nm: required_f64(value, "spacing_nm")?,
-        ambient: Kelvin(required_f64(value, "ambient_k")?),
-        scheme: required_str(value, "scheme")?
-            .parse::<WriteScheme>()
-            .map_err(CampaignError::Json)?,
-        // guard and spread_scale default when absent, like duty_cycle: old
-        // checkpoints still parse and then re-run as stale-by-fingerprint.
-        guard: match value.get("guard") {
-            None => GuardSpec::None,
-            Some(v) => guard_from_json(v)?,
-        },
-        spread_scale: match value.get("spread_scale") {
-            None => 1.0,
-            Some(v) => v
-                .as_f64()
-                .ok_or_else(|| bad_key("spread_scale", "a number"))?,
-        },
-        backend,
-        trial: match value.get("trial") {
-            None => 0,
-            Some(v) => u32::try_from(
-                v.as_u64()
-                    .ok_or_else(|| bad_key("trial", "a non-negative integer"))?,
-            )
-            .map_err(|_| bad_key("trial", "an integer fitting in 32 bits"))?,
-        },
-    })
-}
-
-/// Serialises the defence side of a guarded outcome.
-fn defense_to_json(defense: &DefenseOutcome) -> Json {
-    Json::Object(vec![
-        ("blocked".into(), Json::Bool(defense.blocked)),
-        ("detections".into(), Json::Number(defense.detections as f64)),
-        (
-            "pulses_to_detection".into(),
-            defense
-                .pulses_to_detection
-                .map_or(Json::Null, |p| Json::Number(p as f64)),
-        ),
-        ("refreshes".into(), Json::Number(defense.refreshes as f64)),
-        (
-            "throttle_time_s".into(),
-            Json::Number(defense.throttle_time.0),
-        ),
-        (
-            "benign_writes".into(),
-            Json::Number(defense.benign_writes as f64),
-        ),
-        (
-            "false_triggers".into(),
-            Json::Number(defense.false_triggers as f64),
-        ),
-        (
-            "energy_overhead_j".into(),
-            Json::Number(defense.energy_overhead.0),
-        ),
-        (
-            "latency_overhead_s".into(),
-            Json::Number(defense.latency_overhead.0),
-        ),
-        (
-            "overhead_fraction".into(),
-            Json::Number(defense.overhead_fraction),
-        ),
-    ])
-}
-
-fn defense_from_json(value: &Json) -> Result<DefenseOutcome, CampaignError> {
-    Ok(DefenseOutcome {
-        blocked: required_bool(value, "blocked")?,
-        detections: required_u64(value, "detections")?,
-        pulses_to_detection: match value.get("pulses_to_detection") {
-            None | Some(Json::Null) => None,
-            Some(v) => {
-                Some(v.as_u64().ok_or_else(|| {
-                    bad_key("pulses_to_detection", "a non-negative integer or null")
-                })?)
+/// Records: every field under its key, in order.
+macro_rules! record_codec {
+    ($record:ident { $($field:ident: $key:literal,)+ }) => {
+        impl ToJson for $record {
+            fn to_json(&self) -> Json {
+                object([$(($key, self.$field.to_json())),+])
             }
-        },
-        refreshes: required_u64(value, "refreshes")?,
-        throttle_time: Seconds(required_f64(value, "throttle_time_s")?),
-        benign_writes: required_u64(value, "benign_writes")?,
-        false_triggers: required_u64(value, "false_triggers")?,
-        energy_overhead: Joules(required_f64(value, "energy_overhead_j")?),
-        latency_overhead: Seconds(required_f64(value, "latency_overhead_s")?),
-        overhead_fraction: required_f64(value, "overhead_fraction")?,
-    })
+        }
+
+        impl FromJson for $record {
+            fn from_json(value: &Json) -> Result<Self, CampaignError> {
+                Ok($record { $($field: field(value, $key)?),+ })
+            }
+        }
+    };
 }
+
+record_codec!(DefenseOutcome {
+    blocked: "blocked",
+    detections: "detections",
+    pulses_to_detection: "pulses_to_detection",
+    refreshes: "refreshes",
+    throttle_time: "throttle_time_s",
+    benign_writes: "benign_writes",
+    false_triggers: "false_triggers",
+    energy_overhead: "energy_overhead_j",
+    latency_overhead: "latency_overhead_s",
+    overhead_fraction: "overhead_fraction",
+});
 
 /// The canonical (report) form: every *result* field, no observability
 /// metadata. Report JSON stays byte-identical across runs and across the
 /// merge/resume/service paths, however long each point happened to take.
 fn outcome_to_json(outcome: &CampaignOutcome) -> Json {
-    let mut entries = vec![
-        ("key".into(), key_to_json(&outcome.key)),
-        ("point".into(), point_to_json(&outcome.point)),
-        ("flipped".into(), Json::Bool(outcome.flipped)),
-        ("pulses".into(), Json::Number(outcome.pulses as f64)),
-        ("victim_drift".into(), Json::Number(outcome.victim_drift)),
-        (
-            "final_crosstalk_k".into(),
-            Json::Number(outcome.final_crosstalk.0),
-        ),
-        ("sim_time_s".into(), Json::Number(outcome.sim_time.0)),
-        (
-            "collateral_flips".into(),
-            Json::Number(outcome.collateral_flips as f64),
-        ),
-    ];
-    if let Some(defense) = &outcome.defense {
-        entries.push(("defense".into(), defense_to_json(defense)));
+    let mut json = object([
+        ("key", outcome.key.to_json()),
+        ("point", outcome.point.to_json()),
+        ("flipped", outcome.flipped.to_json()),
+        ("pulses", outcome.pulses.to_json()),
+        ("victim_drift", outcome.victim_drift.to_json()),
+        ("final_crosstalk_k", outcome.final_crosstalk.to_json()),
+        ("sim_time_s", outcome.sim_time.to_json()),
+        ("collateral_flips", outcome.collateral_flips.to_json()),
+    ]);
+    if let (Json::Object(entries), Some(defense)) = (&mut json, &outcome.defense) {
+        entries.push(("defense".into(), defense.to_json()));
     }
-    Json::Object(entries)
+    json
 }
 
 /// The wire/checkpoint form: the canonical object plus the `wall_ns`
@@ -717,38 +931,25 @@ fn outcome_to_json(outcome: &CampaignOutcome) -> Json {
 fn outcome_to_json_timed(outcome: &CampaignOutcome) -> Json {
     let mut json = outcome_to_json(outcome);
     if let (Json::Object(entries), Some(wall_ns)) = (&mut json, outcome.wall_ns) {
-        entries.push(("wall_ns".into(), Json::Number(wall_ns as f64)));
+        entries.push(("wall_ns".into(), wall_ns.to_json()));
     }
     json
 }
 
 fn outcome_from_json(value: &Json) -> Result<CampaignOutcome, CampaignError> {
     Ok(CampaignOutcome {
-        key: key_from_json(value.get("key").ok_or_else(|| bad_key("key", "present"))?)?,
-        point: point_from_json(
-            value
-                .get("point")
-                .ok_or_else(|| bad_key("point", "present"))?,
-        )?,
-        flipped: required_bool(value, "flipped")?,
-        pulses: required_u64(value, "pulses")?,
-        victim_drift: required_f64(value, "victim_drift")?,
-        final_crosstalk: Kelvin(required_f64(value, "final_crosstalk_k")?),
-        sim_time: Seconds(required_f64(value, "sim_time_s")?),
-        collateral_flips: required_u64(value, "collateral_flips")? as usize,
-        defense: match value.get("defense") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(defense_from_json(v)?),
-        },
+        key: field(value, "key")?,
+        point: field(value, "point")?,
+        flipped: field(value, "flipped")?,
+        pulses: field(value, "pulses")?,
+        victim_drift: field(value, "victim_drift")?,
+        final_crosstalk: field(value, "final_crosstalk_k")?,
+        sim_time: field(value, "sim_time_s")?,
+        collateral_flips: field(value, "collateral_flips")?,
+        defense: field(value, "defense")?,
         // Absent on every pre-telemetry checkpoint and on report-form
         // outcomes: default to "not measured" instead of failing the parse.
-        wall_ns: match value.get("wall_ns") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_u64()
-                    .ok_or_else(|| bad_key("wall_ns", "a non-negative integer or null"))?,
-            ),
-        },
+        wall_ns: field(value, "wall_ns")?,
     })
 }
 
@@ -791,34 +992,29 @@ impl CampaignOutcome {
 
 fn event_to_json(event: &CampaignEvent) -> Json {
     match event {
-        CampaignEvent::Started { total } => Json::Object(vec![
-            ("event".into(), Json::String("started".into())),
-            ("total".into(), Json::Number(*total as f64)),
+        CampaignEvent::Started { total } => object([
+            ("event", Json::String("started".into())),
+            ("total", total.to_json()),
         ]),
-        CampaignEvent::PointFinished(outcome) => Json::Object(vec![
-            ("event".into(), Json::String("point_finished".into())),
-            ("outcome".into(), outcome_to_json_timed(outcome)),
+        CampaignEvent::PointFinished(outcome) => object([
+            ("event", Json::String("point_finished".into())),
+            ("outcome", outcome_to_json_timed(outcome)),
         ]),
-        CampaignEvent::Finished => {
-            Json::Object(vec![("event".into(), Json::String("finished".into()))])
-        }
+        CampaignEvent::Finished => object([("event", Json::String("finished".into()))]),
     }
 }
 
 fn event_from_json(value: &Json) -> Result<CampaignEvent, CampaignError> {
-    let tag = value
-        .get("event")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad_key("event", "a string tag"))?;
-    match tag {
+    match field::<String>(value, "event")?.as_str() {
         "started" => Ok(CampaignEvent::Started {
-            total: required_u64(value, "total")? as usize,
+            total: field(value, "total")?,
         }),
-        "point_finished" => Ok(CampaignEvent::PointFinished(outcome_from_json(
-            value
+        "point_finished" => {
+            let outcome = value
                 .get("outcome")
-                .ok_or_else(|| bad_key("outcome", "present"))?,
-        )?)),
+                .ok_or_else(|| CampaignError::Json("key \"outcome\" is missing".into()))?;
+            Ok(CampaignEvent::PointFinished(outcome_from_json(outcome)?))
+        }
         "finished" => Ok(CampaignEvent::Finished),
         other => Err(CampaignError::Json(format!(
             "unknown campaign event {other:?}"
@@ -867,10 +1063,10 @@ impl CampaignReport {
     /// Serialises the report as pretty-printed JSON. Every float survives
     /// bit for bit, so a recovered report renders byte-identical CSV.
     pub fn to_json(&self) -> String {
-        Json::Object(vec![
-            ("name".into(), Json::String(self.name.clone())),
+        object([
+            ("name", self.name.to_json()),
             (
-                "outcomes".into(),
+                "outcomes",
                 Json::Array(self.outcomes.iter().map(outcome_to_json).collect()),
             ),
         ])
@@ -887,12 +1083,12 @@ impl CampaignReport {
         let outcomes = json
             .get("outcomes")
             .and_then(Json::as_array)
-            .ok_or_else(|| bad_key("outcomes", "an array of outcomes"))?
+            .ok_or_else(|| CampaignError::Json("key \"outcomes\": expected an array".into()))?
             .iter()
             .map(outcome_from_json)
             .collect::<Result<_, CampaignError>>()?;
         Ok(CampaignReport {
-            name: required_str(&json, "name")?.to_string(),
+            name: field(&json, "name")?,
             outcomes,
         })
     }
@@ -900,6 +1096,7 @@ impl CampaignReport {
 
 #[cfg(test)]
 mod tests {
+    use super::super::CampaignPoint;
     use super::*;
 
     #[test]

@@ -33,11 +33,10 @@
 //! println!("{}", report.variability_table());
 //! ```
 
-use super::{CampaignAxis, CampaignOutcome, CampaignReport};
-use crate::campaign::json::Json;
+use super::{csv_of, table_of, CampaignAxis, CampaignOutcome, CampaignReport, Column};
+use crate::campaign::json::{object, Json, ToJson};
 use rram_analysis::stats::{percentile, wilson_interval};
 use rram_analysis::Table;
-use std::collections::HashMap;
 
 /// The normal quantile of the 95 % confidence level used by the report
 /// renderings.
@@ -96,6 +95,41 @@ impl VariabilityGroup {
     }
 }
 
+fn pulses_cell(pulses: Option<f64>) -> String {
+    pulses.map_or_else(|| "—".into(), |p| format!("{p:.0}"))
+}
+
+fn pulses_raw(pulses: Option<f64>) -> String {
+    pulses.map_or_else(String::new, |p| format!("{p}"))
+}
+
+const VARIABILITY_TABLE: [Column<VariabilityGroup>; 9] = [
+    ("point", |g| g.name.clone()),
+    ("trials", |g| g.trials.to_string()),
+    ("flips", |g| g.flips.to_string()),
+    ("P(flip)", |g| format!("{:.3}", g.flip_probability)),
+    ("95% Wilson", |g| {
+        format!("[{:.3}, {:.3}]", g.wilson_low, g.wilson_high)
+    }),
+    ("pulses p5", |g| pulses_cell(g.pulses_p5)),
+    ("pulses p50", |g| pulses_cell(g.pulses_p50)),
+    ("pulses p95", |g| pulses_cell(g.pulses_p95)),
+    ("drift p50", |g| format!("{:.3e}", g.drift_p50)),
+];
+
+const VARIABILITY_CSV: [Column<VariabilityGroup>; 10] = [
+    ("point", |g| g.name.clone()),
+    ("trials", |g| g.trials.to_string()),
+    ("flips", |g| g.flips.to_string()),
+    ("flip_probability", |g| format!("{}", g.flip_probability)),
+    ("wilson_low_95", |g| format!("{}", g.wilson_low)),
+    ("wilson_high_95", |g| format!("{}", g.wilson_high)),
+    ("pulses_p5", |g| pulses_raw(g.pulses_p5)),
+    ("pulses_p50", |g| pulses_raw(g.pulses_p50)),
+    ("pulses_p95", |g| pulses_raw(g.pulses_p95)),
+    ("drift_p50", |g| format!("{}", g.drift_p50)),
+];
+
 impl CampaignReport {
     /// Collapses the trial axis: one [`VariabilityGroup`] per combination
     /// of the remaining axes, in first-seen (grid) order.
@@ -110,19 +144,9 @@ impl CampaignReport {
             point.trial = 0;
             point.id()
         };
-        let mut order: Vec<u64> = Vec::new();
-        let mut groups: HashMap<u64, Vec<&CampaignOutcome>> = HashMap::new();
-        for outcome in &self.outcomes {
-            let key = group_id(outcome);
-            if !groups.contains_key(&key) {
-                order.push(key);
-            }
-            groups.entry(key).or_default().push(outcome);
-        }
-        order
+        self.groups_by(group_id)
             .into_iter()
-            .map(|key| {
-                let members = groups.remove(&key).expect("group exists");
+            .map(|members| {
                 let name = members[0].point.series_key(CampaignAxis::Trial);
                 VariabilityGroup::of(name, &members)
             })
@@ -133,100 +157,33 @@ impl CampaignReport {
     /// with its 95 % Wilson interval and the p5/p50/p95 hammer counts per
     /// group.
     pub fn variability_table(&self) -> Table {
-        let mut table = Table::with_headers(&[
-            "point",
-            "trials",
-            "flips",
-            "P(flip)",
-            "95% Wilson",
-            "pulses p5",
-            "pulses p50",
-            "pulses p95",
-            "drift p50",
-        ]);
-        let pulses = |p: Option<f64>| p.map_or_else(|| "—".into(), |v| format!("{v:.0}"));
-        for group in self.variability_groups() {
-            table.push_row(vec![
-                group.name.clone(),
-                group.trials.to_string(),
-                group.flips.to_string(),
-                format!("{:.3}", group.flip_probability),
-                format!("[{:.3}, {:.3}]", group.wilson_low, group.wilson_high),
-                pulses(group.pulses_p5),
-                pulses(group.pulses_p50),
-                pulses(group.pulses_p95),
-                format!("{:.3e}", group.drift_p50),
-            ]);
-        }
-        table
+        table_of(&self.variability_groups(), &VARIABILITY_TABLE)
     }
 
     /// Renders the Monte Carlo statistics as CSV (raw numeric columns; the
     /// pulse percentiles are empty when no trial flipped).
     pub fn variability_csv(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .variability_groups()
-            .into_iter()
-            .map(|group| {
-                let pulses = |p: Option<f64>| p.map_or_else(String::new, |v| format!("{v}"));
-                vec![
-                    group.name.clone(),
-                    group.trials.to_string(),
-                    group.flips.to_string(),
-                    format!("{}", group.flip_probability),
-                    format!("{}", group.wilson_low),
-                    format!("{}", group.wilson_high),
-                    pulses(group.pulses_p5),
-                    pulses(group.pulses_p50),
-                    pulses(group.pulses_p95),
-                    format!("{}", group.drift_p50),
-                ]
-            })
-            .collect();
-        rram_analysis::csv::to_csv_string(
-            &[
-                "point",
-                "trials",
-                "flips",
-                "flip_probability",
-                "wilson_low_95",
-                "wilson_high_95",
-                "pulses_p5",
-                "pulses_p50",
-                "pulses_p95",
-                "drift_p50",
-            ],
-            &rows,
-        )
+        csv_of(&self.variability_groups(), &VARIABILITY_CSV)
     }
 
     /// Renders the Monte Carlo statistics as pretty-printed JSON (one
     /// object per group, same fields as the CSV).
     pub fn variability_json(&self) -> String {
-        let opt = |p: Option<f64>| p.map_or(Json::Null, Json::Number);
-        Json::Array(
-            self.variability_groups()
-                .into_iter()
-                .map(|group| {
-                    Json::Object(vec![
-                        ("point".into(), Json::String(group.name)),
-                        ("trials".into(), Json::Number(group.trials as f64)),
-                        ("flips".into(), Json::Number(group.flips as f64)),
-                        (
-                            "flip_probability".into(),
-                            Json::Number(group.flip_probability),
-                        ),
-                        ("wilson_low_95".into(), Json::Number(group.wilson_low)),
-                        ("wilson_high_95".into(), Json::Number(group.wilson_high)),
-                        ("pulses_p5".into(), opt(group.pulses_p5)),
-                        ("pulses_p50".into(), opt(group.pulses_p50)),
-                        ("pulses_p95".into(), opt(group.pulses_p95)),
-                        ("drift_p50".into(), Json::Number(group.drift_p50)),
-                    ])
-                })
-                .collect(),
-        )
-        .to_string()
+        let groups = self.variability_groups().into_iter().map(|group| {
+            object([
+                ("point", group.name.to_json()),
+                ("trials", group.trials.to_json()),
+                ("flips", group.flips.to_json()),
+                ("flip_probability", group.flip_probability.to_json()),
+                ("wilson_low_95", group.wilson_low.to_json()),
+                ("wilson_high_95", group.wilson_high.to_json()),
+                ("pulses_p5", group.pulses_p5.to_json()),
+                ("pulses_p50", group.pulses_p50.to_json()),
+                ("pulses_p95", group.pulses_p95.to_json()),
+                ("drift_p50", group.drift_p50.to_json()),
+            ])
+        });
+        Json::Array(groups.collect()).to_string()
     }
 }
 

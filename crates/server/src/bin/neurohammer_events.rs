@@ -37,29 +37,20 @@ use rram_analysis::tui::{Dashboard, TuiEvent};
 use rram_server::cli::{flag_present, flag_u64, flag_value};
 use rram_server::http::{call, stream_lines};
 
-/// Maps the `--axis` flag to a dashboard grouping axis.
+/// Maps the `--axis` flag to a dashboard grouping axis; an unknown name
+/// lists every axis and exits with status 2.
 fn axis_from_flag() -> CampaignAxis {
     let Some(name) = flag_value("--axis") else {
         return CampaignAxis::PulseLength;
     };
-    match name.as_str() {
-        "array-size" => CampaignAxis::ArraySize,
-        "pattern" => CampaignAxis::Pattern,
-        "amplitude" => CampaignAxis::Amplitude,
-        "pulse-length" => CampaignAxis::PulseLength,
-        "duty-cycle" => CampaignAxis::DutyCycle,
-        "spacing" => CampaignAxis::Spacing,
-        "ambient" => CampaignAxis::Ambient,
-        "scheme" => CampaignAxis::Scheme,
-        "guard" => CampaignAxis::Guard,
-        "spread" => CampaignAxis::Spread,
-        "backend" => CampaignAxis::Backend,
-        "trial" => CampaignAxis::Trial,
-        other => panic!(
-            "--axis {other:?} is not a campaign axis (try pulse-length, \
-             amplitude, spacing, ambient, pattern, guard, spread, ...)"
-        ),
-    }
+    CampaignAxis::from_flag(&name).unwrap_or_else(|| {
+        let names: Vec<&str> = CampaignAxis::ALL.iter().map(|axis| axis.flag()).collect();
+        eprintln!(
+            "--axis {name:?} is not a campaign axis; choose one of: {}",
+            names.join(", ")
+        );
+        std::process::exit(2);
+    })
 }
 
 /// One fleet status line per job: state, progress, stragglers, shard map.

@@ -473,3 +473,60 @@ fn draining_worker_exits_on_empty_queue() {
     assert!(started.elapsed() < Duration::from_secs(10));
     handle.shutdown();
 }
+
+/// Grids too large to expand are refused at submission with a 400, so a
+/// hostile `POST /jobs` can neither abort the daemon nor poison its queue
+/// lock, and the service keeps running jobs afterwards.
+#[test]
+fn hostile_grids_get_a_400_and_the_daemon_keeps_serving() {
+    let server = Server::bind("127.0.0.1:0", Duration::from_secs(30)).unwrap();
+    let addr = server.local_addr().to_string();
+    let handle = server.spawn();
+
+    let values = format!(
+        "[{}]",
+        (1..=64)
+            .map(|v| v.to_string())
+            .collect::<Vec<_>>()
+            .join(",")
+    );
+    let overflowing = format!(
+        r#"{{"trials": 4000000000, "amplitudes_v": {values}, "pulse_lengths_ns": {values},
+            "spacings_nm": {values}, "ambients_k": {values}, "spread_scales": {values},
+            "duty_cycles": [0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1]}}"#
+    );
+    for spec in [
+        r#"{"trials": 4000000000}"#,
+        overflowing.as_str(),
+        r#"{"array_sizes": [[2, 1000000000]]}"#,
+    ] {
+        let body = format!("{{\"spec\": {spec}}}");
+        let (status, reply) = http::call(&addr, "POST", "/jobs", Some(&body)).unwrap();
+        assert_eq!(status, 400, "{reply}");
+        let (status, reply) = http::call(&addr, "GET", "/healthz", None).unwrap();
+        assert_eq!(status, 200, "{reply}");
+    }
+
+    let spec = CampaignSpec {
+        name: "after the hostile grids".into(),
+        max_pulses: 2_000,
+        batching: false,
+        threads: 1,
+        ..CampaignSpec::default()
+    };
+    let body = format!("{{\"spec\": {}}}", spec.to_json());
+    let (status, created) = http::call(&addr, "POST", "/jobs", Some(&body)).unwrap();
+    assert_eq!(status, 201, "{created}");
+    let mut config = WorkerConfig::new(addr.clone(), "after");
+    config.poll = Duration::from_millis(50);
+    config.drain = true;
+    let summary = run_worker(&config).unwrap();
+    assert!(summary.shards.iter().all(|run| run.completed));
+    let (status, job) = http::call(&addr, "GET", "/jobs/1", None).unwrap();
+    assert_eq!(status, 200);
+    assert!(job.contains("\"state\":\"complete\""), "{job}");
+    let (status, report) = http::call(&addr, "GET", "/jobs/1/report", None).unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(report, format!("{}\n", spec.run().unwrap().to_json()));
+    handle.shutdown();
+}

@@ -75,7 +75,7 @@ pub use executor::{CampaignEvent, CampaignExecutor, Shard};
 pub use stats::VariabilityGroup;
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::attack::AttackConfig;
@@ -1133,14 +1133,22 @@ impl CampaignReport {
         I: IntoIterator<Item = CampaignReport>,
     {
         let mut name: Option<String> = None;
-        let mut by_index: BTreeMap<usize, CampaignOutcome> = BTreeMap::new();
+        let mut by_index: std::collections::BTreeMap<usize, CampaignOutcome> =
+            std::collections::BTreeMap::new();
         for report in reports {
             name.get_or_insert(report.name);
             for outcome in report.outcomes {
-                let index = outcome.key.index;
-                let kept = by_index.entry(index).or_insert(outcome.clone());
-                if kept.key.id != outcome.key.id {
-                    return Err(CampaignError::MergeMismatch { index });
+                match by_index.entry(outcome.key.index) {
+                    std::collections::btree_map::Entry::Vacant(slot) => {
+                        slot.insert(outcome);
+                    }
+                    std::collections::btree_map::Entry::Occupied(slot) => {
+                        if slot.get().key.id != outcome.key.id {
+                            return Err(CampaignError::MergeMismatch {
+                                index: outcome.key.index,
+                            });
+                        }
+                    }
                 }
             }
         }

@@ -36,8 +36,8 @@ macro_rules! or_default {
     };
 }
 
-/// A report cell of a point.
-type Cell = fn(&CampaignPoint) -> String;
+/// Renders one point as text.
+type Text = fn(&CampaignPoint) -> String;
 
 /// One row of the axis table: the entry's data and its accessors into the
 /// spec and point fields.
@@ -53,8 +53,8 @@ struct Axis {
     words: fn(&CampaignPoint, &mut Fnv1a),
     point_json: &'static [Column<CampaignPoint, Json>],
     value: fn(&CampaignPoint) -> f64,
-    label: fn(&CampaignPoint) -> String,
-    table: (&'static str, Option<Cell>),
+    label: Text,
+    table: (&'static str, Option<Text>),
     csv: &'static [Column<CampaignPoint>],
 }
 
@@ -88,7 +88,10 @@ macro_rules! campaign_axes {
         const AXES: [Axis; CampaignAxis::ALL.len()] = [$(Axis {
             spec_key: stringify!($spec), device: $device, flag: $flag, caption: $caption,
             len: |spec| spec.$spec.count(),
-            check: |spec| check_values(&spec.$spec, stringify!($spec), or_default!(|_, _| Ok(()) $(, $check)?)),
+            check: |spec| {
+                let key = stringify!($spec);
+                check_values(&spec.$spec, key, or_default!(|_, _| Ok(()) $(, $check)?))
+            },
             spec_json: |spec| spec.$spec.list_json(),
             read_spec: |spec, value| { spec.$spec = parse(stringify!($spec), value)?; Ok(()) },
             words: |point, hash| { $(point.$field.write_words(hash);)+ },
@@ -101,7 +104,7 @@ macro_rules! campaign_axes {
         impl CampaignSpec {
             /// The point taking, along every axis in [`CampaignAxis::ALL`]
             /// order, the value with the given index.
-            pub(crate) fn point_at(&self, digits: &[usize; CampaignAxis::ALL.len()]) -> CampaignPoint {
+            pub(crate) fn point_at(&self, digits: &[usize; AXES.len()]) -> CampaignPoint {
                 CampaignPoint {$($(
                     $field: convert(
                         self.$spec.nth(digits[CampaignAxis::$axis as usize]),
@@ -118,7 +121,7 @@ macro_rules! campaign_axes {
         impl FromJson for CampaignPoint {
             fn from_json(value: &Json) -> Result<Self, CampaignError> {
                 Ok(CampaignPoint {$($(
-                    $field: field_or(value, $key, or_default!(FromJson::absent() $(, Some($default))?))?,
+                    $field: field_or(value, $key, or_default!(None $(, Some($default))?))?,
                 )+)+})
             }
         }

@@ -926,39 +926,12 @@ fn outcome_to_json(outcome: &CampaignOutcome) -> Json {
     json
 }
 
-/// The wire/checkpoint form: the canonical object plus the `wall_ns`
-/// duration (when measured) for dashboards and throughput accounting.
-fn outcome_to_json_timed(outcome: &CampaignOutcome) -> Json {
-    let mut json = outcome_to_json(outcome);
-    if let (Json::Object(entries), Some(wall_ns)) = (&mut json, outcome.wall_ns) {
-        entries.push(("wall_ns".into(), wall_ns.to_json()));
-    }
-    json
-}
-
-fn outcome_from_json(value: &Json) -> Result<CampaignOutcome, CampaignError> {
-    Ok(CampaignOutcome {
-        key: field(value, "key")?,
-        point: field(value, "point")?,
-        flipped: field(value, "flipped")?,
-        pulses: field(value, "pulses")?,
-        victim_drift: field(value, "victim_drift")?,
-        final_crosstalk: field(value, "final_crosstalk_k")?,
-        sim_time: field(value, "sim_time_s")?,
-        collateral_flips: field(value, "collateral_flips")?,
-        defense: field(value, "defense")?,
-        // Absent on every pre-telemetry checkpoint and on report-form
-        // outcomes: default to "not measured" instead of failing the parse.
-        wall_ns: field(value, "wall_ns")?,
-    })
-}
-
 impl CampaignOutcome {
     /// Serialises the outcome as one compact JSON line — the checkpoint
     /// file format ([`super::checkpoint`]). Carries the `wall_ns` duration
     /// when measured; parsers treat it as optional metadata.
     pub fn to_json_line(&self) -> String {
-        outcome_to_json_timed(self).to_compact_string()
+        self.to_json_value().to_compact_string()
     }
 
     /// Parses an outcome written by [`CampaignOutcome::to_json_line`] (or
@@ -968,7 +941,7 @@ impl CampaignOutcome {
     ///
     /// Returns [`CampaignError::Json`] on malformed input.
     pub fn from_json(text: &str) -> Result<Self, CampaignError> {
-        outcome_from_json(&Json::parse(text)?)
+        Self::from_json_value(&Json::parse(text)?)
     }
 
     /// The outcome as a JSON value — the object embedded in checkpoint
@@ -977,7 +950,11 @@ impl CampaignOutcome {
     /// duration rides along when measured. Report JSON uses the canonical
     /// form without it (see [`CampaignReport::to_json`]).
     pub fn to_json_value(&self) -> Json {
-        outcome_to_json_timed(self)
+        let mut json = outcome_to_json(self);
+        if let (Json::Object(entries), Some(wall_ns)) = (&mut json, self.wall_ns) {
+            entries.push(("wall_ns".into(), wall_ns.to_json()));
+        }
+        json
     }
 
     /// Parses an outcome from an already-parsed JSON value.
@@ -986,39 +963,21 @@ impl CampaignOutcome {
     ///
     /// Returns [`CampaignError::Json`] on a malformed value.
     pub fn from_json_value(value: &Json) -> Result<Self, CampaignError> {
-        outcome_from_json(value)
-    }
-}
-
-fn event_to_json(event: &CampaignEvent) -> Json {
-    match event {
-        CampaignEvent::Started { total } => object([
-            ("event", Json::String("started".into())),
-            ("total", total.to_json()),
-        ]),
-        CampaignEvent::PointFinished(outcome) => object([
-            ("event", Json::String("point_finished".into())),
-            ("outcome", outcome_to_json_timed(outcome)),
-        ]),
-        CampaignEvent::Finished => object([("event", Json::String("finished".into()))]),
-    }
-}
-
-fn event_from_json(value: &Json) -> Result<CampaignEvent, CampaignError> {
-    match field::<String>(value, "event")?.as_str() {
-        "started" => Ok(CampaignEvent::Started {
-            total: field(value, "total")?,
-        }),
-        "point_finished" => {
-            let outcome = value
-                .get("outcome")
-                .ok_or_else(|| CampaignError::Json("key \"outcome\" is missing".into()))?;
-            Ok(CampaignEvent::PointFinished(outcome_from_json(outcome)?))
-        }
-        "finished" => Ok(CampaignEvent::Finished),
-        other => Err(CampaignError::Json(format!(
-            "unknown campaign event {other:?}"
-        ))),
+        Ok(CampaignOutcome {
+            key: field(value, "key")?,
+            point: field(value, "point")?,
+            flipped: field(value, "flipped")?,
+            pulses: field(value, "pulses")?,
+            victim_drift: field(value, "victim_drift")?,
+            final_crosstalk: field(value, "final_crosstalk_k")?,
+            sim_time: field(value, "sim_time_s")?,
+            collateral_flips: field(value, "collateral_flips")?,
+            defense: field(value, "defense")?,
+            // Absent on every pre-telemetry checkpoint and on report-form
+            // outcomes: default to "not measured" instead of failing the
+            // parse.
+            wall_ns: field(value, "wall_ns")?,
+        })
     }
 }
 
@@ -1031,7 +990,7 @@ impl CampaignEvent {
     /// reassembled from streamed events is byte-identical to one computed
     /// locally.
     pub fn to_json_line(&self) -> String {
-        event_to_json(self).to_compact_string()
+        self.to_json_value().to_compact_string()
     }
 
     /// Parses an event written by [`CampaignEvent::to_json_line`].
@@ -1041,12 +1000,22 @@ impl CampaignEvent {
     /// Returns [`CampaignError::Json`] on malformed input or an unknown
     /// event tag.
     pub fn from_json(text: &str) -> Result<Self, CampaignError> {
-        event_from_json(&Json::parse(text)?)
+        Self::from_json_value(&Json::parse(text)?)
     }
 
     /// The event as a JSON value, for embedding in a larger message.
     pub fn to_json_value(&self) -> Json {
-        event_to_json(self)
+        match self {
+            CampaignEvent::Started { total } => object([
+                ("event", Json::String("started".into())),
+                ("total", total.to_json()),
+            ]),
+            CampaignEvent::PointFinished(outcome) => object([
+                ("event", Json::String("point_finished".into())),
+                ("outcome", outcome.to_json_value()),
+            ]),
+            CampaignEvent::Finished => object([("event", Json::String("finished".into()))]),
+        }
     }
 
     /// Parses an event from an already-parsed JSON value.
@@ -1055,7 +1024,23 @@ impl CampaignEvent {
     ///
     /// Returns [`CampaignError::Json`] on a malformed value.
     pub fn from_json_value(value: &Json) -> Result<Self, CampaignError> {
-        event_from_json(value)
+        match field::<String>(value, "event")?.as_str() {
+            "started" => Ok(CampaignEvent::Started {
+                total: field(value, "total")?,
+            }),
+            "point_finished" => {
+                let outcome = value
+                    .get("outcome")
+                    .ok_or_else(|| CampaignError::Json("key \"outcome\" is missing".into()))?;
+                Ok(CampaignEvent::PointFinished(
+                    CampaignOutcome::from_json_value(outcome)?,
+                ))
+            }
+            "finished" => Ok(CampaignEvent::Finished),
+            other => Err(CampaignError::Json(format!(
+                "unknown campaign event {other:?}"
+            ))),
+        }
     }
 }
 
@@ -1085,7 +1070,7 @@ impl CampaignReport {
             .and_then(Json::as_array)
             .ok_or_else(|| CampaignError::Json("key \"outcomes\": expected an array".into()))?
             .iter()
-            .map(outcome_from_json)
+            .map(CampaignOutcome::from_json_value)
             .collect::<Result<_, CampaignError>>()?;
         Ok(CampaignReport {
             name: field(&json, "name")?,

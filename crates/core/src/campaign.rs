@@ -675,12 +675,44 @@ impl CampaignSpec {
         }
     }
 
+    /// The field problem behind one point's FEM coupling: the crossbar
+    /// geometry and the power sweep whose extraction gives the point its α
+    /// matrix. `None` for [`CouplingSpec::Uniform`], which solves nothing.
+    pub fn alpha_problem(&self, point: &CampaignPoint) -> Option<(CrossbarGeometry, AlphaConfig)> {
+        match self.coupling {
+            CouplingSpec::Uniform { .. } => None,
+            CouplingSpec::Fem { voxel_nm } => Some(self.fem_problem(point, voxel_nm)),
+        }
+    }
+
+    /// [`CampaignSpec::alpha_problem`] at `voxel_nm`: four powers, ¼ to 1 ×
+    /// the LRS power of the default device at the spec's first amplitude,
+    /// dissipated in the array's centre cell.
+    fn fem_problem(&self, point: &CampaignPoint, voxel_nm: f64) -> (CrossbarGeometry, AlphaConfig) {
+        let geometry = CrossbarGeometry {
+            rows: point.rows,
+            cols: point.cols,
+            electrode_spacing_nm: point.spacing_nm,
+            voxel_nm,
+            ..CrossbarGeometry::default()
+        };
+        let device = DeviceParams::default();
+        let p = solve_operating_point(&device, self.amplitudes_v[0], device.n_max).power_active;
+        let config = AlphaConfig {
+            ambient: Kelvin(300.0),
+            selected: (point.rows / 2, point.cols / 2),
+            powers: vec![Watts(0.25 * p), Watts(0.5 * p), Watts(0.75 * p), Watts(p)],
+        };
+        (geometry, config)
+    }
+
     /// Resolves the coupling matrices for every unique (array size, spacing)
     /// combination the grid touches. For [`CouplingSpec::Uniform`] this is a
     /// cheap synthesis; for [`CouplingSpec::Fem`] one field extraction per
-    /// combination, de-duplicated so a pulse-length × spacing grid does not
-    /// re-solve the thermal field per pulse length. With `cache_dir` given,
-    /// extractions additionally go through the on-disk α cache
+    /// combination ([`CampaignSpec::alpha_problem`]), de-duplicated so a
+    /// pulse-length × spacing grid does not re-solve the thermal field per
+    /// pulse length. With `cache_dir` given, extractions additionally go
+    /// through the on-disk α cache
     /// ([`rram_fem::alpha::extract_alpha_disk_cached`]) so repeated campaign
     /// *processes* skip the field solve too.
     fn resolve_couplings(
@@ -702,21 +734,7 @@ impl CampaignSpec {
                         .clone()
                 }
                 CouplingSpec::Fem { voxel_nm } => {
-                    let geometry = CrossbarGeometry {
-                        rows: point.rows,
-                        cols: point.cols,
-                        electrode_spacing_nm: point.spacing_nm,
-                        voxel_nm,
-                        ..CrossbarGeometry::default()
-                    };
-                    let device = DeviceParams::default();
-                    let p = solve_operating_point(&device, self.amplitudes_v[0], device.n_max)
-                        .power_active;
-                    let config = AlphaConfig {
-                        ambient: Kelvin(300.0),
-                        selected: (point.rows / 2, point.cols / 2),
-                        powers: vec![Watts(0.25 * p), Watts(0.5 * p), Watts(0.75 * p), Watts(p)],
-                    };
+                    let (geometry, config) = self.fem_problem(point, voxel_nm);
                     match cache_dir {
                         Some(dir) => {
                             rram_fem::alpha::extract_alpha_disk_cached(&geometry, &config, dir)?

@@ -364,6 +364,10 @@ const DISK_CACHE_VERSION: u32 = 1;
 /// rather than shared — file names only need to be self-consistent within
 /// this crate, and a cross-crate hash dependency is not worth it.)
 fn disk_cache_path(dir: &std::path::Path, key: &[u64]) -> std::path::PathBuf {
+    dir.join(disk_cache_name(key))
+}
+
+fn disk_cache_name(key: &[u64]) -> String {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for word in key {
         for byte in word.to_le_bytes() {
@@ -371,7 +375,21 @@ fn disk_cache_path(dir: &std::path::Path, key: &[u64]) -> std::path::PathBuf {
             hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-    dir.join(format!("alpha-{hash:016x}.cache"))
+    format!("alpha-{hash:016x}.cache")
+}
+
+/// The on-disk cache entry [`extract_alpha_disk_cached`] writes for
+/// `extraction` of the (`geometry`, `config`) problem: the file's name
+/// inside the cache directory and its contents. Every number is written as
+/// its exact bit pattern, so two entries are equal bytes exactly when the
+/// extractions are bit-identical.
+pub fn disk_cache_entry(
+    geometry: &CrossbarGeometry,
+    config: &AlphaConfig,
+    extraction: &AlphaExtraction,
+) -> (String, String) {
+    let key = extraction_key(geometry, config);
+    (disk_cache_name(&key), render_disk_entry(&key, extraction))
 }
 
 /// Serialises an extraction (plus its full key) as the versioned text

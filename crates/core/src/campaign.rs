@@ -86,7 +86,7 @@ use rram_crossbar::{
     BackendKind, CellAddress, CrosstalkHub, EngineConfig, HammerBackend, WriteScheme,
 };
 use rram_defense::{BenignWorkload, DefenseOutcome, GuardSpec};
-use rram_fem::alpha::{extract_alpha_cached, AlphaConfig};
+use rram_fem::alpha::{extract_alpha_cached, extract_alpha_disk_cached, AlphaConfig};
 use rram_fem::{AlphaError, AlphaMatrix, CrossbarGeometry};
 use rram_jart::current::solve_operating_point;
 use rram_jart::{DeviceParams, ParamColumns};
@@ -714,7 +714,9 @@ impl CampaignSpec {
     /// pulse length. With `cache_dir` given, extractions additionally go
     /// through the on-disk α cache
     /// ([`rram_fem::alpha::extract_alpha_disk_cached`]) so repeated campaign
-    /// *processes* skip the field solve too.
+    /// *processes* skip the field solve too. A fresh extraction splits its
+    /// power sweep over the spec's `threads`, which gives the same bits at
+    /// any thread count.
     fn resolve_couplings(
         &self,
         points: &[CampaignPoint],
@@ -735,13 +737,12 @@ impl CampaignSpec {
                 }
                 CouplingSpec::Fem { voxel_nm } => {
                     let (geometry, config) = self.fem_problem(point, voxel_nm);
-                    match cache_dir {
-                        Some(dir) => {
-                            rram_fem::alpha::extract_alpha_disk_cached(&geometry, &config, dir)?
-                                .alpha
-                        }
-                        None => extract_alpha_cached(&geometry, &config)?.alpha,
-                    }
+                    let threads = self.threads;
+                    let extraction = match cache_dir {
+                        Some(dir) => extract_alpha_disk_cached(&geometry, &config, dir, threads)?,
+                        None => extract_alpha_cached(&geometry, &config, threads)?,
+                    };
+                    extraction.alpha
                 }
             };
             couplings.insert(key, alpha);

@@ -23,7 +23,7 @@ use std::sync::{Mutex, OnceLock};
 use serde::{Deserialize, Serialize};
 
 use crate::geometry::{CrossbarGeometry, GeometryError};
-use crate::heat::{CellTemperatureMatrix, HeatProblem, HeatSource};
+use crate::heat::{sweep_cell_matrices, CellTemperatureMatrix};
 use crate::solver::SolveError;
 use rram_analysis::regression::{linear_fit, FitError};
 use rram_units::{Kelvin, KelvinPerWatt, Watts};
@@ -167,6 +167,13 @@ pub enum AlphaError {
         /// Array dimensions.
         dims: (usize, usize),
     },
+    /// The ambient temperature or a swept power is NaN or infinite.
+    NotFinite {
+        /// `"ambient"` or `"power"`.
+        name: &'static str,
+        /// The offending value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for AlphaError {
@@ -183,6 +190,9 @@ impl fmt::Display for AlphaError {
                 "selected cell ({}, {}) outside a {}×{} array",
                 cell.0, cell.1, dims.0, dims.1
             ),
+            AlphaError::NotFinite { name, value } => {
+                write!(f, "{name} must be finite, got {value}")
+            }
         }
     }
 }
@@ -233,7 +243,9 @@ impl AlphaConfig {
 }
 
 /// Runs the full extraction: builds the geometry, sweeps the power, fits
-/// every cell and normalises the slopes into α values.
+/// every cell and normalises the slopes into α values. The sweep's solves
+/// run on the calling thread; [`extract_alpha_threaded`] gives the same
+/// bits on several.
 ///
 /// # Errors
 ///
@@ -241,6 +253,20 @@ impl AlphaConfig {
 pub fn extract_alpha(
     geometry: &CrossbarGeometry,
     config: &AlphaConfig,
+) -> Result<AlphaExtraction, AlphaError> {
+    extract_alpha_threaded(geometry, config, 1)
+}
+
+/// [`extract_alpha`] with the power sweep's solves split over up to
+/// `threads` threads. The result is bit-identical at every thread count.
+///
+/// # Errors
+///
+/// Returns an [`AlphaError`] describing the failing stage.
+pub fn extract_alpha_threaded(
+    geometry: &CrossbarGeometry,
+    config: &AlphaConfig,
+    threads: usize,
 ) -> Result<AlphaExtraction, AlphaError> {
     if config.powers.len() < 2 {
         return Err(AlphaError::NotEnoughPowers {
@@ -253,19 +279,22 @@ pub fn extract_alpha(
             dims: (geometry.rows, geometry.cols),
         });
     }
+    let inputs = std::iter::once(("ambient", config.ambient.0))
+        .chain(config.powers.iter().map(|p| ("power", p.0)));
+    for (name, value) in inputs {
+        if !value.is_finite() {
+            return Err(AlphaError::NotFinite { name, value });
+        }
+    }
 
     let model = geometry.build()?;
-    let mut matrices: Vec<CellTemperatureMatrix> = Vec::with_capacity(config.powers.len());
-    for &power in &config.powers {
-        let matrix = HeatProblem::new(&model, config.ambient)
-            .with_source(HeatSource {
-                row: config.selected.0,
-                col: config.selected.1,
-                power,
-            })
-            .solve_cell_matrix()?;
-        matrices.push(matrix);
-    }
+    let mut matrices = sweep_cell_matrices(
+        &model,
+        config.ambient,
+        config.selected,
+        &config.powers,
+        threads,
+    )?;
 
     let powers: Vec<f64> = config.powers.iter().map(|p| p.0).collect();
 
@@ -498,7 +527,8 @@ fn parse_disk_entry(text: &str, expected_key: &[u64]) -> Option<AlphaExtraction>
 /// format version) silently falls back to a fresh solve and is rewritten.
 /// Cache writes are atomic (write-temp-then-rename) and best-effort: an
 /// unwritable directory degrades to the in-process memo, it never fails
-/// the extraction.
+/// the extraction. A fresh solve runs on up to `threads` threads, with the
+/// same bits at every thread count.
 ///
 /// # Errors
 ///
@@ -508,6 +538,7 @@ pub fn extract_alpha_disk_cached(
     geometry: &CrossbarGeometry,
     config: &AlphaConfig,
     dir: &std::path::Path,
+    threads: usize,
 ) -> Result<AlphaExtraction, AlphaError> {
     let key = extraction_key(geometry, config);
     if let Some(hit) = extraction_cache().lock().expect("cache poisoned").get(&key) {
@@ -525,7 +556,7 @@ pub fn extract_alpha_disk_cached(
         }
     }
 
-    let extraction = extract_alpha(geometry, config)?;
+    let extraction = extract_alpha_threaded(geometry, config, threads)?;
     extraction_cache()
         .lock()
         .expect("cache poisoned")
@@ -552,7 +583,8 @@ pub fn extract_alpha_disk_cached(
 /// (array size, spacing, voxel) combination — e.g. a pulse-length sweep on
 /// FEM coupling, or several figure campaigns in one test binary — get the
 /// coefficients back at the cost of a `HashMap` lookup and a clone. Errors
-/// are not cached.
+/// are not cached. A fresh solve runs on up to `threads` threads, with the
+/// same bits at every thread count.
 ///
 /// # Errors
 ///
@@ -560,6 +592,7 @@ pub fn extract_alpha_disk_cached(
 pub fn extract_alpha_cached(
     geometry: &CrossbarGeometry,
     config: &AlphaConfig,
+    threads: usize,
 ) -> Result<AlphaExtraction, AlphaError> {
     let key = extraction_key(geometry, config);
     if let Some(hit) = extraction_cache().lock().expect("cache poisoned").get(&key) {
@@ -568,7 +601,7 @@ pub fn extract_alpha_cached(
     // The solve runs outside the lock so concurrent campaign workers are
     // not serialised on the cache; a racing duplicate solve is harmless
     // (both compute the same value).
-    let extraction = extract_alpha(geometry, config)?;
+    let extraction = extract_alpha_threaded(geometry, config, threads)?;
     extraction_cache()
         .lock()
         .expect("cache poisoned")
@@ -673,6 +706,31 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_inputs_are_rejected_at_once() {
+        // On the default 5×5 geometry at 10 nm voxels, a NaN power used to
+        // run the whole 20,000-iteration budget on NaN.
+        let geometry = CrossbarGeometry::default();
+        let mut cases = Vec::new();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut config = AlphaConfig::centered(&geometry);
+            config.powers[2] = Watts(bad);
+            cases.push(("power", config));
+            let mut config = AlphaConfig::centered(&geometry);
+            config.ambient = Kelvin(bad);
+            cases.push(("ambient", config));
+        }
+        for (name, config) in cases {
+            let started = std::time::Instant::now();
+            let result = extract_alpha(&geometry, &config);
+            assert!(
+                matches!(result, Err(AlphaError::NotFinite { name: n, .. }) if n == name),
+                "{name}: {result:?}"
+            );
+            assert!(started.elapsed() < std::time::Duration::from_secs(1));
+        }
+    }
+
+    #[test]
     fn from_values_validates_dimensions() {
         let m = AlphaMatrix::from_values(2, 2, (0, 0), vec![1.0, 0.1, 0.1, 0.05]);
         assert_eq!(m.get(1, 1), 0.05);
@@ -700,18 +758,18 @@ mod tests {
         let config = quick_config();
         let key = extraction_key(&geometry, &config);
         let fresh = extract_alpha(&geometry, &config).unwrap();
-        let first = extract_alpha_cached(&geometry, &config).unwrap();
+        let first = extract_alpha_cached(&geometry, &config, 2).unwrap();
         assert_eq!(first, fresh);
         assert_eq!(memoised(&key), Some(fresh.clone()));
         // A bit-identical request replays the memoised entry.
-        let second = extract_alpha_cached(&geometry, &config).unwrap();
+        let second = extract_alpha_cached(&geometry, &config, 2).unwrap();
         assert_eq!(second, fresh);
         // A different geometry is a different field problem with its own
         // entry.
         let other = fast_geometry(75.0);
         let other_key = extraction_key(&other, &config);
         assert_ne!(other_key, key);
-        let third = extract_alpha_cached(&other, &config).unwrap();
+        let third = extract_alpha_cached(&other, &config, 2).unwrap();
         assert_ne!(third.alpha, fresh.alpha);
         assert_eq!(memoised(&other_key), Some(third));
         assert_eq!(memoised(&key), Some(fresh));
@@ -725,7 +783,7 @@ mod tests {
         let config = quick_config();
 
         let fresh = extract_alpha(&geometry, &config).unwrap();
-        let first = extract_alpha_disk_cached(&geometry, &config, &dir).unwrap();
+        let first = extract_alpha_disk_cached(&geometry, &config, &dir, 2).unwrap();
         assert_eq!(first, fresh);
         let path = disk_cache_path(&dir, &extraction_key(&geometry, &config));
         assert!(path.exists(), "cache file was not written");
@@ -754,7 +812,7 @@ mod tests {
 
         // Corrupt: truncated garbage at the expected path.
         std::fs::write(&path, "rram-alpha-cache v1\nkey 00ff\nfit").unwrap();
-        let extraction = extract_alpha_disk_cached(&geometry, &config, &dir).unwrap();
+        let extraction = extract_alpha_disk_cached(&geometry, &config, &dir, 2).unwrap();
         assert_eq!(extraction, extract_alpha(&geometry, &config).unwrap());
         // The corrupt file was replaced by a valid entry.
         let text = std::fs::read_to_string(&path).unwrap();

@@ -6,14 +6,19 @@
 //! held at the ambient temperature (heat sink) and every other outer surface
 //! is adiabatic, matching the paper's boundary conditions ("all other
 //! surfaces are thermally and electrically insulated").
-
-use std::collections::HashMap;
+//!
+//! The operator depends only on the geometry, and the sources only enter
+//! the right-hand side. So a power sweep assembles the operator once, reads
+//! it out into a [`Stencil`], drops the assembled matrix, and only then
+//! builds one right-hand side per power and solves them all together with
+//! [`crate::solver::solve`]. Each temperature field is bit-identical to a
+//! separate [`HeatProblem::solve`] at that power.
 
 use serde::{Deserialize, Serialize};
 
 use crate::geometry::CrossbarModel;
 use crate::materials::harmonic_mean;
-use crate::solver::{conjugate_gradient, SolveError, SolveStats, SolverOptions};
+use crate::solver::{solve, SolveError, SolveStats, SolverOptions, Stencil};
 use crate::sparse::TripletBuilder;
 use rram_units::{Kelvin, Watts};
 
@@ -196,44 +201,14 @@ impl<'a> HeatProblem<'a> {
     ///
     /// Propagates [`SolveError`] from the conjugate-gradient solver.
     pub fn solve(&self) -> Result<TemperatureField, SolveError> {
-        let grid = self.model.grid();
-        let n = grid.len();
-        let h = grid.spacing();
-
-        let mut builder = TripletBuilder::new(n, n);
-        let mut rhs = vec![0.0; n];
-
-        for i in grid.iter() {
-            let ki = self.model.conductivity(i);
-            // Interior faces.
-            for j in grid.neighbors(i) {
-                let kj = self.model.conductivity(j);
-                // Face conductance G = k_face · A / h = k_face · h for cubic voxels.
-                let g = harmonic_mean(ki, kj) * h;
-                builder.add(i, i, g);
-                builder.add(i, j, -g);
-            }
-            // Dirichlet heat sink at the bottom face of the substrate: the
-            // face sits half a voxel below the voxel centre.
-            if grid.is_bottom(i) {
-                let g = ki * grid.face_area() / (0.5 * h);
-                builder.add(i, i, g);
-                rhs[i] += g * self.ambient;
-            }
-        }
-
-        // Volumetric heat sources: distribute each cell's power uniformly
-        // over its filament voxels.
+        let stencil = assemble(self.model);
+        let mut rhs = sink_rhs(self.model, self.ambient);
         for source in &self.sources {
-            let voxels = self.model.filament_voxels(source.row, source.col);
-            let per_voxel = source.power.0 / voxels.len() as f64;
-            for &v in voxels {
-                rhs[v] += per_voxel;
-            }
+            deposit(self.model, source, &mut rhs);
         }
-
-        let matrix = builder.build();
-        let (values, stats) = conjugate_gradient(&matrix, &rhs, self.options)?;
+        let (values, stats) = solve(&stencil, &[rhs], self.options, 1)
+            .pop()
+            .expect("one solution per right-hand side")?;
         Ok(TemperatureField {
             values,
             ambient: self.ambient,
@@ -268,30 +243,106 @@ pub fn reduce_to_cells(model: &CrossbarModel, field: &TemperatureField) -> CellT
     }
 }
 
-/// Convenience: solves the heat problem for several source powers, returning
-/// the per-cell matrices keyed by the power value (used by the α extraction).
+/// Solves the heat problem of one dissipating cell at each of `powers`
+/// and reduces every field to its per-cell matrix, in power order (the
+/// sweep of the α extraction). The operator is assembled once and the
+/// right-hand sides are solved together on up to `threads` threads; each
+/// matrix is bit-identical to a [`HeatProblem`] solved at that power alone.
 ///
 /// # Errors
 ///
-/// Propagates [`SolveError`] from the linear solver.
-pub fn sweep_power(
+/// Returns the [`SolveError`] of the first power, in order, whose solve
+/// fails.
+pub(crate) fn sweep_cell_matrices(
     model: &CrossbarModel,
     ambient: Kelvin,
     selected: (usize, usize),
     powers: &[Watts],
-) -> Result<HashMap<usize, CellTemperatureMatrix>, SolveError> {
-    let mut out = HashMap::new();
-    for (idx, &power) in powers.iter().enumerate() {
-        let matrix = HeatProblem::new(model, ambient)
-            .with_source(HeatSource {
+    threads: usize,
+) -> Result<Vec<CellTemperatureMatrix>, SolveError> {
+    let stencil = assemble(model);
+    let base = sink_rhs(model, ambient.0);
+    let rhs: Vec<Vec<f64>> = powers
+        .iter()
+        .map(|&power| {
+            let source = HeatSource {
                 row: selected.0,
                 col: selected.1,
                 power,
-            })
-            .solve_cell_matrix()?;
-        out.insert(idx, matrix);
+            };
+            let mut rhs = base.clone();
+            deposit(model, &source, &mut rhs);
+            rhs
+        })
+        .collect();
+    drop(base);
+    solve(&stencil, &rhs, SolverOptions::default(), threads)
+        .into_iter()
+        .map(|solution| {
+            let (values, stats) = solution?;
+            let field = TemperatureField {
+                values,
+                ambient: ambient.0,
+                stats,
+            };
+            Ok(reduce_to_cells(model, &field))
+        })
+        .collect()
+}
+
+/// Assembles the finite-volume operator of `model` and reads it out into
+/// its stencil; the assembled matrix is dropped on return. The
+/// [`TripletBuilder`] sort fixes the order in which each diagonal's
+/// contributions (one per face, plus the heat sink) are summed.
+fn assemble(model: &CrossbarModel) -> Stencil {
+    let grid = model.grid();
+    let n = grid.len();
+    let h = grid.spacing();
+    let mut builder = TripletBuilder::new(n, n);
+    for i in grid.iter() {
+        let ki = model.conductivity(i);
+        // Interior faces.
+        for j in grid.neighbors(i) {
+            let kj = model.conductivity(j);
+            // Face conductance G = k_face · A / h = k_face · h for cubic voxels.
+            let g = harmonic_mean(ki, kj) * h;
+            builder.add(i, i, g);
+            builder.add(i, j, -g);
+        }
+        if grid.is_bottom(i) {
+            builder.add(i, i, sink_conductance(model, i));
+        }
     }
-    Ok(out)
+    Stencil::from_csr(&builder.build(), grid.nx(), grid.ny(), grid.nz())
+}
+
+/// Conductance from a bottom voxel to the Dirichlet heat sink at the
+/// bottom face of the substrate, which sits half a voxel below the voxel
+/// centre.
+fn sink_conductance(model: &CrossbarModel, voxel: usize) -> f64 {
+    let grid = model.grid();
+    model.conductivity(voxel) * grid.face_area() / (0.5 * grid.spacing())
+}
+
+/// The right-hand side with no source: the heat sink's inflow at the
+/// ambient temperature into each bottom voxel.
+fn sink_rhs(model: &CrossbarModel, ambient: f64) -> Vec<f64> {
+    let grid = model.grid();
+    let mut rhs = vec![0.0; grid.len()];
+    for i in grid.iter().filter(|&i| grid.is_bottom(i)) {
+        rhs[i] += sink_conductance(model, i) * ambient;
+    }
+    rhs
+}
+
+/// Adds a volumetric heat source to `rhs`: the cell's power, spread
+/// uniformly over its filament voxels.
+fn deposit(model: &CrossbarModel, source: &HeatSource, rhs: &mut [f64]) {
+    let voxels = model.filament_voxels(source.row, source.col);
+    let per_voxel = source.power.0 / voxels.len() as f64;
+    for &v in voxels {
+        rhs[v] += per_voxel;
+    }
 }
 
 #[cfg(test)]
@@ -441,19 +492,6 @@ mod tests {
         let d_cold = cold.get(1, 1).0 - 273.0;
         let d_hot = hot.get(1, 1).0 - 373.0;
         assert!((d_cold - d_hot).abs() < 1e-6 * d_cold.max(1.0));
-    }
-
-    #[test]
-    fn sweep_power_returns_one_matrix_per_power() {
-        let model = tiny_model();
-        let result = sweep_power(
-            &model,
-            Kelvin(300.0),
-            (1, 1),
-            &[Watts(10e-6), Watts(20e-6), Watts(30e-6)],
-        )
-        .unwrap();
-        assert_eq!(result.len(), 3);
     }
 
     #[test]

@@ -55,7 +55,8 @@ pub mod solver;
 pub mod sparse;
 
 pub use alpha::{
-    extract_alpha, extract_alpha_cached, AlphaConfig, AlphaError, AlphaExtraction, AlphaMatrix,
+    extract_alpha, extract_alpha_cached, extract_alpha_threaded, AlphaConfig, AlphaError,
+    AlphaExtraction, AlphaMatrix,
 };
 pub use geometry::{CrossbarGeometry, CrossbarModel, GeometryError};
 pub use heat::{CellTemperatureMatrix, HeatProblem, HeatSource, TemperatureField};

@@ -129,6 +129,17 @@ impl CsrMatrix {
         0.0
     }
 
+    /// The stored entries of one row: their columns, ascending, and their
+    /// values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    pub fn row(&self, row: usize) -> (&[usize], &[f64]) {
+        let range = self.row_ptr[row]..self.row_ptr[row + 1];
+        (&self.col_idx[range.clone()], &self.values[range])
+    }
+
     /// Diagonal entries (zero where no diagonal entry is stored).
     pub fn diagonal(&self) -> Vec<f64> {
         (0..self.n_rows.min(self.n_cols))

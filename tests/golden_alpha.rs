@@ -14,7 +14,8 @@ use std::path::PathBuf;
 
 use neurohammer_repro::attack::campaign::CampaignSpec;
 use neurohammer_repro::fem::alpha::{
-    disk_cache_entry, extract_alpha, AlphaConfig, AlphaExtraction,
+    disk_cache_entry, extract_alpha, extract_alpha_disk_cached, extract_alpha_threaded,
+    AlphaConfig, AlphaExtraction,
 };
 use neurohammer_repro::fem::CrossbarGeometry;
 
@@ -80,4 +81,33 @@ fn there_is_one_pin_per_golden_field_problem() {
 #[test]
 fn extract_alpha_reproduces_the_pinned_bits() {
     assert_pinned(|geometry, config| extract_alpha(geometry, config).expect("field solve"));
+}
+
+#[test]
+fn every_thread_count_reproduces_the_pinned_bits() {
+    for threads in 1..=3 {
+        assert_pinned(|geometry, config| {
+            extract_alpha_threaded(geometry, config, threads).expect("field solve")
+        });
+    }
+}
+
+/// The campaign's path: a fresh solve on two threads through the on-disk
+/// cache writes files identical to the pins. Nothing else in this test
+/// binary fills the process-wide memo, and the directory starts empty, so
+/// the first call per problem solves.
+#[test]
+fn the_disk_cache_writes_the_pinned_files() {
+    let dir = std::env::temp_dir().join(format!("golden-alpha-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for (geometry, config) in field_problems() {
+        extract_alpha_disk_cached(&geometry, &config, &dir, 2).expect("field solve");
+    }
+    for entry in std::fs::read_dir(golden("alpha")).expect("tests/golden/alpha exists") {
+        let name = entry.expect("directory entry").file_name();
+        let written = std::fs::read(dir.join(&name)).unwrap_or_else(|e| panic!("{name:?}: {e}"));
+        let pinned = std::fs::read(golden("alpha").join(&name)).expect("pin is readable");
+        assert!(written == pinned, "{name:?} differs from the pin");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,8 +1,9 @@
 //! Compressed sparse row (CSR) matrices for the finite-volume solver.
 //!
 //! The steady-state heat equation discretises into a symmetric positive
-//! (semi-)definite system with a 7-point stencil; a minimal CSR container
-//! with matrix–vector products is all the conjugate-gradient solver needs.
+//! (semi-)definite system with a 7-point stencil. The finite-volume
+//! assembly accumulates it as triplets, sums the duplicates into a CSR
+//! matrix, and the solver reads that out into a [`crate::solver::Stencil`].
 
 use serde::{Deserialize, Serialize};
 

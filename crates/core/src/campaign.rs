@@ -737,10 +737,11 @@ impl CampaignSpec {
                 }
                 CouplingSpec::Fem { voxel_nm } => {
                     let (geometry, config) = self.fem_problem(point, voxel_nm);
-                    let threads = self.threads;
                     let extraction = match cache_dir {
-                        Some(dir) => extract_alpha_disk_cached(&geometry, &config, dir, threads)?,
-                        None => extract_alpha_cached(&geometry, &config, threads)?,
+                        Some(dir) => {
+                            extract_alpha_disk_cached(&geometry, &config, dir, self.threads)?
+                        }
+                        None => extract_alpha_cached(&geometry, &config, self.threads)?,
                     };
                     extraction.alpha
                 }

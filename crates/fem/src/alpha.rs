@@ -386,16 +386,12 @@ pub fn cached_extraction_count() -> usize {
 /// older build fall back to a fresh solve instead of replaying silently.
 const DISK_CACHE_VERSION: u32 = 1;
 
-/// The cache file of one field problem inside `dir`: the FNV-1a hash of
-/// the exact-identity extraction key names the file, so distinct problems
+/// The name of one field problem's cache file: the FNV-1a hash of the
+/// exact-identity extraction key names the file, so distinct problems
 /// never collide on a name and a changed input is simply a different file.
 /// (The FNV-1a loop is deliberately duplicated from `neurohammer::campaign`
 /// rather than shared — file names only need to be self-consistent within
 /// this crate, and a cross-crate hash dependency is not worth it.)
-fn disk_cache_path(dir: &std::path::Path, key: &[u64]) -> std::path::PathBuf {
-    dir.join(disk_cache_name(key))
-}
-
 fn disk_cache_name(key: &[u64]) -> String {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for word in key {
@@ -545,7 +541,7 @@ pub fn extract_alpha_disk_cached(
         return Ok(hit.clone());
     }
 
-    let path = disk_cache_path(dir, &key);
+    let path = dir.join(disk_cache_name(&key));
     if let Ok(text) = std::fs::read_to_string(&path) {
         if let Some(extraction) = parse_disk_entry(&text, &key) {
             extraction_cache()
@@ -785,7 +781,7 @@ mod tests {
         let fresh = extract_alpha(&geometry, &config).unwrap();
         let first = extract_alpha_disk_cached(&geometry, &config, &dir, 2).unwrap();
         assert_eq!(first, fresh);
-        let path = disk_cache_path(&dir, &extraction_key(&geometry, &config));
+        let path = dir.join(disk_cache_name(&extraction_key(&geometry, &config)));
         assert!(path.exists(), "cache file was not written");
 
         // A fresh parse of the file (bypassing the in-process memo) must be
@@ -808,7 +804,7 @@ mod tests {
         let geometry = fast_geometry(45.0);
         let config = quick_config();
         let key = extraction_key(&geometry, &config);
-        let path = disk_cache_path(&dir, &key);
+        let path = dir.join(disk_cache_name(&key));
 
         // Corrupt: truncated garbage at the expected path.
         std::fs::write(&path, "rram-alpha-cache v1\nkey 00ff\nfit").unwrap();

@@ -68,7 +68,7 @@ pub struct SolveStats {
 /// Errors returned by [`solve`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolveError {
-    /// Matrix is not square or right-hand side has the wrong length.
+    /// A right-hand side's length differs from the operator's size.
     DimensionMismatch {
         /// Matrix rows.
         rows: usize,
@@ -145,7 +145,7 @@ const DIAGONAL: usize = 3;
 /// The widest group of right-hand sides one thread solves in lockstep.
 const MAX_LANES: usize = 4;
 
-/// A symmetric operator on an `nx × ny × nz` voxel grid that couples each
+/// An operator on an `nx × ny × nz` voxel grid that couples each
 /// voxel only to itself and its face neighbours, stored as seven
 /// coefficients per voxel.
 #[derive(Debug, Clone, PartialEq)]
@@ -210,13 +210,8 @@ impl Stencil {
     }
 
     /// Number of unknowns (voxels).
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.coefficients.len()
-    }
-
-    /// Returns `true` for an operator on no voxels.
-    pub fn is_empty(&self) -> bool {
-        self.coefficients.is_empty()
     }
 
     /// `ap = A·p` over every lane, returning `p·Ap` per lane. `p` holds a

@@ -136,7 +136,7 @@ impl CsrMatrix {
     /// # Panics
     ///
     /// Panics if `row` is out of range.
-    pub fn row(&self, row: usize) -> (&[usize], &[f64]) {
+    pub(crate) fn row(&self, row: usize) -> (&[usize], &[f64]) {
         let range = self.row_ptr[row]..self.row_ptr[row + 1];
         (&self.col_idx[range.clone()], &self.values[range])
     }

@@ -337,6 +337,37 @@ mod tests {
     }
 
     #[test]
+    fn a_guard_that_never_intervenes_is_a_pure_observer() {
+        let silent = [
+            GuardSpec::WriteCounter {
+                threshold: u64::MAX,
+                window: Seconds(1.0),
+            },
+            GuardSpec::ThermalSensor {
+                threshold: Kelvin(f64::MAX),
+                cooldown: Seconds(1e-6),
+            },
+        ];
+        for (pattern, pulses) in [
+            (AttackPattern::SingleAggressor, 521),
+            (AttackPattern::Quad, 200),
+        ] {
+            let config = AttackConfig {
+                pattern,
+                ..attack()
+            };
+            let unguarded = run_attack(&mut engine(), &config);
+            assert!(unguarded.flipped);
+            assert_eq!(unguarded.pulses, pulses, "{pattern:?}");
+            for spec in &silent {
+                let guarded = run_guarded_attack(&mut engine(), &config, spec, &benign());
+                assert_eq!(guarded.attack, unguarded, "{spec:?} on {pattern:?}");
+                assert_eq!(guarded.defense.detections, 0);
+            }
+        }
+    }
+
+    #[test]
     fn guarded_outcomes_are_deterministic() {
         let spec = GuardSpec::WriteCounter {
             threshold: 128,

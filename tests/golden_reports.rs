@@ -7,11 +7,15 @@
 //! recorded bytes exactly. The checkpoint fixtures were written by the
 //! binaries' `--checkpoint` flag at the same time; resuming from them must
 //! replay every point, which pins the `PointKey` fingerprints absolutely.
+//! Two figure outputs that no report covers are pinned here as well: the
+//! Fig. 1 trace and the design-choice ablation table.
 //! A mismatch is a behaviour change: find it, never re-record the corpus.
 
+use std::fmt::Write;
 use std::path::PathBuf;
 
 use neurohammer_repro::attack::campaign::{read_checkpoint, CampaignExecutor, CampaignSpec};
+use neurohammer_repro::attack::{ablation_report, run_attack, AttackConfig};
 
 fn golden(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -19,19 +23,30 @@ fn golden(file: &str) -> PathBuf {
         .join(file)
 }
 
-fn executor(name: &str) -> CampaignExecutor {
+fn spec(name: &str) -> CampaignSpec {
     let path = golden(&format!("{name}.spec.json"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
-    let spec = CampaignSpec::from_json(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
-    CampaignExecutor::new(spec).expect("golden spec validates")
+    CampaignSpec::from_json(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"))
 }
 
-/// Runs `executor` and compares its report with `<name>.report.json`,
-/// naming the first line that differs.
+fn executor(name: &str) -> CampaignExecutor {
+    CampaignExecutor::new(spec(name)).expect("golden spec validates")
+}
+
+/// Runs `executor` and compares its report with `<name>.report.json`.
 fn assert_golden(name: &str, executor: CampaignExecutor) {
     let report = executor.execute(|_| {}).expect("golden campaign runs");
-    let fresh = format!("{}\n", report.to_json());
-    let path = golden(&format!("{name}.report.json"));
+    assert_matches_file(
+        name,
+        &format!("{}\n", report.to_json()),
+        &format!("{name}.report.json"),
+    );
+}
+
+/// Compares `fresh` with the golden `file`, naming the first line that
+/// differs.
+fn assert_matches_file(name: &str, fresh: &str, file: &str) {
+    let path = golden(file);
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
     if fresh != expected {
         let line = fresh
@@ -129,4 +144,58 @@ fn guarded_checkpoint_resumes_into_the_golden_report() {
 #[test]
 fn detailed_checkpoint_resumes_into_the_golden_report() {
     assert_checkpoint_resumes("ablation");
+}
+
+/// Digest of the Fig. 1 trace; see [`fig1_trace_is_pinned`].
+const TRACE_DIGEST: u64 = 0x6398_1d03_8f6c_0337;
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in words.into_iter().flat_map(u64::to_le_bytes) {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// The Fig. 1 trace, run the way `fig1_attack_phases` runs it: the golden
+/// spec's point, unbatched, with every pulse traced. The length and the
+/// digest over every bit of every trace point were recorded once.
+#[test]
+fn fig1_trace_is_pinned() {
+    let spec = spec("fig1");
+    let point = spec.points()[0];
+    let mut backend = spec.backend_for(&point).expect("golden backend builds");
+    let config = AttackConfig {
+        trace: true,
+        batching: false,
+        ..spec.attack_config(&point)
+    };
+    let result = run_attack(backend.as_mut(), &config);
+    assert_eq!(result.trace.len(), 3_575);
+    let digest = fnv1a(result.trace.iter().flat_map(|p| {
+        [
+            p.pulses,
+            p.time.0.to_bits(),
+            p.aggressor_temperature.0.to_bits(),
+            p.victim_temperature.0.to_bits(),
+            p.victim_crosstalk.0.to_bits(),
+            p.victim_state.to_bits(),
+        ]
+    }));
+    assert_eq!(digest, TRACE_DIGEST, "digest {digest:#018x}");
+}
+
+/// The ablation binary's design-choice variants at `--quick`, one line per
+/// variant and the estimator in `{:?}` form, so every bit shows.
+#[test]
+fn ablation_design_table_is_golden() {
+    let report = ablation_report(&neurohammer_bench::figure_setup(true)).expect("ablation runs");
+    let mut fresh = String::new();
+    for row in &report.rows {
+        let pulses = row.pulses.map_or("no flip".into(), |p| p.to_string());
+        writeln!(fresh, "{}\t{pulses}\t{}", row.variant, row.flipped).unwrap();
+    }
+    writeln!(fresh, "{:?}", report.estimate).unwrap();
+    assert_matches_file("ablation design", &fresh, "ablation_design.txt");
 }

@@ -7,11 +7,20 @@
 //! the victim's filament temperature (Phase 2), which accelerates its
 //! switching kinetics (Phase 3) until the constant V/2 half-select stress
 //! flips the victim's state (Phase 4).
+//!
+//! Every attack runs through one loop, [`hammer`]: it pulses the aggressors
+//! round-robin until the victim reads LRS or the budget is spent. A guard
+//! is an optional observer of that loop. It sees every write and the
+//! array's peak crosstalk, and its answers are carried out on the engine
+//! ([`Interventions::carry_out`]). [`run_attack`] is the loop without a
+//! guard; [`crate::countermeasures::run_guarded_attack`] adds one and the
+//! benign-workload accounting.
 
 use serde::{Deserialize, Serialize};
 
 use crate::pattern::AttackPattern;
 use rram_crossbar::{CellAddress, HammerBackend};
+use rram_defense::{Countermeasure, Interventions};
 use rram_jart::DigitalState;
 use rram_units::{Kelvin, Seconds, Volts};
 
@@ -94,13 +103,8 @@ pub struct AttackResult {
     pub trace: Vec<TracePoint>,
 }
 
-/// Runs a NeuroHammer campaign on any [`HammerBackend`].
-///
-/// The engine's array is used as-is apart from two preparations that mirror
-/// the paper's setup: every aggressor is switched to the LRS ("the red cell
-/// should be initially switched to LRS to maximise the resulting current")
-/// and the victim is switched to the HRS so a SET-direction flip can be
-/// detected.
+/// Runs a NeuroHammer campaign on any [`HammerBackend`]: [`hammer`] with
+/// no guard.
 ///
 /// # Panics
 ///
@@ -109,6 +113,33 @@ pub fn run_attack<B: HammerBackend + ?Sized>(
     engine: &mut B,
     config: &AttackConfig,
 ) -> AttackResult {
+    hammer(engine, config, None).0
+}
+
+/// Hammers the aggressors round-robin until the victim flips or the pulse
+/// budget is spent, with `guard`, if any, observing every write. Returns
+/// the attack result and what the guard did.
+///
+/// The engine's array is used as-is apart from two preparations that mirror
+/// the paper's setup: every aggressor is switched to the LRS ("the red cell
+/// should be initially switched to LRS to maximise the resulting current")
+/// and the victim is switched to the HRS so a SET-direction flip can be
+/// detected.
+///
+/// After each pulse the guard samples the array's peak crosstalk ΔT, the
+/// hottest instant, before the trace readout and the inter-pulse gap. It
+/// judges the write after the gap, and its action is carried out before
+/// the victim is read. Pulse batching runs only when there is neither a
+/// guard nor a trace, since both must see every pulse.
+///
+/// # Panics
+///
+/// Panics if the victim or an aggressor lies outside the engine's array.
+pub fn hammer<B: HammerBackend + ?Sized>(
+    engine: &mut B,
+    config: &AttackConfig,
+    mut guard: Option<&mut dyn Countermeasure>,
+) -> (AttackResult, Interventions) {
     let rows = engine.rows();
     let cols = engine.cols();
     let aggressors = config.pattern.aggressors(config.victim, rows, cols);
@@ -127,7 +158,8 @@ pub fn run_attack<B: HammerBackend + ?Sized>(
     let mut pulses: u64 = 0;
     let start_time = engine.elapsed();
     let mut trace = Vec::new();
-    let use_batching = config.batching && !config.trace;
+    let mut interventions = Interventions::default();
+    let use_batching = config.batching && !config.trace && guard.is_none();
     let victim_is_lrs = |engine: &B| engine.read(config.victim) == DigitalState::Lrs;
 
     // Batching bookkeeping: progress of the victim per simulated window.
@@ -139,12 +171,14 @@ pub fn run_attack<B: HammerBackend + ?Sized>(
     let mut window_start_state = engine.normalized_state(config.victim);
     let mut pulses_in_window: u64 = 0;
 
-    while pulses < config.max_pulses {
+    let mut flipped = false;
+    while !flipped && pulses < config.max_pulses {
         // Round-robin over the aggressors: one pulse each.
         for &aggressor in &aggressors {
             engine.apply_pulse(aggressor, config.amplitude, config.pulse_length);
             pulses += 1;
             pulses_in_window += 1;
+            let peak = guard.is_some().then(|| engine.peak_crosstalk());
             if config.trace {
                 let victim = engine.thermal_readout(config.victim);
                 let aggressor = engine.thermal_readout(aggressors[0]);
@@ -160,19 +194,20 @@ pub fn run_attack<B: HammerBackend + ?Sized>(
             if config.gap.0 > 0.0 {
                 engine.idle(config.gap);
             }
-            if victim_is_lrs(engine) || pulses >= config.max_pulses {
+            if let (Some(guard), Some(peak)) = (guard.as_deref_mut(), peak) {
+                let action = guard.on_write(aggressor, engine.elapsed(), peak);
+                interventions.carry_out(engine, aggressor, pulses, action);
+            }
+            flipped = victim_is_lrs(engine);
+            if flipped || pulses >= config.max_pulses {
                 break;
             }
-        }
-
-        if victim_is_lrs(engine) {
-            break;
         }
 
         // Pulse batching: once the thermal state has settled (a full window
         // has been simulated), extrapolate the victim's slow drift over
         // `batch_factor` windows instead of simulating them pulse by pulse.
-        if use_batching && pulses >= warmup && pulses_in_window >= window {
+        if !flipped && use_batching && pulses >= warmup && pulses_in_window >= window {
             let state_now = engine.normalized_state(config.victim);
             let delta_per_pulse = (state_now - window_start_state) / pulses_in_window as f64;
             let flip_state = 0.5;
@@ -194,22 +229,21 @@ pub fn run_attack<B: HammerBackend + ?Sized>(
         }
     }
 
-    let flipped = victim_is_lrs(engine);
     let collateral_flips = engine
         .changed_cells(&reference)
         .into_iter()
         .filter(|&c| c != config.victim)
         .count();
-
-    AttackResult {
-        flipped,
+    let result = AttackResult {
+        flipped: victim_is_lrs(engine),
         pulses,
         elapsed: Seconds(engine.elapsed().0 - start_time.0),
         victim_state: engine.read(config.victim),
         victim_drift: engine.normalized_state(config.victim),
         collateral_flips,
         trace,
-    }
+    };
+    (result, interventions)
 }
 
 #[cfg(test)]
@@ -224,6 +258,16 @@ mod tests {
             5,
             DeviceParams::default(),
             0.15,
+            EngineConfig::default(),
+        )
+    }
+
+    fn uncoupled_engine() -> PulseEngine {
+        PulseEngine::with_uniform_coupling(
+            5,
+            5,
+            DeviceParams::default(),
+            0.0,
             EngineConfig::default(),
         )
     }
@@ -258,8 +302,7 @@ mod tests {
         let mut with_hub = engine();
         let with_result = run_attack(&mut with_hub, &quick_config());
 
-        let mut without_hub = engine();
-        without_hub.hub_mut().set_enabled(false);
+        let mut without_hub = uncoupled_engine();
         let mut config = quick_config();
         // Cap the budget: we only need to show it does NOT flip within a few
         // times the with-crosstalk pulse count.
@@ -332,8 +375,7 @@ mod tests {
 
     #[test]
     fn budget_is_respected_when_no_flip_happens() {
-        let mut e = engine();
-        e.hub_mut().set_enabled(false);
+        let mut e = uncoupled_engine();
         let config = AttackConfig {
             max_pulses: 200,
             batching: false,

@@ -44,7 +44,6 @@ use serde::{Deserialize, Serialize};
 use super::{
     CampaignError, CampaignOutcome, CampaignPoint, CampaignReport, CampaignSpec, PointKey,
 };
-use crate::attack::run_attack;
 use crate::countermeasures::run_guarded_attack;
 use rram_fem::AlphaMatrix;
 
@@ -431,31 +430,9 @@ impl CampaignExecutor {
             })?
             .clone();
         let mut backend = self.spec.backend_with_alpha(point, alpha)?;
-        let config = self.spec.attack_config(point);
-        if point.guard.is_none() {
-            // Unguarded points run the plain attack driver (honouring pulse
-            // batching) — bit-identical to pre-defence campaigns.
-            let result = run_attack(backend.as_mut(), &config);
-            let victim = config.victim;
-            let final_crosstalk = backend.hub().delta(victim.row, victim.col);
-            return Ok(CampaignOutcome {
-                key,
-                point: *point,
-                flipped: result.flipped,
-                pulses: result.pulses,
-                victim_drift: result.victim_drift,
-                final_crosstalk,
-                sim_time: result.elapsed,
-                collateral_flips: result.collateral_flips,
-                defense: None,
-                wall_ns: None,
-            });
-        }
-        // Guarded points run pulse by pulse with the guard in the loop, then
-        // replay the benign workload for false-positive accounting.
         let guarded = run_guarded_attack(
             backend.as_mut(),
-            &config,
+            &self.spec.attack_config(point),
             &point.guard,
             &self.spec.benign_workload(point),
         );
@@ -468,7 +445,8 @@ impl CampaignExecutor {
             final_crosstalk: guarded.final_crosstalk,
             sim_time: guarded.attack.elapsed,
             collateral_flips: guarded.attack.collateral_flips,
-            defense: Some(guarded.defense),
+            // Unguarded points report no defence at all.
+            defense: (!point.guard.is_none()).then_some(guarded.defense),
             wall_ns: None,
         })
     }

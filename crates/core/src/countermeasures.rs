@@ -6,10 +6,10 @@
 //! per-point [`DefenseOutcome`] and the benign-workload false-positive
 //! accounting — lives in [`rram_defense`] and is re-exported here. This
 //! module contributes the piece that needs the attack layer:
-//! [`run_guarded_attack`], which replays a hammering campaign with a guard
-//! in the loop on any [`HammerBackend`] and reports both the attack result
-//! and the defence outcome (including the guard's cost on a benign write
-//! workload).
+//! [`run_guarded_attack`], which runs a hammering campaign with a guard
+//! observing the attack loop ([`crate::attack::hammer`]) on any
+//! [`HammerBackend`] and reports both the attack result and the defence
+//! outcome (including the guard's cost on a benign write workload).
 //!
 //! Campaigns sweep whole guard grids through
 //! [`crate::campaign::CampaignSpec::guards`]; the defence/overhead Pareto
@@ -17,21 +17,20 @@
 //! `defense_pareto`) on top of [`rram_analysis::pareto`].
 
 pub use rram_defense::{
-    apply_refresh, run_benign_workload, BenignReport, BenignWorkload, Countermeasure,
-    DefenseOutcome, GuardAction, GuardSpec, ScrubbingGuard, ThermalSensorGuard, WriteCounterGuard,
+    apply_refresh, run_benign_workload, BenignWorkload, Countermeasure, DefenseOutcome,
+    GuardAction, GuardSpec, Interventions, ScrubbingGuard, ThermalSensorGuard, WriteCounterGuard,
 };
 
-use crate::attack::{run_attack, AttackConfig, AttackResult};
+use crate::attack::{hammer, AttackConfig, AttackResult};
 use rram_crossbar::HammerBackend;
-use rram_jart::DigitalState;
 use rram_units::{Joules, Kelvin, Seconds};
 
 /// Result of one guarded campaign point: the attack side and the defence
 /// side together.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GuardedAttackOutcome {
-    /// The hammering campaign's result (trace-free; guarded attacks run
-    /// pulse by pulse so the guard observes every write).
+    /// The hammering campaign's result (a guard sees every write, so
+    /// guarded attacks run pulse by pulse).
     pub attack: AttackResult,
     /// Crosstalk ΔT at the victim's hub node at the end of the attack, K —
     /// captured before the engine is reset for the benign phase.
@@ -40,18 +39,15 @@ pub struct GuardedAttackOutcome {
     pub defense: DefenseOutcome,
 }
 
-/// Replays a hammering campaign with the guard of `spec` in the loop, then
-/// replays `benign` against a fresh guard instance for false-positive and
-/// overhead accounting. Works on any [`HammerBackend`].
+/// Runs a hammering campaign with the guard of `spec` observing the attack
+/// loop, then replays `benign` against a fresh guard instance for
+/// false-positive and overhead accounting. Works on any [`HammerBackend`].
 ///
-/// The attack follows the same round-robin structure as
-/// [`crate::attack::run_attack`], but always pulse by pulse (no batching):
-/// the guard must observe every write. The guard samples the array's peak
-/// crosstalk ΔT right after each pulse — the hottest instant — through
-/// [`HammerBackend::peak_crosstalk`], and may refresh victims
-/// ([`apply_refresh`]) or throttle the attacker. For [`GuardSpec::None`]
-/// the attack runs undefended (honouring `config.batching`) and the
-/// defence outcome is all-zero apart from `blocked`.
+/// The guard sees every write ([`crate::attack::hammer`] says when it
+/// samples and judges), and may refresh victims ([`apply_refresh`]) or
+/// throttle the attacker. For [`GuardSpec::None`] nothing observes the
+/// loop, the attack honours `config.batching`, no benign phase runs and the
+/// defence outcome is all zero apart from `blocked`.
 ///
 /// The engine is reset between the attack and the benign phase, so both
 /// observe the same (possibly Monte Carlo-sampled) device population from
@@ -94,21 +90,25 @@ pub fn run_guarded_attack<B: HammerBackend + ?Sized>(
     spec: &GuardSpec,
     benign: &BenignWorkload,
 ) -> GuardedAttackOutcome {
-    let Some(mut guard) = spec.build() else {
-        let attack = run_attack(engine, config);
-        let final_crosstalk = engine.hub().delta(config.victim.row, config.victim.col);
-        let defense = DefenseOutcome {
-            blocked: !attack.flipped,
-            detections: 0,
-            pulses_to_detection: None,
-            refreshes: 0,
-            throttle_time: Seconds(0.0),
-            benign_writes: 0,
-            false_triggers: 0,
-            energy_overhead: Joules(0.0),
-            latency_overhead: Seconds(0.0),
-            overhead_fraction: 0.0,
-        };
+    let mut guard = spec.build();
+    let observer = guard
+        .as_mut()
+        .map(|g| g.as_mut() as &mut dyn Countermeasure);
+    let (attack, interventions) = hammer(engine, config, observer);
+    let final_crosstalk = engine.hub().delta(config.victim.row, config.victim.col);
+    let defense = DefenseOutcome {
+        blocked: !attack.flipped,
+        detections: interventions.count,
+        pulses_to_detection: interventions.first,
+        refreshes: interventions.refreshes,
+        throttle_time: interventions.throttle_time,
+        benign_writes: 0,
+        false_triggers: 0,
+        energy_overhead: Joules(0.0),
+        latency_overhead: Seconds(0.0),
+        overhead_fraction: 0.0,
+    };
+    let Some(mut benign_guard) = spec.build() else {
         return GuardedAttackOutcome {
             attack,
             final_crosstalk,
@@ -116,119 +116,45 @@ pub fn run_guarded_attack<B: HammerBackend + ?Sized>(
         };
     };
 
-    let rows = engine.rows();
-    let cols = engine.cols();
-    let aggressors = config.pattern.aggressors(config.victim, rows, cols);
-    assert!(
-        !aggressors.is_empty(),
-        "attack pattern produced no aggressors"
-    );
-    for &aggressor in &aggressors {
-        engine.force_state(aggressor, DigitalState::Lrs);
-    }
-    engine.force_state(config.victim, DigitalState::Hrs);
-    let reference = engine.read_all();
-    let start_time = engine.elapsed();
-
-    let mut pulses = 0u64;
-    let mut detections = 0u64;
-    let mut pulses_to_detection: Option<u64> = None;
-    let mut refreshes = 0u64;
-    let mut throttle_time = 0.0f64;
-
-    'outer: while pulses < config.max_pulses {
-        for &aggressor in &aggressors {
-            engine.apply_pulse(aggressor, config.amplitude, config.pulse_length);
-            pulses += 1;
-            // The guard samples the thermal state right after the pulse (the
-            // hottest instant), before the inter-pulse gap lets it decay.
-            let peak = engine.peak_crosstalk();
-            if config.gap.0 > 0.0 {
-                engine.idle(config.gap);
-            }
-            match guard.on_write(aggressor, engine.elapsed(), peak) {
-                GuardAction::Allow => {}
-                GuardAction::Throttle(pause) => {
-                    detections += 1;
-                    pulses_to_detection.get_or_insert(pulses);
-                    engine.idle(pause);
-                    throttle_time += pause.0;
-                }
-                GuardAction::RefreshNeighbors => {
-                    detections += 1;
-                    pulses_to_detection.get_or_insert(pulses);
-                    refreshes += 1;
-                    apply_refresh(engine, aggressor);
-                }
-            }
-            if engine.read(config.victim) == DigitalState::Lrs || pulses >= config.max_pulses {
-                break 'outer;
-            }
-        }
-    }
-
-    let flipped = engine.read(config.victim) == DigitalState::Lrs;
-    let collateral_flips = engine
-        .changed_cells(&reference)
-        .into_iter()
-        .filter(|&c| c != config.victim)
-        .count();
-    let attack = AttackResult {
-        flipped,
-        pulses,
-        elapsed: Seconds(engine.elapsed().0 - start_time.0),
-        victim_state: engine.read(config.victim),
-        victim_drift: engine.normalized_state(config.victim),
-        collateral_flips,
-        trace: Vec::new(),
-    };
-    let final_crosstalk = engine.hub().delta(config.victim.row, config.victim.col);
-
     // Benign phase: a fresh guard instance against legitimate traffic on a
     // pristine array (the same sampled devices).
     engine.reset();
-    let mut benign_guard = spec.build().expect("non-None spec builds a guard");
-    let benign_report = run_benign_workload(engine, benign_guard.as_mut(), benign);
-
+    let false_triggers = run_benign_workload(engine, benign_guard.as_mut(), benign);
     let energy_overhead = Joules(
         benign.writes as f64 * spec.sense_energy_per_write().0
-            + benign_report.refreshed_cells as f64 * rram_defense::REFRESH_ENERGY_PER_CELL.0,
+            + false_triggers.refreshed_cells as f64 * rram_defense::REFRESH_ENERGY_PER_CELL.0,
     );
     let latency_overhead = Seconds(
-        benign_report.throttle_time.0
-            + benign_report.refreshed_cells as f64 * rram_defense::REFRESH_LATENCY_PER_CELL.0,
+        false_triggers.throttle_time.0
+            + false_triggers.refreshed_cells as f64 * rram_defense::REFRESH_LATENCY_PER_CELL.0,
     );
-    let overhead_fraction = if benign_report.nominal_time.0 > 0.0 {
-        latency_overhead.0 / benign_report.nominal_time.0
+    let nominal_time = benign.nominal_time();
+    let overhead_fraction = if nominal_time.0 > 0.0 {
+        latency_overhead.0 / nominal_time.0
     } else {
         0.0
-    };
-    let defense = DefenseOutcome {
-        blocked: !flipped,
-        detections,
-        pulses_to_detection,
-        refreshes,
-        throttle_time: Seconds(throttle_time),
-        benign_writes: benign.writes,
-        false_triggers: benign_report.false_triggers,
-        energy_overhead,
-        latency_overhead,
-        overhead_fraction,
     };
     GuardedAttackOutcome {
         attack,
         final_crosstalk,
-        defense,
+        defense: DefenseOutcome {
+            benign_writes: benign.writes,
+            false_triggers: false_triggers.count,
+            energy_overhead,
+            latency_overhead,
+            overhead_fraction,
+            ..defense
+        },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attack::run_attack;
     use crate::pattern::AttackPattern;
     use rram_crossbar::{CellAddress, EngineConfig, PulseEngine};
     use rram_jart::DeviceParams;
-    use rram_units::Kelvin;
 
     fn engine() -> PulseEngine {
         PulseEngine::with_uniform_coupling(

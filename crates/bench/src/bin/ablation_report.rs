@@ -2,19 +2,20 @@
 //! crosstalk hub on/off, thermal time constant, pulse batching, the
 //! closed-form estimator vs. the simulation — plus a cross-backend agreement
 //! campaign that runs the same short burst through the fast pulse engine and
-//! the MNA-backed detailed engine.
+//! the MNA-backed detailed engine. Each design-choice variant is the figure
+//! binaries' base campaign with one field changed, run through the campaign
+//! executor.
 //!
 //! Run with `cargo run -p neurohammer-bench --release --bin ablation_report`.
 
 use neurohammer::ablation_report;
 use neurohammer::campaign::{CampaignAxis, CampaignSpec};
-use neurohammer_bench::{figure_setup, quick_requested, resolve_campaign, run_figure_campaign};
+use neurohammer_bench::{figure_campaign, quick_requested, resolve_campaign, run_figure_campaign};
 use rram_analysis::{Report, Table};
 use rram_crossbar::BackendKind;
 
 fn main() {
-    let setup = figure_setup(quick_requested());
-    let report = ablation_report(&setup).expect("ablation failed");
+    let report = ablation_report(&figure_campaign(quick_requested())).expect("ablation failed");
 
     let mut rendered = Report::new("Ablation report (50 ns pulses, 50 nm spacing, 300 K)");
     rendered.section("Design-choice ablations");

@@ -7,12 +7,15 @@
 //! binary understands the same `--campaign`/`--csv`/`--json`/`--spec`/
 //! `--shard`/`--checkpoint`/`--resume`/`--merge` flags as the other
 //! figures; the per-cell temperature matrix and α extraction are rendered
-//! alongside.
+//! alongside. They always show the default problem — 5×5 at 50 nm, at the
+//! quick or full voxel size — whatever `--campaign` asks the burst to run;
+//! with the default spec that is the field the campaign has just solved, so
+//! the extraction comes from the in-process cache.
 //!
 //! Run with `cargo run -p neurohammer-bench --release --bin fig2a_temperature_matrix`.
 
 use neurohammer::campaign::{CampaignAxis, CouplingSpec};
-use neurohammer::{fig2a_temperature_matrix, CouplingSource, ExperimentSetup};
+use neurohammer::fig2a_temperature_matrix;
 use neurohammer_bench::{
     campaign_figure, figure_campaign, maybe_print_report_json, maybe_print_spec, quick_requested,
     resolve_campaign, run_figure_campaign, shard_requested,
@@ -29,8 +32,8 @@ fn main() {
     spec.name = "fig2a temperature matrix (50 nm, 300 K)".into();
     spec.coupling = CouplingSpec::Fem { voxel_nm: voxel };
     spec.max_pulses = 20_000;
-    let spec = resolve_campaign(spec);
-    let report = run_figure_campaign(spec.clone(), CampaignAxis::Spacing);
+    let campaign = resolve_campaign(spec.clone());
+    let report = run_figure_campaign(campaign.clone(), CampaignAxis::Spacing);
     if maybe_print_report_json(&report) {
         return;
     }
@@ -44,18 +47,14 @@ fn main() {
         )
     );
 
-    // The per-cell matrix/α rendering re-runs the field solve and is not
-    // sharded; only shard 0 (or an unsharded/merged run) renders it, so a
-    // distributed run does not repeat the extraction in every process.
+    // The per-cell matrix/α rendering is not sharded; only shard 0 (or an
+    // unsharded/merged run) renders it, so a distributed run does not repeat
+    // the extraction in every process.
     if shard_requested().is_some_and(|shard| shard.index != 0) {
-        maybe_print_spec(&spec);
+        maybe_print_spec(&campaign);
         return;
     }
-    let setup = ExperimentSetup {
-        coupling: CouplingSource::Fem { voxel_nm: voxel },
-        ..ExperimentSetup::default()
-    };
-    let result = fig2a_temperature_matrix(&setup, 50.0).expect("field solve failed");
+    let result = fig2a_temperature_matrix(&spec, &spec.points()[0]).expect("field solve failed");
 
     println!(
         "hammered-cell power P_LRS        : {:.3e} W",
@@ -95,5 +94,5 @@ fn main() {
             .collect();
         println!("  {}", line.join(" "));
     }
-    maybe_print_spec(&spec);
+    maybe_print_spec(&campaign);
 }

@@ -50,37 +50,19 @@ pub mod worker;
 use std::path::PathBuf;
 
 use neurohammer::campaign::{read_checkpoint, CampaignAxis, CampaignReport, CampaignSpec, Shard};
-use neurohammer::{ExperimentSetup, SweepSeries};
+use neurohammer::SweepSeries;
 use rram_analysis::ascii_plot::log_bar_chart;
 use rram_analysis::{Report, Table};
-
-/// Returns the experiment setup used by the figure binaries.
-///
-/// `quick` (set via the `NEUROHAMMER_QUICK` environment variable or the
-/// `--quick` flag) switches to synthetic coupling coefficients and a smaller
-/// pulse budget so a full regeneration finishes in a couple of minutes.
-pub fn figure_setup(quick: bool) -> ExperimentSetup {
-    if quick {
-        ExperimentSetup {
-            max_pulses: 1_500_000,
-            batching: true,
-            ..ExperimentSetup::quick()
-        }
-    } else {
-        ExperimentSetup {
-            // Pulse batching keeps the multi-point sweeps tractable; the
-            // ablation binary quantifies its (small) bias against exact
-            // pulse-by-pulse simulation.
-            batching: true,
-            ..ExperimentSetup::default()
-        }
-    }
-}
 
 /// Base campaign grid shared by the figure binaries: the paper's 5×5 array,
 /// single-aggressor pattern, V_SET amplitude, 50 nm spacing and 300 K — with
 /// FEM-extracted coupling at full fidelity, or synthetic coupling and a
-/// smaller budget in quick mode.
+/// smaller budget in quick mode. Pulse batching keeps the multi-point
+/// sweeps tractable; the ablation binary quantifies its (small) bias
+/// against exact pulse-by-pulse simulation.
+///
+/// `quick` is set by the `--quick` flag or the `NEUROHAMMER_QUICK`
+/// environment variable ([`quick_requested`]).
 pub fn figure_campaign(quick: bool) -> CampaignSpec {
     if quick {
         CampaignSpec {
@@ -346,20 +328,6 @@ pub fn series_table(series: &SweepSeries, parameter_name: &str) -> Table {
     table
 }
 
-/// Prints a series as a table followed by a log-scale bar chart.
-pub fn print_series(series: &SweepSeries, parameter_name: &str) {
-    println!("## {}", series.name);
-    println!("{}", series_table(series, parameter_name));
-    let bars: Vec<(String, f64)> = series
-        .points
-        .iter()
-        .filter_map(|p| p.pulses.map(|n| (p.label.clone(), n as f64)))
-        .collect();
-    if let Some(chart) = log_bar_chart(&bars, 50) {
-        println!("{chart}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,16 +362,14 @@ mod tests {
     }
 
     #[test]
-    fn quick_setup_uses_synthetic_coupling() {
-        let setup = figure_setup(true);
+    fn quick_campaign_uses_synthetic_coupling() {
         assert!(matches!(
-            setup.coupling,
-            neurohammer::CouplingSource::Uniform { .. }
+            figure_campaign(true).coupling,
+            neurohammer::CouplingSpec::Uniform { .. }
         ));
-        let full = figure_setup(false);
         assert!(matches!(
-            full.coupling,
-            neurohammer::CouplingSource::Fem { .. }
+            figure_campaign(false).coupling,
+            neurohammer::CouplingSpec::Fem { .. }
         ));
     }
 }

@@ -6,8 +6,9 @@
 //! The crate provides:
 //!
 //! * [`attack`] — the hammering engine implementing the four attack phases
-//!   of Fig. 1, with bit-flip detection, pulse batching and a time-resolved
-//!   trace — generic over any [`rram_crossbar::HammerBackend`];
+//!   of Fig. 1: one round-robin loop with bit-flip detection, pulse
+//!   batching, a time-resolved trace and an optional guard observing every
+//!   write — generic over any [`rram_crossbar::HammerBackend`];
 //! * [`campaign`] — declarative, JSON-serialisable campaign grids
 //!   (patterns × amplitudes × pulse lengths × duty cycles × array sizes ×
 //!   spacings × ambients × schemes × backends × Monte Carlo trials)
@@ -18,8 +19,9 @@
 //!   diagonal; Fig. 3d–h);
 //! * [`estimate`] — a closed-form pulses-to-flip estimator used for
 //!   cross-checks and budget sizing;
-//! * [`experiments`] — the Fig. 1 trace, the Fig. 2a field extraction and
-//!   the design-choice ablations (the Fig. 3 sweeps are campaign grids);
+//! * [`experiments`] — the Fig. 2a field extraction and the design-choice
+//!   ablations, both driven by a campaign spec (the Fig. 1 trace and the
+//!   Fig. 3 sweeps are campaign grids);
 //! * [`sweep`] — the sweep-series data types reports are sliced into;
 //! * [`countermeasures`] — the guarded-attack harness over the
 //!   `rram-defense` subsystem: write-counter, thermal-sensor and scrubbing
@@ -81,10 +83,7 @@ pub use countermeasures::{
     GuardedAttackOutcome, ScrubbingGuard, ThermalSensorGuard, WriteCounterGuard,
 };
 pub use estimate::{estimate_attack, AttackEstimate};
-pub use experiments::{
-    ablation_report, fig1_trace, fig2a_temperature_matrix, AblationReport, CouplingSource,
-    ExperimentSetup, Fig2aResult,
-};
+pub use experiments::{ablation_report, fig2a_temperature_matrix, AblationReport, Fig2aResult};
 pub use pattern::AttackPattern;
 pub use scenario::{
     EscalationOutcome, NeuromorphicOutcome, NeuromorphicScenario, PageTableEntry,

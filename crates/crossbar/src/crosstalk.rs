@@ -18,6 +18,10 @@
 //! temperature *rises* above ambient, which is the dimensionally consistent
 //! reading of the same coefficients (an unpowered array then contributes no
 //! crosstalk).
+//!
+//! Zero coupling means off: a hub whose α is zero off the selected cell
+//! (`CrosstalkHub::two_ring(rows, cols, 0.0, tau)`) delivers no ΔT to any
+//! cell, which is how the hub-off ablation runs.
 
 use serde::{Deserialize, Serialize};
 
@@ -32,8 +36,6 @@ pub struct CrosstalkHub {
     alpha: AlphaMatrix,
     /// Thermal time constant of the coupling, s.
     tau: f64,
-    /// Whether coupling is applied at all (disabled for ablations).
-    enabled: bool,
     /// Current ΔT state per cell, K.
     state: Vec<f64>,
     /// Nonzero coupling offsets `(Δrow, Δcol, α)` excluding the self offset,
@@ -65,7 +67,6 @@ impl PartialEq for CrosstalkHub {
             && self.cols == other.cols
             && self.alpha == other.alpha
             && self.tau == other.tau
-            && self.enabled == other.enabled
             && self.state == other.state
     }
 }
@@ -101,7 +102,6 @@ impl CrosstalkHub {
             cols,
             alpha,
             tau: tau.0,
-            enabled: true,
             state: vec![0.0; rows * cols],
             support,
             scratch: vec![0.0; rows * cols],
@@ -147,26 +147,6 @@ impl CrosstalkHub {
     /// the ratios the field solver extracts for 50 nm spacing).
     pub fn two_ring(rows: usize, cols: usize, nearest: f64, tau: Seconds) -> Self {
         CrosstalkHub::uniform(rows, cols, nearest, 0.5 * nearest, 0.25 * nearest, tau)
-    }
-
-    /// A hub with coupling switched off (ablation baseline).
-    pub fn disabled(rows: usize, cols: usize) -> Self {
-        let mut hub = CrosstalkHub::uniform(rows, cols, 0.0, 0.0, 0.0, Seconds(0.0));
-        hub.enabled = false;
-        hub
-    }
-
-    /// Returns `true` when coupling is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Disables or re-enables coupling (used by the hub ablation experiment).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-        if !enabled {
-            self.state.iter_mut().for_each(|v| *v = 0.0);
-        }
     }
 
     /// Thermal time constant.
@@ -260,9 +240,6 @@ impl CrosstalkHub {
             "temperature vector length mismatch"
         );
         assert!(dt.0 >= 0.0, "dt must be non-negative");
-        if !self.enabled {
-            return;
-        }
         let blend = self.blend(dt);
         // Targets are computed from a snapshot of the state so the update is
         // independent of cell iteration order; the snapshot lives in the
@@ -317,9 +294,6 @@ impl CrosstalkHub {
             "temperature vector length mismatch"
         );
         assert!(dt.0 >= 0.0, "dt must be non-negative");
-        if !self.enabled {
-            return;
-        }
         if self.support.len() >= self.rows * self.cols {
             // Dense coupling (e.g. a full FEM extraction): scattering would
             // cost more than gathering.
@@ -443,23 +417,6 @@ mod tests {
         let ambient_only = vec![300.0; 9];
         hub.update(&ambient_only, Kelvin(300.0), Seconds(1e-6));
         assert!(hub.delta(1, 0).0 < 1.0);
-    }
-
-    #[test]
-    fn disabled_hub_stays_cold() {
-        let mut hub = CrosstalkHub::disabled(3, 3);
-        hub.update(&hot_center(3, 3, 1000.0), Kelvin(300.0), Seconds(1e-6));
-        assert_eq!(hub.delta(1, 0).0, 0.0);
-        assert!(!hub.is_enabled());
-    }
-
-    #[test]
-    fn disabling_clears_state() {
-        let mut hub = CrosstalkHub::uniform(3, 3, 0.1, 0.05, 0.02, Seconds(0.0));
-        hub.update(&hot_center(3, 3, 900.0), Kelvin(300.0), Seconds(1e-9));
-        assert!(hub.delta(1, 0).0 > 0.0);
-        hub.set_enabled(false);
-        assert_eq!(hub.delta(1, 0).0, 0.0);
     }
 
     #[test]

@@ -443,7 +443,7 @@ mod tests {
         // With large segment resistance the far cell of a long word line
         // switches more slowly than with negligible parasitics.
         let params = DeviceParams::default();
-        let hub = |n| CrosstalkHub::disabled(1, n);
+        let hub = |n| CrosstalkHub::two_ring(1, n, 0.0, Seconds(0.0));
         let mut ideal = DetailedCrossbar::new(
             1,
             4,

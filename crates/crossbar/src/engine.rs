@@ -503,9 +503,14 @@ mod tests {
     }
 
     #[test]
-    fn disabled_hub_blocks_crosstalk() {
-        let mut e = engine();
-        e.hub_mut().set_enabled(false);
+    fn zero_coupling_blocks_crosstalk() {
+        let mut e = PulseEngine::with_uniform_coupling(
+            5,
+            5,
+            DeviceParams::default(),
+            0.0,
+            EngineConfig::default(),
+        );
         let aggressor = CellAddress::new(2, 2);
         e.array_mut()
             .cell_mut(aggressor)

@@ -90,7 +90,7 @@ fn disabling_the_extracted_coupling_prevents_the_flip_within_the_same_budget() {
     assert!(with_coupling.flipped);
 
     let array = CrossbarArray::new(5, 5, DeviceParams::default());
-    let hub = CrosstalkHub::disabled(5, 5);
+    let hub = CrosstalkHub::two_ring(5, 5, 0.0, Seconds(30e-9));
     let mut engine = PulseEngine::new(array, hub, EngineConfig::default());
     let mut capped = attack.clone();
     capped.max_pulses = with_coupling.pulses * 3;

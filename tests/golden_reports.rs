@@ -190,7 +190,7 @@ fn fig1_trace_is_pinned() {
 /// variant and the estimator in `{:?}` form, so every bit shows.
 #[test]
 fn ablation_design_table_is_golden() {
-    let report = ablation_report(&neurohammer_bench::figure_setup(true)).expect("ablation runs");
+    let report = ablation_report(&neurohammer_bench::figure_campaign(true)).expect("ablation runs");
     let mut fresh = String::new();
     for row in &report.rows {
         let pulses = row.pulses.map_or("no flip".into(), |p| p.to_string());

@@ -543,7 +543,10 @@ impl CampaignSpec {
 
     /// Checks the grid is well formed: no axis is empty, every axis value
     /// is in range, the grid has at most [`MAX_GRID_POINTS`] points and no
-    /// array more than [`MAX_ARRAY_CELLS`] cells.
+    /// array more than [`MAX_ARRAY_CELLS`] cells. A uniform coupling's
+    /// `nearest` α must lie in `[0, 1]` (α is a ratio of temperature rises,
+    /// Eq. 4; 0 switches the coupling off), and every field problem a FEM
+    /// coupling would solve must be a valid [`CrossbarGeometry`].
     ///
     /// # Errors
     ///
@@ -562,7 +565,25 @@ impl CampaignSpec {
                 .map_err(|e| CampaignError::InvalidValue(format!("invalid spread: {e}")))?;
         }
         let tau_ok = self.tau_ns >= 0.0 && self.tau_ns.is_finite();
-        require("tau_ns", tau_ok, "must be finite and ≥ 0")
+        require("tau_ns", tau_ok, "must be finite and ≥ 0")?;
+        match self.coupling {
+            CouplingSpec::Uniform { nearest } => {
+                let ok = (0.0..=1.0).contains(&nearest);
+                require("coupling nearest", ok, "must lie in [0, 1]")
+            }
+            CouplingSpec::Fem { voxel_nm } => {
+                for &(rows, cols) in &self.array_sizes {
+                    for &spacing_nm in &self.spacings_nm {
+                        fem_geometry(rows, cols, spacing_nm, voxel_nm)
+                            .validate()
+                            .map_err(|e| {
+                                CampaignError::InvalidValue(format!("FEM coupling: {e}"))
+                            })?;
+                    }
+                }
+                Ok(())
+            }
+        }
     }
 
     /// Expands the grid into its points: point `i` takes the values whose
@@ -689,13 +710,7 @@ impl CampaignSpec {
     /// the LRS power of the default device at the spec's first amplitude,
     /// dissipated in the array's centre cell.
     fn fem_problem(&self, point: &CampaignPoint, voxel_nm: f64) -> (CrossbarGeometry, AlphaConfig) {
-        let geometry = CrossbarGeometry {
-            rows: point.rows,
-            cols: point.cols,
-            electrode_spacing_nm: point.spacing_nm,
-            voxel_nm,
-            ..CrossbarGeometry::default()
-        };
+        let geometry = fem_geometry(point.rows, point.cols, point.spacing_nm, voxel_nm);
         let device = DeviceParams::default();
         let p = solve_operating_point(&device, self.amplitudes_v[0], device.n_max).power_active;
         let config = AlphaConfig {
@@ -991,6 +1006,17 @@ impl CampaignSpec {
         }
         spec.validate()?;
         Ok(spec)
+    }
+}
+
+/// The crossbar a FEM coupling solves for one array size and spacing.
+fn fem_geometry(rows: usize, cols: usize, spacing_nm: f64, voxel_nm: f64) -> CrossbarGeometry {
+    CrossbarGeometry {
+        rows,
+        cols,
+        electrode_spacing_nm: spacing_nm,
+        voxel_nm,
+        ..CrossbarGeometry::default()
     }
 }
 
@@ -2242,6 +2268,30 @@ mod tests {
                 }
                 other => panic!("{body} was not rejected: {other:?}"),
             }
+        }
+        // Couplings whose points would report a NaN ΔT or fail their field
+        // solve in a worker.
+        for body in [
+            r#"{"coupling": {"kind": "uniform", "nearest": -5}}"#,
+            r#"{"coupling": {"kind": "uniform", "nearest": 1.5}}"#,
+            r#"{"coupling": {"kind": "fem", "voxel_nm": 0}}"#,
+            // 25 nm voxels cannot resolve a 10 nm electrode spacing.
+            r#"{"coupling": {"kind": "fem", "voxel_nm": 25}, "spacings_nm": [50, 10]}"#,
+        ] {
+            assert!(
+                matches!(
+                    CampaignSpec::from_json(body),
+                    Err(CampaignError::InvalidValue(_))
+                ),
+                "{body} was not rejected"
+            );
+        }
+        for nearest in [0.0, 1.0] {
+            let spec = CampaignSpec {
+                coupling: CouplingSpec::Uniform { nearest },
+                ..CampaignSpec::default()
+            };
+            assert!(spec.validate().is_ok(), "nearest {nearest}");
         }
         // The bounds leave room for the largest grids and arrays in use.
         let big = CampaignSpec {

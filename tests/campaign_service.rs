@@ -499,6 +499,11 @@ fn hostile_grids_get_a_400_and_the_daemon_keeps_serving() {
         r#"{"trials": 4000000000}"#,
         overflowing.as_str(),
         r#"{"array_sizes": [[2, 1000000000]]}"#,
+        // Couplings whose points would report a NaN ΔT or fail their field
+        // solve in every worker that leases them.
+        r#"{"coupling": {"kind": "uniform", "nearest": -5}}"#,
+        r#"{"coupling": {"kind": "fem", "voxel_nm": 0}}"#,
+        r#"{"coupling": {"kind": "fem", "voxel_nm": 25}, "spacings_nm": [10]}"#,
     ] {
         let body = format!("{{\"spec\": {spec}}}");
         let (status, reply) = http::call(&addr, "POST", "/jobs", Some(&body)).unwrap();

@@ -144,7 +144,8 @@ impl CrosstalkHub {
     /// The canonical synthetic two-ring profile used by scenarios and
     /// campaigns: in-line nearest neighbours couple at `nearest`, diagonal
     /// neighbours at half and the second ring at a quarter of it (close to
-    /// the ratios the field solver extracts for 50 nm spacing).
+    /// the ratios the field solver extracts for 50 nm spacing). `nearest`
+    /// 0 switches the coupling off.
     pub fn two_ring(rows: usize, cols: usize, nearest: f64, tau: Seconds) -> Self {
         CrosstalkHub::uniform(rows, cols, nearest, 0.5 * nearest, 0.25 * nearest, tau)
     }

@@ -235,6 +235,8 @@ pub fn hammer<B: HammerBackend + ?Sized>(
         .filter(|&c| c != config.victim)
         .count();
     let result = AttackResult {
+        // Read again: a batching step may have moved the victim since the
+        // loop last read it.
         flipped: victim_is_lrs(engine),
         pulses,
         elapsed: Seconds(engine.elapsed().0 - start_time.0),

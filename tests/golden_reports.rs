@@ -55,7 +55,7 @@ fn assert_matches_file(name: &str, fresh: &str, file: &str) {
             .position(|(a, b)| a != b)
             .unwrap_or_else(|| fresh.lines().count().min(expected.lines().count()));
         panic!(
-            "{name}: report differs from {path:?} at line {}:\n  fresh:  {:?}\n  golden: {:?}",
+            "{name}: differs from {path:?} at line {}:\n  fresh:  {:?}\n  golden: {:?}",
             line + 1,
             fresh.lines().nth(line),
             expected.lines().nth(line)
@@ -146,9 +146,6 @@ fn detailed_checkpoint_resumes_into_the_golden_report() {
     assert_checkpoint_resumes("ablation");
 }
 
-/// Digest of the Fig. 1 trace; see [`fig1_trace_is_pinned`].
-const TRACE_DIGEST: u64 = 0x6398_1d03_8f6c_0337;
-
 /// FNV-1a over the little-endian bytes of `words`.
 fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -183,7 +180,7 @@ fn fig1_trace_is_pinned() {
             p.victim_state.to_bits(),
         ]
     }));
-    assert_eq!(digest, TRACE_DIGEST, "digest {digest:#018x}");
+    assert_eq!(digest, 0x6398_1d03_8f6c_0337, "digest {digest:#018x}");
 }
 
 /// The ablation binary's design-choice variants at `--quick`, one line per

@@ -126,6 +126,14 @@ fn ablation_report_is_golden() {
     assert_fresh_run_is_golden("ablation");
 }
 
+/// The only golden array larger than 5×5: a non-square 40×72 `batched`
+/// array under every write scheme, with and without a rewriting guard,
+/// homogeneous and Monte Carlo, at a non-default ambient.
+#[test]
+fn large_array_report_is_golden() {
+    assert_fresh_run_is_golden("large_array");
+}
+
 #[test]
 fn pulse_checkpoint_resumes_into_the_golden_report() {
     assert_checkpoint_resumes("fig3a");

@@ -203,7 +203,12 @@ pub struct CampaignSpec {
     /// Worker threads *inside* each ideal-driver sub-step (the
     /// [`rram_crossbar::EngineConfig`] `threads` knob). Results are
     /// bit-identical for any value, so this is deliberately excluded from
-    /// point fingerprints; it only pays off on large arrays (≳256×256).
+    /// point fingerprints. It has not paid off on any array measured: on 2
+    /// cores, two threads ran a 256×256 array at 0.83× one thread before
+    /// the engine's warm spans and at 0.44–0.73× after
+    /// (`threaded_over_batched_speedup_256` in `BENCH_backends.json`). The
+    /// engine knob is slated for deletion (ROADMAP item 4); the key will
+    /// still be read, since any value gives the same bits.
     pub backend_threads: usize,
 }
 
@@ -737,7 +742,6 @@ impl CampaignSpec {
         points: &[CampaignPoint],
         cache_dir: Option<&std::path::Path>,
     ) -> Result<HashMap<CouplingKey, AlphaMatrix>, CampaignError> {
-        let tau = Seconds(self.tau_ns * 1e-9);
         let mut couplings = HashMap::new();
         for point in points {
             let key = (point.rows, point.cols, point.spacing_nm.to_bits());
@@ -745,11 +749,7 @@ impl CampaignSpec {
                 continue;
             }
             let alpha = match self.coupling {
-                CouplingSpec::Uniform { nearest } => {
-                    CrosstalkHub::two_ring(point.rows, point.cols, nearest, tau)
-                        .alpha()
-                        .clone()
-                }
+                CouplingSpec::Uniform { nearest } => CrosstalkHub::two_ring_alpha(nearest),
                 CouplingSpec::Fem { voxel_nm } => {
                     let (geometry, config) = self.fem_problem(point, voxel_nm);
                     let extraction = match cache_dir {

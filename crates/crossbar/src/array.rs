@@ -5,11 +5,13 @@
 //! [`CellBank`] (row-major lane order) shared with the integration kernel,
 //! and [`CrossbarArray::cell`]/[`CrossbarArray::cell_mut`] hand out
 //! [`CellRef`]/[`CellMut`] views with the familiar per-device method
-//! surface. Engines that want the whole array at once go through
-//! [`CrossbarArray::step_lanes`]/[`CrossbarArray::relax_lanes`], which call
-//! [`rram_jart::kernel::step_lanes`] on every cell.
+//! surface. The pulse engine steps many cells at once through the
+//! [`rram_jart::kernel`] on row-major lane ranges;
+//! [`CrossbarArray::step_lanes`] and [`CrossbarArray::relax_lanes`] are the
+//! one-range case, every cell.
 
 use std::borrow::Cow;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -253,8 +255,19 @@ impl CrossbarArray {
         self.bank.import_crosstalk(deltas);
     }
 
+    /// Writes the crosstalk ΔT of the cells in the row-major lane `ranges`
+    /// from a row-major slice; every other cell keeps its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice length does not match the cell count or a range
+    /// is out of bounds.
+    pub(crate) fn import_crosstalk_ranges(&mut self, deltas: &[f64], ranges: &[Range<usize>]) {
+        self.bank.import_crosstalk_ranges(deltas, ranges);
+    }
+
     /// Integrates every cell by `dt` under its per-cell voltage (row-major)
-    /// in one kernel call — the hot path of the ideal-driver engine.
+    /// in one kernel call.
     ///
     /// # Panics
     ///
@@ -264,25 +277,29 @@ impl CrossbarArray {
         rram_jart::kernel::step_lanes(&self.params, voltages, &mut self.bank.view_mut(), dt)
     }
 
-    /// Like [`CrossbarArray::step_lanes`], with the lane range split across
-    /// `threads` scoped worker threads. Bit-identical to the
-    /// single-threaded call for any thread count (lanes are independent
-    /// within a sub-step); `threads <= 1` does not spawn at all.
+    /// Integrates the cells in the disjoint, ascending row-major lane
+    /// `ranges` by `dt` under their voltages (`voltages` is row-major over
+    /// every cell), split across `threads` scoped worker threads, and
+    /// leaves every other cell untouched — the hot path of the
+    /// ideal-driver engine. Bit-identical for any thread count; `threads
+    /// <= 1` does not spawn at all.
     ///
     /// # Panics
     ///
-    /// Panics if `voltages.len()` does not match the cell count or `dt` is
-    /// negative.
-    pub fn step_lanes_threaded(
+    /// Panics if `voltages.len()` does not match the cell count, the ranges
+    /// are not disjoint, ascending and in bounds, or `dt` is negative.
+    pub(crate) fn step_lane_ranges_threaded(
         &mut self,
         voltages: &[f64],
+        ranges: &[Range<usize>],
         dt: rram_units::Seconds,
         threads: usize,
     ) {
-        rram_jart::kernel::step_lanes_threaded(
+        rram_jart::kernel::step_lane_ranges_threaded(
             &self.params,
             voltages,
             self.bank.view_mut(),
+            ranges,
             dt,
             threads,
         )
@@ -290,14 +307,25 @@ impl CrossbarArray {
 
     /// Advances every cell by `dt` with all lines grounded — bit-identical
     /// to [`CrossbarArray::step_lanes`] with an all-zero voltage vector,
-    /// without needing the voltage buffer at all. The ideal-driver engine's
-    /// gap phases run on this.
+    /// without needing the voltage buffer at all.
     ///
     /// # Panics
     ///
     /// Panics if `dt` is negative.
     pub fn relax_lanes(&mut self, dt: rram_units::Seconds) {
         rram_jart::kernel::relax_lanes(&self.params, &mut self.bank.view_mut(), dt)
+    }
+
+    /// Advances the cells in the row-major lane `ranges` by `dt` with all
+    /// lines grounded and leaves every other cell untouched. The
+    /// ideal-driver engine's gap phases run on this.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ranges are not disjoint, ascending and in bounds, or
+    /// `dt` is negative.
+    pub(crate) fn relax_lane_ranges(&mut self, ranges: &[Range<usize>], dt: rram_units::Seconds) {
+        rram_jart::kernel::relax_lane_ranges(&self.params, &mut self.bank.view_mut(), ranges, dt)
     }
 
     /// Number of cells whose digital state differs from `reference`

@@ -22,6 +22,13 @@
 //! Zero coupling means off: a hub whose α is zero off the selected cell
 //! (`CrosstalkHub::two_ring(rows, cols, 0.0, tau)`) delivers no ΔT to any
 //! cell, which is how the hub-off ablation runs.
+//!
+//! Crosstalk is local, so [`CrosstalkHub::update_spans`] updates only the
+//! cells near the ones that carry heat: given, per row, a column span
+//! outside which every cell holds ΔT `+0.0` and exports no rise, it visits
+//! those spans dilated by the coupling support and reports the dilated
+//! spans back. [`CrosstalkHub::update_batched`] is the case where every
+//! span is the whole row.
 
 use serde::{Deserialize, Serialize};
 
@@ -45,18 +52,27 @@ pub struct CrosstalkHub {
     /// exact order a source-major scatter (or the gather loop, per
     /// destination) adds them.
     support: Vec<(isize, isize, f64)>,
-    /// Scratch buffer holding the previous state during an update, reused
-    /// across sub-steps so updates never allocate.
+    /// The column offsets the support reaches per row offset,
+    /// `(Δrow, min Δcol, max Δcol)`: dilating a source row's hot columns by
+    /// them gives the destination columns a span update must visit.
+    reach: Vec<(isize, isize, isize)>,
+    /// Reused scratch, so updates never allocate: the gather's snapshot of
+    /// the previous state, and the span update's one-row target
+    /// accumulator (its first `cols` entries).
     scratch: Vec<f64>,
     /// Reused buffer of clamped per-source self-heating rises for the
-    /// batched update (exactly `0.0` where a source contributes nothing).
+    /// span update (exactly `0.0` where a source contributes nothing).
     rise: Vec<f64>,
     /// Reused per-row `[lo, hi)` nonzero column span of `rise`. Crosstalk
     /// is local, so most rows are hot only near the biased lines; clipping
     /// the accumulation to the span skips adds of `α · 0.0` terms, which
     /// are bit-neutral (the accumulator is never `-0.0` — see
-    /// [`CrosstalkHub::update_batched`]).
-    span: Vec<(u32, u32)>,
+    /// [`CrosstalkHub::update_spans`]).
+    span: Vec<(usize, usize)>,
+    /// Every row's whole span: the span table of
+    /// [`CrosstalkHub::update_batched`] (the dilation of a whole row is the
+    /// whole row, so the update leaves it as it is).
+    whole: Vec<(usize, usize)>,
 }
 
 /// Two hubs are equal when their coupling physics and state agree; the
@@ -97,6 +113,13 @@ impl CrosstalkHub {
             .collect();
         // Descending offset order — see the field's invariant note.
         support.sort_by_key(|&(d_row, d_col, _)| std::cmp::Reverse((d_row, d_col)));
+        let mut reach: Vec<(isize, isize, isize)> = Vec::new();
+        for &(d_row, d_col, _) in &support {
+            match reach.iter_mut().find(|(row, ..)| *row == d_row) {
+                Some((_, lo, hi)) => (*lo, *hi) = ((*lo).min(d_col), (*hi).max(d_col)),
+                None => reach.push((d_row, d_col, d_col)),
+            }
+        }
         CrosstalkHub {
             rows,
             cols,
@@ -104,9 +127,11 @@ impl CrosstalkHub {
             tau: tau.0,
             state: vec![0.0; rows * cols],
             support,
+            reach,
             scratch: vec![0.0; rows * cols],
             rise: vec![0.0; rows * cols],
             span: vec![(0, 0); rows],
+            whole: vec![(0, cols); rows],
         }
     }
 
@@ -122,7 +147,13 @@ impl CrosstalkHub {
         second: f64,
         tau: Seconds,
     ) -> Self {
-        // Build a 5×5 synthetic alpha map with the selected cell at (2, 2).
+        let alpha = CrosstalkHub::uniform_alpha(nearest, diagonal, second);
+        CrosstalkHub::new(rows, cols, alpha, tau)
+    }
+
+    /// The α map of [`CrosstalkHub::uniform`]: 5×5 with the selected cell
+    /// at (2, 2), built without a hub around it.
+    fn uniform_alpha(nearest: f64, diagonal: f64, second: f64) -> AlphaMatrix {
         let mut values = vec![0.0; 25];
         for r in 0..5usize {
             for c in 0..5usize {
@@ -137,8 +168,7 @@ impl CrosstalkHub {
                 };
             }
         }
-        let alpha = AlphaMatrix::from_values(5, 5, (2, 2), values);
-        CrosstalkHub::new(rows, cols, alpha, tau)
+        AlphaMatrix::from_values(5, 5, (2, 2), values)
     }
 
     /// The canonical synthetic two-ring profile used by scenarios and
@@ -147,7 +177,14 @@ impl CrosstalkHub {
     /// the ratios the field solver extracts for 50 nm spacing). `nearest`
     /// 0 switches the coupling off.
     pub fn two_ring(rows: usize, cols: usize, nearest: f64, tau: Seconds) -> Self {
-        CrosstalkHub::uniform(rows, cols, nearest, 0.5 * nearest, 0.25 * nearest, tau)
+        CrosstalkHub::new(rows, cols, CrosstalkHub::two_ring_alpha(nearest), tau)
+    }
+
+    /// The α map of [`CrosstalkHub::two_ring`], built without a hub around
+    /// it — what a campaign's uniform coupling resolves to, whatever the
+    /// array size.
+    pub fn two_ring_alpha(nearest: f64) -> AlphaMatrix {
+        CrosstalkHub::uniform_alpha(nearest, 0.5 * nearest, 0.25 * nearest)
     }
 
     /// Thermal time constant.
@@ -264,18 +301,44 @@ impl CrosstalkHub {
         }
     }
 
-    /// Advances the hub by `dt` like [`CrosstalkHub::update`], but computes
-    /// the targets by accumulating each coupling *offset*'s contribution as
-    /// one strided axpy (`state[dst..] += α · rise[src..]`, row by row)
-    /// instead of gathering over every source per destination.
+    /// Advances the hub by `dt` like [`CrosstalkHub::update`]:
+    /// [`CrosstalkHub::update_spans`] with every row's span the whole row.
     ///
+    /// # Panics
+    ///
+    /// Panics if `temperatures.len() != rows·cols` or `dt` is negative.
+    pub fn update_batched(&mut self, temperatures: &[f64], ambient: Kelvin, dt: Seconds) {
+        let mut whole = std::mem::take(&mut self.whole);
+        self.update_spans(temperatures, ambient, dt, &mut whole);
+        self.whole = whole;
+    }
+
+    /// Advances the hub by `dt` like [`CrosstalkHub::update`], visiting
+    /// only the cells near `spans`, and replaces each row's span with the
+    /// columns the update visited.
+    ///
+    /// `spans[row]` is a `[lo, hi)` column span (`lo == hi` is empty).
+    /// The caller promises that every cell outside the spans holds ΔT
+    /// `+0.0` and exports no rise (its temperature minus `ambient` is not
+    /// positive); such a cell contributes no term to any target, and its
+    /// own target is `+0.0` unless a source within the coupling support has
+    /// a rise. So the update visits each row's own span together with the
+    /// hot columns of the rows around it dilated by the support
+    /// (`reach`), and leaves every other cell at `+0.0`, which is exactly
+    /// where the whole-array update puts it. The state is updated in place,
+    /// never swapped with a stale buffer, so a cell the update skips keeps
+    /// its own value.
+    ///
+    /// The targets are computed by accumulating each coupling *offset*'s
+    /// contribution as one strided axpy (`acc[dst..] += α · rise[src..]`,
+    /// row by row) instead of gathering over every source per destination.
     /// For the compact synthetic/extracted α profiles a hammer campaign uses
     /// (a handful of coupled rings), this turns the per-sub-step cost from
-    /// `O((rows·cols)²)` into `O(rows·cols · support)` — the hot-path win of
-    /// the pulse engine on large arrays — and the offset-major loop walks
-    /// both buffers contiguously with the boundary clipping hoisted out of
-    /// the inner loop. When the support is as dense as the array itself the
-    /// method falls back to the gather loop.
+    /// `O((rows·cols)²)` into `O(rows·cols · support)`, and the
+    /// offset-major loop walks the buffers contiguously with the boundary
+    /// clipping hoisted out of the inner loop. When the support is as dense
+    /// as the array itself the method falls back to the gather loop over
+    /// every cell and reports every span as the whole row.
     ///
     /// For finite temperatures the result is **bit-identical** to
     /// [`CrosstalkHub::update`] (tests pin this). The descending offset
@@ -287,90 +350,132 @@ impl CrosstalkHub {
     ///
     /// # Panics
     ///
-    /// Panics if `temperatures.len() != rows·cols` or `dt` is negative.
-    pub fn update_batched(&mut self, temperatures: &[f64], ambient: Kelvin, dt: Seconds) {
+    /// Panics if `temperatures.len() != rows·cols`, `spans.len() != rows`,
+    /// a span is not within its row, or `dt` is negative.
+    pub fn update_spans(
+        &mut self,
+        temperatures: &[f64],
+        ambient: Kelvin,
+        dt: Seconds,
+        spans: &mut [(usize, usize)],
+    ) {
+        let (rows, cols) = (self.rows, self.cols);
         assert_eq!(
             temperatures.len(),
-            self.rows * self.cols,
+            rows * cols,
             "temperature vector length mismatch"
         );
+        assert_eq!(spans.len(), rows, "span table length mismatch");
         assert!(dt.0 >= 0.0, "dt must be non-negative");
-        if self.support.len() >= self.rows * self.cols {
+        if self.support.len() >= rows * cols {
             // Dense coupling (e.g. a full FEM extraction): scattering would
             // cost more than gathering.
             self.update(temperatures, ambient, dt);
+            spans.fill((0, cols));
             return;
         }
         let blend = self.blend(dt);
-        std::mem::swap(&mut self.state, &mut self.scratch);
-        // Clamped self-heating rises, computed once per source. Storing an
-        // exact `0.0` where a source contributes nothing (`r > 0.0` is false
-        // for NaN and `-0.0` too) keeps the axpy bit-neutral there: the
-        // accumulator is never `-0.0` (it starts at `+0.0` and partial sums
-        // of finite terms that cancel round to `+0.0`), so adding `α·0.0`
-        // preserves every bit.
-        for (slot, (&t, &p)) in self
-            .rise
-            .iter_mut()
-            .zip(temperatures.iter().zip(&self.scratch))
-        {
-            let r = t - ambient.0 - p;
-            *slot = if r > 0.0 { r } else { 0.0 };
-        }
-        // Per-row nonzero span of the rises. Crosstalk is local, so away
-        // from the biased lines whole rows are exactly `0.0`; clipping the
-        // accumulation below to the span only skips `α · 0.0` terms, which
-        // are bit-neutral for the same reason.
-        for (row, span) in self.span.iter_mut().enumerate() {
-            let rise_row = &self.rise[row * self.cols..(row + 1) * self.cols];
-            let lo = rise_row.iter().position(|&r| r != 0.0);
-            *span = match lo {
-                None => (0, 0),
-                Some(lo) => {
-                    let hi = rise_row.iter().rposition(|&r| r != 0.0).unwrap_or(lo) + 1;
-                    (lo as u32, hi as u32)
-                }
+        // Clamped self-heating rises over the spans, and each row's nonzero
+        // span of them. Storing an exact `0.0` where a source contributes
+        // nothing (`r > 0.0` is false for NaN and `-0.0` too) keeps the
+        // axpy bit-neutral there: the accumulator is never `-0.0` (it
+        // starts at `+0.0` and partial sums of finite terms that cancel
+        // round to `+0.0`), so adding `α·0.0` preserves every bit. Outside
+        // the spans the rises are `0.0` by the caller's promise, so the
+        // nonzero spans are the whole-array ones.
+        for (row, &(lo, hi)) in spans.iter().enumerate() {
+            assert!(lo <= hi && hi <= cols, "span outside its row");
+            let cells = row * cols + lo..row * cols + hi;
+            let rise = &mut self.rise[cells.clone()];
+            let sources = temperatures[cells.clone()].iter().zip(&self.state[cells]);
+            for (slot, (&t, &p)) in rise.iter_mut().zip(sources) {
+                let r = t - ambient.0 - p;
+                *slot = if r > 0.0 { r } else { 0.0 };
+            }
+            self.span[row] = match nonzero_span(rise) {
+                (first, last) if first == last => (0, 0),
+                (first, last) => (lo + first, lo + last),
             };
         }
-        // `state` doubles as the target accumulator, processed one
-        // destination row at a time: each row is zeroed, accumulated over
-        // every offset, then blended in place while still cache-hot. This
-        // keeps the per-update memory traffic at a handful of array passes
-        // instead of one full `state` pass per support offset (the offsets
-        // of one destination row read the same few source rows over and
-        // over, so they stay resident). Per destination the contributions
-        // still arrive in descending-offset order.
-        let (rows, cols) = (self.rows as isize, self.cols as isize);
-        for dst_row in 0..rows {
-            let dst_base = (dst_row * cols) as usize;
-            let state_row = &mut self.state[dst_base..dst_base + self.cols];
-            state_row.fill(0.0);
-            for &(d_row, d_col, alpha) in &self.support {
-                let src_row = dst_row - d_row;
+        // Each row's targets: its own span (whose cells may hold ΔT) and
+        // the hot columns of the rows the support reaches it from.
+        let (rows, icols) = (rows as isize, cols as isize);
+        for (dst_row, span) in spans.iter_mut().enumerate() {
+            if *span == (0, cols) {
+                // A whole row cannot widen.
+                continue;
+            }
+            for &(d_row, d_col_min, d_col_max) in &self.reach {
+                let src_row = dst_row as isize - d_row;
                 if src_row < 0 || src_row >= rows {
                     continue;
                 }
-                // Hot source columns whose destination `src + d_col` lies
-                // inside the row; a cold row's empty span skips it whole.
                 let (nz_lo, nz_hi) = self.span[src_row as usize];
-                let col_lo = (-d_col).max(nz_lo as isize);
-                let col_hi = (cols - d_col).min(nz_hi as isize);
+                if nz_lo == nz_hi {
+                    continue;
+                }
+                let lo = (nz_lo as isize + d_col_min).clamp(0, icols) as usize;
+                let hi = (nz_hi as isize + d_col_max).clamp(0, icols) as usize;
+                *span = hull(*span, (lo, hi));
+            }
+        }
+        // One destination row at a time: the row's targets are zeroed in
+        // the accumulator, accumulated over every offset, then blended into
+        // the state in place while still cache-hot. Per destination the
+        // contributions arrive in descending-offset order.
+        let acc = &mut self.scratch[..cols];
+        for (dst_row, &(t_lo, t_hi)) in spans.iter().enumerate() {
+            if t_lo == t_hi {
+                continue;
+            }
+            acc[t_lo..t_hi].fill(0.0);
+            for &(d_row, d_col, alpha) in &self.support {
+                let src_row = dst_row as isize - d_row;
+                if src_row < 0 || src_row >= rows {
+                    continue;
+                }
+                // Hot source columns whose destination `src + d_col` is a
+                // target; a cold row's empty span skips it whole.
+                let (nz_lo, nz_hi) = self.span[src_row as usize];
+                let col_lo = (t_lo as isize - d_col).max(nz_lo as isize);
+                let col_hi = (t_hi as isize - d_col).min(nz_hi as isize);
                 if col_lo >= col_hi {
                     continue;
                 }
-                let src_base = (src_row * cols + col_lo) as usize;
+                let src_base = src_row as usize * cols + col_lo as usize;
                 let width = (col_hi - col_lo) as usize;
                 let src = &self.rise[src_base..src_base + width];
                 let dst_off = (col_lo + d_col) as usize;
-                for (d, &r) in state_row[dst_off..dst_off + width].iter_mut().zip(src) {
+                for (d, &r) in acc[dst_off..dst_off + width].iter_mut().zip(src) {
                     *d += alpha * r;
                 }
             }
-            let scratch_row = &self.scratch[dst_base..dst_base + self.cols];
-            for (a, &p) in state_row.iter_mut().zip(scratch_row) {
-                *a = p + (*a - p) * blend;
+            let state = &mut self.state[dst_row * cols + t_lo..dst_row * cols + t_hi];
+            for (s, &a) in state.iter_mut().zip(&acc[t_lo..t_hi]) {
+                *s = *s + (a - *s) * blend;
             }
         }
+    }
+}
+
+/// The `[lo, hi)` span of the entries of `values` that are not zero
+/// (`lo == hi` when there are none).
+pub(crate) fn nonzero_span(values: &[f64]) -> (usize, usize) {
+    match values.iter().position(|&v| v != 0.0) {
+        None => (0, 0),
+        Some(lo) => (lo, values.iter().rposition(|&v| v != 0.0).unwrap_or(lo) + 1),
+    }
+}
+
+/// The smallest span holding both `[lo, hi)` spans; an empty span
+/// (`lo == hi`) holds nothing.
+pub(crate) fn hull(a: (usize, usize), b: (usize, usize)) -> (usize, usize) {
+    if a.0 == a.1 {
+        b
+    } else if b.0 == b.1 {
+        a
+    } else {
+        (a.0.min(b.0), a.1.max(b.1))
     }
 }
 
@@ -583,6 +688,84 @@ mod tests {
         hub.update_batched(&temps, Kelvin(300.0), Seconds(1e-9));
         reference.update(&temps, Kelvin(300.0), Seconds(1e-9));
         assert_eq!(hub.deltas(), reference.deltas());
+    }
+
+    /// splitmix64: the span test's deterministic source of cases.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A 4×6 α map with its selected cell off-centre at (1, 2), so the
+    /// support reaches one row up, two down, two columns left and three
+    /// right, with a few holes.
+    fn asymmetric_alpha(state: &mut u64) -> AlphaMatrix {
+        let values = (0..24)
+            .map(|i| match (i, next(state) % 5) {
+                (8, _) => 1.0,
+                (_, 0) => 0.0,
+                (_, k) => 0.02 * k as f64,
+            })
+            .collect();
+        AlphaMatrix::from_values(4, 6, (1, 2), values)
+    }
+
+    #[test]
+    fn span_update_matches_the_gather_update() {
+        // Random arrays from 1×1 to 12×15 under the two-ring profile and an
+        // asymmetric wider one, τ zero or not. Every step heats random
+        // cells inside random column spans and leaves every other cell at
+        // ambient. The span update is fed the tightest spans the contract
+        // allows — each row's cells that hold ΔT, widened by its new hot
+        // ones — so a cell whose ΔT fell to `+0.0` drops out of them while
+        // its previous ΔT was not `+0.0`. It must match the gather bit for
+        // bit and leave `+0.0` outside the spans it reports.
+        let mut state = 0x5eed;
+        for case in 0..80 {
+            let rows = 1 + (next(&mut state) % 12) as usize;
+            let cols = 1 + (next(&mut state) % 15) as usize;
+            let tau = Seconds(if case % 3 == 0 { 0.0 } else { 30e-9 });
+            let hub = if case % 2 == 0 {
+                CrosstalkHub::two_ring(rows, cols, 0.13, tau)
+            } else {
+                CrosstalkHub::new(rows, cols, asymmetric_alpha(&mut state), tau)
+            };
+            let (mut gather, mut scatter) = (hub.clone(), hub);
+            for step in 0..8 {
+                let mut spans: Vec<(usize, usize)> =
+                    scatter.deltas().chunks(cols).map(nonzero_span).collect();
+                let mut temps = vec![300.0; rows * cols];
+                for (row, span) in spans.iter_mut().enumerate() {
+                    if next(&mut state).is_multiple_of(3) {
+                        continue;
+                    }
+                    let lo = (next(&mut state) as usize) % cols;
+                    let hi = lo + 1 + (next(&mut state) as usize) % (cols - lo);
+                    for temp in &mut temps[row * cols + lo..row * cols + hi] {
+                        *temp = 250.0 + (next(&mut state) % 700) as f64;
+                    }
+                    *span = hull(*span, (lo, hi));
+                }
+                let dt = Seconds(1e-9 * (1 + next(&mut state) % 40) as f64);
+                gather.update(&temps, Kelvin(300.0), dt);
+                scatter.update_spans(&temps, Kelvin(300.0), dt, &mut spans);
+                for (idx, (a, b)) in gather.deltas().iter().zip(scatter.deltas()).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "case {case} ({rows}x{cols}) step {step} cell {idx}: {a} vs {b}"
+                    );
+                    let (lo, hi) = spans[idx / cols];
+                    assert!(
+                        (lo..hi).contains(&(idx % cols)) || b.to_bits() == 0,
+                        "case {case} step {step}: cell {idx} holds {b} outside its span"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,15 +8,46 @@
 //! 1. the write scheme's line biases are stamped **once per pulse** into a
 //!    reused per-cell voltage buffer from two row patterns (a write access
 //!    produces only a selected and an unselected word-line pattern),
-//! 2. one [`rram_jart::kernel::step_lanes`] call per sub-step integrates
-//!    every cell's state/temperature over the array's
+//! 2. one [`rram_jart::kernel::step_lane_ranges`] call per sub-step
+//!    integrates the warm and the biased cells (below) over the array's
 //!    [`rram_jart::CellBank`] lanes, optionally split across
 //!    [`EngineConfig::threads`] scoped threads (gaps take the all-grounded
 //!    relax update instead),
 //! 3. the crosstalk hub redistributes the exported filament temperatures
-//!    through its scatter-based [`CrosstalkHub::update_batched`], which
+//!    through its scatter-based [`CrosstalkHub::update_spans`], which
 //!    costs `O(cells · coupling-support)` instead of the dense gather's
 //!    `O(cells²)` and is bit-identical to it.
+//!
+//! # Warm spans
+//!
+//! Thermal crosstalk is local (Eq. 5's α vanishes beyond two cells), so a
+//! pulse on a large array heats only the biased lines and their fringe. The
+//! engine keeps, per row, a `[lo, hi)` column span of *warm* cells; every
+//! cell outside it is *cold*, which means its whole sub-step is a bitwise
+//! no-op:
+//!
+//! - its hub ΔT and its imported ΔT are both `+0.0`, so the import stores
+//!   what the cell holds;
+//! - its temperature is the relax value at ΔT 0, it holds no operating
+//!   point and its read-out matches its state
+//!   ([`rram_jart::CellBank::at_rest`]), so the relax update stores what
+//!   the cell holds;
+//! - it is not biased by the current pulse.
+//!
+//! A cold cell also exports no rise to the hub, because the relax value
+//! minus the hub's ambient is not positive, so it adds only `+0.0` terms
+//! to its neighbours' targets. Each sub-step therefore imports, steps and
+//! hub-couples only the warm and the biased cells; the hub visits those
+//! spans dilated by its coupling support and reports the dilated spans,
+//! and the cells verified cold are trimmed from their edges. Contiguous
+//! spans merge into one lane range, so a fully warm array is one kernel
+//! range and does exactly the whole-array work. Where the promise cannot
+//! be made — a column table that varies a field the relax update reads, or
+//! a relax value above the hub's ambient — nothing is trimmed and every
+//! row stays warm, on the same code path. A fresh or cloned engine starts
+//! with every row warm, and [`PulseEngine::array_mut`],
+//! [`PulseEngine::hub_mut`], `force_state`, `force_normalized_state` and
+//! `reset` mark the cells they may touch warm.
 //!
 //! No sub-step allocates. The sub-step length is chosen from the hub's
 //! thermal time constant so the first-order coupling lag is resolved. Both
@@ -25,13 +56,16 @@
 //! reference engine; `tests/engine_agreement.rs` (workspace root) checks the
 //! two agree when line resistance is negligible.
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use crate::array::CrossbarArray;
 use crate::backend::{HammerBackend, ThermalReadout};
-use crate::crosstalk::CrosstalkHub;
+use crate::crosstalk::{hull, nonzero_span, CrosstalkHub};
 use crate::scheme::{CellAddress, WriteScheme};
-use rram_jart::{DeviceParams, DigitalState};
+use rram_jart::thermal::filament_temperature;
+use rram_jart::{DeviceParams, DigitalState, LaneParams};
 use rram_units::{Kelvin, Seconds, Volts};
 
 /// Shared handle to the pulse counter (one registry registration per
@@ -59,9 +93,13 @@ pub struct EngineConfig {
     /// Ambient temperature, K.
     pub ambient: Kelvin,
     /// Worker threads for the pulse engine's lane integration (1 =
-    /// single-threaded). Results are bit-identical for any value; values
-    /// above 1 only pay off once the array is large enough to amortise the
-    /// scoped-thread dispatch (≳256×256). The detailed engine ignores it.
+    /// single-threaded). Results are bit-identical for any value. It has
+    /// not paid off on any array measured: on 2 cores, two threads ran a
+    /// 256×256 array at 0.83× one thread before the warm spans and at
+    /// 0.44–0.73× after (`threaded_over_batched_speedup_256` in
+    /// `BENCH_backends.json`), and the campaign executor already spreads
+    /// points over the cores. It is slated for deletion (ROADMAP item 4).
+    /// The detailed engine ignores it.
     pub threads: usize,
 }
 
@@ -111,7 +149,8 @@ pub struct CellSnapshot {
 }
 
 /// The ideal-driver pulse engine: array + hub + scheme, integrated one
-/// whole-array kernel call per sub-step.
+/// kernel call over the warm and biased cells per sub-step (see the module
+/// docs).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PulseEngine {
     array: CrossbarArray,
@@ -128,10 +167,103 @@ pub struct PulseEngine {
     pattern_selected: Vec<f64>,
     #[serde(skip)]
     pattern_unselected: Vec<f64>,
+    /// The cells each sub-step visits.
+    #[serde(skip)]
+    warm: WarmSpans,
+}
+
+/// The warm spans of a [`PulseEngine`] (see the module docs): per row, a
+/// `[lo, hi)` column span outside which every cell is cold, and the lane
+/// ranges of the current sub-step. Scratch, like the voltage buffer: an
+/// empty span table — a fresh, cloned or deserialised engine — means every
+/// row is warm.
+#[derive(Debug, Default)]
+struct WarmSpans {
+    spans: Vec<(usize, usize)>,
+    ranges: Vec<Range<usize>>,
+}
+
+/// A clone starts with every row warm and verifies its cold cells afresh.
+impl Clone for WarmSpans {
+    fn clone(&self) -> Self {
+        WarmSpans::default()
+    }
+}
+
+impl WarmSpans {
+    /// Marks every row warm.
+    fn fill(&mut self) {
+        self.spans.clear();
+    }
+
+    /// Marks one cell warm.
+    fn mark(&mut self, address: CellAddress) {
+        if let Some(span) = self.spans.get_mut(address.row) {
+            *span = hull(*span, (address.col, address.col + 1));
+        }
+    }
+
+    /// Widens each row's span by the columns `biased` drives in it —
+    /// `(selected row, [its span, every other row's span])` — and lists
+    /// the sub-step's lane ranges: one per row span, contiguous ones
+    /// merged.
+    fn activate(&mut self, rows: usize, cols: usize, biased: Option<(usize, [(usize, usize); 2])>) {
+        if self.spans.len() != rows {
+            self.spans.clear();
+            self.spans.resize(rows, (0, cols));
+        }
+        self.ranges.clear();
+        for (row, span) in self.spans.iter_mut().enumerate() {
+            if let Some((selected_row, [selected, others])) = biased {
+                let driven = if row == selected_row {
+                    selected
+                } else {
+                    others
+                };
+                *span = hull(*span, driven);
+            }
+            let (lo, hi) = *span;
+            if lo == hi {
+                continue;
+            }
+            let lanes = row * cols + lo..row * cols + hi;
+            match self.ranges.last_mut() {
+                Some(last) if last.end == lanes.start => last.end = lanes.end,
+                _ => self.ranges.push(lanes),
+            }
+        }
+    }
+
+    /// Trims from both edges of every span the cells that are cold for the
+    /// next sub-step: hub ΔT `+0.0` and at rest. Trims nothing when the
+    /// cells do not share one relax set, or when a cell at rest would
+    /// export a rise to the hub.
+    fn trim(&mut self, array: &CrossbarArray, deltas: &[f64], ambient: Kelvin) {
+        let Some(relax) = LaneParams::from(array.param_columns()).relax_shared() else {
+            return;
+        };
+        // The hub's rise of a cell at rest, whose ΔT is `+0.0`.
+        if filament_temperature(relax, 0.0, 0.0) - ambient.0 - 0.0 > 0.0 {
+            return;
+        }
+        let (cols, bank) = (array.cols(), array.bank());
+        let cold = |lane: usize| deltas[lane].to_bits() == 0 && bank.at_rest(lane, relax);
+        for (row, span) in self.spans.iter_mut().enumerate() {
+            let (mut lo, mut hi) = *span;
+            while lo < hi && cold(row * cols + lo) {
+                lo += 1;
+            }
+            while lo < hi && cold(row * cols + hi - 1) {
+                hi -= 1;
+            }
+            *span = if lo < hi { (lo, hi) } else { (0, 0) };
+        }
+    }
 }
 
 /// Two engines are equal when their array, hub, configuration and clock
-/// agree; the voltage buffer and its patterns are scratch and excluded.
+/// agree; the voltage buffer, its patterns and the warm spans are scratch
+/// and excluded.
 impl PartialEq for PulseEngine {
     fn eq(&self, other: &Self) -> bool {
         self.array == other.array
@@ -159,6 +291,7 @@ impl PulseEngine {
             voltages: vec![0.0; cells],
             pattern_selected: Vec::new(),
             pattern_unselected: Vec::new(),
+            warm: WarmSpans::default(),
         }
     }
 
@@ -182,7 +315,9 @@ impl PulseEngine {
     }
 
     /// Mutable access to the array (initialisation, fault injection).
+    /// Marks every cell warm.
     pub fn array_mut(&mut self) -> &mut CrossbarArray {
+        self.warm.fill();
         &mut self.array
     }
 
@@ -191,8 +326,9 @@ impl PulseEngine {
         &self.hub
     }
 
-    /// Mutable access to the hub (ablations).
+    /// Mutable access to the hub (ablations). Marks every cell warm.
     pub fn hub_mut(&mut self) -> &mut CrosstalkHub {
+        self.warm.fill();
         &mut self.hub
     }
 
@@ -212,32 +348,46 @@ impl PulseEngine {
         self.config.threads.max(1)
     }
 
-    /// Advances the whole array by `duration` with the line bias produced by
+    /// Advances the array by `duration` with the line bias produced by
     /// selecting `selected` at amplitude `amplitude` (None = all lines
     /// grounded / idle).
     fn advance(&mut self, selected: Option<(CellAddress, Volts)>, duration: Seconds) {
         let mut remaining = duration.0;
         let substep = self.config.substep(selected.is_some());
-        if let Some((address, amplitude)) = selected {
+        let biased = selected.map(|(address, amplitude)| {
             self.stamp_voltages(address, amplitude);
-        }
+            let spans = [&self.pattern_selected, &self.pattern_unselected].map(|p| nonzero_span(p));
+            (address.row, spans)
+        });
+        let (rows, cols, threads) = (self.array.rows(), self.array.cols(), self.threads());
         while remaining > 0.0 {
             let dt = Seconds(remaining.min(substep));
-            // Import the hub state, step every cell in one kernel call (or
-            // relax them all when the lines are grounded: every cell
-            // voltage is zero, so the relax update skips the kernel
-            // dispatch bit-identically), then redistribute the exported
-            // temperatures. Every transfer borrows the struct-of-arrays
-            // lanes directly, so no sub-step allocates.
-            self.array.import_crosstalk(self.hub.deltas());
+            // Import the hub state into the warm and biased cells, step
+            // them in one kernel call (or relax them when the lines are
+            // grounded: every cell voltage is zero, so the relax update
+            // skips the kernel dispatch bit-identically), redistribute the
+            // exported temperatures over their spans dilated by the
+            // coupling support, then trim what turned cold. Every transfer
+            // borrows the struct-of-arrays lanes directly, so no sub-step
+            // allocates.
+            self.warm.activate(rows, cols, biased);
+            let ranges = &self.warm.ranges;
+            self.array
+                .import_crosstalk_ranges(self.hub.deltas(), ranges);
             if selected.is_some() {
-                let threads = self.threads();
-                self.array.step_lanes_threaded(&self.voltages, dt, threads);
+                self.array
+                    .step_lane_ranges_threaded(&self.voltages, ranges, dt, threads);
             } else {
-                self.array.relax_lanes(dt);
+                self.array.relax_lane_ranges(ranges, dt);
             }
-            self.hub
-                .update_batched(self.array.temperatures(), self.config.ambient, dt);
+            self.hub.update_spans(
+                self.array.temperatures(),
+                self.config.ambient,
+                dt,
+                &mut self.warm.spans,
+            );
+            self.warm
+                .trim(&self.array, self.hub.deltas(), self.config.ambient);
             remaining -= dt.0;
             self.elapsed += dt.0;
         }
@@ -365,12 +515,14 @@ impl HammerBackend for PulseEngine {
 
     fn force_state(&mut self, address: CellAddress, state: DigitalState) {
         self.array.cell_mut(address).force_state(state);
+        self.warm.mark(address);
     }
 
     fn force_normalized_state(&mut self, address: CellAddress, normalized: f64) {
         self.array
             .cell_mut(address)
             .force_normalized_state(normalized);
+        self.warm.mark(address);
     }
 
     fn thermal_readout(&self, address: CellAddress) -> ThermalReadout {
@@ -387,7 +539,7 @@ impl HammerBackend for PulseEngine {
     }
 
     fn hub_mut(&mut self) -> &mut CrosstalkHub {
-        &mut self.hub
+        PulseEngine::hub_mut(self)
     }
 
     fn elapsed(&self) -> Seconds {
@@ -401,6 +553,7 @@ impl HammerBackend for PulseEngine {
         });
         self.hub.reset();
         self.elapsed = 0.0;
+        self.warm.fill();
     }
 
     fn read_all(&self) -> Vec<DigitalState> {

@@ -13,12 +13,18 @@
 //! The integration itself lives in one stateless per-lane routine shared by
 //! every consumer. [`step_lane`] runs it uncached: it is what
 //! [`crate::JartDevice::step`] does on its private 1-lane bank, and it is
-//! the reference the array kernel is checked against. [`step_lanes`], the
-//! kernel the crossbar pulse engine calls, runs the same routine behind replay
-//! caches that skip Newton solves without changing a bit, so a bank stepped
-//! by [`step_lanes`] is *bit-identical* to the same cells stepped one
+//! the reference the array kernel is checked against. [`step_lane_ranges`],
+//! the kernel the crossbar pulse engine calls, runs the same routine behind
+//! replay caches that skip Newton solves without changing a bit, so a bank
+//! stepped by it is *bit-identical* to the same cells stepped one
 //! [`crate::JartDevice::step`] at a time (property tests in `tests/` pin
 //! this down). The caches run on every build, on one scalar path.
+//!
+//! The kernel steps a list of disjoint, ascending lane ranges and leaves
+//! every other lane untouched, so an engine can skip lanes whose step would
+//! change no bit (see [`CellBank::at_rest`]). [`step_lanes`],
+//! [`relax_lanes`] and [`step_lanes_threaded`] are the one-range case: the
+//! whole bank.
 //!
 //! # Examples
 //!
@@ -39,6 +45,7 @@
 //! ```
 
 use std::borrow::Cow;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -212,10 +219,43 @@ impl CellBank {
     ///
     /// Panics if the slice length does not match the lane count.
     pub fn import_crosstalk(&mut self, deltas: &[f64]) {
+        let whole = 0..self.lanes();
+        self.import_crosstalk_ranges(deltas, &[whole]);
+    }
+
+    /// Writes the crosstalk ΔT of the lanes in `ranges` from a slice
+    /// indexed like the bank (negative values clamp to zero); every other
+    /// lane keeps its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice length does not match the lane count or a range
+    /// is out of bounds.
+    pub fn import_crosstalk_ranges(&mut self, deltas: &[f64], ranges: &[Range<usize>]) {
         assert_eq!(deltas.len(), self.lanes(), "delta length mismatch");
-        for (slot, &delta) in self.crosstalk.iter_mut().zip(deltas.iter()) {
-            *slot = delta.max(0.0);
+        for range in ranges {
+            let slots = &mut self.crosstalk[range.clone()];
+            for (slot, &delta) in slots.iter_mut().zip(&deltas[range.clone()]) {
+                *slot = delta.max(0.0);
+            }
         }
+    }
+
+    /// Whether a zero-voltage step of `lane` under `params` that imports a
+    /// crosstalk ΔT of `+0.0` would leave every bit of the lane as it is:
+    /// the lane's imported ΔT is already `+0.0`, its temperature is the
+    /// relax value at ΔT 0, it holds no operating point, and its digital
+    /// read-out matches its concentration. The relax update then stores
+    /// what each lane already holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range.
+    pub fn at_rest(&self, lane: usize, params: &DeviceParams) -> bool {
+        self.crosstalk[lane].to_bits() == 0
+            && self.temperature[lane].to_bits() == filament_temperature(params, 0.0, 0.0).to_bits()
+            && self.last_op[lane].v_cell == 0.0
+            && self.digital[lane] == digital_of(params, self.n_disc[lane])
     }
 
     /// Forces one lane into a deep version of the given digital state and
@@ -273,7 +313,7 @@ impl<'a> CellBankView<'a> {
     /// covering lanes `0..mid`, the second `mid..`).
     ///
     /// The halves borrow disjoint slices of every lane, so they can be
-    /// stepped concurrently — this is what [`step_lanes_threaded`] uses to
+    /// stepped concurrently — this is what [`step_lane_ranges_threaded`] uses to
     /// hand one array sub-step to several scoped threads without any
     /// unsafe code.
     ///
@@ -430,8 +470,10 @@ impl<'a> LaneParams<'a> {
     }
 
     /// The set every zero-voltage lane relaxes under, when the lanes agree
-    /// on every field the relax update reads ([`RELAX_FIELDS`]).
-    fn relax_shared(&self) -> Option<&'a DeviceParams> {
+    /// on every field the relax update reads (ambient and maximum
+    /// temperature, `R_th,eff`, the concentration bounds and the LRS
+    /// threshold); `None` when one of them is a column.
+    pub fn relax_shared(&self) -> Option<&'a DeviceParams> {
         match *self {
             LaneParams::Shared(params) => Some(params),
             LaneParams::Columns { table, .. } => {
@@ -462,27 +504,49 @@ impl<'a> From<&'a ParamColumns> for LaneParams<'a> {
     }
 }
 
-/// Number of lanes integrated per fixed-width chunk of [`step_lanes`].
+/// Number of lanes integrated per fixed-width chunk of [`step_lane_ranges`].
 ///
 /// A fixed trip count lets the compiler vectorize the all-zero voltage test
 /// and the all-idle relax update without a runtime remainder check inside
 /// the chunk.
 pub const LANE_CHUNK: usize = 8;
 
-/// Advances every lane of the bank by `dt` under its per-lane cell voltage.
+/// Advances every lane of the bank by `dt` under its per-lane cell voltage:
+/// [`step_lane_ranges`] over the one range that covers the whole bank.
+///
+/// # Panics
+///
+/// Panics if `voltages.len()` (or a table's length) does not match the lane
+/// count, or if `dt` is negative or not finite.
+pub fn step_lanes<'a>(
+    params: impl Into<LaneParams<'a>>,
+    voltages: &[f64],
+    lanes: &mut CellBankView<'_>,
+    dt: Seconds,
+) {
+    let whole = 0..lanes.lanes();
+    step_lane_ranges(params, voltages, lanes, &[whole], dt);
+}
+
+/// Advances the lanes in `ranges` by `dt`, each under its cell voltage
+/// (`voltages` is indexed like the bank), and leaves every other lane
+/// untouched.
 ///
 /// This is the one array integration routine of the workspace: the
-/// ideal-driver crossbar engine calls it once per sub-step on the whole
-/// array. Lanes are independent within a call (thermal coupling happens
-/// *between* engine sub-steps, through the crosstalk lane), which keeps the
-/// per-lane loop free of cross-lane dependencies.
+/// ideal-driver crossbar engine calls it once per sub-step on the lanes it
+/// has not proven cold. Lanes are independent within a call (thermal
+/// coupling happens *between* engine sub-steps, through the crosstalk
+/// lane), which keeps the per-lane loop free of cross-lane dependencies.
+/// The ranges must be disjoint and ascending; they share one `LaneEcho`,
+/// so the biased lanes replay exactly as they would in one whole-bank call.
 ///
 /// The result is bit-identical to calling the uncached reference
-/// [`step_lane`] (that is, [`crate::JartDevice::step`]) on every lane — the
-/// proptests in `tests/kernel_lanes.rs` pin this down, remainders and all —
-/// while skipping most of its work through four bit-preserving shortcuts:
+/// [`step_lane`] (that is, [`crate::JartDevice::step`]) on every lane of
+/// the ranges — the proptests in `tests/kernel_lanes.rs` pin this down,
+/// remainders and all — while skipping most of its work through four
+/// bit-preserving shortcuts:
 ///
-/// * the lane loop walks fixed-width [`LANE_CHUNK`] blocks with a
+/// * each range is walked in fixed-width [`LANE_CHUNK`] blocks with a
 ///   remainder loop, and a block whose voltages are all exactly zero (the
 ///   common case on a large array, where only the selected row and column
 ///   are biased) takes a block-wide relax update;
@@ -513,47 +577,86 @@ pub const LANE_CHUNK: usize = 8;
 /// # Panics
 ///
 /// Panics if `voltages.len()` (or a table's length) does not match the lane
-/// count, or if `dt` is negative or not finite.
-pub fn step_lanes<'a>(
+/// count, if the ranges are not disjoint, ascending and in bounds, or if
+/// `dt` is negative or not finite.
+pub fn step_lane_ranges<'a>(
     params: impl Into<LaneParams<'a>>,
     voltages: &[f64],
     lanes: &mut CellBankView<'_>,
+    ranges: &[Range<usize>],
     dt: Seconds,
 ) {
-    let params = params.into();
+    let params = check_call(params.into(), voltages, lanes, ranges, dt);
+    step_ranges(params, voltages, lanes, ranges.iter().cloned(), dt);
+}
+
+/// The argument checks every stepping entry point shares; returns the
+/// parameter source.
+fn check_call<'a>(
+    params: LaneParams<'a>,
+    voltages: &[f64],
+    lanes: &CellBankView<'_>,
+    ranges: &[Range<usize>],
+    dt: Seconds,
+) -> LaneParams<'a> {
     assert_eq!(
         voltages.len(),
         lanes.lanes(),
         "voltage vector length mismatch"
     );
     params.check_lanes(lanes.lanes());
+    check_ranges(ranges, lanes.lanes());
     assert!(dt.0.is_finite() && dt.0 >= 0.0, "dt must be non-negative");
+    params
+}
 
-    let relax = params.relax_shared();
-    let total = lanes.lanes();
-    let mut echo = LaneEcho::cold();
-    let mut base = 0;
-    while base + LANE_CHUNK <= total {
-        let chunk: &[f64; LANE_CHUNK] = voltages[base..base + LANE_CHUNK]
-            .try_into()
-            .expect("chunk slice has LANE_CHUNK lanes");
-        if chunk.iter().all(|&v| v == 0.0) {
-            relax_chunk(params, relax, lanes, base);
-        } else {
-            for (offset, &v_cell) in chunk.iter().enumerate() {
-                step_lane_cached(params, relax, lanes, base + offset, v_cell, dt, &mut echo);
-            }
-        }
-        base += LANE_CHUNK;
+/// Checks that `ranges` are disjoint, ascending and within `lanes`.
+fn check_ranges(ranges: &[Range<usize>], lanes: usize) {
+    let mut floor = 0;
+    for range in ranges {
+        assert!(
+            floor <= range.start && range.start <= range.end && range.end <= lanes,
+            "lane ranges must be disjoint, ascending and in bounds"
+        );
+        floor = range.end;
     }
-    for (lane, &v_cell) in voltages.iter().enumerate().skip(base) {
-        step_lane_cached(params, relax, lanes, lane, v_cell, dt, &mut echo);
+}
+
+/// The body of [`step_lane_ranges`] on checked arguments: one `LaneEcho`
+/// for every range, its tallies flushed once at the end.
+fn step_ranges(
+    params: LaneParams<'_>,
+    voltages: &[f64],
+    lanes: &mut CellBankView<'_>,
+    ranges: impl Iterator<Item = Range<usize>>,
+    dt: Seconds,
+) {
+    let relax = params.relax_shared();
+    let mut echo = LaneEcho::cold();
+    for range in ranges {
+        let mut base = range.start;
+        while base + LANE_CHUNK <= range.end {
+            let chunk: &[f64; LANE_CHUNK] = voltages[base..base + LANE_CHUNK]
+                .try_into()
+                .expect("chunk slice has LANE_CHUNK lanes");
+            if chunk.iter().all(|&v| v == 0.0) {
+                relax_chunk(params, relax, lanes, base);
+            } else {
+                for (offset, &v_cell) in chunk.iter().enumerate() {
+                    step_lane_cached(params, relax, lanes, base + offset, v_cell, dt, &mut echo);
+                }
+            }
+            base += LANE_CHUNK;
+        }
+        for (lane, &v_cell) in voltages.iter().enumerate().take(range.end).skip(base) {
+            step_lane_cached(params, relax, lanes, lane, v_cell, dt, &mut echo);
+        }
     }
     flush_echo_telemetry(&echo);
 }
 
-/// One lane of [`step_lanes`]: the relax update at zero voltage, the echo
-/// cache under shared params, the operating-point cache otherwise.
+/// One lane of [`step_lane_ranges`]: the relax update at zero voltage, the
+/// echo cache under shared params, the operating-point cache otherwise.
 #[inline]
 fn step_lane_cached(
     params: LaneParams<'_>,
@@ -573,16 +676,8 @@ fn step_lane_cached(
     }
 }
 
-/// Advances every lane of the bank by `dt` with *all lines grounded* — the
-/// gap interval between hammer pulses.
-///
-/// This is the specialisation of [`step_lanes`] to an all-zero voltage
-/// vector, and it is bit-identical to it: with no bias the operating point
-/// is [`OperatingPoint::zero`], the drift rate vanishes, and the only state
-/// change is the filament temperature tracking the imported crosstalk ΔT.
-/// Engines use it to skip both the per-pulse voltage-buffer refill and the
-/// full kernel dispatch during gap phases (a unit test on the crossbar
-/// pulse engine pins the before/after bit-identity).
+/// Advances every lane of the bank by `dt` with *all lines grounded*:
+/// [`relax_lane_ranges`] over the whole bank.
 ///
 /// # Panics
 ///
@@ -593,18 +688,48 @@ pub fn relax_lanes<'a>(
     lanes: &mut CellBankView<'_>,
     dt: Seconds,
 ) {
+    let whole = 0..lanes.lanes();
+    relax_lane_ranges(params, lanes, &[whole], dt);
+}
+
+/// Advances the lanes in `ranges` by `dt` with *all lines grounded* — the
+/// gap interval between hammer pulses — and leaves every other lane
+/// untouched.
+///
+/// This is the specialisation of [`step_lane_ranges`] to an all-zero
+/// voltage vector, and it is bit-identical to it: with no bias the
+/// operating point is [`OperatingPoint::zero`], the drift rate vanishes,
+/// and the only state change is the filament temperature tracking the
+/// imported crosstalk ΔT. Engines use it to skip both the per-pulse
+/// voltage-buffer refill and the full kernel dispatch during gap phases (a
+/// unit test on the crossbar pulse engine pins the before/after
+/// bit-identity).
+///
+/// # Panics
+///
+/// Panics if a table's length does not match the lane count, if the ranges
+/// are not disjoint, ascending and in bounds, or if `dt` is negative or not
+/// finite.
+pub fn relax_lane_ranges<'a>(
+    params: impl Into<LaneParams<'a>>,
+    lanes: &mut CellBankView<'_>,
+    ranges: &[Range<usize>],
+    dt: Seconds,
+) {
     let params = params.into();
     params.check_lanes(lanes.lanes());
+    check_ranges(ranges, lanes.lanes());
     assert!(dt.0.is_finite() && dt.0 >= 0.0, "dt must be non-negative");
     let relax = params.relax_shared();
-    let total = lanes.lanes();
-    let mut base = 0;
-    while base + LANE_CHUNK <= total {
-        relax_chunk(params, relax, lanes, base);
-        base += LANE_CHUNK;
-    }
-    for lane in base..total {
-        relax_lane_of(params, relax, lanes, lane);
+    for range in ranges {
+        let mut base = range.start;
+        while base + LANE_CHUNK <= range.end {
+            relax_chunk(params, relax, lanes, base);
+            base += LANE_CHUNK;
+        }
+        for lane in base..range.end {
+            relax_lane_of(params, relax, lanes, lane);
+        }
     }
 }
 
@@ -690,21 +815,9 @@ fn relax_chunk(
 /// workers.
 const MAX_BLOCKS: usize = 256;
 
-/// Advances every lane by `dt` like [`step_lanes`], with the lane range
-/// split across `threads` scoped worker threads.
-///
-/// Lanes are independent within a sub-step (the crosstalk lane is read-only
-/// here), so the split is embarrassingly parallel: the view is cut into
-/// [`LANE_CHUNK`]-aligned blocks via [`CellBankView::split_at`] and workers
-/// pull blocks from a shared queue, which keeps the load balanced even
-/// though the few actively switching lanes (the selected row and column)
-/// cost orders of magnitude more than the idle majority. Every lane is
-/// stepped exactly once by the same per-lane routine, so the result is
-/// **bit-identical** for any thread count — a proptest pins threads 1–8
-/// against the single-threaded path.
-///
-/// `threads <= 1` (or a bank too small to split) falls through to the
-/// single-threaded [`step_lanes`] without spawning.
+/// Advances every lane by `dt` like [`step_lanes`], split across `threads`
+/// scoped worker threads: [`step_lane_ranges_threaded`] over the whole
+/// bank.
 ///
 /// # Panics
 ///
@@ -717,42 +830,77 @@ pub fn step_lanes_threaded<'a>(
     dt: Seconds,
     threads: usize,
 ) {
-    let params = params.into();
-    assert_eq!(
-        voltages.len(),
-        lanes.lanes(),
-        "voltage vector length mismatch"
-    );
-    params.check_lanes(lanes.lanes());
-    assert!(dt.0.is_finite() && dt.0 >= 0.0, "dt must be non-negative");
+    let whole = 0..lanes.lanes();
+    step_lane_ranges_threaded(params, voltages, lanes, &[whole], dt, threads);
+}
 
-    let total = lanes.lanes();
-    let workers = threads.max(1).min(total).min(MAX_BLOCKS / 4);
+/// Advances the lanes in `ranges` by `dt` like [`step_lane_ranges`], with
+/// the work split across `threads` scoped worker threads.
+///
+/// Lanes are independent within a sub-step (the crosstalk lane is read-only
+/// here), so the split is embarrassingly parallel: the view is cut via
+/// [`CellBankView::split_at`] into blocks holding about equal numbers of
+/// range lanes, and workers pull blocks from a shared queue, which keeps
+/// the load balanced even though the few actively switching lanes (the
+/// selected row and column) cost orders of magnitude more than the idle
+/// majority. Each block steps its share of the ranges with a `LaneEcho`
+/// of its own. Every lane is stepped exactly once by the same per-lane
+/// routine, so the result is **bit-identical** for any thread count — a
+/// proptest pins threads 1–8 against the single-threaded path.
+///
+/// `threads <= 1` (or too few range lanes to split) falls through to the
+/// single-threaded [`step_lane_ranges`] without spawning.
+///
+/// # Panics
+///
+/// Panics if `voltages.len()` (or a per-lane table's length) does not match
+/// the lane count, if the ranges are not disjoint, ascending and in bounds,
+/// or if `dt` is negative or not finite.
+pub fn step_lane_ranges_threaded<'a>(
+    params: impl Into<LaneParams<'a>>,
+    voltages: &[f64],
+    lanes: CellBankView<'_>,
+    ranges: &[Range<usize>],
+    dt: Seconds,
+    threads: usize,
+) {
+    let params = check_call(params.into(), voltages, &lanes, ranges, dt);
+    let active: usize = ranges.iter().map(ExactSizeIterator::len).sum();
+    let workers = threads.max(1).min(active).min(MAX_BLOCKS / 4);
     let mut lanes = lanes;
     if workers <= 1 {
-        step_lanes(params, voltages, &mut lanes, dt);
+        step_ranges(params, voltages, &mut lanes, ranges.iter().cloned(), dt);
         return;
     }
 
-    // Chunk-aligned blocks, four per worker, pulled from a shared queue so
-    // a worker that lands on the expensive switching lanes does not
-    // serialise the idle majority. The block table is a stack array —
-    // `per_block ≥ total/target_blocks` bounds the count by
-    // `target_blocks ≤ MAX_BLOCKS` — so the threaded dispatch allocates
-    // nothing per sub-step.
+    // Blocks of `per_block` range lanes each, four per worker, pulled from
+    // a shared queue so a worker that lands on the expensive switching
+    // lanes does not serialise the idle majority. A block is cut only while
+    // range lanes remain, so there are at most `ceil(active / per_block)
+    // ≤ target_blocks ≤ MAX_BLOCKS` of them and the block table is a stack
+    // array: the threaded dispatch allocates nothing per sub-step.
     let target_blocks = workers * 4;
-    let raw = total.div_ceil(target_blocks).max(1);
-    let per_block = raw.div_ceil(LANE_CHUNK) * LANE_CHUNK;
+    let per_block = active.div_ceil(target_blocks);
     let mut blocks: [Option<(usize, CellBankView<'_>)>; MAX_BLOCKS] = std::array::from_fn(|_| None);
     let mut count = 0;
-    let mut base = 0;
+    let (mut base, mut filled, mut left) = (0, 0, active);
     let mut rest = lanes;
-    while rest.lanes() > per_block {
-        let (head, tail) = rest.split_at(per_block);
-        blocks[count] = Some((base, head));
-        count += 1;
-        base += per_block;
-        rest = tail;
+    for range in ranges {
+        let mut start = range.start;
+        while start < range.end {
+            let take = (per_block - filled).min(range.end - start);
+            start += take;
+            filled += take;
+            left -= take;
+            if filled == per_block && left > 0 {
+                let (head, tail) = rest.split_at(start - base);
+                blocks[count] = Some((base, head));
+                count += 1;
+                base = start;
+                rest = tail;
+                filled = 0;
+            }
+        }
     }
     blocks[count] = Some((base, rest));
     count += 1;
@@ -768,11 +916,18 @@ pub fn step_lanes_threaded<'a>(
                 let Some((start, mut view)) = slot.take() else {
                     break;
                 };
-                let len = view.lanes();
-                step_lanes(
-                    params.narrow(start, len),
-                    &voltages[start..start + len],
+                let end = start + view.lanes();
+                // The block's share of the ranges, clipped and made local.
+                let first = ranges.partition_point(|range| range.end <= start);
+                let local = ranges[first..]
+                    .iter()
+                    .take_while(|range| range.start < end)
+                    .map(|range| range.start.max(start) - start..range.end.min(end) - start);
+                step_ranges(
+                    params.narrow(start, end - start),
+                    &voltages[start..end],
                     &mut view,
+                    local,
                     dt,
                 );
             });

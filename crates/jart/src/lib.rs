@@ -61,6 +61,7 @@ pub mod thermal;
 pub use current::OperatingPoint;
 pub use device::{CellMut, CellRef, DigitalState, JartDevice};
 pub use kernel::{
-    relax_lanes, step_lanes, step_lanes_threaded, CellBank, CellBankView, LaneParams, LANE_CHUNK,
+    relax_lane_ranges, relax_lanes, step_lane_ranges, step_lane_ranges_threaded, step_lanes,
+    step_lanes_threaded, CellBank, CellBankView, LaneParams, LANE_CHUNK,
 };
 pub use params::{DeviceParams, DeviceParamsBuilder, ParamColumns, ParamError, ParamField};

@@ -9,7 +9,10 @@
 use std::borrow::Cow;
 
 use proptest::prelude::*;
-use rram_jart::kernel::{step_lane, step_lanes, step_lanes_threaded, CellBank, LANE_CHUNK};
+use rram_jart::kernel::{
+    relax_lane_ranges, step_lane, step_lane_ranges, step_lane_ranges_threaded, step_lanes,
+    step_lanes_threaded, CellBank, LaneParams, LANE_CHUNK,
+};
 use rram_jart::{DeviceParams, JartDevice, ParamColumns, ParamField};
 use rram_units::{Kelvin, Seconds, Volts};
 
@@ -96,8 +99,38 @@ fn assert_banks_identical(a: &CellBank, b: &CellBank) -> Result<(), TestCaseErro
         );
         prop_assert_eq!(a.charges()[lane].to_bits(), b.charges()[lane].to_bits());
         prop_assert_eq!(a.digital()[lane], b.digital()[lane]);
+        prop_assert_eq!(a.crosstalk()[lane].to_bits(), b.crosstalk()[lane].to_bits());
+        let (p, q) = (a.operating_point(lane), b.operating_point(lane));
+        for (x, y) in [
+            (p.v_cell, q.v_cell),
+            (p.current, q.current),
+            (p.v_active, q.v_active),
+            (p.power_active, q.power_active),
+            (p.resistance, q.resistance),
+        ] {
+            prop_assert_eq!(x.to_bits(), y.to_bits(), "lane {} operating point", lane);
+        }
     }
     Ok(())
+}
+
+/// Disjoint, ascending lane ranges from per-lane `(inside, cut)` flags:
+/// each run of `inside` lanes is a range, a `cut` inside a run starts a new
+/// range right after the previous one ends (adjacent ranges the kernel must
+/// not merge), and a `cut` outside a run adds an empty range there.
+fn ranges_of(flags: &[(bool, bool)]) -> Vec<std::ops::Range<usize>> {
+    let mut ranges: Vec<std::ops::Range<usize>> = Vec::new();
+    let mut open = false;
+    for (lane, &(inside, cut)) in flags.iter().enumerate() {
+        match (inside, open && !cut) {
+            (true, true) => ranges.last_mut().expect("an open range").end = lane + 1,
+            (true, false) => ranges.push(lane..lane + 1),
+            (false, _) if cut => ranges.push(lane..lane),
+            (false, _) => {}
+        }
+        open = inside;
+    }
+    ranges
 }
 
 proptest! {
@@ -305,4 +338,85 @@ proptest! {
         }
         assert_banks_identical(&threaded, &reference)?;
     }
+
+    /// Stepping lane ranges is stepping exactly their lanes: each lane of a
+    /// range ends bit-identical to the per-lane `step_lane` reference, every
+    /// other lane is untouched, the all-grounded `relax_lane_ranges` matches
+    /// the reference at zero voltage, and the threaded kernel agrees for
+    /// threads 1–4 — under shared parameters and column tables, with and
+    /// without a column the relax update reads.
+    #[test]
+    fn lane_ranges_step_exactly_their_lanes(
+        lanes in prop::collection::vec(
+            (0.0f64..1.0, 0.0f64..80.0, -1.5f64..1.5, any::<bool>()),
+            1..(6 * LANE_CHUNK),
+        ),
+        flags in prop::collection::vec(
+            (any::<bool>(), any::<bool>()),
+            (6 * LANE_CHUNK)..(6 * LANE_CHUNK + 1),
+        ),
+        scales in prop::collection::vec(
+            scales(),
+            (6 * LANE_CHUNK)..(6 * LANE_CHUNK + 1),
+        ),
+        per_lane in any::<bool>(),
+        relax_spread in any::<bool>(),
+        dt in 1e-10f64..5e-7,
+    ) {
+        let nominal = DeviceParams::default();
+        let table = spread_columns(&scales[..lanes.len()], relax_spread);
+        let params_table = per_lane.then_some(&table);
+        let params: LaneParams<'_> = match params_table {
+            Some(table) => table.into(),
+            None => (&nominal).into(),
+        };
+        let lane_params =
+            |lane: usize| params_table.map_or(Cow::Borrowed(&nominal), |t| t.lane(lane));
+        let ranges = ranges_of(&flags[..lanes.len()]);
+        let (bank, voltages) = bank_of(&lanes, params_table);
+
+        let mut reference = bank.clone();
+        let mut relaxed_reference = bank.clone();
+        for lane in ranges.iter().flat_map(Clone::clone) {
+            let lane_set = lane_params(lane);
+            let v_cell = voltages[lane];
+            step_lane(&lane_set, &mut reference.view_mut(), lane, v_cell, Seconds(dt));
+            step_lane(&lane_set, &mut relaxed_reference.view_mut(), lane, 0.0, Seconds(dt));
+        }
+
+        let mut ranged = bank.clone();
+        step_lane_ranges(params, &voltages, &mut ranged.view_mut(), &ranges, Seconds(dt));
+        assert_banks_identical(&ranged, &reference)?;
+
+        let mut relaxed = bank.clone();
+        relax_lane_ranges(params, &mut relaxed.view_mut(), &ranges, Seconds(dt));
+        assert_banks_identical(&relaxed, &relaxed_reference)?;
+
+        for threads in 1..=4 {
+            let mut threaded = bank.clone();
+            step_lane_ranges_threaded(
+                params,
+                &voltages,
+                threaded.view_mut(),
+                &ranges,
+                Seconds(dt),
+                threads,
+            );
+            assert_banks_identical(&threaded, &reference)?;
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "disjoint, ascending and in bounds")]
+fn overlapping_lane_ranges_panic() {
+    let params = DeviceParams::default();
+    let mut bank = CellBank::new(8, &params);
+    step_lane_ranges(
+        &params,
+        &[0.5; 8],
+        &mut bank.view_mut(),
+        &[0..4, 3..6],
+        Seconds(1e-9),
+    );
 }

@@ -12,7 +12,9 @@
 //! barrier-dominated interface of a VCM cell. The junction voltage is a
 //! strictly increasing function of the current, so the scalar equation for
 //! `I` has a unique solution which is found with a safeguarded
-//! Newton/bisection iteration.
+//! Newton/bisection iteration. The lane kernel runs that iteration for up
+//! to [`LOCKSTEP`] cells in lockstep, and [`solve_operating_point`] is its
+//! one-cell case.
 
 use serde::{Deserialize, Serialize};
 
@@ -60,8 +62,13 @@ fn junction_dv_di(current: f64, g_j: f64, v0: f64) -> f64 {
     1.0 / (g_j * (1.0 + x * x).sqrt())
 }
 
+/// Most cells one lockstep Newton solve takes, and the width of the lane
+/// kernel's lockstep groups.
+pub const LOCKSTEP: usize = 16;
+
 /// Solves the cell current for an applied voltage `v_cell` and disc
-/// concentration `n` (10²⁶ m⁻³).
+/// concentration `n` (10²⁶ m⁻³): the one-cell case of the lockstep solve
+/// the lane kernel runs.
 ///
 /// The returned operating point is exact to a relative tolerance of ~1e-12
 /// on the voltage balance.
@@ -71,58 +78,163 @@ fn junction_dv_di(current: f64, g_j: f64, v0: f64) -> f64 {
 /// Panics if `v_cell` is not finite (callers always pass controller-generated
 /// voltages).
 pub fn solve_operating_point(params: &DeviceParams, v_cell: f64, n: f64) -> OperatingPoint {
-    assert!(v_cell.is_finite(), "applied voltage must be finite");
-    if v_cell == 0.0 {
-        return OperatingPoint::zero();
-    }
+    let mut op = [OperatingPoint::zero()];
+    solve_operating_points::<1>(&[params], &[v_cell], &[n], &mut op);
+    op[0]
+}
 
-    let r_ohm = params.r_series + params.plug_resistance() + params.disc_resistance(n);
-    let g_j = params.junction_conductance(n);
-    let v0 = params.junction_v0;
+/// The Newton state of one cell of a lockstep solve.
+#[derive(Clone, Copy)]
+struct Newton {
+    v_cell: f64,
+    /// `R_series + R_plug + R_disc(n)`.
+    r_ohm: f64,
+    /// Junction conductance `g_j(n)` and shape voltage `V₀`.
+    g_j: f64,
+    v0: f64,
+    /// Convergence threshold on `|f(I)|`.
+    tolerance: f64,
+    /// The bracket around the root, and the iterate inside it.
+    lo: f64,
+    hi: f64,
+    i: f64,
+    /// Whether the cell still iterates.
+    open: bool,
+}
 
-    // f(I) = I·R_ohm + V_j(I) − V_cell, strictly increasing in I.
-    let f = |i: f64| i * r_ohm + junction_voltage(i, g_j, v0) - v_cell;
-    let df = |i: f64| r_ohm + junction_dv_di(i, g_j, v0);
-
-    // Bracket the root: at I = 0, f = −V_cell (same sign as −V); at
-    // I = V_cell/R_ohm the ohmic drop alone equals V_cell and the junction
-    // adds a same-signed contribution, so f has the sign of V.
-    let (mut lo, mut hi) = if v_cell > 0.0 {
-        (0.0, v_cell / r_ohm)
-    } else {
-        (v_cell / r_ohm, 0.0)
+impl Newton {
+    /// A cell that takes no iteration (a zero voltage, or a slot past the
+    /// call's cells).
+    const CLOSED: Newton = Newton {
+        v_cell: 0.0,
+        r_ohm: 0.0,
+        g_j: 0.0,
+        v0: 0.0,
+        tolerance: 0.0,
+        lo: 0.0,
+        hi: 0.0,
+        i: 0.0,
+        open: false,
     };
 
-    let mut i = 0.5 * (lo + hi);
-    for _ in 0..200 {
-        let fi = f(i);
-        if fi.abs() < 1e-15 + 1e-12 * v_cell.abs() {
-            break;
-        }
-        if fi > 0.0 {
-            hi = i;
+    /// The bracketed start of the solve for a non-zero `v_cell`.
+    #[inline]
+    fn start(params: &DeviceParams, v_cell: f64, n: f64) -> Newton {
+        let r_ohm = params.r_series + params.plug_resistance() + params.disc_resistance(n);
+        // Bracket the root: at I = 0, f = −V_cell (same sign as −V); at
+        // I = V_cell/R_ohm the ohmic drop alone equals V_cell and the
+        // junction adds a same-signed contribution, so f has the sign of V.
+        let (lo, hi) = if v_cell > 0.0 {
+            (0.0, v_cell / r_ohm)
         } else {
-            lo = i;
-        }
-        // Newton step, safeguarded to stay inside the bracket.
-        let step = fi / df(i);
-        let newton = i - step;
-        i = if newton > lo && newton < hi {
-            newton
-        } else {
-            0.5 * (lo + hi)
+            (v_cell / r_ohm, 0.0)
         };
+        Newton {
+            v_cell,
+            r_ohm,
+            g_j: params.junction_conductance(n),
+            v0: params.junction_v0,
+            tolerance: 1e-15 + 1e-12 * v_cell.abs(),
+            lo,
+            hi,
+            i: 0.5 * (lo + hi),
+            open: true,
+        }
     }
 
-    let v_active = v_cell - i * (params.r_series + params.plug_resistance());
-    let power_active = (v_active * i).abs();
-    let resistance = if i == 0.0 { f64::INFINITY } else { v_cell / i };
-    OperatingPoint {
-        v_cell,
-        current: i,
-        v_active,
-        power_active,
-        resistance,
+    /// One iteration: closes the cell when `f(I)` is within tolerance,
+    /// otherwise narrows the bracket and takes the Newton step, safeguarded
+    /// to stay inside it.
+    #[inline]
+    fn iterate(&mut self) {
+        // f(I) = I·R_ohm + V_j(I) − V_cell, strictly increasing in I.
+        let i = self.i;
+        let fi = i * self.r_ohm + junction_voltage(i, self.g_j, self.v0) - self.v_cell;
+        if fi.abs() < self.tolerance {
+            self.open = false;
+            return;
+        }
+        if fi > 0.0 {
+            self.hi = i;
+        } else {
+            self.lo = i;
+        }
+        let step = fi / (self.r_ohm + junction_dv_di(i, self.g_j, self.v0));
+        let newton = i - step;
+        self.i = if newton > self.lo && newton < self.hi {
+            newton
+        } else {
+            0.5 * (self.lo + self.hi)
+        };
+    }
+}
+
+/// The one Newton routine: solves up to `N` cells at once, cell `k` under
+/// `params[k]` at applied voltage `v_cell[k]` and concentration `n[k]`,
+/// into `out[k]`.
+///
+/// Each cell runs exactly the iteration of [`solve_operating_point`] (at
+/// most 200 safeguarded Newton steps), on its own values, so `out[k]`
+/// equals its one-cell solve bit for bit. The cells advance in lockstep,
+/// one iteration of every unconverged cell per round, until none is left:
+/// their iterations are independent, so the processor overlaps the long
+/// `asinh`/`sqrt`/division chain of one cell with the others'.
+///
+/// # Panics
+///
+/// Panics if the four slices differ in length, if they hold more than `N`
+/// cells, or if a voltage is not finite.
+#[inline]
+pub(crate) fn solve_operating_points<const N: usize>(
+    params: &[&DeviceParams],
+    v_cell: &[f64],
+    n: &[f64],
+    out: &mut [OperatingPoint],
+) {
+    let cells = out.len();
+    assert!(
+        cells <= N && params.len() == cells && v_cell.len() == cells && n.len() == cells,
+        "a lockstep solve takes at most {N} cells, each with params, a voltage and an n"
+    );
+    let mut newton = [Newton::CLOSED; N];
+    for (k, state) in newton.iter_mut().enumerate().take(cells) {
+        assert!(v_cell[k].is_finite(), "applied voltage must be finite");
+        if v_cell[k] != 0.0 {
+            *state = Newton::start(params[k], v_cell[k], n[k]);
+        }
+    }
+    for _ in 0..200 {
+        let mut open = false;
+        for state in &mut newton[..cells] {
+            if state.open {
+                state.iterate();
+                open |= state.open;
+            }
+        }
+        if !open {
+            break;
+        }
+    }
+    for (k, (slot, state)) in out.iter_mut().zip(&newton).enumerate() {
+        *slot = if v_cell[k] == 0.0 {
+            OperatingPoint::zero()
+        } else {
+            let i = state.i;
+            let v_active = v_cell[k] - i * (params[k].r_series + params[k].plug_resistance());
+            let power_active = (v_active * i).abs();
+            let resistance = if i == 0.0 {
+                f64::INFINITY
+            } else {
+                v_cell[k] / i
+            };
+            OperatingPoint {
+                v_cell: v_cell[k],
+                current: i,
+                v_active,
+                power_active,
+                resistance,
+            }
+        };
     }
 }
 
@@ -135,6 +247,7 @@ pub fn read_resistance(params: &DeviceParams, v_read: f64, n: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::{ParamColumns, ParamField};
 
     fn params() -> DeviceParams {
         DeviceParams::default()
@@ -148,22 +261,142 @@ mod tests {
         assert!(op.resistance.is_infinite());
     }
 
+    /// Asserts `I·R_ohm + V_j(I) = V_cell` at a solved point.
+    fn assert_balanced(p: &DeviceParams, op: OperatingPoint, v: f64, n: f64) {
+        let g_j = p.junction_conductance(n);
+        let vj = junction_voltage(op.current, g_j, p.junction_v0);
+        let balance = op.current * (p.r_series + p.plug_resistance() + p.disc_resistance(n)) + vj;
+        assert!(
+            (balance - v).abs() < 1e-9 * v.abs().max(1e-3),
+            "balance {balance} vs {v} at n={n}"
+        );
+    }
+
     #[test]
     fn voltage_balance_holds() {
         let p = params();
+        let mut cases = Vec::new();
         for &n in &[p.n_min, 1.0, 5.0, p.n_max] {
             for &v in &[-1.5, -0.525, 0.2, 0.525, 1.05, 1.5] {
-                let op = solve_operating_point(&p, v, n);
-                let g_j = p.junction_conductance(n);
-                let vj = junction_voltage(op.current, g_j, p.junction_v0);
-                let balance =
-                    op.current * (p.r_series + p.plug_resistance() + p.disc_resistance(n)) + vj;
-                assert!(
-                    (balance - v).abs() < 1e-9 * v.abs().max(1e-3),
-                    "balance {balance} vs {v} at n={n}"
-                );
+                assert_balanced(&p, solve_operating_point(&p, v, n), v, n);
+                cases.push((v, n));
             }
         }
+        // The same points solved in lockstep groups, a full one and a
+        // partial one.
+        for group in cases.chunks(LOCKSTEP) {
+            let v: Vec<f64> = group.iter().map(|&(v, _)| v).collect();
+            let n: Vec<f64> = group.iter().map(|&(_, n)| n).collect();
+            let mut out = vec![OperatingPoint::zero(); group.len()];
+            solve_operating_points::<LOCKSTEP>(&vec![&p; group.len()], &v, &n, &mut out);
+            for (op, &(v, n)) in out.into_iter().zip(group) {
+                assert_balanced(&p, op, v, n);
+            }
+        }
+    }
+
+    /// splitmix64, the test's deterministic source of cases.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `[lo, hi)`.
+        fn range(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (self.next() >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
+        }
+    }
+
+    #[test]
+    fn lockstep_groups_match_their_one_cell_solves_bit_for_bit() {
+        // Every field the solve reads varies per cell.
+        let fields = [
+            ParamField::FilamentRadius,
+            ParamField::LDisc,
+            ParamField::LPlug,
+            ParamField::RSeries,
+            ParamField::JunctionV0,
+            ParamField::JunctionGMin,
+            ParamField::JunctionGMax,
+        ];
+        let mut rng = Rng(0x1ab5_7e90);
+        let nominal = params();
+        let cells = 4 * LOCKSTEP;
+        let mut table = ParamColumns::uniform(nominal.clone(), cells);
+        for field in fields {
+            let column = (0..cells)
+                .map(|_| rng.range(0.7, 1.3) * field.get(&nominal))
+                .collect();
+            table.set_column(field, column);
+        }
+        let special = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-12, 1e-9];
+        for len in 1..=LOCKSTEP {
+            for _ in 0..40 {
+                let lanes: Vec<DeviceParams> = (0..len)
+                    .map(|_| table.lane(rng.next() as usize % cells).into_owned())
+                    .collect();
+                let v: Vec<f64> = (0..len)
+                    .map(|_| match rng.next() % 4 {
+                        0 => special[rng.next() as usize % special.len()],
+                        _ => rng.range(-1.5, 1.5),
+                    })
+                    .collect();
+                let n: Vec<f64> = lanes
+                    .iter()
+                    .map(|p| match rng.next() % 8 {
+                        0 => p.n_min,
+                        1 => p.n_max,
+                        _ => rng.range(p.n_min, p.n_max),
+                    })
+                    .collect();
+                let mut out = vec![OperatingPoint::zero(); len];
+                let refs: Vec<&DeviceParams> = lanes.iter().collect();
+                solve_operating_points::<LOCKSTEP>(&refs, &v, &n, &mut out);
+                for k in 0..len {
+                    let one = solve_operating_point(&lanes[k], v[k], n[k]);
+                    let fields = |op: OperatingPoint| {
+                        [
+                            op.v_cell,
+                            op.current,
+                            op.v_active,
+                            op.power_active,
+                            op.resistance,
+                        ]
+                        .map(f64::to_bits)
+                    };
+                    assert_eq!(
+                        fields(out[k]),
+                        fields(one),
+                        "cell {k} of {len}: v {} n {}",
+                        v[k],
+                        n[k]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn a_non_finite_voltage_in_a_group_panics() {
+        let p = params();
+        let mut out = [OperatingPoint::zero(); 2];
+        solve_operating_points::<LOCKSTEP>(&[&p, &p], &[0.5, f64::INFINITY], &[1.0, 1.0], &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most")]
+    fn a_group_wider_than_the_lockstep_panics() {
+        let p = params();
+        let mut out = [OperatingPoint::zero(); LOCKSTEP + 1];
+        let v = [0.5; LOCKSTEP + 1];
+        solve_operating_points::<LOCKSTEP>(&[&p; LOCKSTEP + 1], &v, &v, &mut out);
     }
 
     #[test]

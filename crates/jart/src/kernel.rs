@@ -10,15 +10,18 @@
 //! read the exported filament temperatures back as a plain slice, with no
 //! per-sub-step allocation at all.
 //!
-//! The integration itself lives in one stateless per-lane routine shared by
-//! every consumer. [`step_lane`] runs it uncached: it is what
-//! [`crate::JartDevice::step`] does on its private 1-lane bank, and it is
-//! the reference the array kernel is checked against. [`step_lane_ranges`],
-//! the kernel the crossbar pulse engine calls, runs the same routine behind
-//! replay caches that skip Newton solves without changing a bit, so a bank
-//! stepped by it is *bit-identical* to the same cells stepped one
-//! [`crate::JartDevice::step`] at a time (property tests in `tests/` pin
-//! this down). The caches run on every build, on one scalar path.
+//! The integration itself is one adaptive RK2 loop per lane. [`step_lane`]
+//! runs it on one lane, uncached: it is what [`crate::JartDevice::step`]
+//! does on its private 1-lane bank, and it is the reference the array
+//! kernel is checked against. [`step_lane_ranges`], the kernel the crossbar
+//! pulse engine calls, runs the same operations on every lane in the same
+//! order, but it replays lanes whose step another lane has already taken,
+//! reuses cached operating points, and advances the remaining biased lanes
+//! in lockstep groups whose Newton solves interleave. None of this changes
+//! a bit, so a bank stepped by it is *bit-identical* to the same cells
+//! stepped one [`crate::JartDevice::step`] at a time (property tests in
+//! `tests/` and the workspace root's `tests/echo_replay.rs` pin this down).
+//! Every build runs this one scalar path.
 //!
 //! The kernel steps a list of disjoint, ascending lane ranges and leaves
 //! every other lane untouched, so an engine can skip lanes whose step would
@@ -49,7 +52,7 @@ use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
-use crate::current::{solve_operating_point, OperatingPoint};
+use crate::current::{solve_operating_point, solve_operating_points, OperatingPoint, LOCKSTEP};
 use crate::device::DigitalState;
 use crate::kinetics::concentration_rate;
 use crate::params::{DeviceParams, ParamColumns, ParamField};
@@ -536,15 +539,15 @@ pub fn step_lanes<'a>(
 /// ideal-driver crossbar engine calls it once per sub-step on the lanes it
 /// has not proven cold. Lanes are independent within a call (thermal
 /// coupling happens *between* engine sub-steps, through the crosstalk
-/// lane), which keeps the per-lane loop free of cross-lane dependencies.
-/// The ranges must be disjoint and ascending; they share one `LaneEcho`,
-/// so the biased lanes replay exactly as they would in one whole-bank call.
+/// lane), so the kernel may take them in any interleaving. The ranges must
+/// be disjoint and ascending; the biased lanes of all of them form one
+/// scan, so they replay exactly as they would in one whole-bank call.
 ///
 /// The result is bit-identical to calling the uncached reference
 /// [`step_lane`] (that is, [`crate::JartDevice::step`]) on every lane of
-/// the ranges — the proptests in `tests/kernel_lanes.rs` pin this down,
-/// remainders and all — while skipping most of its work through four
-/// bit-preserving shortcuts:
+/// the ranges — the proptests in `tests/kernel_lanes.rs` and the root
+/// `tests/echo_replay.rs` pin this down, remainders, group edges and
+/// replays included — while skipping or overlapping most of its work:
 ///
 /// * each range is walked in fixed-width [`LANE_CHUNK`] blocks with a
 ///   remainder loop, and a block whose voltages are all exactly zero (the
@@ -553,16 +556,23 @@ pub fn step_lanes<'a>(
 /// * a zero-voltage lane inside a biased block takes the same relax update
 ///   (at `v = 0` the reference step solves nothing, accrues no stress time
 ///   and adds a `+0.0` charge term);
-/// * a biased lane reuses its one-entry operating-point cache: `(v_cell, n)`
-///   pins the Newton solve completely (temperature does not enter it), and
-///   the refresh solve at the end of one sub-step is the first solve of the
-///   next;
-/// * with shared params, consecutive biased lanes replay through a
-///   one-entry `LaneEcho` cache — the integrator is pure in the lane's
-///   `(v, ΔT, n, charge)` tuple, so a hit copies the recorded outcome
-///   instead of re-solving. Line-bias schemes stamp long runs of identical
-///   voltages onto lanes with identical histories, so most biased lanes of
-///   a quiet array hit.
+/// * with shared params, the biased lanes are scanned in lane order, and a
+///   lane whose `(v, ΔT, n, charge)` key equals the last stepped lane's is
+///   a replay: it copies that lane's outcome once it has been stepped. The
+///   integrator is pure in the key, so the copy is what the lane's own step
+///   would store. Line-bias schemes stamp long runs of identical voltages
+///   onto lanes with identical histories, so most biased lanes of a quiet
+///   array replay;
+/// * every other biased lane joins a lockstep group of up to
+///   [`LOCKSTEP`] lanes that runs the adaptive RK2 loop phase by phase
+///   across its lanes. Each phase takes the lane's operating point from its
+///   one-entry cache — `(v_cell, n)` pins the Newton solve completely
+///   (temperature does not enter it), and the refresh solve that ends one
+///   sub-step is the first solve of the next — and solves the misses of
+///   the phase together in one lockstep Newton solve. Each lane
+///   runs exactly the operations of [`step_lane`], in the same order, on
+///   its own values; only the interleaving of independent lanes changes,
+///   and it lets the processor overlap their long Newton chains.
 ///
 /// `params` is either one shared `&DeviceParams` or a `&ParamColumns`
 /// table (see [`LaneParams`]). A biased lane of a table builds its
@@ -622,8 +632,9 @@ fn check_ranges(ranges: &[Range<usize>], lanes: usize) {
     }
 }
 
-/// The body of [`step_lane_ranges`] on checked arguments: one `LaneEcho`
-/// for every range, its tallies flushed once at the end.
+/// The body of [`step_lane_ranges`] on checked arguments: the zero-voltage
+/// lanes relax in place, and the biased ones, in lane order across every
+/// range, go through one [`BiasedLanes`] scan.
 fn step_ranges(
     params: LaneParams<'_>,
     voltages: &[f64],
@@ -632,7 +643,7 @@ fn step_ranges(
     dt: Seconds,
 ) {
     let relax = params.relax_shared();
-    let mut echo = LaneEcho::cold();
+    let mut biased = BiasedLanes::new(params, dt.0);
     for range in ranges {
         let mut base = range.start;
         while base + LANE_CHUNK <= range.end {
@@ -643,37 +654,16 @@ fn step_ranges(
                 relax_chunk(params, relax, lanes, base);
             } else {
                 for (offset, &v_cell) in chunk.iter().enumerate() {
-                    step_lane_cached(params, relax, lanes, base + offset, v_cell, dt, &mut echo);
+                    biased.step_or_relax(relax, lanes, base + offset, v_cell);
                 }
             }
             base += LANE_CHUNK;
         }
         for (lane, &v_cell) in voltages.iter().enumerate().take(range.end).skip(base) {
-            step_lane_cached(params, relax, lanes, lane, v_cell, dt, &mut echo);
+            biased.step_or_relax(relax, lanes, lane, v_cell);
         }
     }
-    flush_echo_telemetry(&echo);
-}
-
-/// One lane of [`step_lane_ranges`]: the relax update at zero voltage, the
-/// echo cache under shared params, the operating-point cache otherwise.
-#[inline]
-fn step_lane_cached(
-    params: LaneParams<'_>,
-    relax: Option<&DeviceParams>,
-    lanes: &mut CellBankView<'_>,
-    lane: usize,
-    v_cell: f64,
-    dt: Seconds,
-    echo: &mut LaneEcho,
-) {
-    if v_cell == 0.0 {
-        relax_lane_of(params, relax, lanes, lane);
-    } else if let LaneParams::Shared(shared) = params {
-        step_lane_echoed(shared, lanes, lane, v_cell, dt, echo);
-    } else {
-        step_lane_inner(&params.of(lane), lanes, lane, v_cell, dt, true);
-    }
+    biased.finish(lanes);
 }
 
 /// Advances every lane of the bank by `dt` with *all lines grounded*:
@@ -843,10 +833,10 @@ pub fn step_lanes_threaded<'a>(
 /// range lanes, and workers pull blocks from a shared queue, which keeps
 /// the load balanced even though the few actively switching lanes (the
 /// selected row and column) cost orders of magnitude more than the idle
-/// majority. Each block steps its share of the ranges with a `LaneEcho`
-/// of its own. Every lane is stepped exactly once by the same per-lane
-/// routine, so the result is **bit-identical** for any thread count — a
-/// proptest pins threads 1–8 against the single-threaded path.
+/// majority. Each block steps its share of the ranges with a scan and
+/// lockstep groups of its own. Every lane takes exactly the operations of
+/// [`step_lane`], so the result is **bit-identical** for any thread count —
+/// a proptest pins threads 1–8 against the single-threaded path.
 ///
 /// `threads <= 1` (or too few range lanes to split) falls through to the
 /// single-threaded [`step_lane_ranges`] without spawning.
@@ -941,7 +931,10 @@ pub fn step_lane_ranges_threaded<'a>(
 /// The state is integrated with adaptive sub-stepping so the concentration
 /// never changes by more than `max_dn_per_step` per sub-step (midpoint/RK2
 /// on the stiff drift ODE); see [`crate::JartDevice::step`] for the
-/// user-facing contract.
+/// user-facing contract. This is the uncached scalar reference: it solves
+/// every operating point afresh. [`step_lane_ranges`] runs the same
+/// operations on each lane, in the same order, behind its caches and in
+/// lockstep groups.
 ///
 /// # Panics
 ///
@@ -953,25 +946,6 @@ pub fn step_lane(
     v_cell: f64,
     dt: Seconds,
 ) -> OperatingPoint {
-    step_lane_inner(params, lanes, lane, v_cell, dt, false)
-}
-
-/// The shared per-lane integrator. `cached` enables the per-lane one-entry
-/// operating-point cache — the solve is a pure function of
-/// `(params, v_cell, n)` (the filament temperature feeds the *rate*, not
-/// the I–V solve), so replaying a cached point is bit-identical to
-/// re-solving it. The hit that matters: the refresh solve at the end of
-/// one engine sub-step is exactly the first solve of the next sub-step
-/// (same voltage, same final concentration), which saves one of the three
-/// Newton solves per sub-step on every actively biased lane.
-fn step_lane_inner(
-    params: &DeviceParams,
-    lanes: &mut CellBankView<'_>,
-    lane: usize,
-    v_cell: f64,
-    dt: Seconds,
-    cached: bool,
-) -> OperatingPoint {
     assert!(dt.0.is_finite() && dt.0 >= 0.0, "dt must be non-negative");
     let mut remaining = dt.0;
     let mut first_op = None;
@@ -981,30 +955,10 @@ fn step_lane_inner(
         lanes.stress_time[lane] += dt.0;
     }
 
-    let mut cache_v = lanes.op_cache_v_bits[lane];
-    let mut cache_n = lanes.op_cache_n_bits[lane];
-    let mut cache_op = lanes.op_cache_op[lane];
-
-    // Operating point + filament temperature at a given concentration
-    // (solved, or replayed from the lane's cache when `cached`).
-    let mut eval_op = |n: f64| -> (OperatingPoint, f64) {
-        let op = if cached {
-            let vb = v_cell.to_bits();
-            let nb = n.to_bits();
-            if cache_v == vb && cache_n == nb {
-                cache_op
-            } else {
-                let op = solve_operating_point(params, v_cell, n);
-                cache_v = vb;
-                cache_n = nb;
-                cache_op = op;
-                op
-            }
-        } else {
-            solve_operating_point(params, v_cell, n)
-        };
-        let temperature = filament_temperature(params, op.power_active, delta_t);
-        (op, temperature)
+    // Operating point + filament temperature at a given concentration.
+    let eval_op = |n: f64| -> (OperatingPoint, f64) {
+        let op = solve_operating_point(params, v_cell, n);
+        (op, filament_temperature(params, op.power_active, delta_t))
     };
 
     // Even for dt == 0 the operating point is refreshed so callers can
@@ -1028,20 +982,11 @@ fn step_lane_inner(
             break;
         }
 
-        // Adaptive step: cap the state change per sub-step both absolutely
-        // and relative to the distance from the HRS bound, because the
-        // runaway phase grows exponentially with that distance.
-        let allowed_dn = params.max_dn_per_step.min(0.02 * (n - params.n_min) + 1e-3);
-        let max_dt = allowed_dn / rate.abs();
-        let sub_dt = remaining.min(max_dt);
+        let (sub_dt, n_mid) = substep(params, n, rate, remaining);
         lanes.charge[lane] += op.current.abs() * sub_dt;
-
-        // Midpoint (RK2) integration of the stiff drift ODE.
-        let n_mid = (n + 0.5 * rate * sub_dt).clamp(params.n_min, params.n_max);
         let (op_mid, t_mid) = eval_op(n_mid);
         let rate_mid = concentration_rate(params, op_mid.v_active, t_mid, n_mid);
-        let effective_rate = if rate_mid == 0.0 { rate } else { rate_mid };
-        lanes.n_disc[lane] = (n + effective_rate * sub_dt).clamp(params.n_min, params.n_max);
+        lanes.n_disc[lane] = substep_end(params, n, rate, rate_mid, sub_dt);
         remaining -= sub_dt;
         if remaining <= 0.0 {
             // Refresh the final operating point for observers (the drift
@@ -1053,75 +998,410 @@ fn step_lane_inner(
         }
     }
 
-    if cached {
-        lanes.op_cache_v_bits[lane] = cache_v;
-        lanes.op_cache_n_bits[lane] = cache_n;
-        lanes.op_cache_op[lane] = cache_op;
-    }
     lanes.digital[lane] = digital_of(params, lanes.n_disc[lane]);
     first_op.unwrap_or_else(OperatingPoint::zero)
 }
 
-/// One-entry cross-lane replay cache for the biased lanes of a
-/// shared-params [`step_lanes`] call.
+/// The adaptive sub-step from concentration `n` at drift rate `rate`, with
+/// `remaining` seconds left: its length and its midpoint concentration
+/// (midpoint/RK2). The step caps the state change both absolutely and
+/// relative to the distance from the HRS bound, because the runaway phase
+/// grows exponentially with that distance.
+#[inline]
+fn substep(params: &DeviceParams, n: f64, rate: f64, remaining: f64) -> (f64, f64) {
+    let allowed_dn = params.max_dn_per_step.min(0.02 * (n - params.n_min) + 1e-3);
+    let max_dt = allowed_dn / rate.abs();
+    let sub_dt = remaining.min(max_dt);
+    let n_mid = (n + 0.5 * rate * sub_dt).clamp(params.n_min, params.n_max);
+    (sub_dt, n_mid)
+}
+
+/// The concentration at the end of a sub-step of length `sub_dt` from `n`:
+/// it moves at the midpoint rate, or at the start rate where the midpoint
+/// rate vanishes.
+#[inline]
+fn substep_end(params: &DeviceParams, n: f64, rate: f64, rate_mid: f64, sub_dt: f64) -> f64 {
+    let effective_rate = if rate_mid == 0.0 { rate } else { rate_mid };
+    (n + effective_rate * sub_dt).clamp(params.n_min, params.n_max)
+}
+
+/// Most replays a [`BiasedLanes`] scan holds back while their source's
+/// group is open.
+const PENDING: usize = LOCKSTEP;
+
+/// The biased lanes of one [`step_lane_ranges`] call, or of one block of
+/// [`step_lane_ranges_threaded`], taken in lane order.
 ///
-/// With shared `DeviceParams` and a fixed `dt` per call, the whole
-/// effect of [`step_lane_inner`] on a lane is a pure function of the tuple
-/// `(v_cell, crosstalk ΔT, n, charge)` — the only per-lane state the
-/// integrator reads (the operating-point cache is excluded on purpose: its
-/// entries always equal the solve at their key bits, so it changes which
-/// solves run, never their results). Line-bias schemes stamp long runs of
-/// identical voltages onto lanes whose histories are bit-for-bit equal —
-/// on a quiet array an entire selected row hits this cache — so replaying
-/// the recorded outcome collapses hundreds of Newton solves per sub-step
-/// into copies. `charge` sits in the *key* (not replayed as a delta)
-/// because the accrual is a chain of `+=` roundings on the lane's own
-/// running value.
-struct LaneEcho {
-    valid: bool,
-    v_bits: u64,
-    crosstalk_bits: u64,
-    n_bits: u64,
-    charge_bits: u64,
-    n_end: f64,
-    temperature: f64,
-    charge_end: f64,
-    last_op: OperatingPoint,
-    digital: DigitalState,
-    cache_v: u64,
-    cache_n: u64,
-    cache_op: OperatingPoint,
-    /// Biased-lane steps routed through the cache during one kernel call
-    /// (local tallies, flushed once per call — see [`flush_echo_telemetry`]).
+/// **The scan.** With shared `DeviceParams` and one `dt` per call, a
+/// lane's whole step is a pure function of its key
+/// `(v_cell, crosstalk ΔT, n, charge)`, the only per-lane state the
+/// integrator reads. The operating-point cache is left out of the key on
+/// purpose: its entry always equals the solve at its key bits, so it
+/// changes which solves run, never their results. A biased lane whose key
+/// equals the last stepped lane's (its *source*) is therefore a *replay*:
+/// once the source's group has been stepped, it copies the source's
+/// outcome instead of integrating. Line-bias schemes stamp long runs of
+/// identical voltages onto lanes with identical histories, so on a quiet
+/// array most of a selected line replays. `charge` sits in the key instead
+/// of being replayed as a delta, because its accrual is a chain of `+=`
+/// roundings on the lane's own running value. Under a column table every
+/// lane has parameters of its own, so no lane replays.
+///
+/// **The groups.** Every other biased lane joins the open [`Group`]. The
+/// group is stepped when it holds [`LOCKSTEP`] lanes, when [`PENDING`]
+/// replays wait for it, and at the end of the call; the replays that
+/// waited are copied right after.
+struct BiasedLanes<'a> {
+    params: LaneParams<'a>,
+    dt: f64,
+    group: Group<'a>,
+    /// The last lane that joined a group, with its key. It is in the open
+    /// group exactly when the group is not empty.
+    source: Option<(usize, [u64; 4])>,
+    /// Replays `(lane, source)` waiting for the open group.
+    pending: [(usize, usize); PENDING],
+    pending_len: usize,
+    /// Biased lanes looked up in the scan, and how many of them replayed:
+    /// local tallies, flushed once per call (see [`flush_echo_telemetry`]).
     lookups: u64,
-    /// How many of those lookups replayed the recorded outcome.
     hits: u64,
 }
 
-impl LaneEcho {
-    fn cold() -> Self {
-        LaneEcho {
-            valid: false,
-            v_bits: 0,
-            crosstalk_bits: 0,
-            n_bits: 0,
-            charge_bits: 0,
-            n_end: 0.0,
-            temperature: 0.0,
-            charge_end: 0.0,
-            last_op: OperatingPoint::zero(),
-            digital: DigitalState::Hrs,
-            cache_v: 0,
-            cache_n: 0,
-            cache_op: OperatingPoint::zero(),
+impl<'a> BiasedLanes<'a> {
+    fn new(params: LaneParams<'a>, dt: f64) -> Self {
+        BiasedLanes {
+            params,
+            dt,
+            group: Group::new(),
+            source: None,
+            pending: [(0, 0); PENDING],
+            pending_len: 0,
             lookups: 0,
             hits: 0,
         }
     }
+
+    /// Relaxes a zero-voltage lane in place (at `v = 0` the reference step
+    /// solves nothing, accrues no stress time and adds a `+0.0` charge
+    /// term); scans a biased one.
+    #[inline]
+    fn step_or_relax(
+        &mut self,
+        relax: Option<&DeviceParams>,
+        lanes: &mut CellBankView<'_>,
+        lane: usize,
+        v_cell: f64,
+    ) {
+        if v_cell == 0.0 {
+            relax_lane_of(self.params, relax, lanes, lane);
+        } else {
+            self.scan(lanes, lane, v_cell);
+        }
+    }
+
+    /// Replays a biased lane from its source, or adds it to the open group.
+    fn scan(&mut self, lanes: &mut CellBankView<'_>, lane: usize, v_cell: f64) {
+        if let LaneParams::Shared(_) = self.params {
+            let key = [
+                v_cell.to_bits(),
+                lanes.crosstalk[lane].to_bits(),
+                lanes.n_disc[lane].to_bits(),
+                lanes.charge[lane].to_bits(),
+            ];
+            self.lookups += 1;
+            match self.source {
+                Some((source, source_key)) if source_key == key => {
+                    self.hits += 1;
+                    if self.group.len == 0 {
+                        replay(lanes, lane, source, self.dt);
+                    } else {
+                        self.pending[self.pending_len] = (lane, source);
+                        self.pending_len += 1;
+                        if self.pending_len == PENDING {
+                            self.flush(lanes);
+                        }
+                    }
+                    return;
+                }
+                _ => self.source = Some((lane, key)),
+            }
+        }
+        self.group.join(self.params, lane, v_cell);
+        if self.group.len == LOCKSTEP {
+            self.flush(lanes);
+        }
+    }
+
+    /// Steps the open group, then copies the replays that waited for it.
+    fn flush(&mut self, lanes: &mut CellBankView<'_>) {
+        self.group.step(lanes, self.dt);
+        for &(lane, source) in &self.pending[..self.pending_len] {
+            replay(lanes, lane, source, self.dt);
+        }
+        self.pending_len = 0;
+    }
+
+    /// Steps what is left and adds the call's tallies to the telemetry.
+    fn finish(mut self, lanes: &mut CellBankView<'_>) {
+        self.flush(lanes);
+        flush_echo_telemetry(self.lookups, self.hits);
+    }
 }
 
-/// Shared handles to the echo-cache telemetry counters (the registry mutex
-/// is touched once, on the first kernel call of the process).
+/// Copies the outcome of the stepped lane `source` onto the biased lane
+/// `lane`, whose key equals the source's (see [`BiasedLanes`]). Only the
+/// stress time, which the integrator never reads, accrues on the lane's
+/// own value.
+#[inline]
+fn replay(lanes: &mut CellBankView<'_>, lane: usize, source: usize, dt: f64) {
+    lanes.stress_time[lane] += dt;
+    lanes.n_disc[lane] = lanes.n_disc[source];
+    lanes.temperature[lane] = lanes.temperature[source];
+    lanes.charge[lane] = lanes.charge[source];
+    lanes.last_op[lane] = lanes.last_op[source];
+    lanes.digital[lane] = lanes.digital[source];
+    lanes.op_cache_v_bits[lane] = lanes.op_cache_v_bits[source];
+    lanes.op_cache_n_bits[lane] = lanes.op_cache_n_bits[source];
+    lanes.op_cache_op[lane] = lanes.op_cache_op[source];
+}
+
+/// Where a lane of a [`Group`] stands in the adaptive RK2 loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    /// Next: the operating point at `n`, then a sub-step from it.
+    Start,
+    /// Next: the operating point at the sub-step's midpoint, then its end.
+    Mid,
+    /// Next: the operating point at the final `n`, for observers.
+    Refresh,
+    /// Finished.
+    Done,
+}
+
+/// Up to [`LOCKSTEP`] biased lanes of one call, advanced through the loop
+/// of [`step_lane`] together, phase by phase: the operating point at `n`;
+/// the temperature, rate and sub-step; the operating point at the
+/// midpoint; the midpoint rate and the new `n`. Lanes with time left go
+/// round again, finished lanes take the refresh.
+///
+/// Each lane runs exactly the operations of [`step_lane`], in the same
+/// order, on its own values; only the interleaving of independent lanes
+/// changes, so a stepped lane is bit-identical to the reference. Each
+/// phase's operating points come from the lanes' one-entry caches or from
+/// one solve over the phase's misses: [`solve_operating_points`] in
+/// lockstep, or its one-cell case when a single lane misses. The cache is
+/// exact because `(v_cell, n)` pins the Newton solve completely
+/// (temperature does not enter it), and it hits because the refresh solve
+/// that ends one call is the first solve of the lane's next call.
+struct Group<'a> {
+    len: usize,
+    /// The joined lanes are `slots[..len]`. The slots start empty, so
+    /// opening a group costs a tag per slot, not a whole slot.
+    slots: [Option<Slot<'a>>; LOCKSTEP],
+}
+
+/// One lane of a [`Group`] and its place in the loop.
+struct Slot<'a> {
+    lane: usize,
+    params: Cow<'a, DeviceParams>,
+    v_cell: f64,
+    stage: Stage,
+    /// The concentration the next operating point is wanted at, and that
+    /// operating point once found.
+    at: f64,
+    op: OperatingPoint,
+    /// Time left of the call's `dt`.
+    remaining: f64,
+    /// The current sub-step: its start concentration, the drift rate there
+    /// and its length.
+    n: f64,
+    rate: f64,
+    sub_dt: f64,
+}
+
+impl<'a> Group<'a> {
+    fn new() -> Self {
+        Group {
+            len: 0,
+            slots: [const { None }; LOCKSTEP],
+        }
+    }
+
+    /// Adds a biased lane; the caller steps the group before it overflows.
+    fn join(&mut self, params: LaneParams<'a>, lane: usize, v_cell: f64) {
+        self.slots[self.len] = Some(Slot {
+            lane,
+            params: params.of(lane),
+            v_cell,
+            stage: Stage::Start,
+            at: 0.0,
+            op: OperatingPoint::zero(),
+            remaining: 0.0,
+            n: 0.0,
+            rate: 0.0,
+            sub_dt: 0.0,
+        });
+        self.len += 1;
+    }
+
+    /// Advances every lane of the group by `dt`, and empties the group.
+    fn step(&mut self, lanes: &mut CellBankView<'_>, dt: f64) {
+        let slots = &mut self.slots[..self.len];
+        for slot in slots.iter_mut().flatten() {
+            lanes.stress_time[slot.lane] += dt;
+            slot.remaining = dt;
+            slot.stage = Stage::Start;
+        }
+        loop {
+            // The operating point at `n`: a sub-step's start, or the
+            // refresh of a lane whose time is up. Even for dt == 0 it is
+            // refreshed, so callers can observe the instantaneous
+            // temperature under the new bias.
+            for slot in slots
+                .iter_mut()
+                .flatten()
+                .filter(|slot| slot.stage != Stage::Done)
+            {
+                slot.at = lanes.n_disc[slot.lane];
+            }
+            operating_points(slots, lanes);
+            let mut open = false;
+            for slot in slots
+                .iter_mut()
+                .flatten()
+                .filter(|slot| slot.stage != Stage::Done)
+            {
+                open |= slot.begin_substep(lanes);
+            }
+            if !open {
+                break;
+            }
+            operating_points(slots, lanes);
+            for slot in slots
+                .iter_mut()
+                .flatten()
+                .filter(|slot| slot.stage != Stage::Done)
+            {
+                slot.end_substep(lanes);
+            }
+        }
+        for slot in slots.iter().flatten() {
+            lanes.digital[slot.lane] = digital_of(&slot.params, lanes.n_disc[slot.lane]);
+        }
+        self.len = 0;
+    }
+}
+
+impl Slot<'_> {
+    /// After the operating point at `n`: stores the temperature and the
+    /// point, then either ends the lane (a refresh, no time left, or a
+    /// vanishing rate) or plans a sub-step and asks for its midpoint.
+    /// Returns whether the lane goes on.
+    fn begin_substep(&mut self, lanes: &mut CellBankView<'_>) -> bool {
+        let (lane, params, op, n) = (self.lane, &*self.params, self.op, self.at);
+        let temperature = filament_temperature(params, op.power_active, lanes.crosstalk[lane]);
+        lanes.temperature[lane] = temperature;
+        lanes.last_op[lane] = op;
+        let refresh = self.stage == Stage::Refresh;
+        self.stage = Stage::Done;
+        if refresh || self.remaining <= 0.0 {
+            return false;
+        }
+        let rate = concentration_rate(params, op.v_active, temperature, n);
+        if rate == 0.0 {
+            // Nothing will change for the rest of the interval; the full
+            // remaining conduction still counts towards the charge lane.
+            lanes.charge[lane] += op.current.abs() * self.remaining;
+            return false;
+        }
+        let (sub_dt, n_mid) = substep(params, n, rate, self.remaining);
+        lanes.charge[lane] += op.current.abs() * sub_dt;
+        (self.n, self.rate, self.sub_dt, self.at) = (n, rate, sub_dt, n_mid);
+        self.stage = Stage::Mid;
+        true
+    }
+
+    /// Takes a freshly solved operating point and caches it under the key
+    /// `(v_cell, at)`.
+    fn cache(&mut self, lanes: &mut CellBankView<'_>, op: OperatingPoint) {
+        self.op = op;
+        lanes.op_cache_v_bits[self.lane] = self.v_cell.to_bits();
+        lanes.op_cache_n_bits[self.lane] = self.at.to_bits();
+        lanes.op_cache_op[self.lane] = op;
+    }
+
+    /// After the operating point at the midpoint: the sub-step's new `n`;
+    /// the lane goes round again, or takes the refresh once its time is up.
+    fn end_substep(&mut self, lanes: &mut CellBankView<'_>) {
+        let (lane, params, op, n_mid) = (self.lane, &*self.params, self.op, self.at);
+        let t_mid = filament_temperature(params, op.power_active, lanes.crosstalk[lane]);
+        let rate_mid = concentration_rate(params, op.v_active, t_mid, n_mid);
+        lanes.n_disc[lane] = substep_end(params, self.n, self.rate, rate_mid, self.sub_dt);
+        self.remaining -= self.sub_dt;
+        self.stage = if self.remaining <= 0.0 {
+            Stage::Refresh
+        } else {
+            Stage::Start
+        };
+    }
+}
+
+/// The operating point of every slot not yet done, at its `at`
+/// concentration: read from the lane's one-entry cache when the key
+/// matches, otherwise solved with the phase's other misses in one lockstep
+/// call, and cached.
+fn operating_points(slots: &mut [Option<Slot<'_>>], lanes: &mut CellBankView<'_>) {
+    let mut misses = [0; LOCKSTEP];
+    let mut count = 0;
+    for (k, slot) in slots.iter_mut().flatten().enumerate() {
+        if slot.stage == Stage::Done {
+            continue;
+        }
+        let lane = slot.lane;
+        if lanes.op_cache_v_bits[lane] == slot.v_cell.to_bits()
+            && lanes.op_cache_n_bits[lane] == slot.at.to_bits()
+        {
+            slot.op = lanes.op_cache_op[lane];
+        } else {
+            misses[count] = k;
+            count += 1;
+        }
+    }
+    let misses = &misses[..count];
+    match *misses {
+        [] => {}
+        // A lane that outlasts the rest of its group (a switching cell takes
+        // many short sub-steps) misses alone: the one-cell solve sets up no
+        // lockstep state.
+        [k] => {
+            let slot = slots[k].as_mut().expect("a joined slot");
+            let op = solve_operating_point(&slot.params, slot.v_cell, slot.at);
+            slot.cache(lanes, op);
+        }
+        [first, ..] => {
+            let joined = |k: usize| slots[k].as_ref().expect("a joined slot");
+            let mut params = [&*joined(first).params; LOCKSTEP];
+            let (mut v_cell, mut n) = ([0.0; LOCKSTEP], [0.0; LOCKSTEP]);
+            for (m, &k) in misses.iter().enumerate() {
+                let slot = joined(k);
+                (params[m], v_cell[m], n[m]) = (&slot.params, slot.v_cell, slot.at);
+            }
+            let mut solved = [OperatingPoint::zero(); LOCKSTEP];
+            solve_operating_points::<LOCKSTEP>(
+                &params[..count],
+                &v_cell[..count],
+                &n[..count],
+                &mut solved[..count],
+            );
+            for (&k, op) in misses.iter().zip(solved) {
+                slots[k].as_mut().expect("a joined slot").cache(lanes, op);
+            }
+        }
+    }
+}
+
+/// Shared handles to the echo telemetry counters (the registry mutex is
+/// touched once, on the first kernel call of the process).
 fn echo_telemetry() -> &'static (
     std::sync::Arc<rram_telemetry::Counter>,
     std::sync::Arc<rram_telemetry::Counter>,
@@ -1145,73 +1425,15 @@ fn echo_telemetry() -> &'static (
     })
 }
 
-/// Adds one kernel call's local echo tallies to the process-wide counters:
-/// two relaxed atomic adds per `step_lanes` call, nothing per lane.
-fn flush_echo_telemetry(echo: &LaneEcho) {
-    if echo.lookups == 0 {
+/// Adds one kernel call's scan tallies to the process-wide counters: two
+/// relaxed atomic adds per call, nothing per lane.
+fn flush_echo_telemetry(lookups: u64, hits: u64) {
+    if lookups == 0 {
         return;
     }
-    let (hits, lookups) = echo_telemetry();
-    hits.add(echo.hits);
-    lookups.add(echo.lookups);
-}
-
-/// [`step_lane_inner`] behind the [`LaneEcho`] replay cache (shared params
-/// only). On a key hit every lane output is copied from the recorded
-/// outcome — bit-identical to re-running the integrator because the
-/// integrator is pure in the key; on a miss the lane is stepped normally
-/// and its outcome recorded.
-fn step_lane_echoed(
-    params: &DeviceParams,
-    lanes: &mut CellBankView<'_>,
-    lane: usize,
-    v_cell: f64,
-    dt: Seconds,
-    echo: &mut LaneEcho,
-) {
-    let v_bits = v_cell.to_bits();
-    let crosstalk_bits = lanes.crosstalk[lane].to_bits();
-    let n_bits = lanes.n_disc[lane].to_bits();
-    let charge_bits = lanes.charge[lane].to_bits();
-    echo.lookups += 1;
-    if echo.valid
-        && echo.v_bits == v_bits
-        && echo.crosstalk_bits == crosstalk_bits
-        && echo.n_bits == n_bits
-        && echo.charge_bits == charge_bits
-    {
-        echo.hits += 1;
-        if v_cell != 0.0 {
-            lanes.stress_time[lane] += dt.0;
-        }
-        lanes.n_disc[lane] = echo.n_end;
-        lanes.temperature[lane] = echo.temperature;
-        lanes.charge[lane] = echo.charge_end;
-        lanes.last_op[lane] = echo.last_op;
-        lanes.digital[lane] = echo.digital;
-        lanes.op_cache_v_bits[lane] = echo.cache_v;
-        lanes.op_cache_n_bits[lane] = echo.cache_n;
-        lanes.op_cache_op[lane] = echo.cache_op;
-        return;
-    }
-    step_lane_inner(params, lanes, lane, v_cell, dt, true);
-    *echo = LaneEcho {
-        valid: true,
-        v_bits,
-        crosstalk_bits,
-        n_bits,
-        charge_bits,
-        lookups: echo.lookups,
-        hits: echo.hits,
-        n_end: lanes.n_disc[lane],
-        temperature: lanes.temperature[lane],
-        charge_end: lanes.charge[lane],
-        last_op: lanes.last_op[lane],
-        digital: lanes.digital[lane],
-        cache_v: lanes.op_cache_v_bits[lane],
-        cache_n: lanes.op_cache_n_bits[lane],
-        cache_op: lanes.op_cache_op[lane],
-    };
+    let (hit_counter, lookup_counter) = echo_telemetry();
+    hit_counter.add(hits);
+    lookup_counter.add(lookups);
 }
 
 #[cfg(test)]

@@ -8,7 +8,10 @@
 //! binaries' `--checkpoint` flag at the same time; resuming from them must
 //! replay every point, which pins the `PointKey` fingerprints absolutely.
 //! Two figure outputs that no report covers are pinned here as well: the
-//! Fig. 1 trace and the design-choice ablation table.
+//! Fig. 1 trace and the design-choice ablation table. So are two paths of
+//! the line-network solve that no golden campaign reaches: the detailed
+//! engine's per-cell tables, multi-step slices and short idles, and the
+//! sneak-path read analysis.
 //! A mismatch is a behaviour change: find it, never re-record the corpus.
 
 use std::fmt::Write;
@@ -16,6 +19,12 @@ use std::path::PathBuf;
 
 use neurohammer_repro::attack::campaign::{read_checkpoint, CampaignExecutor, CampaignSpec};
 use neurohammer_repro::attack::{ablation_report, run_attack, AttackConfig};
+use neurohammer_repro::crossbar::{
+    analyze_read, read_margin, BackendKind, CellAddress, CrossbarArray, CrosstalkHub,
+    DetailedCrossbar, EngineConfig, HammerBackend, ReadBias, WiringParasitics, WriteScheme,
+};
+use neurohammer_repro::jart::{DeviceParams, DigitalState, ParamColumns};
+use neurohammer_repro::units::{Kelvin, Seconds, Volts};
 
 fn golden(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -134,6 +143,15 @@ fn large_array_report_is_golden() {
     assert_fresh_run_is_golden("large_array");
 }
 
+/// The `large_array` grid on a 4×5 `detailed` array: every write scheme,
+/// with and without a rewriting guard, homogeneous and Monte Carlo, at two
+/// amplitudes, with 35 ns pulses that the engine cuts into four 8.75 ns
+/// hub slices.
+#[test]
+fn detailed_report_is_golden() {
+    assert_fresh_run_is_golden("detailed");
+}
+
 #[test]
 fn pulse_checkpoint_resumes_into_the_golden_report() {
     assert_checkpoint_resumes("fig3a");
@@ -203,4 +221,147 @@ fn ablation_design_table_is_golden() {
     }
     writeln!(fresh, "{:?}", report.estimate).unwrap();
     assert_matches_file("ablation design", &fresh, "ablation_design.txt");
+}
+
+/// Hammers, idles, forces an analogue state and rewrites with a
+/// RESET-polarity pulse: the detailed-engine sequence the digest pins.
+fn drive_detailed<B: HammerBackend + ?Sized>(engine: &mut B) {
+    let aggressor = CellAddress::new(1, 2);
+    engine.force_state(aggressor, DigitalState::Lrs);
+    for _ in 0..2 {
+        engine.apply_pulse(aggressor, Volts(1.05), Seconds(35e-9));
+        engine.idle(Seconds(7e-9));
+        engine.apply_pulse(aggressor, Volts(1.05), Seconds(35e-9));
+        engine.idle(Seconds(17e-9));
+    }
+    let forced = CellAddress::new(2, 3);
+    engine.force_normalized_state(forced, 0.37);
+    engine.apply_pulse(forced, Volts(-1.3), Seconds(35e-9));
+    engine.idle(Seconds(17e-9));
+}
+
+/// Every cell's thermal read-out, the digital read-out, the hub ΔT and the
+/// clock, as bits.
+fn detailed_words<B: HammerBackend + ?Sized>(engine: &B) -> Vec<u64> {
+    let mut words = Vec::new();
+    for row in 0..engine.rows() {
+        for col in 0..engine.cols() {
+            let readout = engine.thermal_readout(CellAddress::new(row, col));
+            words.extend([
+                readout.temperature.0.to_bits(),
+                readout.crosstalk.0.to_bits(),
+                readout.normalized_state.to_bits(),
+            ]);
+        }
+    }
+    let states = engine.read_all();
+    words.extend(states.iter().map(|&s| u64::from(s == DigitalState::Lrs)));
+    words.extend(engine.hub().deltas().iter().map(|d| d.to_bits()));
+    words.push(engine.elapsed().0.to_bits());
+    words
+}
+
+/// The detailed engine on paths no golden campaign reaches: a per-cell
+/// parameter table through `build_heterogeneous`, 4 ns steps (three per
+/// 8.75 ns hub slice), the V/3 scheme at 330 K, 7 ns and 17 ns idles, a
+/// forced analogue state and a −1.3 V pulse; then, on a concrete engine
+/// built from the same table, an explicit 3 ns step. The digest over both
+/// engines' bits was recorded once.
+#[test]
+fn detailed_engine_digest_is_pinned() {
+    let (rows, cols) = (4, 5);
+    let nominal = DeviceParams {
+        ambient_temperature: 330.0,
+        ..DeviceParams::default()
+    };
+    let table: Vec<DeviceParams> = (0..rows * cols)
+        .map(|lane| {
+            let k = (lane * 7 % 11) as f64 / 10.0 - 0.5;
+            DeviceParams {
+                filament_radius: nominal.filament_radius * (1.0 + 0.08 * k),
+                l_disc: nominal.l_disc * (1.0 - 0.04 * k),
+                ..nominal.clone()
+            }
+        })
+        .collect();
+    let hub = || CrosstalkHub::two_ring(rows, cols, 0.15, Seconds(30e-9));
+    let config = EngineConfig {
+        scheme: WriteScheme::ThirdVoltage,
+        max_substep: Seconds(4e-9),
+        ambient: Kelvin(330.0),
+        ..EngineConfig::default()
+    };
+    let mut boxed = BackendKind::detailed().build_heterogeneous(
+        rows,
+        cols,
+        DeviceParams::default(),
+        Some(ParamColumns::compact(nominal.clone(), &table)),
+        hub(),
+        config,
+    );
+    drive_detailed(boxed.as_mut());
+
+    let mut concrete = DetailedCrossbar::new(
+        rows,
+        cols,
+        nominal,
+        WiringParasitics::default(),
+        hub(),
+        WriteScheme::ThirdVoltage,
+    )
+    .with_time_step(Seconds(4e-9));
+    concrete.set_params_table(&table);
+    drive_detailed(&mut concrete);
+    assert_eq!(detailed_words(boxed.as_ref()), detailed_words(&concrete));
+    concrete.apply_pulse_with_dt(
+        CellAddress::new(1, 2),
+        Volts(1.05),
+        Seconds(35e-9),
+        Seconds(3e-9),
+    );
+
+    let mut words = detailed_words(boxed.as_ref());
+    words.extend(detailed_words(&concrete));
+    let digest = fnv1a(words);
+    assert_eq!(digest, 0xe081_10c1_8bf4_e439, "digest {digest:#018x}");
+}
+
+/// The sneak-path read analysis of a 4×5 array of mixed LRS and HRS cells:
+/// every cell's read and the whole-array margin, under both read biases.
+/// The digest over their bits was recorded once per bias.
+#[test]
+fn sneak_path_reads_are_pinned() {
+    let mut array = CrossbarArray::new(4, 5, DeviceParams::default());
+    array.for_each_cell_mut(|address, mut cell| {
+        if (address.row * 7 + address.col * 3) % 5 < 2 {
+            cell.force_state(DigitalState::Lrs);
+        }
+    });
+    let parasitics = WiringParasitics::default();
+    let v_read = Volts(0.2);
+    let mut digests = Vec::new();
+    for bias in [ReadBias::GroundedUnselected, ReadBias::HalfBiased] {
+        let mut words = Vec::new();
+        for (address, _) in array.iter() {
+            let read =
+                analyze_read(&array, parasitics, address, v_read, bias).expect("read solves");
+            words.extend([
+                read.sensed_current.0.to_bits(),
+                read.cell_current.0.to_bits(),
+                read.selectivity.to_bits(),
+            ]);
+        }
+        let margin = read_margin(&array, parasitics, v_read, bias).expect("margin solves");
+        words.extend([
+            margin.min_lrs_current.0.to_bits(),
+            margin.max_hrs_current.0.to_bits(),
+            margin.margin.to_bits(),
+        ]);
+        digests.push(fnv1a(words));
+    }
+    assert_eq!(
+        digests,
+        [0x0a6b_8e59_207c_1c63, 0x4984_e65b_0b85_0961],
+        "digests {digests:#x?}"
+    );
 }

@@ -1,11 +1,11 @@
-//! Compares the fast ideal-driver pulse engine against the MNA-backed
-//! detailed engine for a short hammer burst (the "two fidelities"
+//! Compares the fast ideal-driver pulse engine against the detailed
+//! (line-network) engine for a short hammer burst (the "two fidelities"
 //! ablation).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rram_crossbar::{
-    CellAddress, CrosstalkHub, DetailedCrossbar, EngineConfig, PulseEngine, WiringParasitics,
-    WriteScheme,
+    CellAddress, CrossbarArray, CrosstalkHub, DetailedCrossbar, EngineConfig, HammerBackend,
+    PulseEngine, WiringParasitics, WriteScheme,
 };
 use rram_jart::{DeviceParams, DigitalState};
 use rram_units::{Seconds, Volts};
@@ -37,12 +37,11 @@ fn fast_engine_burst() -> f64 {
 
 fn detailed_engine_burst() -> f64 {
     let mut xbar = DetailedCrossbar::new(
-        3,
-        3,
-        DeviceParams::default(),
+        CrossbarArray::new(3, 3, DeviceParams::default()),
         WiringParasitics::default(),
         CrosstalkHub::uniform(3, 3, 0.15, 0.075, 0.0375, Seconds(30e-9)),
         WriteScheme::HalfVoltage,
+        Seconds(10e-9),
     );
     let aggressor = CellAddress::new(1, 1);
     xbar.force_state(aggressor, DigitalState::Lrs);

@@ -1,9 +1,8 @@
-//! Modified nodal analysis: DC operating point and transient simulation.
+//! Modified nodal analysis: the Newton–Raphson DC operating point.
 //!
 //! The unknown vector contains the voltages of all non-ground nodes followed
 //! by the branch currents of the independent voltage sources. Nonlinear
-//! devices are handled with Newton–Raphson; capacitors use the backward-Euler
-//! companion model in transient analysis and are open circuits in DC.
+//! devices are linearised around the current candidate at every iteration.
 
 use std::error::Error;
 use std::fmt;
@@ -11,7 +10,14 @@ use std::fmt;
 use crate::dense::{DenseMatrix, LinearError};
 use crate::netlist::{Element, Netlist, NodeId};
 
-/// Errors produced by the analyses.
+/// Convergence tolerance on the largest voltage update, V.
+const TOLERANCE: f64 = 1e-9;
+/// Maximum number of Newton iterations.
+const MAX_ITERATIONS: usize = 200;
+/// Largest voltage update per iteration (damping), V.
+const MAX_STEP: f64 = 0.5;
+
+/// Errors produced by the DC solve.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CircuitError {
     /// The linear solve inside a Newton iteration failed.
@@ -22,11 +28,6 @@ pub enum CircuitError {
         iterations: usize,
         /// Largest voltage update of the last iteration.
         last_update: f64,
-    },
-    /// The requested transient configuration is invalid.
-    InvalidTransient {
-        /// Explanation of the problem.
-        reason: &'static str,
     },
 }
 
@@ -41,9 +42,6 @@ impl fmt::Display for CircuitError {
                 f,
                 "newton iteration diverged after {iterations} iterations (last update {last_update:.3e} V)"
             ),
-            CircuitError::InvalidTransient { reason } => {
-                write!(f, "invalid transient configuration: {reason}")
-            }
         }
     }
 }
@@ -56,7 +54,7 @@ impl From<LinearError> for CircuitError {
     }
 }
 
-/// Result of a DC or single-time-point solve.
+/// Result of a DC solve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     node_voltages: Vec<f64>,
@@ -75,92 +73,9 @@ impl Solution {
     pub fn source_current(&self, k: usize) -> f64 {
         self.source_currents[k]
     }
-
-    /// All node voltages, indexed by `NodeId`.
-    pub fn node_voltages(&self) -> &[f64] {
-        &self.node_voltages
-    }
 }
 
-/// Options of the Newton iteration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NewtonOptions {
-    /// Convergence tolerance on the largest voltage update, V.
-    pub tolerance: f64,
-    /// Maximum number of iterations.
-    pub max_iterations: usize,
-    /// Largest allowed voltage update per iteration (damping), V.
-    pub max_step: f64,
-}
-
-impl Default for NewtonOptions {
-    fn default() -> Self {
-        NewtonOptions {
-            tolerance: 1e-9,
-            max_iterations: 200,
-            max_step: 0.5,
-        }
-    }
-}
-
-/// Transient analysis options.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TransientOptions {
-    /// Fixed time step, s.
-    pub dt: f64,
-    /// Stop time, s.
-    pub t_stop: f64,
-    /// Newton options used at every time point.
-    pub newton: NewtonOptions,
-}
-
-/// Result of a transient analysis: waveforms sampled at every accepted step.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TransientResult {
-    /// Sample times, s.
-    pub times: Vec<f64>,
-    /// Node voltages per sample; `voltages[k][node]`.
-    pub voltages: Vec<Vec<f64>>,
-    /// Voltage-source branch currents per sample.
-    pub source_currents: Vec<Vec<f64>>,
-}
-
-impl TransientResult {
-    /// Waveform of a single node.
-    pub fn node_waveform(&self, node: NodeId) -> Vec<f64> {
-        self.voltages.iter().map(|v| v[node.0]).collect()
-    }
-
-    /// The last solution point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the result is empty (zero-length transient).
-    pub fn final_solution(&self) -> Solution {
-        Solution {
-            node_voltages: self.voltages.last().expect("non-empty transient").clone(),
-            source_currents: self
-                .source_currents
-                .last()
-                .expect("non-empty transient")
-                .clone(),
-        }
-    }
-}
-
-/// State handed to the assembly routine.
-struct AssemblyContext<'a> {
-    /// Candidate node voltages (length = node count).
-    candidate: &'a [f64],
-    /// Previous-step node voltages for capacitor companions (None in DC).
-    previous: Option<&'a [f64]>,
-    /// Time step (None in DC).
-    dt: Option<f64>,
-    /// Source evaluation time.
-    time: f64,
-}
-
-fn assemble(netlist: &Netlist, ctx: &AssemblyContext<'_>) -> (DenseMatrix, Vec<f64>) {
+fn assemble(netlist: &Netlist, candidate: &[f64]) -> (DenseMatrix, Vec<f64>) {
     let n_nodes = netlist.node_count();
     let n_unknown_nodes = n_nodes - 1;
     let n_sources = netlist.voltage_source_count();
@@ -189,14 +104,6 @@ fn assemble(netlist: &Netlist, ctx: &AssemblyContext<'_>) -> (DenseMatrix, Vec<f
             m[(rb, ra)] -= g;
         }
     };
-    let stamp_current = |rhs: &mut [f64], into: NodeId, out_of: NodeId, amps: f64| {
-        if let Some(r) = row_of(into) {
-            rhs[r] += amps;
-        }
-        if let Some(r) = row_of(out_of) {
-            rhs[r] -= amps;
-        }
-    };
 
     let mut source_index = 0usize;
     for element in netlist.elements() {
@@ -204,20 +111,7 @@ fn assemble(netlist: &Netlist, ctx: &AssemblyContext<'_>) -> (DenseMatrix, Vec<f
             Element::Resistor { a, b, ohms } => {
                 stamp_conductance(&mut matrix, *a, *b, 1.0 / ohms);
             }
-            Element::Capacitor { a, b, farads } => {
-                if let (Some(prev), Some(dt)) = (ctx.previous, ctx.dt) {
-                    let geq = farads / dt;
-                    stamp_conductance(&mut matrix, *a, *b, geq);
-                    let v_old = prev[a.0] - prev[b.0];
-                    stamp_current(&mut rhs, *a, *b, geq * v_old);
-                }
-                // In DC the capacitor is an open circuit: no stamp.
-            }
-            Element::VoltageSource {
-                plus,
-                minus,
-                waveform,
-            } => {
+            Element::VoltageSource { plus, minus, volts } => {
                 let col = n_unknown_nodes + source_index;
                 if let Some(rp) = row_of(*plus) {
                     matrix[(rp, col)] += 1.0;
@@ -227,20 +121,23 @@ fn assemble(netlist: &Netlist, ctx: &AssemblyContext<'_>) -> (DenseMatrix, Vec<f
                     matrix[(rm, col)] -= 1.0;
                     matrix[(col, rm)] -= 1.0;
                 }
-                rhs[col] = waveform.value(ctx.time);
+                rhs[col] = *volts;
                 source_index += 1;
             }
-            Element::CurrentSource { plus, minus, amps } => {
-                stamp_current(&mut rhs, *plus, *minus, *amps);
-            }
             Element::Nonlinear { a, b, device } => {
-                let v = ctx.candidate[a.0] - ctx.candidate[b.0];
+                let v = candidate[a.0] - candidate[b.0];
                 let i0 = device.current(v);
                 let g = device.conductance(v).max(1e-15);
                 stamp_conductance(&mut matrix, *a, *b, g);
                 // Linearised constant term: i(v) ≈ g·v + (i0 − g·v₀); the
                 // constant part acts as a current source from a to b.
-                stamp_current(&mut rhs, *a, *b, g * v - i0);
+                let amps = g * v - i0;
+                if let Some(r) = row_of(*a) {
+                    rhs[r] += amps;
+                }
+                if let Some(r) = row_of(*b) {
+                    rhs[r] -= amps;
+                }
             }
         }
     }
@@ -248,40 +145,26 @@ fn assemble(netlist: &Netlist, ctx: &AssemblyContext<'_>) -> (DenseMatrix, Vec<f
     (matrix, rhs)
 }
 
-fn newton_solve(
-    netlist: &Netlist,
-    previous: Option<&[f64]>,
-    dt: Option<f64>,
-    time: f64,
-    initial: &[f64],
-    options: NewtonOptions,
-) -> Result<Solution, CircuitError> {
+fn newton_solve(netlist: &Netlist, mut node_voltages: Vec<f64>) -> Result<Solution, CircuitError> {
     let n_nodes = netlist.node_count();
     let n_unknown = n_nodes - 1;
-    let mut node_voltages = initial.to_vec();
     let mut source_currents = vec![0.0; netlist.voltage_source_count()];
 
     let mut last_update = f64::INFINITY;
-    for _iteration in 0..options.max_iterations {
-        let ctx = AssemblyContext {
-            candidate: &node_voltages,
-            previous,
-            dt,
-            time,
-        };
-        let (matrix, rhs) = assemble(netlist, &ctx);
+    for _iteration in 0..MAX_ITERATIONS {
+        let (matrix, rhs) = assemble(netlist, &node_voltages);
         let x = matrix.solve(&rhs)?;
 
         last_update = 0.0;
         for node in 1..n_nodes {
             let new = x[node - 1];
-            let delta = (new - node_voltages[node]).clamp(-options.max_step, options.max_step);
+            let delta = (new - node_voltages[node]).clamp(-MAX_STEP, MAX_STEP);
             last_update = last_update.max(delta.abs());
             node_voltages[node] += delta;
         }
         let n_sources = source_currents.len();
         source_currents.copy_from_slice(&x[n_unknown..n_unknown + n_sources]);
-        if last_update < options.tolerance {
+        if last_update < TOLERANCE {
             return Ok(Solution {
                 node_voltages,
                 source_currents,
@@ -289,125 +172,64 @@ fn newton_solve(
         }
     }
     Err(CircuitError::NewtonDiverged {
-        iterations: options.max_iterations,
+        iterations: MAX_ITERATIONS,
         last_update,
     })
 }
 
-/// Computes the DC operating point of the netlist at `t = 0`.
-///
-/// Capacitors are treated as open circuits and pulse sources are evaluated at
-/// `t = 0`.
+/// Computes the DC operating point of the netlist, starting the Newton
+/// iteration from 0 V on every node.
 ///
 /// # Errors
 ///
 /// Returns [`CircuitError`] if the Newton iteration or the linear solver fail.
 pub fn solve_dc(netlist: &Netlist) -> Result<Solution, CircuitError> {
-    let zeros = vec![0.0; netlist.node_count()];
-    newton_solve(netlist, None, None, 0.0, &zeros, NewtonOptions::default())
+    newton_solve(netlist, vec![0.0; netlist.node_count()])
 }
 
-/// Runs a fixed-step backward-Euler transient analysis.
-///
-/// Stateful nonlinear devices receive a [`commit`] call after every accepted
-/// step so they can advance their internal state.
-///
-/// [`commit`]: crate::netlist::NonlinearTwoTerminal::commit
+/// Computes the DC operating point of the netlist, starting the Newton
+/// iteration from the node voltages of `start` — typically the solution of
+/// the same network before its nonlinear devices moved.
 ///
 /// # Errors
 ///
-/// Returns [`CircuitError::InvalidTransient`] for non-positive `dt`/`t_stop`
-/// and propagates solver failures.
-pub fn run_transient(
-    netlist: &mut Netlist,
-    options: TransientOptions,
-) -> Result<TransientResult, CircuitError> {
-    if options.dt <= 0.0 || !options.dt.is_finite() {
-        return Err(CircuitError::InvalidTransient {
-            reason: "dt must be positive and finite",
-        });
-    }
-    if options.t_stop <= 0.0 || !options.t_stop.is_finite() {
-        return Err(CircuitError::InvalidTransient {
-            reason: "t_stop must be positive and finite",
-        });
-    }
-
-    // Start from the DC operating point at t = 0.
-    let initial = solve_dc(netlist)?;
-    let mut previous = initial.node_voltages.clone();
-
-    let steps = (options.t_stop / options.dt).ceil() as usize;
-    let mut result = TransientResult {
-        times: Vec::with_capacity(steps + 1),
-        voltages: Vec::with_capacity(steps + 1),
-        source_currents: Vec::with_capacity(steps + 1),
-    };
-    result.times.push(0.0);
-    result.voltages.push(initial.node_voltages.clone());
-    result.source_currents.push(initial.source_currents.clone());
-
-    let mut time = 0.0;
-    for _ in 0..steps {
-        let dt = options.dt.min(options.t_stop - time);
-        if dt <= 0.0 {
-            break;
-        }
-        time += dt;
-        let solution = newton_solve(
-            netlist,
-            Some(&previous),
-            Some(dt),
-            time,
-            &previous,
-            options.newton,
-        )?;
-
-        // Commit stateful devices with their branch voltage.
-        for element in netlist.elements_mut() {
-            if let Element::Nonlinear { a, b, device } = element {
-                let v = solution.node_voltages[a.0] - solution.node_voltages[b.0];
-                device.commit(v, dt);
-            }
-        }
-
-        previous = solution.node_voltages.clone();
-        result.times.push(time);
-        result.voltages.push(solution.node_voltages);
-        result.source_currents.push(solution.source_currents);
-    }
-
-    Ok(result)
+/// Returns [`CircuitError`] if the Newton iteration or the linear solver fail.
+///
+/// # Panics
+///
+/// Panics if `start` has a different node count than the netlist.
+pub fn solve_dc_from(netlist: &Netlist, start: &Solution) -> Result<Solution, CircuitError> {
+    assert_eq!(
+        start.node_voltages.len(),
+        netlist.node_count(),
+        "start solution has the wrong node count"
+    );
+    newton_solve(netlist, start.node_voltages.clone())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netlist::{NonlinearTwoTerminal, Waveform};
+    use crate::netlist::NonlinearTwoTerminal;
+
+    fn divider() -> (Netlist, NodeId, NodeId) {
+        let mut n = Netlist::new();
+        let top = n.add_node();
+        let mid = n.add_node();
+        n.add_voltage_source(top, NodeId::GROUND, 2.0);
+        n.add_resistor(top, mid, 1_000.0);
+        n.add_resistor(mid, NodeId::GROUND, 1_000.0);
+        (n, top, mid)
+    }
 
     #[test]
     fn voltage_divider_dc() {
-        let mut n = Netlist::new();
-        let top = n.node("top");
-        let mid = n.node("mid");
-        n.add_voltage_source(top, NodeId::GROUND, Waveform::Dc(2.0));
-        n.add_resistor(top, mid, 1_000.0);
-        n.add_resistor(mid, NodeId::GROUND, 1_000.0);
+        let (n, top, mid) = divider();
         let sol = solve_dc(&n).unwrap();
         assert!((sol.voltage(mid) - 1.0).abs() < 1e-9);
         assert!((sol.voltage(top) - 2.0).abs() < 1e-9);
         // Source current: 2 V over 2 kΩ = 1 mA, flowing out of + terminal.
         assert!((sol.source_current(0).abs() - 1e-3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn current_source_into_resistor() {
-        let mut n = Netlist::new();
-        let a = n.node("a");
-        n.add_current_source(a, NodeId::GROUND, 2e-3);
-        n.add_resistor(a, NodeId::GROUND, 500.0);
-        let sol = solve_dc(&n).unwrap();
-        assert!((sol.voltage(a) - 1.0).abs() < 1e-9);
     }
 
     #[derive(Debug)]
@@ -418,14 +240,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn diode_resistor_dc_converges() {
+    fn diode_circuit() -> (Netlist, NodeId) {
         let mut n = Netlist::new();
-        let top = n.node("top");
-        let mid = n.node("mid");
-        n.add_voltage_source(top, NodeId::GROUND, Waveform::Dc(1.0));
+        let top = n.add_node();
+        let mid = n.add_node();
+        n.add_voltage_source(top, NodeId::GROUND, 1.0);
         n.add_resistor(top, mid, 1_000.0);
         n.add_nonlinear(mid, NodeId::GROUND, Box::new(Diode));
+        (n, mid)
+    }
+
+    #[test]
+    fn diode_resistor_dc_converges() {
+        let (n, mid) = diode_circuit();
         let sol = solve_dc(&n).unwrap();
         let v_diode = sol.voltage(mid);
         // The diode drop should land in the usual 0.5–0.7 V window and KCL
@@ -437,193 +264,37 @@ mod tests {
     }
 
     #[test]
-    fn rc_charging_follows_exponential() {
-        let mut n = Netlist::new();
-        let top = n.node("in");
-        let out = n.node("out");
-        n.add_voltage_source(top, NodeId::GROUND, Waveform::Dc(1.0));
-        n.add_resistor(top, out, 1_000.0);
-        n.add_capacitor(out, NodeId::GROUND, 1e-9);
-        // τ = 1 µs. Run 3 τ with 10 ns steps.
-        let result = run_transient(
-            &mut n,
-            TransientOptions {
-                dt: 10e-9,
-                t_stop: 3e-6,
-                newton: NewtonOptions::default(),
-            },
-        )
-        .unwrap();
-        // Hold-up: at t=0 the DC solution already charges the capacitor
-        // (capacitor open in DC), so instead check the final value is ~1 V
-        // and the waveform is monotonic non-decreasing.
-        let wave = result.node_waveform(out);
-        assert!(wave.windows(2).all(|w| w[1] >= w[0] - 1e-9));
-        assert!((wave.last().unwrap() - 1.0).abs() < 1e-3);
+    fn a_solve_from_the_solution_stays_there() {
+        let (n, mid) = diode_circuit();
+        let sol = solve_dc(&n).unwrap();
+        let again = solve_dc_from(&n, &sol).unwrap();
+        assert!((again.voltage(mid) - sol.voltage(mid)).abs() < 1e-9);
+        let (divider, _, _) = divider();
+        let linear = solve_dc(&divider).unwrap();
+        assert_eq!(solve_dc_from(&divider, &linear).unwrap(), linear);
     }
 
     #[test]
-    fn rc_discharge_time_constant() {
-        // Pulse source that drops from 1 V to 0 V at t = 0: the capacitor
-        // voltage should decay with τ = RC.
-        let mut n = Netlist::new();
-        let top = n.node("in");
-        let out = n.node("out");
-        n.add_voltage_source(
-            top,
-            NodeId::GROUND,
-            Waveform::Pulse {
-                low: 0.0,
-                high: 1.0,
-                delay: 0.0,
-                width: 1e-12, // effectively only the DC point sees 1 V
-                period: f64::INFINITY,
-            },
-        );
-        n.add_resistor(top, out, 1_000.0);
-        n.add_capacitor(out, NodeId::GROUND, 1e-9);
-        let result = run_transient(
-            &mut n,
-            TransientOptions {
-                dt: 5e-9,
-                t_stop: 1e-6,
-                newton: NewtonOptions::default(),
-            },
-        )
-        .unwrap();
-        let wave = result.node_waveform(out);
-        let t_idx = result
-            .times
-            .iter()
-            .position(|&t| t >= 1e-6 * 0.999)
-            .unwrap();
-        // After one time constant the voltage should be close to exp(-1).
-        let expected = (-1.0f64).exp();
-        assert!(
-            (wave[t_idx] - expected).abs() < 0.05,
-            "v(τ) = {} vs {expected}",
-            wave[t_idx]
-        );
-    }
-
-    #[test]
-    fn pulse_source_waveform_propagates() {
-        let mut n = Netlist::new();
-        let a = n.node("a");
-        n.add_voltage_source(
-            a,
-            NodeId::GROUND,
-            Waveform::Pulse {
-                low: 0.0,
-                high: 1.05,
-                delay: 20e-9,
-                width: 30e-9,
-                period: 100e-9,
-            },
-        );
-        n.add_resistor(a, NodeId::GROUND, 1_000.0);
-        let result = run_transient(
-            &mut n,
-            TransientOptions {
-                dt: 5e-9,
-                t_stop: 200e-9,
-                newton: NewtonOptions::default(),
-            },
-        )
-        .unwrap();
-        let wave = result.node_waveform(a);
-        let max = wave.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let min = wave.iter().cloned().fold(f64::INFINITY, f64::min);
-        assert!((max - 1.05).abs() < 1e-9);
-        assert!(min.abs() < 1e-9);
-    }
-
-    #[derive(Debug)]
-    struct Integrator {
-        total: f64,
-    }
-    impl NonlinearTwoTerminal for Integrator {
-        fn current(&self, v: f64) -> f64 {
-            v / 1_000.0
-        }
-        fn commit(&mut self, v: f64, dt: f64) {
-            self.total += v * dt;
-        }
-    }
-
-    #[test]
-    fn commit_is_called_every_step() {
-        let mut n = Netlist::new();
-        let a = n.node("a");
-        n.add_voltage_source(a, NodeId::GROUND, Waveform::Dc(1.0));
-        n.add_nonlinear(a, NodeId::GROUND, Box::new(Integrator { total: 0.0 }));
-        let _ = run_transient(
-            &mut n,
-            TransientOptions {
-                dt: 1e-9,
-                t_stop: 10e-9,
-                newton: NewtonOptions::default(),
-            },
-        )
-        .unwrap();
-        let total = match &n.elements()[1] {
-            Element::Nonlinear { device, .. } => format!("{device:?}"),
-            _ => unreachable!(),
-        };
-        // 1 V for 10 ns integrates to 1e-8 V·s.
-        assert!(
-            total.contains("1e-8") || total.contains("9.99"),
-            "total = {total}"
-        );
-    }
-
-    #[test]
-    fn invalid_transient_options_rejected() {
-        let mut n = Netlist::new();
-        let a = n.node("a");
-        n.add_voltage_source(a, NodeId::GROUND, Waveform::Dc(1.0));
-        n.add_resistor(a, NodeId::GROUND, 100.0);
-        let err = run_transient(
-            &mut n,
-            TransientOptions {
-                dt: 0.0,
-                t_stop: 1e-6,
-                newton: NewtonOptions::default(),
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, CircuitError::InvalidTransient { .. }));
+    #[should_panic(expected = "wrong node count")]
+    fn a_start_from_another_network_panics() {
+        let (n, _) = diode_circuit();
+        let mut other = Netlist::new();
+        let a = other.add_node();
+        other.add_resistor(a, NodeId::GROUND, 1.0);
+        let start = solve_dc(&other).unwrap();
+        let _ = solve_dc_from(&n, &start);
     }
 
     #[test]
     fn floating_node_reports_singular_matrix() {
         let mut n = Netlist::new();
-        let a = n.node("a");
-        let b = n.node("floating");
-        n.add_voltage_source(a, NodeId::GROUND, Waveform::Dc(1.0));
+        let a = n.add_node();
+        // The second node has no connection at all: the MNA matrix is
+        // singular.
+        n.add_node();
+        n.add_voltage_source(a, NodeId::GROUND, 1.0);
         n.add_resistor(a, NodeId::GROUND, 100.0);
-        // Node `b` has no connection at all: the MNA matrix is singular.
-        let _ = b;
         let err = solve_dc(&n).unwrap_err();
         assert!(matches!(err, CircuitError::Linear(_)));
-    }
-
-    #[test]
-    fn final_solution_matches_last_sample() {
-        let mut n = Netlist::new();
-        let a = n.node("a");
-        n.add_voltage_source(a, NodeId::GROUND, Waveform::Dc(0.7));
-        n.add_resistor(a, NodeId::GROUND, 50.0);
-        let result = run_transient(
-            &mut n,
-            TransientOptions {
-                dt: 1e-9,
-                t_stop: 5e-9,
-                newton: NewtonOptions::default(),
-            },
-        )
-        .unwrap();
-        let last = result.final_solution();
-        assert!((last.voltage(a) - 0.7).abs() < 1e-9);
     }
 }

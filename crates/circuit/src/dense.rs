@@ -2,7 +2,9 @@
 //!
 //! Crossbar netlists have tens of unknowns (node voltages plus voltage-source
 //! branch currents), so a dense LU factorisation with partial pivoting is the
-//! simplest dependable solver.
+//! simplest dependable solver. Its pivoting depends on the row order, so a
+//! netlist must number its nodes the same way every time to solve the same
+//! way.
 
 use std::error::Error;
 use std::fmt;
@@ -48,37 +50,6 @@ impl DenseMatrix {
             cols,
             data: vec![0.0; rows * cols],
         }
-    }
-
-    /// Creates an identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = DenseMatrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Matrix–vector product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != cols`.
-    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "dimension mismatch");
-        (0..self.rows)
-            .map(|r| (0..self.cols).map(|c| self[(r, c)] * x[c]).sum())
-            .collect()
     }
 
     /// Solves `A·x = b` by LU factorisation with partial pivoting. `self` is
@@ -164,7 +135,10 @@ mod tests {
 
     #[test]
     fn identity_solve_returns_rhs() {
-        let a = DenseMatrix::identity(4);
+        let mut a = DenseMatrix::zeros(4, 4);
+        for i in 0..4 {
+            a[(i, i)] = 1.0;
+        }
         let b = vec![1.0, -2.0, 3.0, 0.5];
         assert_eq!(a.solve(&b).unwrap(), b);
     }
@@ -209,7 +183,9 @@ mod tests {
             a[(r, r)] = diag + 1.0;
         }
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let b = a.mul_vec(&x_true);
+        let b: Vec<f64> = (0..n)
+            .map(|r| (0..n).map(|c| a[(r, c)] * x_true[c]).sum())
+            .collect();
         let x = a.solve(&b).unwrap();
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-9);

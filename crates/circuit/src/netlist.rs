@@ -1,6 +1,5 @@
-//! Circuit description: nodes, elements and source waveforms.
+//! Circuit description: nodes and elements.
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a circuit node. Node 0 is always ground.
@@ -17,64 +16,11 @@ impl NodeId {
     }
 }
 
-/// A time-dependent source waveform.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Waveform {
-    /// Constant value.
-    Dc(f64),
-    /// Rectangular pulse train: `low` outside the pulse, `high` during it.
-    Pulse {
-        /// Value outside the pulse.
-        low: f64,
-        /// Value during the pulse.
-        high: f64,
-        /// Time of the first rising edge, s.
-        delay: f64,
-        /// Pulse width, s.
-        width: f64,
-        /// Pulse period, s (must be ≥ width; a period of `f64::INFINITY`
-        /// yields a single pulse).
-        period: f64,
-    },
-}
-
-impl Waveform {
-    /// Value of the waveform at time `t`.
-    pub fn value(&self, t: f64) -> f64 {
-        match *self {
-            Waveform::Dc(v) => v,
-            Waveform::Pulse {
-                low,
-                high,
-                delay,
-                width,
-                period,
-            } => {
-                if t < delay {
-                    return low;
-                }
-                let local = if period.is_finite() {
-                    (t - delay) % period
-                } else {
-                    t - delay
-                };
-                if local < width {
-                    high
-                } else {
-                    low
-                }
-            }
-        }
-    }
-}
-
 /// A nonlinear two-terminal device that can be stamped into the MNA system.
 ///
 /// `voltage` is the voltage from terminal `a` to terminal `b`. Implementors
 /// provide the static current and (differential) conductance used for the
-/// Newton linearisation; [`NonlinearTwoTerminal::commit`] is called once per
-/// accepted transient step so stateful devices (memristors) can advance their
-/// internal state.
+/// Newton linearisation.
 pub trait NonlinearTwoTerminal: fmt::Debug {
     /// Static current through the device at the given branch voltage, A.
     fn current(&self, voltage: f64) -> f64;
@@ -86,112 +32,60 @@ pub trait NonlinearTwoTerminal: fmt::Debug {
         let dv = 1e-6;
         (self.current(voltage + dv) - self.current(voltage - dv)) / (2.0 * dv)
     }
-
-    /// Advances the device's internal state after an accepted step of length
-    /// `dt` at branch voltage `voltage`. Stateless devices ignore this.
-    fn commit(&mut self, voltage: f64, dt: f64) {
-        let _ = (voltage, dt);
-    }
 }
 
 /// One element of the netlist.
 #[derive(Debug)]
-pub enum Element {
-    /// Ideal resistor.
-    Resistor {
-        /// First terminal.
-        a: NodeId,
-        /// Second terminal.
-        b: NodeId,
-        /// Resistance in ohm (must be positive).
-        ohms: f64,
-    },
-    /// Ideal capacitor.
-    Capacitor {
-        /// First terminal.
-        a: NodeId,
-        /// Second terminal.
-        b: NodeId,
-        /// Capacitance in farad (must be positive).
-        farads: f64,
-    },
-    /// Ideal independent voltage source.
+pub(crate) enum Element {
+    /// Ideal resistor of `ohms` between `a` and `b`.
+    Resistor { a: NodeId, b: NodeId, ohms: f64 },
+    /// Ideal DC voltage source of `volts` from `minus` to `plus`.
     VoltageSource {
-        /// Positive terminal.
         plus: NodeId,
-        /// Negative terminal.
         minus: NodeId,
-        /// Source waveform.
-        waveform: Waveform,
+        volts: f64,
     },
-    /// Ideal independent current source (current flows from `plus` through
-    /// the external circuit into `minus`).
-    CurrentSource {
-        /// Positive terminal.
-        plus: NodeId,
-        /// Negative terminal.
-        minus: NodeId,
-        /// Source current in ampere.
-        amps: f64,
-    },
-    /// A nonlinear two-terminal device.
+    /// A nonlinear device from `a` (positive voltage reference) to `b`.
     Nonlinear {
-        /// First terminal (positive voltage reference).
         a: NodeId,
-        /// Second terminal.
         b: NodeId,
-        /// The device model.
         device: Box<dyn NonlinearTwoTerminal>,
     },
 }
 
-/// Handle to an element, returned by the `add_*` methods.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ElementId(pub usize);
-
-/// A circuit netlist.
-#[derive(Debug, Default)]
+/// A circuit netlist. Nodes are numbered in the order they are added, and
+/// elements are stamped in the order they are added, so the same sequence
+/// of calls always assembles the same system.
+#[derive(Debug)]
 pub struct Netlist {
-    node_names: HashMap<String, NodeId>,
     node_count: usize,
     elements: Vec<Element>,
+}
+
+impl Default for Netlist {
+    fn default() -> Self {
+        Netlist::new()
+    }
 }
 
 impl Netlist {
     /// Creates an empty netlist containing only the ground node.
     pub fn new() -> Self {
-        let mut node_names = HashMap::new();
-        node_names.insert("0".to_string(), NodeId::GROUND);
         Netlist {
-            node_names,
             node_count: 1,
             elements: Vec::new(),
         }
     }
 
-    /// Returns the node with the given name, creating it if necessary.
-    /// The name `"0"` (and `"gnd"`) always refers to ground.
-    pub fn node(&mut self, name: &str) -> NodeId {
-        if name == "0" || name.eq_ignore_ascii_case("gnd") {
-            return NodeId::GROUND;
-        }
-        if let Some(&id) = self.node_names.get(name) {
-            return id;
-        }
-        let id = NodeId(self.node_count);
+    /// Adds a node and returns its id.
+    pub fn add_node(&mut self) -> NodeId {
         self.node_count += 1;
-        self.node_names.insert(name.to_string(), id);
-        id
+        NodeId(self.node_count - 1)
     }
 
     /// Number of nodes including ground.
     pub fn node_count(&self) -> usize {
         self.node_count
-    }
-
-    /// Number of elements.
-    pub fn element_count(&self) -> usize {
-        self.elements.len()
     }
 
     /// Number of independent voltage sources.
@@ -202,15 +96,9 @@ impl Netlist {
             .count()
     }
 
-    /// Elements of the netlist.
-    pub fn elements(&self) -> &[Element] {
+    /// Elements of the netlist, in the order they were added.
+    pub(crate) fn elements(&self) -> &[Element] {
         &self.elements
-    }
-
-    /// Mutable access to the elements (used by the transient loop to commit
-    /// stateful devices).
-    pub fn elements_mut(&mut self) -> &mut [Element] {
-        &mut self.elements
     }
 
     /// Adds a resistor.
@@ -218,59 +106,24 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics if `ohms` is not strictly positive.
-    pub fn add_resistor(&mut self, a: NodeId, b: NodeId, ohms: f64) -> ElementId {
+    pub fn add_resistor(&mut self, a: NodeId, b: NodeId, ohms: f64) {
         assert!(
             ohms > 0.0 && ohms.is_finite(),
             "resistance must be positive"
         );
-        self.push(Element::Resistor { a, b, ohms })
+        self.elements.push(Element::Resistor { a, b, ohms });
     }
 
-    /// Adds a capacitor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `farads` is not strictly positive.
-    pub fn add_capacitor(&mut self, a: NodeId, b: NodeId, farads: f64) -> ElementId {
-        assert!(
-            farads > 0.0 && farads.is_finite(),
-            "capacitance must be positive"
-        );
-        self.push(Element::Capacitor { a, b, farads })
-    }
-
-    /// Adds an independent voltage source.
-    pub fn add_voltage_source(
-        &mut self,
-        plus: NodeId,
-        minus: NodeId,
-        waveform: Waveform,
-    ) -> ElementId {
-        self.push(Element::VoltageSource {
-            plus,
-            minus,
-            waveform,
-        })
-    }
-
-    /// Adds an independent current source.
-    pub fn add_current_source(&mut self, plus: NodeId, minus: NodeId, amps: f64) -> ElementId {
-        self.push(Element::CurrentSource { plus, minus, amps })
+    /// Adds an independent DC voltage source holding `plus` at `volts`
+    /// above `minus`.
+    pub fn add_voltage_source(&mut self, plus: NodeId, minus: NodeId, volts: f64) {
+        self.elements
+            .push(Element::VoltageSource { plus, minus, volts });
     }
 
     /// Adds a nonlinear two-terminal device.
-    pub fn add_nonlinear(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        device: Box<dyn NonlinearTwoTerminal>,
-    ) -> ElementId {
-        self.push(Element::Nonlinear { a, b, device })
-    }
-
-    fn push(&mut self, element: Element) -> ElementId {
-        self.elements.push(element);
-        ElementId(self.elements.len() - 1)
+    pub fn add_nonlinear(&mut self, a: NodeId, b: NodeId, device: Box<dyn NonlinearTwoTerminal>) {
+        self.elements.push(Element::Nonlinear { a, b, device });
     }
 }
 
@@ -279,81 +132,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn node_names_are_deduplicated() {
+    fn nodes_are_numbered_in_order_after_ground() {
         let mut n = Netlist::new();
-        let a = n.node("wl0");
-        let b = n.node("wl0");
-        let c = n.node("wl1");
-        assert_eq!(a, b);
-        assert_ne!(a, c);
+        assert_eq!(n.node_count(), 1);
+        assert_eq!(n.add_node(), NodeId(1));
+        assert_eq!(n.add_node(), NodeId(2));
         assert_eq!(n.node_count(), 3);
-    }
-
-    #[test]
-    fn ground_aliases() {
-        let mut n = Netlist::new();
-        assert_eq!(n.node("0"), NodeId::GROUND);
-        assert_eq!(n.node("gnd"), NodeId::GROUND);
-        assert_eq!(n.node("GND"), NodeId::GROUND);
         assert!(NodeId::GROUND.is_ground());
+        assert!(!NodeId(1).is_ground());
     }
 
     #[test]
-    fn element_counters() {
+    fn voltage_sources_are_counted() {
         let mut n = Netlist::new();
-        let a = n.node("a");
-        let b = n.node("b");
+        let a = n.add_node();
+        let b = n.add_node();
         n.add_resistor(a, b, 100.0);
-        n.add_voltage_source(a, NodeId::GROUND, Waveform::Dc(1.0));
-        n.add_current_source(b, NodeId::GROUND, 1e-3);
-        n.add_capacitor(a, NodeId::GROUND, 1e-12);
-        assert_eq!(n.element_count(), 4);
-        assert_eq!(n.voltage_source_count(), 1);
+        n.add_voltage_source(a, NodeId::GROUND, 1.0);
+        n.add_voltage_source(b, NodeId::GROUND, 0.5);
+        assert_eq!(n.elements().len(), 3);
+        assert_eq!(n.voltage_source_count(), 2);
     }
 
     #[test]
     #[should_panic(expected = "resistance must be positive")]
     fn zero_resistance_rejected() {
         let mut n = Netlist::new();
-        let a = n.node("a");
+        let a = n.add_node();
         n.add_resistor(a, NodeId::GROUND, 0.0);
-    }
-
-    #[test]
-    fn dc_waveform_is_constant() {
-        let w = Waveform::Dc(0.7);
-        assert_eq!(w.value(0.0), 0.7);
-        assert_eq!(w.value(1e9), 0.7);
-    }
-
-    #[test]
-    fn pulse_waveform_repeats() {
-        let w = Waveform::Pulse {
-            low: 0.0,
-            high: 1.0,
-            delay: 10e-9,
-            width: 50e-9,
-            period: 100e-9,
-        };
-        assert_eq!(w.value(0.0), 0.0);
-        assert_eq!(w.value(11e-9), 1.0);
-        assert_eq!(w.value(70e-9), 0.0);
-        // Second period.
-        assert_eq!(w.value(111e-9), 1.0);
-        assert_eq!(w.value(170e-9), 0.0);
-    }
-
-    #[test]
-    fn single_pulse_with_infinite_period() {
-        let w = Waveform::Pulse {
-            low: 0.0,
-            high: 2.0,
-            delay: 0.0,
-            width: 1e-9,
-            period: f64::INFINITY,
-        };
-        assert_eq!(w.value(0.5e-9), 2.0);
-        assert_eq!(w.value(5e-9), 0.0);
     }
 
     #[derive(Debug)]

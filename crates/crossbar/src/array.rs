@@ -15,9 +15,10 @@ use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
+use crate::backend::ThermalReadout;
 use crate::scheme::CellAddress;
 use rram_jart::{CellBank, CellMut, CellRef, DeviceParams, DigitalState, ParamColumns};
-use rram_units::{Ohms, Volts};
+use rram_units::{Kelvin, Ohms, Volts};
 
 /// A rows × cols array of memristive cells backed by one
 /// struct-of-arrays [`CellBank`] (row-major).
@@ -227,23 +228,30 @@ impl CrossbarArray {
         self.cell(address).read_resistance(v_read)
     }
 
+    /// Thermal snapshot of one cell, as every engine reports it.
+    pub(crate) fn thermal_readout(&self, address: CellAddress) -> ThermalReadout {
+        let cell = self.cell(address);
+        ThermalReadout {
+            temperature: cell.temperature(),
+            crosstalk: cell.crosstalk_delta(),
+            normalized_state: cell.normalized_state(),
+        }
+    }
+
+    /// Returns every cell to the HRS at ambient with no imported crosstalk,
+    /// under its own parameters — an engine's reset.
+    pub(crate) fn reset_cells(&mut self) {
+        self.for_each_cell_mut(|_, mut cell| {
+            cell.force_state(DigitalState::Hrs);
+            cell.set_crosstalk_delta(Kelvin(0.0));
+        });
+    }
+
     /// Exported filament temperatures of all cells, row-major (the hub's
     /// input vector) — a direct borrow of the bank's temperature lane, so
     /// reading it costs nothing.
     pub fn temperatures(&self) -> &[f64] {
         self.bank.temperatures()
-    }
-
-    /// Exported filament temperatures of all cells as an owned vector.
-    pub fn exported_temperatures(&self) -> Vec<f64> {
-        self.bank.temperatures().to_vec()
-    }
-
-    /// Exported filament temperatures into a caller-owned buffer (cleared
-    /// first), so hot loops reuse their allocation.
-    pub fn exported_temperatures_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend_from_slice(self.bank.temperatures());
     }
 
     /// Writes the crosstalk ΔT of every cell from a row-major slice.
@@ -451,9 +459,6 @@ mod tests {
         let mut a = array();
         a.cell_mut(CellAddress::new(0, 0))
             .force_state(DigitalState::Lrs);
-        let mut temps = Vec::new();
-        a.exported_temperatures_into(&mut temps);
-        assert_eq!(temps, a.exported_temperatures());
         let mut states = vec![DigitalState::Lrs; 99]; // stale garbage
         a.read_all_into(&mut states);
         assert_eq!(states, a.read_all());

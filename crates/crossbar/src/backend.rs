@@ -38,6 +38,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::array::CrossbarArray;
 use crate::crosstalk::CrosstalkHub;
 use crate::detailed::{DetailedCrossbar, WiringParasitics};
 use crate::engine::{EngineConfig, PulseEngine};
@@ -266,9 +267,8 @@ impl BackendKind {
 
     /// Builds a fresh all-HRS backend with an optional per-cell parameter
     /// table (row-major columns) — the Monte Carlo variability entry point.
-    /// With `table == None` this is exactly [`BackendKind::build`]. The
-    /// ideal-driver engines install the columns as they are; the detailed
-    /// engine receives the expanded table, one `DeviceParams` per cell.
+    /// With `table == None` this is exactly [`BackendKind::build`]. Every
+    /// kind installs the columns in its [`CrossbarArray`] as they are.
     ///
     /// The ambient temperature of the nominal parameters *and of every
     /// table lane* is aligned with `config.ambient`: the campaign's ambient
@@ -296,26 +296,21 @@ impl BackendKind {
             table.set_shared(ParamField::AmbientTemperature, config.ambient.0);
             table
         });
-        let array = |table: Option<ParamColumns>| {
-            let mut array = crate::array::CrossbarArray::new(rows, cols, params.clone());
-            if let Some(table) = table {
-                array.set_param_columns(table);
-            }
-            array
-        };
+        let mut array = CrossbarArray::new(rows, cols, params);
+        if let Some(table) = table {
+            array.set_param_columns(table);
+        }
         match self {
             BackendKind::Pulse | BackendKind::Batched => {
-                Box::new(PulseEngine::new(array(table), hub, config))
+                Box::new(PulseEngine::new(array, hub, config))
             }
-            BackendKind::Detailed(parasitics) => {
-                let mut xbar =
-                    DetailedCrossbar::new(rows, cols, params, *parasitics, hub, config.scheme)
-                        .with_time_step(config.max_substep);
-                if let Some(table) = table {
-                    xbar.set_params_table(&table.expand());
-                }
-                Box::new(xbar)
-            }
+            BackendKind::Detailed(parasitics) => Box::new(DetailedCrossbar::new(
+                array,
+                *parasitics,
+                hub,
+                config.scheme,
+                config.max_substep,
+            )),
         }
     }
 }
@@ -434,6 +429,36 @@ mod tests {
             backend.force_normalized_state(cell, 0.9);
             assert!((backend.normalized_state(cell) - 0.9).abs() < 1e-9);
             assert_eq!(backend.read(cell), DigitalState::Lrs);
+        }
+    }
+
+    #[test]
+    fn zero_length_pulses_and_idles_change_nothing() {
+        let bits = |backend: &dyn HammerBackend| {
+            let mut words: Vec<u64> = (0..9)
+                .flat_map(|lane| {
+                    let readout = backend.thermal_readout(CellAddress::new(lane / 3, lane % 3));
+                    [
+                        readout.temperature.0,
+                        readout.crosstalk.0,
+                        readout.normalized_state,
+                    ]
+                })
+                .chain(backend.hub().deltas().iter().copied())
+                .chain([backend.elapsed().0])
+                .map(f64::to_bits)
+                .collect();
+            words.extend(backend.read_all().iter().map(|&s| s as u64));
+            words
+        };
+        for mut backend in backends() {
+            let aggressor = CellAddress::new(1, 1);
+            backend.force_state(aggressor, DigitalState::Lrs);
+            backend.apply_pulse(aggressor, Volts(1.05), 50.0.ns());
+            let before = bits(backend.as_ref());
+            backend.apply_pulse(aggressor, Volts(1.05), Seconds(0.0));
+            backend.idle(Seconds(0.0));
+            assert_eq!(bits(backend.as_ref()), before, "{}", backend.label());
         }
     }
 

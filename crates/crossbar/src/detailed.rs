@@ -1,25 +1,39 @@
-//! The detailed, MNA-backed crossbar engine.
+//! The detailed crossbar engine: the pulse engine's cells and hub, with the
+//! cell voltages solved from the resistive line network.
 //!
-//! This engine models the crossbar as an electrical network with explicit
-//! word/bit-line segment resistances and driver output resistances, and
-//! solves every pulse with the `rram-circuit` transient simulator. It is the
-//! reference the ideal-driver [`crate::engine::PulseEngine`] is validated
-//! against, and it is what the sneak-path analysis builds on. Its cells
-//! couple through the crosstalk hub's dense gather,
-//! [`crate::CrosstalkHub::update`]. It is orders of magnitude slower than the
-//! pulse engine, so hammer campaigns do not use it.
+//! The ideal-driver [`crate::engine::PulseEngine`] takes every cell voltage
+//! straight from the write scheme's line levels. This engine models the
+//! word and bit lines with explicit driver output resistances and segment
+//! resistances between adjacent cells, and solves that network with the
+//! nonlinear cells in it (`rram-circuit`'s Newton DC solve). It is the
+//! reference the pulse engine is validated against, and its
+//! line network is what the [`crate::sneak`]-path analysis solves too.
+//! It is orders of magnitude slower than the pulse engine, so hammer
+//! campaigns do not use it.
+//!
+//! Both engines hold their cells in a [`CrossbarArray`] and couple them
+//! through a [`CrosstalkHub`]. This engine cuts a pulse into hub slices,
+//! and each slice
+//!
+//! 1. imports the hub's ΔT into the array;
+//! 2. solves the line network from 0 V, with each crosspoint holding a
+//!    snapshot of its cell's parameters and disc concentration;
+//! 3. takes backward-Euler time steps: each solves the network again,
+//!    starting from the previous solution, and steps the whole array with
+//!    [`CrossbarArray::step_lanes`] under the solved cell voltages; the next
+//!    step's network holds the new snapshot;
+//! 4. updates the hub with [`CrosstalkHub::update_batched`].
+//!
+//! The network has no capacitors and only DC sources, so each time step's
+//! solve is the DC solve of the network as its cells stand.
 
-use std::cell::RefCell;
-use std::fmt;
-use std::rc::Rc;
-
+use crate::array::CrossbarArray;
 use crate::backend::{HammerBackend, ThermalReadout};
 use crate::crosstalk::CrosstalkHub;
 use crate::scheme::{CellAddress, WriteScheme};
-use rram_circuit::{
-    run_transient, Netlist, NewtonOptions, NodeId, NonlinearTwoTerminal, TransientOptions, Waveform,
-};
-use rram_jart::{DeviceParams, DigitalState, JartDevice};
+use rram_circuit::{solve_dc, solve_dc_from, Netlist, NodeId, NonlinearTwoTerminal, Solution};
+use rram_jart::current::solve_operating_point;
+use rram_jart::{DeviceParams, DigitalState};
 use rram_units::{Kelvin, Ohms, Seconds, Volts};
 
 /// Electrical parasitics of the crossbar wiring.
@@ -40,216 +54,159 @@ impl Default for WiringParasitics {
     }
 }
 
-/// Adapter exposing a shared [`JartDevice`] to the circuit simulator.
-pub struct SharedCell {
-    device: Rc<RefCell<JartDevice>>,
+/// The resistive line network of a crossbar, with one element per
+/// crosspoint.
+///
+/// Word line `r` is driven at its column-0 end and bit line `c` at its
+/// row-0 end, each by an ideal source behind the driver resistance;
+/// consecutive crosspoints on a line are joined by the segment resistance.
+/// The netlist holds the word lines, then the bit lines, then the
+/// crosspoints in row-major order. That order fixes the pivoting of the
+/// dense LU, so every caller builds the same network the same way, and the
+/// source of bit line `c` is source number `rows + c`.
+pub(crate) struct LineNetwork {
+    /// The network, ready to solve.
+    pub(crate) netlist: Netlist,
+    /// Word- and bit-line node of each crosspoint, row-major.
+    crosspoints: Vec<(NodeId, NodeId)>,
 }
 
-impl fmt::Debug for SharedCell {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let device = self.device.borrow();
-        write!(
-            f,
-            "SharedCell(n = {:.3}, T = {:.1} K)",
-            device.concentration(),
-            device.temperature().0
-        )
+impl LineNetwork {
+    /// Builds the network of a `word_lines.len() × bit_lines.len()` array
+    /// whose lines are driven at the given levels, V. `crosspoint(netlist,
+    /// word, bit, lane)` adds the element between the word- and bit-line
+    /// node of row-major cell `lane`.
+    pub(crate) fn new(
+        parasitics: WiringParasitics,
+        word_lines: &[f64],
+        bit_lines: &[f64],
+        mut crosspoint: impl FnMut(&mut Netlist, NodeId, NodeId, usize),
+    ) -> Self {
+        let (rows, cols) = (word_lines.len(), bit_lines.len());
+        let mut netlist = Netlist::new();
+        let mut line = |volts: f64, len: usize| {
+            let driver = netlist.add_node();
+            netlist.add_voltage_source(driver, NodeId::GROUND, volts);
+            let nodes: Vec<NodeId> = (0..len).map(|_| netlist.add_node()).collect();
+            netlist.add_resistor(driver, nodes[0], parasitics.driver_resistance.0);
+            for pair in nodes.windows(2) {
+                netlist.add_resistor(pair[0], pair[1], parasitics.segment_resistance.0);
+            }
+            nodes
+        };
+        let word: Vec<Vec<NodeId>> = word_lines.iter().map(|&v| line(v, cols)).collect();
+        let bit: Vec<Vec<NodeId>> = bit_lines.iter().map(|&v| line(v, rows)).collect();
+        let mut crosspoints = Vec::with_capacity(rows * cols);
+        for (r, word) in word.iter().enumerate() {
+            for (c, bit) in bit.iter().enumerate() {
+                crosspoint(&mut netlist, word[c], bit[r], r * cols + c);
+                crosspoints.push((word[c], bit[r]));
+            }
+        }
+        LineNetwork {
+            netlist,
+            crosspoints,
+        }
+    }
+
+    /// The voltage across crosspoint `lane` (word line minus bit line) in
+    /// `solution`.
+    pub(crate) fn cell_voltage(&self, solution: &Solution, lane: usize) -> f64 {
+        let (word, bit) = self.crosspoints[lane];
+        solution.voltage(word) - solution.voltage(bit)
     }
 }
 
-impl NonlinearTwoTerminal for SharedCell {
+/// A cell as the line network sees it during one time step: its parameters
+/// and its disc concentration at the start of the step. Its current is a
+/// pure function of these and the cell voltage.
+#[derive(Debug)]
+struct FrozenCell {
+    params: DeviceParams,
+    n: f64,
+}
+
+impl NonlinearTwoTerminal for FrozenCell {
     fn current(&self, voltage: f64) -> f64 {
-        let device = self.device.borrow();
-        rram_jart::current::solve_operating_point(device.params(), voltage, device.concentration())
-            .current
-    }
-
-    fn commit(&mut self, voltage: f64, dt: f64) {
-        self.device.borrow_mut().step(Volts(voltage), Seconds(dt));
+        solve_operating_point(&self.params, voltage, self.n).current
     }
 }
 
-/// The detailed crossbar engine.
+/// The detailed crossbar engine (see the module docs).
+#[derive(Debug)]
 pub struct DetailedCrossbar {
-    rows: usize,
-    cols: usize,
-    devices: Vec<Rc<RefCell<JartDevice>>>,
+    array: CrossbarArray,
     parasitics: WiringParasitics,
     hub: CrosstalkHub,
     scheme: WriteScheme,
-    ambient: Kelvin,
-    /// Transient time step used when pulses are applied through the
-    /// [`HammerBackend`] interface (which carries no per-call `dt`).
-    dt: Seconds,
+    /// Time step of the pulses applied through the [`HammerBackend`]
+    /// interface, which carries no per-call step.
+    time_step: Seconds,
     /// Simulated time elapsed, s.
     elapsed: f64,
-}
-
-impl fmt::Debug for DetailedCrossbar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "DetailedCrossbar({}x{}, scheme = {:?})",
-            self.rows, self.cols, self.scheme
-        )
-    }
+    /// Reused per-cell voltage buffer (row-major).
+    voltages: Vec<f64>,
 }
 
 impl DetailedCrossbar {
-    /// Creates a detailed crossbar with every cell in HRS.
+    /// Creates an engine around an existing array and hub. Pulses applied
+    /// through the [`HammerBackend`] interface take time steps of
+    /// `time_step`, and idles five times that.
     ///
     /// # Panics
     ///
-    /// Panics if the hub dimensions do not match `rows`/`cols`.
+    /// Panics if the hub dimensions do not match the array, or `time_step`
+    /// is not positive.
     pub fn new(
-        rows: usize,
-        cols: usize,
-        params: DeviceParams,
+        array: CrossbarArray,
         parasitics: WiringParasitics,
         hub: CrosstalkHub,
         scheme: WriteScheme,
+        time_step: Seconds,
     ) -> Self {
-        assert_eq!(hub.rows(), rows, "hub row mismatch");
-        assert_eq!(hub.cols(), cols, "hub column mismatch");
-        let ambient = Kelvin(params.ambient_temperature);
-        let devices = (0..rows * cols)
-            .map(|_| Rc::new(RefCell::new(JartDevice::new(params.clone()))))
-            .collect();
+        assert_eq!(hub.rows(), array.rows(), "hub row mismatch");
+        assert_eq!(hub.cols(), array.cols(), "hub column mismatch");
+        assert!(time_step.0 > 0.0, "time step must be positive");
+        let voltages = vec![0.0; array.len()];
         DetailedCrossbar {
-            rows,
-            cols,
-            devices,
+            array,
             parasitics,
             hub,
             scheme,
-            ambient,
-            dt: Seconds(10e-9),
+            time_step,
             elapsed: 0.0,
+            voltages,
         }
     }
 
-    /// Sets the transient time step used by pulses applied through the
-    /// [`HammerBackend`] interface (default 10 ns).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt` is not positive.
-    pub fn with_time_step(mut self, dt: Seconds) -> Self {
-        assert!(dt.0 > 0.0, "time step must be positive");
-        self.dt = dt;
-        self
-    }
-
-    /// Installs a per-cell parameter table (row-major): every device is
-    /// recreated in the HRS at ambient under its table entry — the detailed
-    /// engine's side of the Monte Carlo variability support, matching
-    /// [`crate::CrossbarArray::set_params_table`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table length does not match the cell count.
-    pub fn set_params_table(&mut self, table: &[DeviceParams]) {
-        assert_eq!(
-            table.len(),
-            self.rows * self.cols,
-            "params table length mismatch"
-        );
-        for (device, params) in self.devices.iter().zip(table) {
-            *device.borrow_mut() = JartDevice::new(params.clone());
-        }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    fn device(&self, address: CellAddress) -> &Rc<RefCell<JartDevice>> {
-        assert!(
-            address.row < self.rows && address.col < self.cols,
-            "cell out of range"
-        );
-        &self.devices[address.row * self.cols + address.col]
-    }
-
-    /// Forces the digital state of one cell.
-    pub fn force_state(&mut self, address: CellAddress, state: DigitalState) {
-        self.device(address).borrow_mut().force_state(state);
-    }
-
-    /// Digital read-out of one cell.
-    pub fn read(&self, address: CellAddress) -> DigitalState {
-        self.device(address).borrow().digital_state()
-    }
-
-    /// Normalised internal state of one cell.
-    pub fn normalized_state(&self, address: CellAddress) -> f64 {
-        self.device(address).borrow().normalized_state()
-    }
-
-    /// The crosstalk hub.
-    pub fn hub(&self) -> &CrosstalkHub {
-        &self.hub
-    }
-
-    /// Builds the MNA netlist of the array for the given line voltages.
-    ///
-    /// Word line `r` is driven at its column-0 end, bit line `c` at its
-    /// row-0 end, each through the driver resistance; consecutive crosspoints
-    /// on a line are connected by the segment resistance.
-    fn build_netlist(&self, word_line_v: &[f64], bit_line_v: &[f64]) -> Netlist {
-        let mut netlist = Netlist::new();
-
-        // Node names: wl_<r>_<c> and bl_<r>_<c> are the word/bit line nodes
-        // at crosspoint (r, c).
-        for (r, &line_v) in word_line_v.iter().enumerate() {
-            let driver = netlist.node(&format!("wl_drv_{r}"));
-            netlist.add_voltage_source(driver, NodeId::GROUND, Waveform::Dc(line_v));
-            let first = netlist.node(&format!("wl_{r}_0"));
-            netlist.add_resistor(driver, first, self.parasitics.driver_resistance.0);
-            for c in 1..self.cols {
-                let prev = netlist.node(&format!("wl_{r}_{}", c - 1));
-                let here = netlist.node(&format!("wl_{r}_{c}"));
-                netlist.add_resistor(prev, here, self.parasitics.segment_resistance.0);
-            }
-        }
-        for (c, &line_v) in bit_line_v.iter().enumerate() {
-            let driver = netlist.node(&format!("bl_drv_{c}"));
-            netlist.add_voltage_source(driver, NodeId::GROUND, Waveform::Dc(line_v));
-            let first = netlist.node(&format!("bl_0_{c}"));
-            netlist.add_resistor(driver, first, self.parasitics.driver_resistance.0);
-            for r in 1..self.rows {
-                let prev = netlist.node(&format!("bl_{}_{c}", r - 1));
-                let here = netlist.node(&format!("bl_{r}_{c}"));
-                netlist.add_resistor(prev, here, self.parasitics.segment_resistance.0);
-            }
-        }
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                let wl = netlist.node(&format!("wl_{r}_{c}"));
-                let bl = netlist.node(&format!("bl_{r}_{c}"));
-                let cell = SharedCell {
-                    device: Rc::clone(&self.devices[r * self.cols + c]),
+    /// The line network at the given line levels, each crosspoint holding a
+    /// snapshot of its cell.
+    fn network(&self, word_lines: &[f64], bit_lines: &[f64]) -> LineNetwork {
+        let (columns, bank) = (self.array.param_columns(), self.array.bank());
+        LineNetwork::new(
+            self.parasitics,
+            word_lines,
+            bit_lines,
+            |netlist, word, bit, lane| {
+                let cell = FrozenCell {
+                    params: columns.lane(lane).into_owned(),
+                    n: bank.concentrations()[lane],
                 };
-                netlist.add_nonlinear(wl, bl, Box::new(cell));
-            }
-        }
-        netlist
+                netlist.add_nonlinear(word, bit, Box::new(cell));
+            },
+        )
     }
 
     /// Applies one write pulse to `selected` with the configured scheme,
-    /// solving the full network transient with the explicit time step `dt`
-    /// (the [`HammerBackend`] interface uses the configured default instead).
+    /// solving the line network at every backward-Euler step of `dt` (the
+    /// [`HammerBackend`] interface uses the configured step instead). A
+    /// zero length does nothing.
     ///
     /// # Panics
     ///
-    /// Panics if the transient solver fails to converge (which indicates a
-    /// malformed network rather than a recoverable condition).
+    /// Panics if `dt` is not positive for a positive length, or if the
+    /// network solve fails to converge (which indicates a malformed network
+    /// rather than a recoverable condition).
     pub fn apply_pulse_with_dt(
         &mut self,
         selected: CellAddress,
@@ -257,45 +214,48 @@ impl DetailedCrossbar {
         length: Seconds,
         dt: Seconds,
     ) {
-        let bias = self
-            .scheme
-            .line_bias(self.rows, self.cols, selected, amplitude);
+        let (rows, cols) = (self.array.rows(), self.array.cols());
+        let bias = self.scheme.line_bias(rows, cols, selected, amplitude);
         let wl: Vec<f64> = bias.word_lines.iter().map(|v| v.0).collect();
         let bl: Vec<f64> = bias.bit_lines.iter().map(|v| v.0).collect();
 
         // The crosstalk state evolves on the hub's time constant, so the
-        // pulse is cut into slices: electrical transient → hub update →
+        // pulse is cut into slices: import → network steps → hub update →
         // next slice, mirroring the pulse engine's sub-stepping.
         let hub_slice = 10e-9_f64.max(dt.0);
-        let slices = (length.0 / hub_slice).ceil().max(1.0) as usize;
+        let slices = (length.0 / hub_slice).ceil() as usize;
+        if slices == 0 {
+            return;
+        }
+        assert!(dt.0 > 0.0, "time step must be positive");
         let slice_len = length.0 / slices as f64;
+        let step = dt.0.min(slice_len);
+        let steps = (slice_len / step).ceil() as usize;
+        let ambient = Kelvin(self.array.params().ambient_temperature);
+        let converged = "crossbar line network must converge";
 
         for _ in 0..slices {
-            // Import the current crosstalk state into the devices.
-            let deltas = self.hub.deltas().to_vec();
-            for (idx, device) in self.devices.iter().enumerate() {
-                device.borrow_mut().set_crosstalk_delta(Kelvin(deltas[idx]));
+            self.array.import_crosstalk(self.hub.deltas());
+            let mut network = self.network(&wl, &bl);
+            let mut solution = solve_dc(&network.netlist).expect(converged);
+            let mut time = 0.0;
+            for k in 0..steps {
+                let h = step.min(slice_len - time);
+                if h <= 0.0 {
+                    break;
+                }
+                time += h;
+                if k > 0 {
+                    network = self.network(&wl, &bl);
+                }
+                solution = solve_dc_from(&network.netlist, &solution).expect(converged);
+                for (lane, v) in self.voltages.iter_mut().enumerate() {
+                    *v = network.cell_voltage(&solution, lane);
+                }
+                self.array.step_lanes(&self.voltages, Seconds(h));
             }
-
-            let mut netlist = self.build_netlist(&wl, &bl);
-            run_transient(
-                &mut netlist,
-                TransientOptions {
-                    dt: dt.0.min(slice_len),
-                    t_stop: slice_len,
-                    newton: NewtonOptions::default(),
-                },
-            )
-            .expect("crossbar transient must converge");
-
-            // Update the hub from the exported filament temperatures.
-            let temperatures: Vec<f64> = self
-                .devices
-                .iter()
-                .map(|d| d.borrow().exported_temperature().0)
-                .collect();
             self.hub
-                .update(&temperatures, self.ambient, Seconds(slice_len));
+                .update_batched(self.array.temperatures(), ambient, Seconds(slice_len));
             self.elapsed += slice_len;
         }
     }
@@ -307,50 +267,45 @@ impl HammerBackend for DetailedCrossbar {
     }
 
     fn rows(&self) -> usize {
-        self.rows
+        self.array.rows()
     }
 
     fn cols(&self) -> usize {
-        self.cols
+        self.array.cols()
     }
 
     fn apply_pulse(&mut self, selected: CellAddress, amplitude: Volts, length: Seconds) {
-        let dt = Seconds(self.dt.0.min(length.0));
+        let dt = Seconds(self.time_step.0.min(length.0));
         self.apply_pulse_with_dt(selected, amplitude, length, dt);
     }
 
     fn idle(&mut self, duration: Seconds) {
         // All schemes produce an all-grounded bias at zero amplitude, and the
         // dynamics reduce to thermal decay, which tolerates a coarser step.
-        let dt = Seconds((self.dt.0 * 5.0).min(duration.0));
+        let dt = Seconds((self.time_step.0 * 5.0).min(duration.0));
         self.apply_pulse_with_dt(CellAddress::new(0, 0), Volts(0.0), duration, dt);
     }
 
     fn read(&self, address: CellAddress) -> DigitalState {
-        DetailedCrossbar::read(self, address)
+        self.array.read(address)
     }
 
     fn normalized_state(&self, address: CellAddress) -> f64 {
-        DetailedCrossbar::normalized_state(self, address)
+        self.array.cell(address).normalized_state()
     }
 
     fn force_state(&mut self, address: CellAddress, state: DigitalState) {
-        DetailedCrossbar::force_state(self, address, state);
+        self.array.cell_mut(address).force_state(state);
     }
 
     fn force_normalized_state(&mut self, address: CellAddress, normalized: f64) {
-        self.device(address)
-            .borrow_mut()
+        self.array
+            .cell_mut(address)
             .force_normalized_state(normalized);
     }
 
     fn thermal_readout(&self, address: CellAddress) -> ThermalReadout {
-        let device = self.device(address).borrow();
-        ThermalReadout {
-            temperature: device.temperature(),
-            crosstalk: device.crosstalk_delta(),
-            normalized_state: device.normalized_state(),
-        }
+        self.array.thermal_readout(address)
     }
 
     fn hub(&self) -> &CrosstalkHub {
@@ -366,13 +321,13 @@ impl HammerBackend for DetailedCrossbar {
     }
 
     fn reset(&mut self) {
-        for device in &self.devices {
-            let mut device = device.borrow_mut();
-            device.force_state(DigitalState::Hrs);
-            device.set_crosstalk_delta(Kelvin(0.0));
-        }
+        self.array.reset_cells();
         self.hub.reset();
         self.elapsed = 0.0;
+    }
+
+    fn read_all(&self) -> Vec<DigitalState> {
+        self.array.read_all()
     }
 }
 
@@ -381,15 +336,24 @@ mod tests {
     use super::*;
     use rram_units::SiExt;
 
-    fn detailed(rows: usize, cols: usize) -> DetailedCrossbar {
+    fn detailed_with(
+        rows: usize,
+        cols: usize,
+        parasitics: WiringParasitics,
+        hub: CrosstalkHub,
+    ) -> DetailedCrossbar {
         DetailedCrossbar::new(
-            rows,
-            cols,
-            DeviceParams::default(),
-            WiringParasitics::default(),
-            CrosstalkHub::uniform(rows, cols, 0.12, 0.06, 0.03, Seconds(30e-9)),
+            CrossbarArray::new(rows, cols, DeviceParams::default()),
+            parasitics,
+            hub,
             WriteScheme::HalfVoltage,
+            10.0.ns(),
         )
+    }
+
+    fn detailed(rows: usize, cols: usize) -> DetailedCrossbar {
+        let hub = CrosstalkHub::uniform(rows, cols, 0.12, 0.06, 0.03, Seconds(30e-9));
+        detailed_with(rows, cols, WiringParasitics::default(), hub)
     }
 
     #[test]
@@ -442,29 +406,24 @@ mod tests {
     fn line_resistance_reduces_delivered_voltage() {
         // With large segment resistance the far cell of a long word line
         // switches more slowly than with negligible parasitics.
-        let params = DeviceParams::default();
-        let hub = |n| CrosstalkHub::two_ring(1, n, 0.0, Seconds(0.0));
-        let mut ideal = DetailedCrossbar::new(
+        let hub = || CrosstalkHub::two_ring(1, 4, 0.0, Seconds(0.0));
+        let mut ideal = detailed_with(
             1,
             4,
-            params.clone(),
             WiringParasitics {
                 segment_resistance: Ohms(0.1),
                 driver_resistance: Ohms(1.0),
             },
-            hub(4),
-            WriteScheme::HalfVoltage,
+            hub(),
         );
-        let mut resistive = DetailedCrossbar::new(
+        let mut resistive = detailed_with(
             1,
             4,
-            params,
             WiringParasitics {
                 segment_resistance: Ohms(500.0),
                 driver_resistance: Ohms(500.0),
             },
-            hub(4),
-            WriteScheme::HalfVoltage,
+            hub(),
         );
         let far = CellAddress::new(0, 3);
         // Make every cell on the word line LRS so sneak currents load the line.
@@ -483,10 +442,28 @@ mod tests {
     }
 
     #[test]
-    fn read_back_of_forced_states() {
+    fn the_line_network_keeps_its_node_and_source_order() {
+        // Word line r's driver and crosspoints come first, then bit line
+        // c's; bit line c's source is number rows + c.
+        let network = LineNetwork::new(
+            WiringParasitics::default(),
+            &[1.0, 0.5],
+            &[0.0, 0.25, 0.5],
+            |netlist, word, bit, _| netlist.add_resistor(word, bit, 1e3),
+        );
+        assert_eq!(network.netlist.node_count(), 1 + 2 * 4 + 3 * 3);
+        assert_eq!(network.crosspoints[0], (NodeId(2), NodeId(10)));
+        assert_eq!(network.crosspoints[5], (NodeId(8), NodeId(17)));
+        let solution = solve_dc(&network.netlist).unwrap();
+        // Node 12 is bit line 1's driver.
+        assert!((solution.voltage(NodeId(12)) - 0.25).abs() < 1e-12);
+        assert!(solution.source_current(2 + 1) != 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "time step must be positive")]
+    fn a_zero_time_step_panics() {
         let mut xbar = detailed(2, 2);
-        xbar.force_state(CellAddress::new(0, 1), DigitalState::Lrs);
-        assert_eq!(xbar.read(CellAddress::new(0, 1)), DigitalState::Lrs);
-        assert_eq!(xbar.read(CellAddress::new(1, 1)), DigitalState::Hrs);
+        xbar.apply_pulse_with_dt(CellAddress::new(0, 0), Volts(1.0), 10.0.ns(), Seconds(0.0));
     }
 }

@@ -52,9 +52,10 @@
 //! No sub-step allocates. The sub-step length is chosen from the hub's
 //! thermal time constant so the first-order coupling lag is resolved. Both
 //! the `pulse` and the `batched` backend labels build this engine (see
-//! [`crate::BackendKind`]). The `detailed` module provides the MNA-backed
-//! reference engine; `tests/engine_agreement.rs` (workspace root) checks the
-//! two agree when line resistance is negligible.
+//! [`crate::BackendKind`]). The `detailed` module provides the line-network
+//! reference engine on the same array and hub; `tests/engine_agreement.rs`
+//! (workspace root) checks the two agree when line resistance is
+//! negligible.
 
 use std::ops::Range;
 
@@ -526,12 +527,7 @@ impl HammerBackend for PulseEngine {
     }
 
     fn thermal_readout(&self, address: CellAddress) -> ThermalReadout {
-        let cell = self.array.cell(address);
-        ThermalReadout {
-            temperature: cell.temperature(),
-            crosstalk: cell.crosstalk_delta(),
-            normalized_state: cell.normalized_state(),
-        }
+        self.array.thermal_readout(address)
     }
 
     fn hub(&self) -> &CrosstalkHub {
@@ -547,10 +543,7 @@ impl HammerBackend for PulseEngine {
     }
 
     fn reset(&mut self) {
-        self.array.for_each_cell_mut(|_, mut cell| {
-            cell.force_state(DigitalState::Hrs);
-            cell.set_crosstalk_delta(Kelvin(0.0));
-        });
+        self.array.reset_cells();
         self.hub.reset();
         self.elapsed = 0.0;
         self.warm.fill();

@@ -17,9 +17,11 @@
 //! Two simulation engines drive the array: the ideal-driver
 //! [`engine::PulseEngine`], which integrates every cell in one kernel call
 //! per sub-step and couples them through the scatter-based crosstalk hub
-//! (the engine of every hammer campaign), and the MNA-backed
-//! [`detailed::DetailedCrossbar`] including wiring parasitics, which also
-//! powers the [`sneak`]-path analysis. Both implement the
+//! (the engine of every hammer campaign), and the
+//! [`detailed::DetailedCrossbar`], which steps the same array and hub with
+//! cell voltages solved from the resistive line network, wiring
+//! parasitics included; the [`sneak`]-path analysis solves that network
+//! too. Both implement the
 //! [`backend::HammerBackend`] trait, so the attack layer, the campaign
 //! runner and the cross-engine agreement tests drive them interchangeably;
 //! [`backend::BackendKind`] selects one declaratively at runtime.

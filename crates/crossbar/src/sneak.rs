@@ -4,15 +4,15 @@
 //! current through unselected cells; the V/2 biasing the paper uses while
 //! hammering exists precisely "to minimise the sneak-path currents". This
 //! module quantifies sneak paths for a given array state by solving the
-//! resistive network (word/bit-line segments + per-cell static read
-//! resistances) with the MNA engine.
+//! detailed engine's line network, with each crosspoint holding its cell's
+//! static read resistance, through `rram-circuit`'s DC solve.
 
 use serde::{Deserialize, Serialize};
 
 use crate::array::CrossbarArray;
-use crate::detailed::WiringParasitics;
+use crate::detailed::{LineNetwork, WiringParasitics};
 use crate::scheme::CellAddress;
-use rram_circuit::{solve_dc, CircuitError, Netlist, NodeId, Waveform};
+use rram_circuit::{solve_dc, CircuitError};
 use rram_units::{Amps, Volts};
 
 /// Bias applied to the unselected lines during a read.
@@ -53,63 +53,6 @@ pub struct ReadMarginReport {
     pub margin: f64,
 }
 
-fn read_netlist(
-    array: &CrossbarArray,
-    parasitics: WiringParasitics,
-    selected: CellAddress,
-    v_read: Volts,
-    bias: ReadBias,
-) -> Netlist {
-    let rows = array.rows();
-    let cols = array.cols();
-    let mut netlist = Netlist::new();
-
-    for r in 0..rows {
-        let driver = netlist.node(&format!("wl_drv_{r}"));
-        let v = if r == selected.row {
-            v_read.0
-        } else {
-            match bias {
-                ReadBias::GroundedUnselected => 0.0,
-                ReadBias::HalfBiased => v_read.0,
-            }
-        };
-        netlist.add_voltage_source(driver, NodeId::GROUND, Waveform::Dc(v));
-        let first = netlist.node(&format!("wl_{r}_0"));
-        netlist.add_resistor(driver, first, parasitics.driver_resistance.0);
-        for c in 1..cols {
-            let prev = netlist.node(&format!("wl_{r}_{}", c - 1));
-            let here = netlist.node(&format!("wl_{r}_{c}"));
-            netlist.add_resistor(prev, here, parasitics.segment_resistance.0);
-        }
-    }
-    for c in 0..cols {
-        let driver = netlist.node(&format!("bl_drv_{c}"));
-        // All bit lines are held at 0 V; the selected one's source current is
-        // what the sense amplifier sees.
-        netlist.add_voltage_source(driver, NodeId::GROUND, Waveform::Dc(0.0));
-        let first = netlist.node(&format!("bl_0_{c}"));
-        netlist.add_resistor(driver, first, parasitics.driver_resistance.0);
-        for r in 1..rows {
-            let prev = netlist.node(&format!("bl_{}_{c}", r - 1));
-            let here = netlist.node(&format!("bl_{r}_{c}"));
-            netlist.add_resistor(prev, here, parasitics.segment_resistance.0);
-        }
-    }
-    for r in 0..rows {
-        for c in 0..cols {
-            let wl = netlist.node(&format!("wl_{r}_{c}"));
-            let bl = netlist.node(&format!("bl_{r}_{c}"));
-            let resistance = array
-                .read_resistance(CellAddress::new(r, c), v_read)
-                .0
-                .max(1.0);
-            netlist.add_resistor(wl, bl, resistance);
-        }
-    }
-    netlist
-}
-
 /// Analyses a read of `selected` for the given array state.
 ///
 /// # Errors
@@ -122,21 +65,43 @@ pub fn analyze_read(
     v_read: Volts,
     bias: ReadBias,
 ) -> Result<ReadAnalysis, CircuitError> {
-    let mut netlist = read_netlist(array, parasitics, selected, v_read, bias);
-    // Resolve the crosspoint nodes of the selected cell before solving
-    // (the nodes already exist, so this does not change the netlist).
-    let wl_node = netlist.node(&format!("wl_{}_{}", selected.row, selected.col));
-    let bl_node = netlist.node(&format!("bl_{}_{}", selected.row, selected.col));
-    let solution = solve_dc(&netlist)?;
+    let (rows, cols) = (array.rows(), array.cols());
+    let unselected = match bias {
+        ReadBias::GroundedUnselected => 0.0,
+        ReadBias::HalfBiased => v_read.0,
+    };
+    let word_lines: Vec<f64> = (0..rows)
+        .map(|r| {
+            if r == selected.row {
+                v_read.0
+            } else {
+                unselected
+            }
+        })
+        .collect();
+    // All bit lines are held at 0 V; the selected one's source current is
+    // what the sense amplifier sees.
+    let bit_lines = vec![0.0; cols];
+    let network = LineNetwork::new(
+        parasitics,
+        &word_lines,
+        &bit_lines,
+        |netlist, word, bit, lane| {
+            let address = CellAddress::new(lane / cols, lane % cols);
+            let resistance = array.read_resistance(address, v_read).0.max(1.0);
+            netlist.add_resistor(word, bit, resistance);
+        },
+    );
+    let solution = solve_dc(&network.netlist)?;
 
-    // The bit-line drivers were added after the word-line drivers, in column
+    // The bit-line drivers come after the word-line drivers, in column
     // order, so the selected bit line's source index is rows + selected.col.
     // Current entering the driver's positive terminal (i.e. collected from
     // the array) is reported as positive branch current.
-    let sensed = solution.source_current(array.rows() + selected.col);
+    let sensed = solution.source_current(rows + selected.col);
 
     // Current through the selected cell: voltage across its read resistance.
-    let v_cell = solution.voltage(wl_node) - solution.voltage(bl_node);
+    let v_cell = network.cell_voltage(&solution, selected.row * cols + selected.col);
     let r_cell = array.read_resistance(selected, v_read).0;
     let cell_current = v_cell / r_cell;
 

@@ -1,5 +1,6 @@
-//! The fast ideal-driver pulse engine and the MNA-backed detailed engine
-//! must agree on short hammer bursts when wiring parasitics are negligible.
+//! The fast ideal-driver pulse engine and the detailed (line-network)
+//! engine must agree on short hammer bursts when wiring parasitics are
+//! negligible.
 //!
 //! With the `HammerBackend` abstraction this is a campaign one-liner: put
 //! both backends in the grid and ask the report for the worst cross-backend
@@ -11,7 +12,8 @@ use neurohammer_repro::attack::campaign::{
 };
 use neurohammer_repro::attack::run_attack;
 use neurohammer_repro::crossbar::{
-    BackendKind, CellAddress, CrosstalkHub, DetailedCrossbar, WiringParasitics, WriteScheme,
+    BackendKind, CellAddress, CrossbarArray, CrosstalkHub, DetailedCrossbar, HammerBackend,
+    WiringParasitics, WriteScheme,
 };
 use neurohammer_repro::jart::{DeviceParams, DigitalState};
 use neurohammer_repro::units::{Ohms, Seconds, Volts};
@@ -300,12 +302,11 @@ fn heavy_line_resistance_makes_the_detailed_engine_slower() {
     let hub = || CrosstalkHub::uniform(3, 3, 0.15, 0.075, 0.0375, Seconds(30e-9));
     let run = |parasitics: WiringParasitics| {
         let mut xbar = DetailedCrossbar::new(
-            3,
-            3,
-            DeviceParams::default(),
+            CrossbarArray::new(3, 3, DeviceParams::default()),
             parasitics,
             hub(),
             WriteScheme::HalfVoltage,
+            Seconds(10e-9),
         );
         xbar.force_state(aggressor, DigitalState::Lrs);
         for _ in 0..10 {

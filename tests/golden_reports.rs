@@ -301,16 +301,15 @@ fn detailed_engine_digest_is_pinned() {
     );
     drive_detailed(boxed.as_mut());
 
+    let mut array = CrossbarArray::new(rows, cols, nominal);
+    array.set_params_table(table);
     let mut concrete = DetailedCrossbar::new(
-        rows,
-        cols,
-        nominal,
+        array,
         WiringParasitics::default(),
         hub(),
         WriteScheme::ThirdVoltage,
-    )
-    .with_time_step(Seconds(4e-9));
-    concrete.set_params_table(&table);
+        Seconds(4e-9),
+    );
     drive_detailed(&mut concrete);
     assert_eq!(detailed_words(boxed.as_ref()), detailed_words(&concrete));
     concrete.apply_pulse_with_dt(

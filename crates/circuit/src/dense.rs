@@ -1,10 +1,10 @@
 //! Small dense linear algebra for the MNA equations.
 //!
-//! Crossbar netlists have tens of unknowns (node voltages plus voltage-source
-//! branch currents), so a dense LU factorisation with partial pivoting is the
-//! simplest dependable solver. Its pivoting depends on the row order, so a
-//! netlist must number its nodes the same way every time to solve the same
-//! way.
+//! Small crossbar line networks have tens of unknowns (node voltages plus
+//! voltage-source branch currents), so a dense LU factorisation with partial
+//! pivoting is the simplest dependable solver. Its pivoting depends on the
+//! row order, so a network must number its unknowns the same way every time
+//! to solve the same way.
 
 use std::error::Error;
 use std::fmt;

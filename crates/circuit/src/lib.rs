@@ -1,50 +1,65 @@
-//! A small modified-nodal-analysis (MNA) DC solver — the Cadence-Virtuoso
-//! substitute of the NeuroHammer reproduction (Section IV-B of the paper).
+//! The dense linear algebra of the crossbar's line network — the
+//! Cadence-Virtuoso substitute of the NeuroHammer reproduction (Section
+//! IV-B of the paper).
 //!
 //! The circuit-level part of the paper's framework drives a passive
 //! memristive crossbar and solves for the voltage every cell actually sees
 //! once the word and bit lines, their drivers and the nonlinear cells load
-//! each other. This crate provides the generic machinery for that:
+//! each other. The crossbar crate's line network stamps that
+//! modified-nodal system and runs its damped Newton DC solve; the detailed
+//! engine solves it at every time step, and the sneak-path analysis with
+//! each cell's read resistance. This crate holds what that solve uses:
 //!
-//! * [`netlist`] — nodes, resistors, DC voltage sources and a
-//!   [`netlist::NonlinearTwoTerminal`] trait for device models such as the
-//!   VCM cell of `rram-jart`;
-//! * [`dense`] — dense LU solver for the MNA equations;
-//! * [`analysis`] — the Newton–Raphson DC operating point, from 0 V or
-//!   from a previous solution.
+//! * [`dense`] — the dense LU solver of each Newton iteration;
+//! * [`CircuitError`] — why a solve failed.
 //!
-//! The crossbar crate builds its line network on this solver: the
-//! detailed engine solves it once per time step and steps the cells with
-//! the solved voltages itself, and the sneak-path analysis solves it with
-//! each cell's read resistance. The ideal-driver pulse engine used for long
-//! hammering campaigns bypasses the matrix solve and is validated against
-//! the detailed engine in integration tests.
-//!
-//! # Examples
-//!
-//! A resistive divider:
-//!
-//! ```
-//! use rram_circuit::{Netlist, NodeId, solve_dc};
-//!
-//! let mut netlist = Netlist::new();
-//! let top = netlist.add_node();
-//! let mid = netlist.add_node();
-//! netlist.add_voltage_source(top, NodeId::GROUND, 1.0);
-//! netlist.add_resistor(top, mid, 10_000.0);
-//! netlist.add_resistor(mid, NodeId::GROUND, 10_000.0);
-//! let solution = solve_dc(&netlist)?;
-//! assert!((solution.voltage(mid) - 0.5).abs() < 1e-9);
-//! # Ok::<(), rram_circuit::CircuitError>(())
-//! ```
+//! The ideal-driver pulse engine used for long hammering campaigns bypasses
+//! the matrix solve and is validated against the detailed engine in
+//! integration tests.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod analysis;
-pub mod dense;
-pub mod netlist;
+use std::error::Error;
+use std::fmt;
 
-pub use analysis::{solve_dc, solve_dc_from, CircuitError, Solution};
+pub mod dense;
+
 pub use dense::{DenseMatrix, LinearError};
-pub use netlist::{Netlist, NodeId, NonlinearTwoTerminal};
+
+/// Errors produced by a DC solve.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CircuitError {
+    /// The linear solve inside a Newton iteration failed.
+    Linear(LinearError),
+    /// Newton–Raphson did not converge.
+    NewtonDiverged {
+        /// Iterations performed.
+        iterations: usize,
+        /// Largest voltage update of the last iteration.
+        last_update: f64,
+    },
+}
+
+impl fmt::Display for CircuitError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CircuitError::Linear(e) => write!(f, "linear solve failed: {e}"),
+            CircuitError::NewtonDiverged {
+                iterations,
+                last_update,
+            } => write!(
+                f,
+                "newton iteration diverged after {iterations} iterations (last update {last_update:.3e} V)"
+            ),
+        }
+    }
+}
+
+impl Error for CircuitError {}
+
+impl From<LinearError> for CircuitError {
+    fn from(e: LinearError) -> Self {
+        CircuitError::Linear(e)
+    }
+}

@@ -1386,6 +1386,24 @@ mod tests {
             spec.validate(),
             Err(CampaignError::InvalidValue(_))
         ));
+
+        // A detailed backend whose wiring the line network cannot stamp,
+        // built directly or read from JSON.
+        for (segment, driver) in [(0.0, 50.0), (2.5, 0.0)] {
+            let mut spec = tiny_spec();
+            spec.backends = vec![BackendKind::Detailed(rram_crossbar::WiringParasitics {
+                segment_resistance: rram_units::Ohms(segment),
+                driver_resistance: rram_units::Ohms(driver),
+            })];
+            assert!(matches!(
+                spec.validate(),
+                Err(CampaignError::InvalidValue(_))
+            ));
+            assert!(matches!(
+                CampaignSpec::from_json(&spec.to_json()),
+                Err(CampaignError::InvalidValue(_))
+            ));
+        }
     }
 
     #[test]

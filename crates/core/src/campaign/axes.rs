@@ -223,6 +223,14 @@ campaign_axes! {
         spec: backends, device: false, point: [backend => "backend"],
         value: |p| backend_words(p.backend)[0] as f64, label: |p| p.backend.label().into(),
         table: "backend", csv: ["backend" => |p| p.backend.label().into()],
+        check: |key, backend| match backend {
+            BackendKind::Detailed(p) => {
+                let ohms = [p.segment_resistance.0, p.driver_resistance.0];
+                let ok = ohms.iter().all(|&r| r > 0.0 && r.is_finite());
+                require(key, ok, "must have strictly positive and finite wiring resistances")
+            }
+            BackendKind::Pulse | BackendKind::Batched => Ok(()),
+        },
         flag: "backend", caption: "backend (index)",
     }
     /// Monte Carlo trial index (the spec holds the trial count).

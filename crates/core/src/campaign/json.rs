@@ -744,8 +744,8 @@ impl FromJson for BackendKind {
         let ohms = |name: &str, fallback: Ohms| -> Result<Ohms, CampaignError> {
             match value.get(name) {
                 None => Ok(fallback),
-                Some(v) => v.as_f64().filter(|n| *n >= 0.0).map(Ohms).ok_or_else(|| {
-                    CampaignError::Json(format!("backend field {name:?} must be a number ≥ 0"))
+                Some(v) => v.as_f64().map(Ohms).ok_or_else(|| {
+                    CampaignError::Json(format!("backend field {name:?} must be a number"))
                 }),
             }
         };

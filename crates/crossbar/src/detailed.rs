@@ -5,23 +5,22 @@
 //! straight from the write scheme's line levels. This engine models the
 //! word and bit lines with explicit driver output resistances and segment
 //! resistances between adjacent cells, and solves that network with the
-//! nonlinear cells in it (`rram-circuit`'s Newton DC solve). It is the
-//! reference the pulse engine is validated against, and its
-//! line network is what the [`crate::sneak`]-path analysis solves too.
-//! It is orders of magnitude slower than the pulse engine, so hammer
-//! campaigns do not use it.
+//! nonlinear cells in it by a damped Newton DC solve. It is the reference
+//! the pulse engine is validated against, and its line network is what the
+//! [`crate::sneak`]-path analysis solves too. It is orders of magnitude
+//! slower than the pulse engine, so hammer campaigns do not use it.
 //!
 //! Both engines hold their cells in a [`CrossbarArray`] and couple them
-//! through a [`CrosstalkHub`]. This engine cuts a pulse into hub slices,
-//! and each slice
+//! through a [`CrosstalkHub`]. This engine stamps its line network once,
+//! when it is built, and cuts a pulse into hub slices; each slice
 //!
 //! 1. imports the hub's ΔT into the array;
-//! 2. solves the line network from 0 V, with each crosspoint holding a
-//!    snapshot of its cell's parameters and disc concentration;
+//! 2. solves the line network from 0 V, each crosspoint linearised around
+//!    its cell's parameters and disc concentration as they stand;
 //! 3. takes backward-Euler time steps: each solves the network again,
 //!    starting from the previous solution, and steps the whole array with
-//!    [`CrossbarArray::step_lanes`] under the solved cell voltages; the next
-//!    step's network holds the new snapshot;
+//!    [`CrossbarArray::step_lanes`] under the solved cell voltages, so the
+//!    next step's solve sees the stepped cells;
 //! 4. updates the hub with [`CrosstalkHub::update_batched`].
 //!
 //! The network has no capacitors and only DC sources, so each time step's
@@ -31,12 +30,21 @@ use crate::array::CrossbarArray;
 use crate::backend::{HammerBackend, ThermalReadout};
 use crate::crosstalk::CrosstalkHub;
 use crate::scheme::{CellAddress, WriteScheme};
-use rram_circuit::{solve_dc, solve_dc_from, Netlist, NodeId, NonlinearTwoTerminal, Solution};
+use rram_circuit::{CircuitError, DenseMatrix};
 use rram_jart::current::solve_operating_point;
-use rram_jart::{DeviceParams, DigitalState};
+use rram_jart::DigitalState;
 use rram_units::{Kelvin, Ohms, Seconds, Volts};
 
-/// Electrical parasitics of the crossbar wiring.
+/// Convergence tolerance of the Newton solve on the largest node-voltage
+/// update, V.
+const TOLERANCE: f64 = 1e-9;
+/// Newton iterations before a solve gives up.
+const MAX_ITERATIONS: usize = 200;
+/// Largest node-voltage update per Newton iteration (damping), V.
+const MAX_STEP: f64 = 0.5;
+
+/// Electrical parasitics of the crossbar wiring. The line network can only
+/// stamp positive, finite resistances.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WiringParasitics {
     /// Resistance of one line segment between adjacent cells, Ω.
@@ -54,89 +62,182 @@ impl Default for WiringParasitics {
     }
 }
 
-/// The resistive line network of a crossbar, with one element per
-/// crosspoint.
+/// The modified-nodal system of a crossbar's word and bit lines, and its
+/// damped Newton DC solve.
 ///
 /// Word line `r` is driven at its column-0 end and bit line `c` at its
 /// row-0 end, each by an ideal source behind the driver resistance;
 /// consecutive crosspoints on a line are joined by the segment resistance.
-/// The netlist holds the word lines, then the bit lines, then the
-/// crosspoints in row-major order. That order fixes the pivoting of the
-/// dense LU, so every caller builds the same network the same way, and the
-/// source of bit line `c` is source number `rows + c`.
+/// The unknowns are each word line's driver node and its `cols` crosspoint
+/// nodes, then each bit line's driver node and its `rows` crosspoint nodes,
+/// then one branch current per source, word lines first, so bit line `c`'s
+/// source is number `rows + c`. The lines are stamped once, word lines
+/// first, each line's source, driver resistor and segments in turn; every
+/// Newton iteration stamps the crosspoints onto a copy, in row-major order.
+/// Each matrix entry so sums the same terms in the same order at every
+/// solve, and that fixes the dense LU's pivoting and the solution's bits.
+#[derive(Debug)]
 pub(crate) struct LineNetwork {
-    /// The network, ready to solve.
-    pub(crate) netlist: Netlist,
-    /// Word- and bit-line node of each crosspoint, row-major.
-    crosspoints: Vec<(NodeId, NodeId)>,
+    rows: usize,
+    cols: usize,
+    /// The sources, driver resistors and segments.
+    lines: DenseMatrix,
+    /// The right-hand side before the crosspoints: zero node rows, then
+    /// the source levels, V.
+    levels: Vec<f64>,
+    /// The node voltages, then the source currents, of the last solve.
+    solution: Vec<f64>,
 }
 
 impl LineNetwork {
-    /// Builds the network of a `word_lines.len() × bit_lines.len()` array
-    /// whose lines are driven at the given levels, V. `crosspoint(netlist,
-    /// word, bit, lane)` adds the element between the word- and bit-line
-    /// node of row-major cell `lane`.
-    pub(crate) fn new(
-        parasitics: WiringParasitics,
-        word_lines: &[f64],
-        bit_lines: &[f64],
-        mut crosspoint: impl FnMut(&mut Netlist, NodeId, NodeId, usize),
-    ) -> Self {
-        let (rows, cols) = (word_lines.len(), bit_lines.len());
-        let mut netlist = Netlist::new();
-        let mut line = |volts: f64, len: usize| {
-            let driver = netlist.add_node();
-            netlist.add_voltage_source(driver, NodeId::GROUND, volts);
-            let nodes: Vec<NodeId> = (0..len).map(|_| netlist.add_node()).collect();
-            netlist.add_resistor(driver, nodes[0], parasitics.driver_resistance.0);
-            for pair in nodes.windows(2) {
-                netlist.add_resistor(pair[0], pair[1], parasitics.segment_resistance.0);
-            }
-            nodes
-        };
-        let word: Vec<Vec<NodeId>> = word_lines.iter().map(|&v| line(v, cols)).collect();
-        let bit: Vec<Vec<NodeId>> = bit_lines.iter().map(|&v| line(v, rows)).collect();
-        let mut crosspoints = Vec::with_capacity(rows * cols);
-        for (r, word) in word.iter().enumerate() {
-            for (c, bit) in bit.iter().enumerate() {
-                crosspoint(&mut netlist, word[c], bit[r], r * cols + c);
-                crosspoints.push((word[c], bit[r]));
+    /// Stamps the lines of a `rows × cols` crossbar, every source at 0 V.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a resistance it stamps is not positive and finite.
+    pub(crate) fn new(rows: usize, cols: usize, parasitics: WiringParasitics) -> Self {
+        let nodes = 2 * rows * cols + rows + cols;
+        let dim = nodes + rows + cols;
+        let mut lines = DenseMatrix::zeros(dim, dim);
+        let word = (0..rows).map(|r| (r * (cols + 1), cols));
+        let bit = (0..cols).map(|c| (rows * (cols + 1) + c * (rows + 1), rows));
+        for (source, (driver, len)) in word.chain(bit).enumerate() {
+            let branch = nodes + source;
+            lines[(driver, branch)] += 1.0;
+            lines[(branch, driver)] += 1.0;
+            let g = conductance(parasitics.driver_resistance.0);
+            stamp(&mut lines, driver, driver + 1, g);
+            for node in driver + 1..driver + len {
+                let g = conductance(parasitics.segment_resistance.0);
+                stamp(&mut lines, node, node + 1, g);
             }
         }
         LineNetwork {
-            netlist,
-            crosspoints,
+            rows,
+            cols,
+            lines,
+            levels: vec![0.0; dim],
+            solution: vec![0.0; dim],
         }
     }
 
+    /// Sets the source levels of the word and bit lines, V.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line counts do not match the network.
+    pub(crate) fn drive(&mut self, word_lines: &[f64], bit_lines: &[f64]) {
+        let nodes = self.nodes();
+        let (word, bit) = self.levels[nodes..].split_at_mut(self.rows);
+        word.copy_from_slice(word_lines);
+        bit.copy_from_slice(bit_lines);
+    }
+
+    /// Sets every node voltage back to 0 V, where the next solve starts.
+    pub(crate) fn clear(&mut self) {
+        self.solution.fill(0.0);
+    }
+
+    /// Runs the damped Newton DC solve from the present node voltages.
+    /// `crosspoint(lane, v)` linearises row-major crosspoint `lane` at the
+    /// voltage `v` across it (word line minus bit line): it returns the
+    /// conductance `g` and the current `g·v − I(v)` of the companion source
+    /// that drives from the bit line into the word line.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CircuitError`] if a linear solve fails or the iteration
+    /// does not converge.
+    pub(crate) fn solve(
+        &mut self,
+        mut crosspoint: impl FnMut(usize, f64) -> (f64, f64),
+    ) -> Result<(), CircuitError> {
+        let nodes = self.nodes();
+        let mut last_update = f64::INFINITY;
+        for _ in 0..MAX_ITERATIONS {
+            let mut matrix = self.lines.clone();
+            let mut rhs = self.levels.clone();
+            for lane in 0..self.rows * self.cols {
+                let (word, bit) = self.crosspoint(lane);
+                let (g, amps) = crosspoint(lane, self.solution[word] - self.solution[bit]);
+                stamp(&mut matrix, word, bit, g);
+                rhs[word] += amps;
+                rhs[bit] -= amps;
+            }
+            let x = matrix.solve(&rhs)?;
+            last_update = 0.0;
+            for (voltage, new) in self.solution[..nodes].iter_mut().zip(&x) {
+                let delta = (new - *voltage).clamp(-MAX_STEP, MAX_STEP);
+                last_update = last_update.max(delta.abs());
+                *voltage += delta;
+            }
+            self.solution[nodes..].copy_from_slice(&x[nodes..]);
+            if last_update < TOLERANCE {
+                return Ok(());
+            }
+        }
+        Err(CircuitError::NewtonDiverged {
+            iterations: MAX_ITERATIONS,
+            last_update,
+        })
+    }
+
     /// The voltage across crosspoint `lane` (word line minus bit line) in
-    /// `solution`.
-    pub(crate) fn cell_voltage(&self, solution: &Solution, lane: usize) -> f64 {
-        let (word, bit) = self.crosspoints[lane];
-        solution.voltage(word) - solution.voltage(bit)
+    /// the last solve.
+    pub(crate) fn cell_voltage(&self, lane: usize) -> f64 {
+        let (word, bit) = self.crosspoint(lane);
+        self.solution[word] - self.solution[bit]
+    }
+
+    /// The branch current of source `source` in the last solve: positive
+    /// when it flows from the line into the source, that is, when the line
+    /// collects current from the array.
+    pub(crate) fn source_current(&self, source: usize) -> f64 {
+        self.solution[self.nodes() + source]
+    }
+
+    /// Number of node unknowns.
+    fn nodes(&self) -> usize {
+        2 * self.rows * self.cols + self.rows + self.cols
+    }
+
+    /// The word- and bit-line unknowns of row-major crosspoint `lane`.
+    fn crosspoint(&self, lane: usize) -> (usize, usize) {
+        let (r, c) = (lane / self.cols, lane % self.cols);
+        let bit_lines = self.rows * (self.cols + 1);
+        (
+            r * (self.cols + 1) + 1 + c,
+            bit_lines + c * (self.rows + 1) + 1 + r,
+        )
     }
 }
 
-/// A cell as the line network sees it during one time step: its parameters
-/// and its disc concentration at the start of the step. Its current is a
-/// pure function of these and the cell voltage.
-#[derive(Debug)]
-struct FrozenCell {
-    params: DeviceParams,
-    n: f64,
+/// The conductance of `ohms`, S.
+///
+/// # Panics
+///
+/// Panics if `ohms` is not positive and finite.
+pub(crate) fn conductance(ohms: f64) -> f64 {
+    assert!(
+        ohms > 0.0 && ohms.is_finite(),
+        "resistance must be positive"
+    );
+    1.0 / ohms
 }
 
-impl NonlinearTwoTerminal for FrozenCell {
-    fn current(&self, voltage: f64) -> f64 {
-        solve_operating_point(&self.params, voltage, self.n).current
-    }
+/// Stamps the conductance `g` between unknowns `a` and `b`.
+fn stamp(matrix: &mut DenseMatrix, a: usize, b: usize, g: f64) {
+    matrix[(a, a)] += g;
+    matrix[(b, b)] += g;
+    matrix[(a, b)] -= g;
+    matrix[(b, a)] -= g;
 }
 
 /// The detailed crossbar engine (see the module docs).
 #[derive(Debug)]
 pub struct DetailedCrossbar {
     array: CrossbarArray,
-    parasitics: WiringParasitics,
+    network: LineNetwork,
     hub: CrosstalkHub,
     scheme: WriteScheme,
     /// Time step of the pulses applied through the [`HammerBackend`]
@@ -155,8 +256,9 @@ impl DetailedCrossbar {
     ///
     /// # Panics
     ///
-    /// Panics if the hub dimensions do not match the array, or `time_step`
-    /// is not positive.
+    /// Panics if the hub dimensions do not match the array, `time_step` is
+    /// not positive, or a wiring resistance the network stamps is not
+    /// positive and finite.
     pub fn new(
         array: CrossbarArray,
         parasitics: WiringParasitics,
@@ -167,10 +269,11 @@ impl DetailedCrossbar {
         assert_eq!(hub.rows(), array.rows(), "hub row mismatch");
         assert_eq!(hub.cols(), array.cols(), "hub column mismatch");
         assert!(time_step.0 > 0.0, "time step must be positive");
+        let network = LineNetwork::new(array.rows(), array.cols(), parasitics);
         let voltages = vec![0.0; array.len()];
         DetailedCrossbar {
             array,
-            parasitics,
+            network,
             hub,
             scheme,
             time_step,
@@ -179,22 +282,21 @@ impl DetailedCrossbar {
         }
     }
 
-    /// The line network at the given line levels, each crosspoint holding a
-    /// snapshot of its cell.
-    fn network(&self, word_lines: &[f64], bit_lines: &[f64]) -> LineNetwork {
+    /// Solves the line network from its present node voltages, each
+    /// crosspoint linearised around its cell as it stands. Panics if the
+    /// solve does not converge.
+    fn solve(&mut self) {
         let (columns, bank) = (self.array.param_columns(), self.array.bank());
-        LineNetwork::new(
-            self.parasitics,
-            word_lines,
-            bit_lines,
-            |netlist, word, bit, lane| {
-                let cell = FrozenCell {
-                    params: columns.lane(lane).into_owned(),
-                    n: bank.concentrations()[lane],
-                };
-                netlist.add_nonlinear(word, bit, Box::new(cell));
-            },
-        )
+        self.network
+            .solve(|lane, v| {
+                let params = columns.lane(lane);
+                let n = bank.concentrations()[lane];
+                let current = |v: f64| solve_operating_point(&params, v, n).current;
+                let dv = 1e-6;
+                let g = ((current(v + dv) - current(v - dv)) / (2.0 * dv)).max(1e-15);
+                (g, g * v - current(v))
+            })
+            .expect("crossbar line network must converge");
     }
 
     /// Applies one write pulse to `selected` with the configured scheme,
@@ -232,25 +334,22 @@ impl DetailedCrossbar {
         let step = dt.0.min(slice_len);
         let steps = (slice_len / step).ceil() as usize;
         let ambient = Kelvin(self.array.params().ambient_temperature);
-        let converged = "crossbar line network must converge";
+        self.network.drive(&wl, &bl);
 
         for _ in 0..slices {
             self.array.import_crosstalk(self.hub.deltas());
-            let mut network = self.network(&wl, &bl);
-            let mut solution = solve_dc(&network.netlist).expect(converged);
+            self.network.clear();
+            self.solve();
             let mut time = 0.0;
-            for k in 0..steps {
+            for _ in 0..steps {
                 let h = step.min(slice_len - time);
                 if h <= 0.0 {
                     break;
                 }
                 time += h;
-                if k > 0 {
-                    network = self.network(&wl, &bl);
-                }
-                solution = solve_dc_from(&network.netlist, &solution).expect(converged);
+                self.solve();
                 for (lane, v) in self.voltages.iter_mut().enumerate() {
-                    *v = network.cell_voltage(&solution, lane);
+                    *v = self.network.cell_voltage(lane);
                 }
                 self.array.step_lanes(&self.voltages, Seconds(h));
             }
@@ -334,6 +433,7 @@ impl HammerBackend for DetailedCrossbar {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rram_jart::DeviceParams;
     use rram_units::SiExt;
 
     fn detailed_with(
@@ -441,23 +541,92 @@ mod tests {
         );
     }
 
+    /// A 1 kΩ resistor at every crosspoint.
+    fn resistive(_: usize, _: f64) -> (f64, f64) {
+        (conductance(1e3), 0.0)
+    }
+
     #[test]
     fn the_line_network_keeps_its_node_and_source_order() {
         // Word line r's driver and crosspoints come first, then bit line
-        // c's; bit line c's source is number rows + c.
-        let network = LineNetwork::new(
-            WiringParasitics::default(),
-            &[1.0, 0.5],
-            &[0.0, 0.25, 0.5],
-            |netlist, word, bit, _| netlist.add_resistor(word, bit, 1e3),
+        // c's, then the sources; bit line c's source is number rows + c.
+        let mut network = LineNetwork::new(2, 3, WiringParasitics::default());
+        assert_eq!(network.crosspoint(0), (1, 9));
+        assert_eq!(network.crosspoint(5), (7, 16));
+        network.drive(&[1.0, 0.5], &[0.0, 0.1, 0.2]);
+        network.solve(resistive).unwrap();
+        // Unknown 11 is bit line 1's driver.
+        assert!((network.solution[11] - 0.1).abs() < 1e-12);
+        for c in 0..3 {
+            // Every bit line sits below both word lines and collects
+            // current: what leaves its first crosspoint through the driver
+            // resistor flows on into the source.
+            let driver = 8 + 3 * c;
+            let collected = (network.solution[driver + 1] - network.solution[driver]) / 50.0;
+            let sensed = network.source_current(2 + c);
+            assert!(sensed > 0.0, "bit line {c}: {sensed}");
+            assert!((sensed - collected).abs() < 1e-12, "bit line {c}");
+        }
+        assert!(network.source_current(0) < 0.0 && network.source_current(1) < 0.0);
+    }
+
+    #[test]
+    fn a_resistive_network_solves_to_the_hand_computed_answer() {
+        // 1 V behind 40 Ω feeds two 560 Ω cells 300 Ω apart, each into a
+        // grounded bit line behind 40 Ω: 600 Ω ∥ 900 Ω = 360 Ω, so the
+        // source carries 2.5 mA and the word line starts at 0.9 V; 1.5 mA
+        // and 1 mA flow through the cells.
+        let mut network = LineNetwork::new(
+            1,
+            2,
+            WiringParasitics {
+                segment_resistance: Ohms(300.0),
+                driver_resistance: Ohms(40.0),
+            },
         );
-        assert_eq!(network.netlist.node_count(), 1 + 2 * 4 + 3 * 3);
-        assert_eq!(network.crosspoints[0], (NodeId(2), NodeId(10)));
-        assert_eq!(network.crosspoints[5], (NodeId(8), NodeId(17)));
-        let solution = solve_dc(&network.netlist).unwrap();
-        // Node 12 is bit line 1's driver.
-        assert!((solution.voltage(NodeId(12)) - 0.25).abs() < 1e-12);
-        assert!(solution.source_current(2 + 1) != 0.0);
+        network.drive(&[1.0], &[0.0, 0.0]);
+        network.solve(|_, _| (conductance(560.0), 0.0)).unwrap();
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-12;
+        assert!(close(network.cell_voltage(0), 0.84));
+        assert!(close(network.cell_voltage(1), 0.56));
+        assert!(close(network.source_current(0), -2.5e-3));
+        assert!(close(network.source_current(1), 1.5e-3));
+        assert!(close(network.source_current(2), 1e-3));
+    }
+
+    #[test]
+    fn a_solve_from_its_own_solution_stays_there() {
+        let mut xbar = detailed(3, 3);
+        xbar.force_state(CellAddress::new(1, 1), DigitalState::Lrs);
+        xbar.network
+            .drive(&[0.525, 1.05, 0.525], &[0.525, 0.0, 0.525]);
+        xbar.solve();
+        let solution = xbar.network.solution.clone();
+        xbar.solve();
+        for (again, first) in xbar.network.solution.iter().zip(&solution) {
+            assert!((again - first).abs() < 1e-9, "{again} vs {first}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "resistance must be positive")]
+    fn a_zero_segment_resistance_panics() {
+        let parasitics = WiringParasitics {
+            segment_resistance: Ohms(0.0),
+            ..WiringParasitics::default()
+        };
+        LineNetwork::new(2, 2, parasitics);
+    }
+
+    #[test]
+    #[should_panic(expected = "resistance must be positive")]
+    fn a_non_finite_driver_resistance_panics() {
+        let hub = CrosstalkHub::uniform(2, 2, 0.12, 0.06, 0.03, Seconds(30e-9));
+        let parasitics = WiringParasitics {
+            driver_resistance: Ohms(f64::INFINITY),
+            ..WiringParasitics::default()
+        };
+        detailed_with(2, 2, parasitics, hub);
     }
 
     #[test]

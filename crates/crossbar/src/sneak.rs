@@ -4,15 +4,16 @@
 //! current through unselected cells; the V/2 biasing the paper uses while
 //! hammering exists precisely "to minimise the sneak-path currents". This
 //! module quantifies sneak paths for a given array state by solving the
-//! detailed engine's line network, with each crosspoint holding its cell's
-//! static read resistance, through `rram-circuit`'s DC solve.
+//! detailed engine's line network, built once per read, with each
+//! crosspoint a plain conductance: the inverse of its cell's static read
+//! resistance.
 
 use serde::{Deserialize, Serialize};
 
 use crate::array::CrossbarArray;
-use crate::detailed::{LineNetwork, WiringParasitics};
+use crate::detailed::{conductance, LineNetwork, WiringParasitics};
 use crate::scheme::CellAddress;
-use rram_circuit::{solve_dc, CircuitError};
+use rram_circuit::CircuitError;
 use rram_units::{Amps, Volts};
 
 /// Bias applied to the unselected lines during a read.
@@ -82,26 +83,23 @@ pub fn analyze_read(
     // All bit lines are held at 0 V; the selected one's source current is
     // what the sense amplifier sees.
     let bit_lines = vec![0.0; cols];
-    let network = LineNetwork::new(
-        parasitics,
-        &word_lines,
-        &bit_lines,
-        |netlist, word, bit, lane| {
+    let conductances: Vec<f64> = (0..rows * cols)
+        .map(|lane| {
             let address = CellAddress::new(lane / cols, lane % cols);
-            let resistance = array.read_resistance(address, v_read).0.max(1.0);
-            netlist.add_resistor(word, bit, resistance);
-        },
-    );
-    let solution = solve_dc(&network.netlist)?;
+            conductance(array.read_resistance(address, v_read).0.max(1.0))
+        })
+        .collect();
+    let mut network = LineNetwork::new(rows, cols, parasitics);
+    network.drive(&word_lines, &bit_lines);
+    network.solve(|lane, _| (conductances[lane], 0.0))?;
 
-    // The bit-line drivers come after the word-line drivers, in column
-    // order, so the selected bit line's source index is rows + selected.col.
-    // Current entering the driver's positive terminal (i.e. collected from
-    // the array) is reported as positive branch current.
-    let sensed = solution.source_current(rows + selected.col);
+    // The bit-line sources come after the word-line sources, in column
+    // order, so the selected bit line's source is number rows +
+    // selected.col; the current it collects from the array is positive.
+    let sensed = network.source_current(rows + selected.col);
 
     // Current through the selected cell: voltage across its read resistance.
-    let v_cell = network.cell_voltage(&solution, selected.row * cols + selected.col);
+    let v_cell = network.cell_voltage(selected.row * cols + selected.col);
     let r_cell = array.read_resistance(selected, v_read).0;
     let cell_current = v_cell / r_cell;
 

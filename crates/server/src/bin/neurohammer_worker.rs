@@ -12,7 +12,9 @@
 //! without it the worker polls forever. `--kill-after <n>` is fault
 //! injection for the CI smoke job: the worker falls silent — no results,
 //! no heartbeats — after streaming its n-th point, exactly like a
-//! `SIGKILL` mid-grid, and exits with status 2. `--slow-ms <ms>` is the
+//! `SIGKILL` mid-grid, and exits with status 2. Any other error (an
+//! unreachable server, a 4xx reply from `/lease` or `/results`) is printed
+//! to stderr and exits with status 1. `--slow-ms <ms>` is the
 //! straggler fault injection for the speculation smoke job: the worker
 //! dawdles that long after each streamed point (while dutifully
 //! heartbeating), so the server's straggler detector has something real
@@ -34,7 +36,13 @@ fn main() {
         alpha_cache: flag_value("--alpha-cache").map(Into::into),
         progress: true,
     };
-    let summary = run_worker(&config).unwrap_or_else(|e| panic!("worker {:?}: {e}", config.name));
+    let summary = match run_worker(&config) {
+        Ok(summary) => summary,
+        Err(e) => {
+            eprintln!("worker {:?}: {e}", config.name);
+            std::process::exit(1);
+        }
+    };
     for run in &summary.shards {
         eprintln!(
             "worker {:?}: job {} shard {}: {} executed, {} replayed, completed={}",

@@ -11,8 +11,8 @@
 //! * [`analysis`] (`rram-analysis`) — regression, statistics, reporting,
 //! * [`fem`] (`rram-fem`) — the thermal field solver and α extraction,
 //! * [`jart`] (`rram-jart`) — the VCM compact model,
-//! * [`circuit`] (`rram-circuit`) — the MNA DC solver behind the
-//!   detailed engine's line network,
+//! * [`circuit`] (`rram-circuit`) — the dense LU and the error type of
+//!   the detailed engine's line-network DC solve,
 //! * [`crossbar`] (`rram-crossbar`) — the crossbar platform with its two
 //!   simulation engines behind the [`crossbar::HammerBackend`] trait,
 //! * [`variability`] (`rram-variability`) — seeded Monte Carlo

@@ -167,6 +167,9 @@ fn job_crud_lifecycle_over_http() {
     assert_eq!(status, 400, "{body}");
     let (status, body) = http::call(&addr, "POST", "/jobs", Some("not json")).unwrap();
     assert_eq!(status, 400, "{body}");
+    let zero_parasitics = r#"{"spec": {"backends": [{"kind": "detailed", "driver_ohms": 0}]}}"#;
+    let (status, body) = http::call(&addr, "POST", "/jobs", Some(zero_parasitics)).unwrap();
+    assert_eq!(status, 400, "{body}");
 
     let body = format!("{{\"shards\": 4, \"spec\": {}}}", grid().to_json());
     let (status, created) = http::call(&addr, "POST", "/jobs", Some(&body)).unwrap();

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rram_crossbar::{
     CellAddress, CrossbarArray, CrosstalkHub, DetailedCrossbar, EngineConfig, HammerBackend,
-    PulseEngine, WiringParasitics, WriteScheme,
+    PulseEngine, WiringParasitics,
 };
 use rram_jart::{DeviceParams, DigitalState};
 use rram_units::{Seconds, Volts};
@@ -40,13 +40,12 @@ fn detailed_engine_burst() -> f64 {
         CrossbarArray::new(3, 3, DeviceParams::default()),
         WiringParasitics::default(),
         CrosstalkHub::uniform(3, 3, 0.15, 0.075, 0.0375, Seconds(30e-9)),
-        WriteScheme::HalfVoltage,
-        Seconds(10e-9),
+        EngineConfig::default(),
     );
     let aggressor = CellAddress::new(1, 1);
     xbar.force_state(aggressor, DigitalState::Lrs);
     for _ in 0..BURST {
-        xbar.apply_pulse_with_dt(aggressor, Volts(1.05), Seconds(50e-9), Seconds(10e-9));
+        xbar.apply_pulse(aggressor, Volts(1.05), Seconds(50e-9));
     }
     xbar.normalized_state(CellAddress::new(1, 0))
 }

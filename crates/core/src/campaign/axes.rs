@@ -217,8 +217,8 @@ campaign_axes! {
         check: |key, s| require(key, s >= 0.0 && s.is_finite(), "must be finite and ≥ 0"),
         flag: "spread", caption: "spread scale σ",
     }
-    /// Simulation backend (parameter value: 0 = pulse, 1 = detailed,
-    /// 2 = batched).
+    /// Simulation backend (parameter value: 0 = pulse, 2 = batched,
+    /// 3 = detailed).
     Backend {
         spec: backends, device: false, point: [backend => "backend"],
         value: |p| backend_words(p.backend)[0] as f64, label: |p| p.backend.label().into(),
@@ -433,13 +433,15 @@ fn array_size(rows: usize, cols: usize) -> Result<(), CampaignError> {
     require("array_sizes", cells <= MAX_ARRAY_CELLS, &rule)
 }
 
-/// The backend's fingerprint words: its tag (0 = pulse, 1 = detailed,
-/// 2 = batched), then the detailed engine's wiring parasitics.
+/// The backend's fingerprint words: its tag (0 = pulse, 2 = batched,
+/// 3 = detailed), then the detailed engine's wiring parasitics. Tag 1 was
+/// the detailed engine before it moved onto the pulse engine's sub-step
+/// plan; its checkpoints do not resume into this one.
 fn backend_words(backend: BackendKind) -> [u64; 3] {
     match backend {
         BackendKind::Pulse => [0, 0, 0],
         BackendKind::Detailed(p) => [
-            1,
+            3,
             p.segment_resistance.0.to_bits(),
             p.driver_resistance.0.to_bits(),
         ],

@@ -304,13 +304,9 @@ impl BackendKind {
             BackendKind::Pulse | BackendKind::Batched => {
                 Box::new(PulseEngine::new(array, hub, config))
             }
-            BackendKind::Detailed(parasitics) => Box::new(DetailedCrossbar::new(
-                array,
-                *parasitics,
-                hub,
-                config.scheme,
-                config.max_substep,
-            )),
+            BackendKind::Detailed(parasitics) => {
+                Box::new(DetailedCrossbar::new(array, *parasitics, hub, config))
+            }
         }
     }
 }

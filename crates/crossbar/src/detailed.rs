@@ -10,30 +10,32 @@
 //! [`crate::sneak`]-path analysis solves too. It is orders of magnitude
 //! slower than the pulse engine, so hammer campaigns do not use it.
 //!
-//! Both engines hold their cells in a [`CrossbarArray`] and couple them
-//! through a [`CrosstalkHub`]. This engine stamps its line network once,
-//! when it is built, and cuts a pulse into hub slices; each slice
+//! Both engines hold their cells in a [`CrossbarArray`], couple them
+//! through a [`CrosstalkHub`] and cut a pulse or an idle into the same
+//! sub-steps ([`EngineConfig::substep`]). This engine stamps its line
+//! network once, when it is built; each pulse sub-step
 //!
 //! 1. imports the hub's ΔT into the array;
-//! 2. solves the line network from 0 V, each crosspoint linearised around
-//!    its cell's parameters and disc concentration as they stand;
-//! 3. takes backward-Euler time steps: each solves the network again,
-//!    starting from the previous solution, and steps the whole array with
-//!    [`CrossbarArray::step_lanes`] under the solved cell voltages, so the
-//!    next step's solve sees the stepped cells;
+//! 2. solves the line network once, by a damped Newton solve that starts
+//!    from the previous sub-step's node voltages, each crosspoint
+//!    linearised around its cell's parameters and disc concentration as
+//!    they stand, with the cell's analytic small-signal conductance;
+//! 3. steps the whole array with [`CrossbarArray::step_lanes`] under the
+//!    solved cell voltages;
 //! 4. updates the hub with [`CrosstalkHub::update_batched`].
 //!
-//! The network has no capacitors and only DC sources, so each time step's
-//! solve is the DC solve of the network as its cells stand.
+//! An idle sub-step grounds every source, so every cell voltage is 0 V:
+//! it skips the network and relaxes the array instead of stepping it.
 
 use crate::array::CrossbarArray;
 use crate::backend::{HammerBackend, ThermalReadout};
 use crate::crosstalk::CrosstalkHub;
-use crate::scheme::{CellAddress, WriteScheme};
+use crate::engine::EngineConfig;
+use crate::scheme::CellAddress;
 use rram_circuit::{CircuitError, DenseMatrix};
-use rram_jart::current::solve_operating_point;
+use rram_jart::current::{differential_conductance, solve_operating_point};
 use rram_jart::DigitalState;
-use rram_units::{Kelvin, Ohms, Seconds, Volts};
+use rram_units::{Ohms, Seconds, Volts};
 
 /// Convergence tolerance of the Newton solve on the largest node-voltage
 /// update, V.
@@ -239,10 +241,7 @@ pub struct DetailedCrossbar {
     array: CrossbarArray,
     network: LineNetwork,
     hub: CrosstalkHub,
-    scheme: WriteScheme,
-    /// Time step of the pulses applied through the [`HammerBackend`]
-    /// interface, which carries no per-call step.
-    time_step: Seconds,
+    config: EngineConfig,
     /// Simulated time elapsed, s.
     elapsed: f64,
     /// Reused per-cell voltage buffer (row-major).
@@ -250,33 +249,28 @@ pub struct DetailedCrossbar {
 }
 
 impl DetailedCrossbar {
-    /// Creates an engine around an existing array and hub. Pulses applied
-    /// through the [`HammerBackend`] interface take time steps of
-    /// `time_step`, and idles five times that.
+    /// Creates an engine around an existing array and hub, stepping on the
+    /// sub-step plan of a [`crate::PulseEngine`] with the same `config`.
     ///
     /// # Panics
     ///
-    /// Panics if the hub dimensions do not match the array, `time_step` is
-    /// not positive, or a wiring resistance the network stamps is not
-    /// positive and finite.
+    /// Panics if the hub dimensions do not match the array, or a wiring
+    /// resistance the network stamps is not positive and finite.
     pub fn new(
         array: CrossbarArray,
         parasitics: WiringParasitics,
         hub: CrosstalkHub,
-        scheme: WriteScheme,
-        time_step: Seconds,
+        config: EngineConfig,
     ) -> Self {
         assert_eq!(hub.rows(), array.rows(), "hub row mismatch");
         assert_eq!(hub.cols(), array.cols(), "hub column mismatch");
-        assert!(time_step.0 > 0.0, "time step must be positive");
         let network = LineNetwork::new(array.rows(), array.cols(), parasitics);
         let voltages = vec![0.0; array.len()];
         DetailedCrossbar {
             array,
             network,
             hub,
-            scheme,
-            time_step,
+            config,
             elapsed: 0.0,
             voltages,
         }
@@ -291,71 +285,42 @@ impl DetailedCrossbar {
             .solve(|lane, v| {
                 let params = columns.lane(lane);
                 let n = bank.concentrations()[lane];
-                let current = |v: f64| solve_operating_point(&params, v, n).current;
-                let dv = 1e-6;
-                let g = ((current(v + dv) - current(v - dv)) / (2.0 * dv)).max(1e-15);
-                (g, g * v - current(v))
+                let current = solve_operating_point(&params, v, n).current;
+                let g = differential_conductance(&params, n, current);
+                (g, g * v - current)
             })
             .expect("crossbar line network must converge");
     }
 
-    /// Applies one write pulse to `selected` with the configured scheme,
-    /// solving the line network at every backward-Euler step of `dt` (the
-    /// [`HammerBackend`] interface uses the configured step instead). A
-    /// zero length does nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt` is not positive for a positive length, or if the
-    /// network solve fails to converge (which indicates a malformed network
-    /// rather than a recoverable condition).
-    pub fn apply_pulse_with_dt(
-        &mut self,
-        selected: CellAddress,
-        amplitude: Volts,
-        length: Seconds,
-        dt: Seconds,
-    ) {
-        let (rows, cols) = (self.array.rows(), self.array.cols());
-        let bias = self.scheme.line_bias(rows, cols, selected, amplitude);
-        let wl: Vec<f64> = bias.word_lines.iter().map(|v| v.0).collect();
-        let bl: Vec<f64> = bias.bit_lines.iter().map(|v| v.0).collect();
-
-        // The crosstalk state evolves on the hub's time constant, so the
-        // pulse is cut into slices: import → network steps → hub update →
-        // next slice, mirroring the pulse engine's sub-stepping.
-        let hub_slice = 10e-9_f64.max(dt.0);
-        let slices = (length.0 / hub_slice).ceil() as usize;
-        if slices == 0 {
-            return;
+    /// Advances the array by `duration` with the line levels of selecting
+    /// `selected` at its amplitude (`None` = every line grounded), on the
+    /// pulse engine's sub-step plan.
+    fn advance(&mut self, selected: Option<(CellAddress, Volts)>, duration: Seconds) {
+        let mut remaining = duration.0;
+        let substep = self.config.substep(selected.is_some());
+        if let Some((address, amplitude)) = selected {
+            let (rows, cols) = (self.array.rows(), self.array.cols());
+            let bias = self.config.scheme.line_bias(rows, cols, address, amplitude);
+            let wl: Vec<f64> = bias.word_lines.iter().map(|v| v.0).collect();
+            let bl: Vec<f64> = bias.bit_lines.iter().map(|v| v.0).collect();
+            self.network.drive(&wl, &bl);
         }
-        assert!(dt.0 > 0.0, "time step must be positive");
-        let slice_len = length.0 / slices as f64;
-        let step = dt.0.min(slice_len);
-        let steps = (slice_len / step).ceil() as usize;
-        let ambient = Kelvin(self.array.params().ambient_temperature);
-        self.network.drive(&wl, &bl);
-
-        for _ in 0..slices {
+        while remaining > 0.0 {
+            let dt = Seconds(remaining.min(substep));
             self.array.import_crosstalk(self.hub.deltas());
-            self.network.clear();
-            self.solve();
-            let mut time = 0.0;
-            for _ in 0..steps {
-                let h = step.min(slice_len - time);
-                if h <= 0.0 {
-                    break;
-                }
-                time += h;
+            if selected.is_some() {
                 self.solve();
                 for (lane, v) in self.voltages.iter_mut().enumerate() {
                     *v = self.network.cell_voltage(lane);
                 }
-                self.array.step_lanes(&self.voltages, Seconds(h));
+                self.array.step_lanes(&self.voltages, dt);
+            } else {
+                self.array.relax_lanes(dt);
             }
             self.hub
-                .update_batched(self.array.temperatures(), ambient, Seconds(slice_len));
-            self.elapsed += slice_len;
+                .update_batched(self.array.temperatures(), self.config.ambient, dt);
+            remaining -= dt.0;
+            self.elapsed += dt.0;
         }
     }
 }
@@ -374,15 +339,11 @@ impl HammerBackend for DetailedCrossbar {
     }
 
     fn apply_pulse(&mut self, selected: CellAddress, amplitude: Volts, length: Seconds) {
-        let dt = Seconds(self.time_step.0.min(length.0));
-        self.apply_pulse_with_dt(selected, amplitude, length, dt);
+        self.advance(Some((selected, amplitude)), length);
     }
 
     fn idle(&mut self, duration: Seconds) {
-        // All schemes produce an all-grounded bias at zero amplitude, and the
-        // dynamics reduce to thermal decay, which tolerates a coarser step.
-        let dt = Seconds((self.time_step.0 * 5.0).min(duration.0));
-        self.apply_pulse_with_dt(CellAddress::new(0, 0), Volts(0.0), duration, dt);
+        self.advance(None, duration);
     }
 
     fn read(&self, address: CellAddress) -> DigitalState {
@@ -421,6 +382,7 @@ impl HammerBackend for DetailedCrossbar {
 
     fn reset(&mut self) {
         self.array.reset_cells();
+        self.network.clear();
         self.hub.reset();
         self.elapsed = 0.0;
     }
@@ -446,8 +408,7 @@ mod tests {
             CrossbarArray::new(rows, cols, DeviceParams::default()),
             parasitics,
             hub,
-            WriteScheme::HalfVoltage,
-            10.0.ns(),
+            EngineConfig::default(),
         )
     }
 
@@ -460,7 +421,7 @@ mod tests {
     fn set_pulse_switches_the_selected_cell_only() {
         let mut xbar = detailed(3, 3);
         let target = CellAddress::new(1, 1);
-        xbar.apply_pulse_with_dt(target, Volts(1.05), 2.0.us(), 20.0.ns());
+        xbar.apply_pulse(target, Volts(1.05), 2.0.us());
         assert_eq!(xbar.read(target), DigitalState::Lrs);
         for r in 0..3 {
             for c in 0..3 {
@@ -481,7 +442,7 @@ mod tests {
         let aggressor = CellAddress::new(1, 1);
         xbar.force_state(aggressor, DigitalState::Lrs);
         for _ in 0..5 {
-            xbar.apply_pulse_with_dt(aggressor, Volts(1.05), 50.0.ns(), 10.0.ns());
+            xbar.apply_pulse(aggressor, Volts(1.05), 50.0.ns());
         }
         assert!(xbar.hub().delta(1, 0).0 > 10.0);
     }
@@ -492,7 +453,7 @@ mod tests {
         let aggressor = CellAddress::new(1, 1);
         xbar.force_state(aggressor, DigitalState::Lrs);
         for _ in 0..10 {
-            xbar.apply_pulse_with_dt(aggressor, Volts(1.05), 100.0.ns(), 20.0.ns());
+            xbar.apply_pulse(aggressor, Volts(1.05), 100.0.ns());
         }
         let half_selected = xbar.normalized_state(CellAddress::new(1, 0));
         let unselected = xbar.normalized_state(CellAddress::new(0, 0));
@@ -531,8 +492,8 @@ mod tests {
             ideal.force_state(CellAddress::new(0, c), DigitalState::Lrs);
             resistive.force_state(CellAddress::new(0, c), DigitalState::Lrs);
         }
-        ideal.apply_pulse_with_dt(far, Volts(1.05), 300.0.ns(), 20.0.ns());
-        resistive.apply_pulse_with_dt(far, Volts(1.05), 300.0.ns(), 20.0.ns());
+        ideal.apply_pulse(far, Volts(1.05), 300.0.ns());
+        resistive.apply_pulse(far, Volts(1.05), 300.0.ns());
         assert!(
             ideal.normalized_state(far) >= resistive.normalized_state(far),
             "ideal {} vs resistive {}",
@@ -627,12 +588,5 @@ mod tests {
             ..WiringParasitics::default()
         };
         detailed_with(2, 2, parasitics, hub);
-    }
-
-    #[test]
-    #[should_panic(expected = "time step must be positive")]
-    fn a_zero_time_step_panics() {
-        let mut xbar = detailed(2, 2);
-        xbar.apply_pulse_with_dt(CellAddress::new(0, 0), Volts(1.0), 10.0.ns(), Seconds(0.0));
     }
 }

@@ -62,6 +62,21 @@ fn junction_dv_di(current: f64, g_j: f64, v0: f64) -> f64 {
     1.0 / (g_j * (1.0 + x * x).sqrt())
 }
 
+/// The ohmic part of the cell, `R_series + R_plug + R_disc(n)`, Ω.
+#[inline]
+fn ohmic_resistance(params: &DeviceParams, n: f64) -> f64 {
+    params.r_series + params.plug_resistance() + params.disc_resistance(n)
+}
+
+/// The cell's small-signal conductance dI/dV, S, where it carries
+/// `current` at disc concentration `n` (10²⁶ m⁻³): `1 / (R_ohm + dV_j/dI)`,
+/// the slope the Newton step of [`solve_operating_point`] takes. Positive
+/// and finite for every finite current.
+pub fn differential_conductance(params: &DeviceParams, n: f64, current: f64) -> f64 {
+    let g_j = params.junction_conductance(n);
+    1.0 / (ohmic_resistance(params, n) + junction_dv_di(current, g_j, params.junction_v0))
+}
+
 /// Most cells one lockstep Newton solve takes, and the width of the lane
 /// kernel's lockstep groups.
 pub const LOCKSTEP: usize = 16;
@@ -120,7 +135,7 @@ impl Newton {
     /// The bracketed start of the solve for a non-zero `v_cell`.
     #[inline]
     fn start(params: &DeviceParams, v_cell: f64, n: f64) -> Newton {
-        let r_ohm = params.r_series + params.plug_resistance() + params.disc_resistance(n);
+        let r_ohm = ohmic_resistance(params, n);
         // Bracket the root: at I = 0, f = −V_cell (same sign as −V); at
         // I = V_cell/R_ohm the ohmic drop alone equals V_cell and the
         // junction adds a same-signed contribution, so f has the sign of V.
@@ -397,6 +412,28 @@ mod tests {
         let mut out = [OperatingPoint::zero(); LOCKSTEP + 1];
         let v = [0.5; LOCKSTEP + 1];
         solve_operating_points::<LOCKSTEP>(&[&p; LOCKSTEP + 1], &v, &v, &mut out);
+    }
+
+    #[test]
+    fn differential_conductance_matches_the_finite_difference() {
+        let p = params();
+        let current = |v: f64, n: f64| solve_operating_point(&p, v, n).current;
+        let dv = 1e-6;
+        for k in 0..=10 {
+            let n = p.n_min + (p.n_max - p.n_min) * f64::from(k) / 10.0;
+            for magnitude in [0.05, 0.1, 0.2, 0.4, 0.525, 0.7, 0.9, 1.05, 1.15, 1.3] {
+                for v in [magnitude, -magnitude] {
+                    let g = differential_conductance(&p, n, current(v, n));
+                    let slope = (current(v + dv, n) - current(v - dv, n)) / (2.0 * dv);
+                    assert!(
+                        (g - slope).abs() <= 1e-6 * slope.abs(),
+                        "n {n} v {v}: {g} vs {slope}"
+                    );
+                }
+            }
+            let g = differential_conductance(&p, n, current(0.0, n));
+            assert!(g > 0.0 && g.is_finite(), "n {n}: {g} at 0 V");
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@ use neurohammer_repro::attack::campaign::{
 };
 use neurohammer_repro::attack::run_attack;
 use neurohammer_repro::crossbar::{
-    BackendKind, CellAddress, CrossbarArray, CrosstalkHub, DetailedCrossbar, HammerBackend,
-    WiringParasitics, WriteScheme,
+    BackendKind, CellAddress, CrossbarArray, CrosstalkHub, DetailedCrossbar, EngineConfig,
+    HammerBackend, WiringParasitics, WriteScheme,
 };
 use neurohammer_repro::jart::{DeviceParams, DigitalState};
 use neurohammer_repro::units::{Ohms, Seconds, Volts};
@@ -305,12 +305,11 @@ fn heavy_line_resistance_makes_the_detailed_engine_slower() {
             CrossbarArray::new(3, 3, DeviceParams::default()),
             parasitics,
             hub(),
-            WriteScheme::HalfVoltage,
-            Seconds(10e-9),
+            EngineConfig::default(),
         );
         xbar.force_state(aggressor, DigitalState::Lrs);
         for _ in 0..10 {
-            xbar.apply_pulse_with_dt(aggressor, Volts(1.05), Seconds(50e-9), Seconds(10e-9));
+            xbar.apply_pulse(aggressor, Volts(1.05), Seconds(50e-9));
         }
         xbar.hub().delta(1, 0).0
     };

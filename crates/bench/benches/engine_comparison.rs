@@ -3,10 +3,7 @@
 //! ablation).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rram_crossbar::{
-    CellAddress, CrossbarArray, CrosstalkHub, DetailedCrossbar, EngineConfig, HammerBackend,
-    PulseEngine, WiringParasitics,
-};
+use rram_crossbar::{BackendKind, CellAddress, CrosstalkHub, EngineConfig, PulseEngine};
 use rram_jart::{DeviceParams, DigitalState};
 use rram_units::{Seconds, Volts};
 
@@ -36,9 +33,10 @@ fn fast_engine_burst() -> f64 {
 }
 
 fn detailed_engine_burst() -> f64 {
-    let mut xbar = DetailedCrossbar::new(
-        CrossbarArray::new(3, 3, DeviceParams::default()),
-        WiringParasitics::default(),
+    let mut xbar = BackendKind::detailed().build(
+        3,
+        3,
+        DeviceParams::default(),
         CrosstalkHub::uniform(3, 3, 0.15, 0.075, 0.0375, Seconds(30e-9)),
         EngineConfig::default(),
     );

@@ -1,9 +1,9 @@
 //! The [`HammerBackend`] abstraction: one interface over every crossbar
 //! simulation engine.
 //!
-//! The workspace ships two engines with different cost/fidelity
-//! trade-offs — the ideal-driver [`crate::engine::PulseEngine`] and the
-//! MNA-backed [`crate::detailed::DetailedCrossbar`] — and the attack layer
+//! The workspace ships one engine, [`crate::engine::PulseEngine`], with two
+//! line stages of different cost and fidelity — ideal drivers, or the
+//! resistive line network of [`crate::detailed`] — and the attack layer
 //! (`neurohammer`) should not care which one it is driving. `HammerBackend`
 //! captures exactly what a hammering campaign needs from an engine: pulse
 //! application, idling, digital and analogue cell read-out, a thermal
@@ -40,7 +40,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::array::CrossbarArray;
 use crate::crosstalk::CrosstalkHub;
-use crate::detailed::{DetailedCrossbar, WiringParasitics};
+use crate::detailed::WiringParasitics;
 use crate::engine::{EngineConfig, PulseEngine};
 use crate::scheme::CellAddress;
 use rram_jart::{DeviceParams, DigitalState, ParamColumns, ParamField};
@@ -64,7 +64,7 @@ pub struct ThermalReadout {
 ///
 /// # Examples
 ///
-/// Code written against the trait runs on either engine:
+/// Code written against the trait runs on any backend:
 ///
 /// ```
 /// use rram_crossbar::{CellAddress, EngineConfig, HammerBackend, PulseEngine};
@@ -83,9 +83,11 @@ pub struct ThermalReadout {
 /// assert!(hammer_once(&mut engine) > 0.0);
 /// ```
 pub trait HammerBackend {
-    /// Short human-readable engine name for diagnostics. Reports and point
-    /// fingerprints use the [`BackendKind`] label instead, which can differ
-    /// (both ideal-driver kinds build a [`PulseEngine`]).
+    /// Short human-readable engine name for diagnostics: `"pulse"` for a
+    /// [`PulseEngine`] with ideal lines, `"detailed"` for one with wired
+    /// lines. Reports and point fingerprints use the [`BackendKind`] label
+    /// instead, which can differ (the `batched` kind builds an ideal
+    /// [`PulseEngine`] too).
     fn label(&self) -> &'static str;
 
     /// Number of array rows.
@@ -227,7 +229,9 @@ pub enum BackendKind {
     Pulse,
     /// The ideal-driver [`PulseEngine`], under the `"batched"` label.
     Batched,
-    /// The MNA-backed [`DetailedCrossbar`] with the given wiring parasitics.
+    /// A [`PulseEngine`] with wired lines: every pulse sub-step solves the
+    /// line network with the given wiring parasitics (see
+    /// [`crate::detailed`]).
     Detailed(WiringParasitics),
 }
 
@@ -300,14 +304,12 @@ impl BackendKind {
         if let Some(table) = table {
             array.set_param_columns(table);
         }
-        match self {
-            BackendKind::Pulse | BackendKind::Batched => {
-                Box::new(PulseEngine::new(array, hub, config))
-            }
+        Box::new(match self {
+            BackendKind::Pulse | BackendKind::Batched => PulseEngine::new(array, hub, config),
             BackendKind::Detailed(parasitics) => {
-                Box::new(DetailedCrossbar::new(array, *parasitics, hub, config))
+                PulseEngine::wired(array, hub, config, *parasitics)
             }
-        }
+        })
     }
 }
 
@@ -372,16 +374,51 @@ mod tests {
         }
     }
 
+    /// Every cell's thermal read-out, the hub ΔT, the clock and the digital
+    /// read-out, as bits.
+    fn bits(backend: &dyn HammerBackend) -> Vec<u64> {
+        let mut words: Vec<u64> = (0..9)
+            .flat_map(|lane| {
+                let readout = backend.thermal_readout(CellAddress::new(lane / 3, lane % 3));
+                [
+                    readout.temperature.0,
+                    readout.crosstalk.0,
+                    readout.normalized_state,
+                ]
+            })
+            .chain(backend.hub().deltas().iter().copied())
+            .chain([backend.elapsed().0])
+            .map(f64::to_bits)
+            .collect();
+        words.extend(backend.read_all().iter().map(|&s| s as u64));
+        words
+    }
+
     #[test]
     fn reset_restores_a_pristine_array() {
-        for mut backend in backends() {
-            let cell = CellAddress::new(0, 1);
+        let cell = CellAddress::new(0, 1);
+        let burst = |backend: &mut dyn HammerBackend| {
             backend.force_state(cell, DigitalState::Lrs);
             backend.apply_pulse(cell, Volts(1.05), 50.0.ns());
+            backend.idle(50.0.ns());
+            backend.apply_pulse(CellAddress::new(2, 2), Volts(-1.3), 50.0.ns());
+            backend.idle(50.0.ns());
+        };
+        for (mut backend, mut fresh) in backends().into_iter().zip(backends()) {
+            burst(backend.as_mut());
             backend.reset();
             assert_eq!(backend.read(cell), DigitalState::Hrs, "{}", backend.label());
             assert_eq!(backend.elapsed().0, 0.0);
             assert!(backend.hub().deltas().iter().all(|&d| d == 0.0));
+            // A reset backend replays a fresh one bit for bit.
+            burst(backend.as_mut());
+            burst(fresh.as_mut());
+            assert_eq!(
+                bits(backend.as_ref()),
+                bits(fresh.as_ref()),
+                "{}",
+                backend.label()
+            );
         }
     }
 
@@ -430,23 +467,6 @@ mod tests {
 
     #[test]
     fn zero_length_pulses_and_idles_change_nothing() {
-        let bits = |backend: &dyn HammerBackend| {
-            let mut words: Vec<u64> = (0..9)
-                .flat_map(|lane| {
-                    let readout = backend.thermal_readout(CellAddress::new(lane / 3, lane % 3));
-                    [
-                        readout.temperature.0,
-                        readout.crosstalk.0,
-                        readout.normalized_state,
-                    ]
-                })
-                .chain(backend.hub().deltas().iter().copied())
-                .chain([backend.elapsed().0])
-                .map(f64::to_bits)
-                .collect();
-            words.extend(backend.read_all().iter().map(|&s| s as u64));
-            words
-        };
         for mut backend in backends() {
             let aggressor = CellAddress::new(1, 1);
             backend.force_state(aggressor, DigitalState::Lrs);

@@ -1,41 +1,33 @@
-//! The detailed crossbar engine: the pulse engine's cells and hub, with the
-//! cell voltages solved from the resistive line network.
+//! The crossbar's resistive word and bit lines: the wired line stage of
+//! the `detailed` backend, and the network the [`crate::sneak`]-path
+//! analysis solves.
 //!
-//! The ideal-driver [`crate::engine::PulseEngine`] takes every cell voltage
-//! straight from the write scheme's line levels. This engine models the
-//! word and bit lines with explicit driver output resistances and segment
-//! resistances between adjacent cells, and solves that network with the
-//! nonlinear cells in it by a damped Newton DC solve. It is the reference
-//! the pulse engine is validated against, and its line network is what the
-//! [`crate::sneak`]-path analysis solves too. It is orders of magnitude
-//! slower than the pulse engine, so hammer campaigns do not use it.
+//! With ideal drivers and lossless lines every cell sees the write
+//! scheme's line levels. [`LineNetwork`] models the lines instead: each
+//! line driver is an ideal source behind an output resistance, and
+//! consecutive crosspoints on a line are joined by a segment resistance
+//! ([`WiringParasitics`]). The cells sit at the crosspoints, so the
+//! voltage across each one comes from a damped Newton DC solve of the whole
+//! network. The network is stamped once, when it is built.
 //!
-//! Both engines hold their cells in a [`CrossbarArray`], couple them
-//! through a [`CrosstalkHub`] and cut a pulse or an idle into the same
-//! sub-steps ([`EngineConfig::substep`]). This engine stamps its line
-//! network once, when it is built; each pulse sub-step
-//!
-//! 1. imports the hub's ΔT into the array;
-//! 2. solves the line network once, by a damped Newton solve that starts
-//!    from the previous sub-step's node voltages, each crosspoint
-//!    linearised around its cell's parameters and disc concentration as
-//!    they stand, with the cell's analytic small-signal conductance;
-//! 3. steps the whole array with [`CrossbarArray::step_lanes`] under the
-//!    solved cell voltages;
-//! 4. updates the hub with [`CrosstalkHub::update_batched`].
-//!
-//! An idle sub-step grounds every source, so every cell voltage is 0 V:
-//! it skips the network and relaxes the array instead of stepping it.
+//! A [`crate::PulseEngine`] built by
+//! [`crate::BackendKind::Detailed`] wires its lines through a
+//! `LineNetwork`. Before every pulse sub-step it solves the network once,
+//! starting from the previous sub-step's node voltages, each crosspoint
+//! linearised around its cell's parameters and disc concentration as they
+//! stand, with the cell's analytic small-signal conductance
+//! ([`rram_jart::current::differential_conductance`]); the solved cell
+//! voltages then go through the engine's usual kernel call and hub update.
+//! An idle grounds every source, so every cell voltage is 0 V and the
+//! engine's relax path needs no solve. The solve is dense and orders of
+//! magnitude slower than the ideal stage, so hammer campaigns use the
+//! ideal one; `tests/engine_agreement.rs` (workspace root) checks the two
+//! agree when line resistance is negligible.
 
 use crate::array::CrossbarArray;
-use crate::backend::{HammerBackend, ThermalReadout};
-use crate::crosstalk::CrosstalkHub;
-use crate::engine::EngineConfig;
-use crate::scheme::CellAddress;
 use rram_circuit::{CircuitError, DenseMatrix};
 use rram_jart::current::{differential_conductance, solve_operating_point};
-use rram_jart::DigitalState;
-use rram_units::{Ohms, Seconds, Volts};
+use rram_units::Ohms;
 
 /// Convergence tolerance of the Newton solve on the largest node-voltage
 /// update, V.
@@ -78,7 +70,7 @@ impl Default for WiringParasitics {
 /// Newton iteration stamps the crosspoints onto a copy, in row-major order.
 /// Each matrix entry so sums the same terms in the same order at every
 /// solve, and that fixes the dense LU's pivoting and the solution's bits.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct LineNetwork {
     rows: usize,
     cols: usize,
@@ -135,8 +127,10 @@ impl LineNetwork {
         bit.copy_from_slice(bit_lines);
     }
 
-    /// Sets every node voltage back to 0 V, where the next solve starts.
+    /// Returns the network to how it was built: every source level and
+    /// every node voltage, where the next solve starts, at 0 V.
     pub(crate) fn clear(&mut self) {
+        self.levels.fill(0.0);
         self.solution.fill(0.0);
     }
 
@@ -182,6 +176,30 @@ impl LineNetwork {
             iterations: MAX_ITERATIONS,
             last_update,
         })
+    }
+
+    /// Solves the network from its present node voltages with the cells of
+    /// `array` at its crosspoints, each linearised around its parameters
+    /// and disc concentration as they stand, and writes every cell's
+    /// voltage into `voltages` (row-major).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the array does not match the network or the solve does
+    /// not converge.
+    pub(crate) fn solve_cells(&mut self, array: &CrossbarArray, voltages: &mut [f64]) {
+        let (columns, bank) = (array.param_columns(), array.bank());
+        self.solve(|lane, v| {
+            let params = columns.lane(lane);
+            let n = bank.concentrations()[lane];
+            let current = solve_operating_point(&params, v, n).current;
+            let g = differential_conductance(&params, n, current);
+            (g, g * v - current)
+        })
+        .expect("crossbar line network must converge");
+        for (lane, v) in voltages.iter_mut().enumerate() {
+            *v = self.cell_voltage(lane);
+        }
     }
 
     /// The voltage across crosspoint `lane` (word line minus bit line) in
@@ -235,184 +253,32 @@ fn stamp(matrix: &mut DenseMatrix, a: usize, b: usize, g: f64) {
     matrix[(b, a)] -= g;
 }
 
-/// The detailed crossbar engine (see the module docs).
-#[derive(Debug)]
-pub struct DetailedCrossbar {
-    array: CrossbarArray,
-    network: LineNetwork,
-    hub: CrosstalkHub,
-    config: EngineConfig,
-    /// Simulated time elapsed, s.
-    elapsed: f64,
-    /// Reused per-cell voltage buffer (row-major).
-    voltages: Vec<f64>,
-}
-
-impl DetailedCrossbar {
-    /// Creates an engine around an existing array and hub, stepping on the
-    /// sub-step plan of a [`crate::PulseEngine`] with the same `config`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the hub dimensions do not match the array, or a wiring
-    /// resistance the network stamps is not positive and finite.
-    pub fn new(
-        array: CrossbarArray,
-        parasitics: WiringParasitics,
-        hub: CrosstalkHub,
-        config: EngineConfig,
-    ) -> Self {
-        assert_eq!(hub.rows(), array.rows(), "hub row mismatch");
-        assert_eq!(hub.cols(), array.cols(), "hub column mismatch");
-        let network = LineNetwork::new(array.rows(), array.cols(), parasitics);
-        let voltages = vec![0.0; array.len()];
-        DetailedCrossbar {
-            array,
-            network,
-            hub,
-            config,
-            elapsed: 0.0,
-            voltages,
-        }
-    }
-
-    /// Solves the line network from its present node voltages, each
-    /// crosspoint linearised around its cell as it stands. Panics if the
-    /// solve does not converge.
-    fn solve(&mut self) {
-        let (columns, bank) = (self.array.param_columns(), self.array.bank());
-        self.network
-            .solve(|lane, v| {
-                let params = columns.lane(lane);
-                let n = bank.concentrations()[lane];
-                let current = solve_operating_point(&params, v, n).current;
-                let g = differential_conductance(&params, n, current);
-                (g, g * v - current)
-            })
-            .expect("crossbar line network must converge");
-    }
-
-    /// Advances the array by `duration` with the line levels of selecting
-    /// `selected` at its amplitude (`None` = every line grounded), on the
-    /// pulse engine's sub-step plan.
-    fn advance(&mut self, selected: Option<(CellAddress, Volts)>, duration: Seconds) {
-        let mut remaining = duration.0;
-        let substep = self.config.substep(selected.is_some());
-        if let Some((address, amplitude)) = selected {
-            let (rows, cols) = (self.array.rows(), self.array.cols());
-            let bias = self.config.scheme.line_bias(rows, cols, address, amplitude);
-            let wl: Vec<f64> = bias.word_lines.iter().map(|v| v.0).collect();
-            let bl: Vec<f64> = bias.bit_lines.iter().map(|v| v.0).collect();
-            self.network.drive(&wl, &bl);
-        }
-        while remaining > 0.0 {
-            let dt = Seconds(remaining.min(substep));
-            self.array.import_crosstalk(self.hub.deltas());
-            if selected.is_some() {
-                self.solve();
-                for (lane, v) in self.voltages.iter_mut().enumerate() {
-                    *v = self.network.cell_voltage(lane);
-                }
-                self.array.step_lanes(&self.voltages, dt);
-            } else {
-                self.array.relax_lanes(dt);
-            }
-            self.hub
-                .update_batched(self.array.temperatures(), self.config.ambient, dt);
-            remaining -= dt.0;
-            self.elapsed += dt.0;
-        }
-    }
-}
-
-impl HammerBackend for DetailedCrossbar {
-    fn label(&self) -> &'static str {
-        "detailed"
-    }
-
-    fn rows(&self) -> usize {
-        self.array.rows()
-    }
-
-    fn cols(&self) -> usize {
-        self.array.cols()
-    }
-
-    fn apply_pulse(&mut self, selected: CellAddress, amplitude: Volts, length: Seconds) {
-        self.advance(Some((selected, amplitude)), length);
-    }
-
-    fn idle(&mut self, duration: Seconds) {
-        self.advance(None, duration);
-    }
-
-    fn read(&self, address: CellAddress) -> DigitalState {
-        self.array.read(address)
-    }
-
-    fn normalized_state(&self, address: CellAddress) -> f64 {
-        self.array.cell(address).normalized_state()
-    }
-
-    fn force_state(&mut self, address: CellAddress, state: DigitalState) {
-        self.array.cell_mut(address).force_state(state);
-    }
-
-    fn force_normalized_state(&mut self, address: CellAddress, normalized: f64) {
-        self.array
-            .cell_mut(address)
-            .force_normalized_state(normalized);
-    }
-
-    fn thermal_readout(&self, address: CellAddress) -> ThermalReadout {
-        self.array.thermal_readout(address)
-    }
-
-    fn hub(&self) -> &CrosstalkHub {
-        &self.hub
-    }
-
-    fn hub_mut(&mut self) -> &mut CrosstalkHub {
-        &mut self.hub
-    }
-
-    fn elapsed(&self) -> Seconds {
-        Seconds(self.elapsed)
-    }
-
-    fn reset(&mut self) {
-        self.array.reset_cells();
-        self.network.clear();
-        self.hub.reset();
-        self.elapsed = 0.0;
-    }
-
-    fn read_all(&self) -> Vec<DigitalState> {
-        self.array.read_all()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rram_jart::DeviceParams;
-    use rram_units::SiExt;
+    use crate::backend::HammerBackend;
+    use crate::crosstalk::CrosstalkHub;
+    use crate::engine::{EngineConfig, PulseEngine};
+    use crate::scheme::CellAddress;
+    use rram_jart::{DeviceParams, DigitalState};
+    use rram_units::{Seconds, SiExt, Volts};
 
+    /// A pulse engine with wired lines on a fresh HRS array.
     fn detailed_with(
         rows: usize,
         cols: usize,
         parasitics: WiringParasitics,
         hub: CrosstalkHub,
-    ) -> DetailedCrossbar {
-        DetailedCrossbar::new(
+    ) -> PulseEngine {
+        PulseEngine::wired(
             CrossbarArray::new(rows, cols, DeviceParams::default()),
-            parasitics,
             hub,
             EngineConfig::default(),
+            parasitics,
         )
     }
 
-    fn detailed(rows: usize, cols: usize) -> DetailedCrossbar {
+    fn detailed(rows: usize, cols: usize) -> PulseEngine {
         let hub = CrosstalkHub::uniform(rows, cols, 0.12, 0.06, 0.03, Seconds(30e-9));
         detailed_with(rows, cols, WiringParasitics::default(), hub)
     }
@@ -557,16 +423,20 @@ mod tests {
 
     #[test]
     fn a_solve_from_its_own_solution_stays_there() {
-        let mut xbar = detailed(3, 3);
-        xbar.force_state(CellAddress::new(1, 1), DigitalState::Lrs);
-        xbar.network
-            .drive(&[0.525, 1.05, 0.525], &[0.525, 0.0, 0.525]);
-        xbar.solve();
-        let solution = xbar.network.solution.clone();
-        xbar.solve();
-        for (again, first) in xbar.network.solution.iter().zip(&solution) {
+        let mut array = CrossbarArray::new(3, 3, DeviceParams::default());
+        array
+            .cell_mut(CellAddress::new(1, 1))
+            .force_state(DigitalState::Lrs);
+        let mut network = LineNetwork::new(3, 3, WiringParasitics::default());
+        network.drive(&[0.525, 1.05, 0.525], &[0.525, 0.0, 0.525]);
+        let mut voltages = vec![0.0; 9];
+        network.solve_cells(&array, &mut voltages);
+        let solution = network.solution.clone();
+        network.solve_cells(&array, &mut voltages);
+        for (again, first) in network.solution.iter().zip(&solution) {
             assert!((again - first).abs() < 1e-9, "{again} vs {first}");
         }
+        assert!(voltages[4] > 0.9 && voltages[4] < 1.05, "{}", voltages[4]);
     }
 
     #[test]

@@ -1,19 +1,32 @@
-//! The ideal-driver pulse engine.
+//! The pulse engine, the one engine behind every backend kind.
 //!
-//! Long hammer campaigns apply 10²–10⁵ identical pulses; simulating each one
-//! through the full MNA solver would dominate the runtime without changing
-//! the outcome, because with ideal line drivers the voltage across every cell
-//! follows directly from the write scheme. This engine exploits that:
+//! A pulse or an idle is cut into sub-steps ([`EngineConfig::substep`]).
+//! Each sub-step imports the hub's ΔT, finds the voltage across every
+//! cell, steps the cells and updates the hub. Only the second part
+//! depends on how the lines are modelled, the engine's *line stage*:
 //!
-//! 1. the write scheme's line biases are stamped **once per pulse** into a
-//!    reused per-cell voltage buffer from two row patterns (a write access
-//!    produces only a selected and an unselected word-line pattern),
-//! 2. one [`rram_jart::kernel::step_lane_ranges`] call per sub-step
+//! - **Ideal** (the `pulse` and `batched` backends). Long hammer campaigns
+//!   apply 10²–10⁵ identical pulses, and with ideal line drivers the
+//!   voltage across every cell follows directly from the write scheme, so
+//!   the scheme's line biases are stamped **once per pulse** into a reused
+//!   per-cell voltage buffer from two row patterns (a write access
+//!   produces only a selected and an unselected word-line pattern).
+//! - **Wired** (the `detailed` backend). The driver and segment
+//!   resistances of [`crate::detailed::WiringParasitics`] load the lines,
+//!   so every pulse sub-step solves the line network with the cells in it
+//!   once, starting from the previous sub-step's node voltages, and fills
+//!   the buffer from the solution (see [`crate::detailed`]). Line
+//!   resistance biases every cell, so a wired pulse keeps every row warm
+//!   (below). An idle grounds every source and needs no solve.
+//!
+//! Either way the rest of the sub-step is the same:
+//!
+//! 1. one [`rram_jart::kernel::step_lane_ranges`] call per sub-step
 //!    integrates the warm and the biased cells (below) over the array's
 //!    [`rram_jart::CellBank`] lanes, optionally split across
 //!    [`EngineConfig::threads`] scoped threads (gaps take the all-grounded
 //!    relax update instead),
-//! 3. the crosstalk hub redistributes the exported filament temperatures
+//! 2. the crosstalk hub redistributes the exported filament temperatures
 //!    through its scatter-based [`CrosstalkHub::update_spans`], which
 //!    costs `O(cells · coupling-support)` instead of the dense gather's
 //!    `O(cells²)` and is bit-identical to it.
@@ -49,13 +62,11 @@
 //! [`PulseEngine::hub_mut`], `force_state`, `force_normalized_state` and
 //! `reset` mark the cells they may touch warm.
 //!
-//! No sub-step allocates. The sub-step length is chosen from the hub's
-//! thermal time constant so the first-order coupling lag is resolved. Both
-//! the `pulse` and the `batched` backend labels build this engine (see
-//! [`crate::BackendKind`]). The `detailed` module provides the line-network
-//! reference engine on the same array and hub; `tests/engine_agreement.rs`
-//! (workspace root) checks the two agree when line resistance is
-//! negligible.
+//! No sub-step of the ideal stage allocates. The sub-step length is chosen
+//! from the hub's thermal time constant so the first-order coupling lag is
+//! resolved. [`crate::BackendKind`] selects the line stage;
+//! `tests/engine_agreement.rs` (workspace root) checks the two stages
+//! agree when line resistance is negligible.
 
 use std::ops::Range;
 
@@ -64,6 +75,7 @@ use serde::{Deserialize, Serialize};
 use crate::array::CrossbarArray;
 use crate::backend::{HammerBackend, ThermalReadout};
 use crate::crosstalk::{hull, nonzero_span, CrosstalkHub};
+use crate::detailed::{LineNetwork, WiringParasitics};
 use crate::scheme::{CellAddress, WriteScheme};
 use rram_jart::thermal::filament_temperature;
 use rram_jart::{DeviceParams, DigitalState, LaneParams};
@@ -77,7 +89,7 @@ fn pulses_integrated() -> &'static std::sync::Arc<rram_telemetry::Counter> {
     HANDLE.get_or_init(|| {
         rram_telemetry::Registry::global().counter(
             "kernel_pulses_total",
-            "Hammer pulses integrated by the ideal-driver engine",
+            "Hammer pulses integrated by the pulse engine",
         )
     })
 }
@@ -100,7 +112,6 @@ pub struct EngineConfig {
     /// 0.44–0.73× after (`threaded_over_batched_speedup_256` in
     /// `BENCH_backends.json`), and the campaign executor already spreads
     /// points over the cores. It is slated for deletion (ROADMAP item 4).
-    /// The detailed engine ignores it.
     pub threads: usize,
 }
 
@@ -149,7 +160,7 @@ pub struct CellSnapshot {
     pub state: f64,
 }
 
-/// The ideal-driver pulse engine: array + hub + scheme, integrated one
+/// The pulse engine: array + hub + scheme + line stage, integrated one
 /// kernel call over the warm and biased cells per sub-step (see the module
 /// docs).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -157,9 +168,12 @@ pub struct PulseEngine {
     array: CrossbarArray,
     hub: CrosstalkHub,
     config: EngineConfig,
+    /// How a pulse finds its cell voltages.
+    lines: LineStage,
     /// Simulated time elapsed, s.
     elapsed: f64,
-    /// Reused per-cell voltage buffer (row-major), filled once per pulse.
+    /// Reused per-cell voltage buffer (row-major), filled once per pulse
+    /// (ideal lines) or once per pulse sub-step (wired lines).
     #[serde(skip)]
     voltages: Vec<f64>,
     /// Reused per-column voltage patterns the buffer is stamped from, for
@@ -171,6 +185,17 @@ pub struct PulseEngine {
     /// The cells each sub-step visits.
     #[serde(skip)]
     warm: WarmSpans,
+}
+
+/// How a [`PulseEngine`] finds the voltage across each cell during a
+/// pulse (see the module docs).
+#[derive(Debug, Clone, PartialEq)]
+enum LineStage {
+    /// Ideal drivers and lossless lines: the scheme's line levels.
+    Ideal,
+    /// Driver and segment resistances: the line network, solved with the
+    /// cells in it before every pulse sub-step.
+    Wired(LineNetwork),
 }
 
 /// The warm spans of a [`PulseEngine`] (see the module docs): per row, a
@@ -262,20 +287,22 @@ impl WarmSpans {
     }
 }
 
-/// Two engines are equal when their array, hub, configuration and clock
-/// agree; the voltage buffer, its patterns and the warm spans are scratch
-/// and excluded.
+/// Two engines are equal when their array, hub, configuration, line stage
+/// (the wired network's last solution included) and clock agree; the
+/// voltage buffer, its patterns and the warm spans are scratch and
+/// excluded.
 impl PartialEq for PulseEngine {
     fn eq(&self, other: &Self) -> bool {
         self.array == other.array
             && self.hub == other.hub
             && self.config == other.config
+            && self.lines == other.lines
             && self.elapsed == other.elapsed
     }
 }
 
 impl PulseEngine {
-    /// Creates an engine around an existing array and hub.
+    /// Creates an engine with ideal lines around an existing array and hub.
     ///
     /// # Panics
     ///
@@ -288,11 +315,31 @@ impl PulseEngine {
             array,
             hub,
             config,
+            lines: LineStage::Ideal,
             elapsed: 0.0,
             voltages: vec![0.0; cells],
             pattern_selected: Vec::new(),
             pattern_unselected: Vec::new(),
             warm: WarmSpans::default(),
+        }
+    }
+
+    /// Creates an engine with wired lines: the `detailed` backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the hub dimensions do not match the array, or a wiring
+    /// resistance is not positive and finite.
+    pub(crate) fn wired(
+        array: CrossbarArray,
+        hub: CrosstalkHub,
+        config: EngineConfig,
+        parasitics: WiringParasitics,
+    ) -> Self {
+        let network = LineNetwork::new(array.rows(), array.cols(), parasitics);
+        PulseEngine {
+            lines: LineStage::Wired(network),
+            ..PulseEngine::new(array, hub, config)
         }
     }
 
@@ -355,11 +402,7 @@ impl PulseEngine {
     fn advance(&mut self, selected: Option<(CellAddress, Volts)>, duration: Seconds) {
         let mut remaining = duration.0;
         let substep = self.config.substep(selected.is_some());
-        let biased = selected.map(|(address, amplitude)| {
-            self.stamp_voltages(address, amplitude);
-            let spans = [&self.pattern_selected, &self.pattern_unselected].map(|p| nonzero_span(p));
-            (address.row, spans)
-        });
+        let biased = selected.map(|(address, amplitude)| self.bias(address, amplitude));
         let (rows, cols, threads) = (self.array.rows(), self.array.cols(), self.threads());
         while remaining > 0.0 {
             let dt = Seconds(remaining.min(substep));
@@ -370,12 +413,15 @@ impl PulseEngine {
             // exported temperatures over their spans dilated by the
             // coupling support, then trim what turned cold. Every transfer
             // borrows the struct-of-arrays lanes directly, so no sub-step
-            // allocates.
+            // of the ideal stage allocates.
             self.warm.activate(rows, cols, biased);
             let ranges = &self.warm.ranges;
             self.array
                 .import_crosstalk_ranges(self.hub.deltas(), ranges);
             if selected.is_some() {
+                if let LineStage::Wired(network) = &mut self.lines {
+                    network.solve_cells(&self.array, &mut self.voltages);
+                }
                 self.array
                     .step_lane_ranges_threaded(&self.voltages, ranges, dt, threads);
             } else {
@@ -391,6 +437,29 @@ impl PulseEngine {
                 .trim(&self.array, self.hub.deltas(), self.config.ambient);
             remaining -= dt.0;
             self.elapsed += dt.0;
+        }
+    }
+
+    /// Sets up a pulse of `amplitude` to `address` and returns the columns
+    /// it biases: `(selected row, [its span, every other row's span])`.
+    /// Ideal lines stamp the voltage buffer once and bias the nonzero
+    /// columns of its two row patterns; wired lines drive the network at
+    /// the scheme's line levels and bias every cell, because line
+    /// resistance leaves no cell at exactly 0 V.
+    fn bias(&mut self, address: CellAddress, amplitude: Volts) -> (usize, [(usize, usize); 2]) {
+        let (rows, cols) = (self.array.rows(), self.array.cols());
+        match &mut self.lines {
+            LineStage::Ideal => {
+                self.stamp_voltages(address, amplitude);
+                let patterns = [&self.pattern_selected, &self.pattern_unselected];
+                (address.row, patterns.map(|p| nonzero_span(p)))
+            }
+            LineStage::Wired(network) => {
+                let bias = self.config.scheme.line_bias(rows, cols, address, amplitude);
+                let levels = |lines: &[Volts]| lines.iter().map(|v| v.0).collect::<Vec<_>>();
+                network.drive(&levels(&bias.word_lines), &levels(&bias.bit_lines));
+                (address.row, [(0, cols); 2])
+            }
         }
     }
 
@@ -479,7 +548,10 @@ impl PulseEngine {
 
 impl HammerBackend for PulseEngine {
     fn label(&self) -> &'static str {
-        "pulse"
+        match self.lines {
+            LineStage::Ideal => "pulse",
+            LineStage::Wired(_) => "detailed",
+        }
     }
 
     fn worker_threads(&self) -> usize {
@@ -545,6 +617,9 @@ impl HammerBackend for PulseEngine {
     fn reset(&mut self) {
         self.array.reset_cells();
         self.hub.reset();
+        if let LineStage::Wired(network) = &mut self.lines {
+            network.clear();
+        }
         self.elapsed = 0.0;
         self.warm.fill();
     }
@@ -788,6 +863,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn reset_returns_the_wired_network_to_0_v() {
+        let fresh = PulseEngine::wired(
+            CrossbarArray::new(3, 3, DeviceParams::default()),
+            CrosstalkHub::two_ring(3, 3, 0.15, Seconds(30e-9)),
+            EngineConfig::default(),
+            WiringParasitics::default(),
+        );
+        let mut engine = fresh.clone();
+        let aggressor = CellAddress::new(1, 1);
+        engine.force_state(aggressor, DigitalState::Lrs);
+        engine.apply_pulse(aggressor, Volts(1.05), 50.0.ns());
+        engine.idle(50.0.ns());
+        // The source levels, and the node voltages the next solve starts
+        // from.
+        assert!(engine.lines != fresh.lines);
+        engine.reset();
+        assert!(engine.lines == fresh.lines);
     }
 
     #[test]

@@ -14,17 +14,17 @@
 //!   filament temperatures between cells using the α coefficients extracted
 //!   by `rram-fem` (Eq. 5).
 //!
-//! Two simulation engines drive the array: the ideal-driver
-//! [`engine::PulseEngine`], which integrates every cell in one kernel call
-//! per sub-step and couples them through the scatter-based crosstalk hub
-//! (the engine of every hammer campaign), and the
-//! [`detailed::DetailedCrossbar`], which steps the same array and hub with
-//! cell voltages solved from the resistive line network, wiring
-//! parasitics included; the [`sneak`]-path analysis solves that network
-//! too. Both implement the
-//! [`backend::HammerBackend`] trait, so the attack layer, the campaign
-//! runner and the cross-engine agreement tests drive them interchangeably;
-//! [`backend::BackendKind`] selects one declaratively at runtime.
+//! One simulation engine drives the array: [`engine::PulseEngine`], which
+//! integrates the cells in one kernel call per sub-step and couples them
+//! through the scatter-based crosstalk hub. Its line stage decides where
+//! the cell voltages come from: the write scheme's line levels with ideal
+//! drivers (the engine of every hammer campaign), or the resistive line
+//! network of [`detailed`], wiring parasitics included, solved at every
+//! pulse sub-step; the [`sneak`]-path analysis solves that network too.
+//! The engine implements the [`backend::HammerBackend`] trait, so the
+//! attack layer, the campaign runner and the cross-stage agreement tests
+//! drive every kind the same way; [`backend::BackendKind`] selects one
+//! declaratively at runtime.
 //!
 //! # Examples
 //!
@@ -62,7 +62,7 @@ pub use array::CrossbarArray;
 pub use backend::{BackendKind, HammerBackend, ThermalReadout};
 pub use controller::{ControllerReport, InitState, MemoryController, Operation, Stimulus};
 pub use crosstalk::CrosstalkHub;
-pub use detailed::{DetailedCrossbar, WiringParasitics};
+pub use detailed::WiringParasitics;
 pub use engine::{CellSnapshot, EngineConfig, PulseEngine};
 pub use scheme::{CellAddress, LineBias, WriteScheme};
 pub use sneak::{analyze_read, read_margin, ReadAnalysis, ReadBias, ReadMarginReport};

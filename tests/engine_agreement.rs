@@ -12,8 +12,7 @@ use neurohammer_repro::attack::campaign::{
 };
 use neurohammer_repro::attack::run_attack;
 use neurohammer_repro::crossbar::{
-    BackendKind, CellAddress, CrossbarArray, CrosstalkHub, DetailedCrossbar, EngineConfig,
-    HammerBackend, WiringParasitics, WriteScheme,
+    BackendKind, CellAddress, CrosstalkHub, EngineConfig, WiringParasitics, WriteScheme,
 };
 use neurohammer_repro::jart::{DeviceParams, DigitalState};
 use neurohammer_repro::units::{Ohms, Seconds, Volts};
@@ -301,9 +300,10 @@ fn heavy_line_resistance_makes_the_detailed_engine_slower() {
     let aggressor = CellAddress::new(1, 1);
     let hub = || CrosstalkHub::uniform(3, 3, 0.15, 0.075, 0.0375, Seconds(30e-9));
     let run = |parasitics: WiringParasitics| {
-        let mut xbar = DetailedCrossbar::new(
-            CrossbarArray::new(3, 3, DeviceParams::default()),
-            parasitics,
+        let mut xbar = BackendKind::Detailed(parasitics).build(
+            3,
+            3,
+            DeviceParams::default(),
             hub(),
             EngineConfig::default(),
         );

@@ -20,8 +20,8 @@ use std::path::PathBuf;
 use neurohammer_repro::attack::campaign::{read_checkpoint, CampaignExecutor, CampaignSpec};
 use neurohammer_repro::attack::{ablation_report, run_attack, AttackConfig};
 use neurohammer_repro::crossbar::{
-    analyze_read, read_margin, BackendKind, CellAddress, CrossbarArray, CrosstalkHub,
-    DetailedCrossbar, EngineConfig, HammerBackend, ReadBias, WiringParasitics, WriteScheme,
+    analyze_read, read_margin, BackendKind, CellAddress, CrossbarArray, CrosstalkHub, EngineConfig,
+    HammerBackend, ReadBias, WiringParasitics, WriteScheme,
 };
 use neurohammer_repro::jart::{DeviceParams, DigitalState, ParamColumns};
 use neurohammer_repro::units::{Kelvin, Seconds, Volts};
@@ -283,7 +283,7 @@ fn detailed_words<B: HammerBackend + ?Sized>(engine: &B) -> Vec<u64> {
 /// parameter table through `build_heterogeneous`, 4 ns sub-steps (a 35 ns
 /// pulse takes eight and a 3 ns one), the V/3 scheme at 330 K, 7 ns and
 /// 17 ns idles (one sub-step each), a forced analogue state and a −1.3 V
-/// pulse; then a concrete engine built from the same table runs the same
+/// pulse; then a second engine built from the same table runs the same
 /// sequence at 3 ns sub-steps. The digest over both engines' bits was
 /// recorded once.
 #[test]
@@ -319,18 +319,22 @@ fn detailed_engine_digest_is_pinned() {
         config.clone(),
     );
     drive_detailed(boxed.as_mut());
-
-    let mut array = CrossbarArray::new(rows, cols, nominal);
-    array.set_params_table(table);
     let config = EngineConfig {
         max_substep: Seconds(3e-9),
         ..config
     };
-    let mut concrete = DetailedCrossbar::new(array, WiringParasitics::default(), hub(), config);
-    drive_detailed(&mut concrete);
+    let mut finer = BackendKind::detailed().build_heterogeneous(
+        rows,
+        cols,
+        DeviceParams::default(),
+        Some(ParamColumns::compact(nominal, &table)),
+        hub(),
+        config,
+    );
+    drive_detailed(finer.as_mut());
 
     let mut words = detailed_words(boxed.as_ref());
-    words.extend(detailed_words(&concrete));
+    words.extend(detailed_words(finer.as_ref()));
     let digest = fnv1a(words);
     assert_eq!(digest, 0x7bd2_4b83_4ecd_682b, "digest {digest:#018x}");
 }

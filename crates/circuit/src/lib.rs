@@ -6,16 +6,17 @@
 //! memristive crossbar and solves for the voltage every cell actually sees
 //! once the word and bit lines, their drivers and the nonlinear cells load
 //! each other. The crossbar crate's line network stamps that
-//! modified-nodal system and runs its damped Newton DC solve; the detailed
-//! engine solves it at every time step, and the sneak-path analysis with
-//! each cell's read resistance. This crate holds what that solve uses:
+//! modified-nodal system and runs its damped Newton DC solve; the pulse
+//! engine's wired line stage (the `detailed` backend) solves it before
+//! every pulse sub-step, and the sneak-path analysis with each cell's read
+//! resistance. This crate holds what that solve uses:
 //!
 //! * [`dense`] — the dense LU solver of each Newton iteration;
 //! * [`CircuitError`] — why a solve failed.
 //!
-//! The ideal-driver pulse engine used for long hammering campaigns bypasses
-//! the matrix solve and is validated against the detailed engine in
-//! integration tests.
+//! The ideal line stage used for long hammering campaigns bypasses the
+//! matrix solve and is validated against the wired one in integration
+//! tests.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

@@ -531,6 +531,13 @@ pub const MAX_GRID_POINTS: usize = 1 << 20;
 /// The largest array the figures and benchmarks run is 1024².
 pub const MAX_ARRAY_CELLS: usize = 1 << 22;
 
+/// Most cells [`CampaignSpec::validate`] accepts in one array of a grid
+/// that runs the `detailed` backend. Its line network is a dense matrix of
+/// (2·rows·cols + 2·(rows + cols))² doubles, held three times during a
+/// solve: at most 227 MB at this cap (a 2×512 array), where 64×64 would
+/// take 3 × 571 MB and 1024² 35 TB per copy.
+pub const MAX_DETAILED_CELLS: usize = 1024;
+
 /// Key identifying one resolved coupling matrix: rows, cols and the spacing
 /// bit pattern (exact f64 identity is what we want for de-duplication).
 type CouplingKey = (usize, usize, u64);
@@ -548,10 +555,12 @@ impl CampaignSpec {
 
     /// Checks the grid is well formed: no axis is empty, every axis value
     /// is in range, the grid has at most [`MAX_GRID_POINTS`] points and no
-    /// array more than [`MAX_ARRAY_CELLS`] cells. A uniform coupling's
-    /// `nearest` α must lie in `[0, 1]` (α is a ratio of temperature rises,
-    /// Eq. 4; 0 switches the coupling off), and every field problem a FEM
-    /// coupling would solve must be a valid [`CrossbarGeometry`].
+    /// array more than [`MAX_ARRAY_CELLS`] cells, or more than
+    /// [`MAX_DETAILED_CELLS`] if the grid runs the `detailed` backend. A
+    /// uniform coupling's `nearest` α must lie in `[0, 1]` (α is a ratio of
+    /// temperature rises, Eq. 4; 0 switches the coupling off), and every
+    /// field problem a FEM coupling would solve must be a valid
+    /// [`CrossbarGeometry`].
     ///
     /// # Errors
     ///
@@ -561,6 +570,18 @@ impl CampaignSpec {
         let grid_fits = self.num_points() <= MAX_GRID_POINTS;
         let bound = format!("must have at most {MAX_GRID_POINTS} points");
         require("the grid", grid_fits, &bound)?;
+        let wired = self
+            .backends
+            .iter()
+            .any(|b| matches!(b, BackendKind::Detailed(_)));
+        for &(rows, cols) in &self.array_sizes {
+            let fits = !wired || rows.saturating_mul(cols) <= MAX_DETAILED_CELLS;
+            let rule = format!(
+                "must have at most {MAX_DETAILED_CELLS} cells per array on the detailed backend, \
+                 got {rows}x{cols}"
+            );
+            require("array_sizes", fits, &rule)?;
+        }
         require("max_pulses", self.max_pulses > 0, "must be at least 1")?;
         let benign = self.benign_writes > 0;
         require("benign_writes", benign, "must be at least 1")?;
@@ -1404,6 +1425,27 @@ mod tests {
                 Err(CampaignError::InvalidValue(_))
             ));
         }
+
+        // A detailed backend on an array whose line network would not fit
+        // in memory, built directly or read from JSON; any other backend
+        // may run it.
+        let mut spec = tiny_spec();
+        spec.backends = vec![BackendKind::Pulse, BackendKind::detailed()];
+        spec.array_sizes = vec![(32, 32)];
+        assert!(spec.validate().is_ok());
+        spec.array_sizes = vec![(32, 32), (32, 33)];
+        let rule = "array_sizes must have at most 1024 cells per array on the detailed backend, \
+                    got 32x33";
+        assert!(matches!(
+            spec.validate(),
+            Err(CampaignError::InvalidValue(e)) if e == rule
+        ));
+        assert!(matches!(
+            CampaignSpec::from_json(&spec.to_json()),
+            Err(CampaignError::InvalidValue(e)) if e == rule
+        ));
+        spec.backends = vec![BackendKind::Pulse];
+        assert!(spec.validate().is_ok());
     }
 
     #[test]

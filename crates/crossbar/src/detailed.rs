@@ -1,28 +1,20 @@
 //! The crossbar's resistive word and bit lines: the wired line stage of
-//! the `detailed` backend, and the network the [`crate::sneak`]-path
-//! analysis solves.
+//! the `detailed` backend, and what the [`crate::sneak`]-path analysis
+//! solves.
 //!
-//! With ideal drivers and lossless lines every cell sees the write
-//! scheme's line levels. [`LineNetwork`] models the lines instead: each
-//! line driver is an ideal source behind an output resistance, and
-//! consecutive crosspoints on a line are joined by a segment resistance
-//! ([`WiringParasitics`]). The cells sit at the crosspoints, so the
-//! voltage across each one comes from a damped Newton DC solve of the whole
-//! network. The network is stamped once, when it is built.
-//!
-//! A [`crate::PulseEngine`] built by
-//! [`crate::BackendKind::Detailed`] wires its lines through a
-//! `LineNetwork`. Before every pulse sub-step it solves the network once,
-//! starting from the previous sub-step's node voltages, each crosspoint
-//! linearised around its cell's parameters and disc concentration as they
-//! stand, with the cell's analytic small-signal conductance
-//! ([`rram_jart::current::differential_conductance`]); the solved cell
-//! voltages then go through the engine's usual kernel call and hub update.
-//! An idle grounds every source, so every cell voltage is 0 V and the
-//! engine's relax path needs no solve. The solve is dense and orders of
-//! magnitude slower than the ideal stage, so hammer campaigns use the
-//! ideal one; `tests/engine_agreement.rs` (workspace root) checks the two
-//! agree when line resistance is negligible.
+//! The line network drives each line through an ideal source behind an
+//! output resistance and joins consecutive crosspoints on a line by a
+//! segment resistance ([`WiringParasitics`]); it is stamped once, when it
+//! is built. The cells sit at the crosspoints, so the voltage across each
+//! comes from a damped Newton DC solve of the whole network. A
+//! [`crate::PulseEngine`] with wired lines runs one solve before every
+//! pulse sub-step, from the previous sub-step's node voltages, each
+//! crosspoint linearised around its cell as it stands with the cell's
+//! analytic small-signal conductance
+//! ([`rram_jart::current::differential_conductance`]). The dense solve is
+//! orders of magnitude slower than ideal lines, so hammer campaigns use
+//! those; `tests/engine_agreement.rs` (workspace root) checks the two agree
+//! when line resistance is negligible.
 
 use crate::array::CrossbarArray;
 use rram_circuit::{CircuitError, DenseMatrix};

@@ -1,25 +1,16 @@
 //! The pulse engine, the one engine behind every backend kind.
 //!
-//! A pulse or an idle is cut into sub-steps ([`EngineConfig::substep`]).
-//! Each sub-step imports the hub's ΔT, finds the voltage across every
-//! cell, steps the cells and updates the hub. Only the second part
-//! depends on how the lines are modelled, the engine's *line stage*:
-//!
-//! - **Ideal** (the `pulse` and `batched` backends). Long hammer campaigns
-//!   apply 10²–10⁵ identical pulses, and with ideal line drivers the
-//!   voltage across every cell follows directly from the write scheme, so
-//!   the scheme's line biases are stamped **once per pulse** into a reused
-//!   per-cell voltage buffer from two row patterns (a write access
-//!   produces only a selected and an unselected word-line pattern).
-//! - **Wired** (the `detailed` backend). The driver and segment
-//!   resistances of [`crate::detailed::WiringParasitics`] load the lines,
-//!   so every pulse sub-step solves the line network with the cells in it
-//!   once, starting from the previous sub-step's node voltages, and fills
-//!   the buffer from the solution (see [`crate::detailed`]). Line
-//!   resistance biases every cell, so a wired pulse keeps every row warm
-//!   (below). An idle grounds every source and needs no solve.
-//!
-//! Either way the rest of the sub-step is the same:
+//! Each sub-step of a pulse or an idle ([`EngineConfig::substep`]) imports
+//! the hub's ΔT, finds the voltage across every cell, steps the cells and
+//! updates the hub. The engine's *line stage* finds the voltages. Ideal
+//! lines (the `pulse` and `batched` backends) stamp the write scheme's line
+//! biases **once per pulse** into a reused per-cell voltage buffer from two
+//! row patterns, since a write access produces only a selected and an
+//! unselected word-line pattern; long hammer campaigns apply 10²–10⁵
+//! identical pulses. Wired lines (the `detailed` backend) solve the
+//! [`crate::detailed`] line network before every pulse sub-step, and mark
+//! every row warm (below), because line resistance biases every cell. An
+//! idle grounds every line, so neither stage has anything to find. Then
 //!
 //! 1. one [`rram_jart::kernel::step_lane_ranges`] call per sub-step
 //!    integrates the warm and the biased cells (below) over the array's
@@ -172,8 +163,8 @@ pub struct PulseEngine {
     lines: LineStage,
     /// Simulated time elapsed, s.
     elapsed: f64,
-    /// Reused per-cell voltage buffer (row-major), filled once per pulse
-    /// (ideal lines) or once per pulse sub-step (wired lines).
+    /// Reused per-cell voltage buffer (row-major), filled once per pulse or,
+    /// with wired lines, once per pulse sub-step.
     #[serde(skip)]
     voltages: Vec<f64>,
     /// Reused per-column voltage patterns the buffer is stamped from, for
@@ -187,14 +178,12 @@ pub struct PulseEngine {
     warm: WarmSpans,
 }
 
-/// How a [`PulseEngine`] finds the voltage across each cell during a
-/// pulse (see the module docs).
+/// How a [`PulseEngine`] finds its cell voltages (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 enum LineStage {
-    /// Ideal drivers and lossless lines: the scheme's line levels.
+    /// The scheme's line levels, with ideal drivers and lossless lines.
     Ideal,
-    /// Driver and segment resistances: the line network, solved with the
-    /// cells in it before every pulse sub-step.
+    /// The line network, solved before every pulse sub-step.
     Wired(LineNetwork),
 }
 
@@ -288,9 +277,8 @@ impl WarmSpans {
 }
 
 /// Two engines are equal when their array, hub, configuration, line stage
-/// (the wired network's last solution included) and clock agree; the
-/// voltage buffer, its patterns and the warm spans are scratch and
-/// excluded.
+/// and clock agree; the voltage buffer, its patterns and the warm spans
+/// are scratch and excluded.
 impl PartialEq for PulseEngine {
     fn eq(&self, other: &Self) -> bool {
         self.array == other.array
@@ -324,12 +312,9 @@ impl PulseEngine {
         }
     }
 
-    /// Creates an engine with wired lines: the `detailed` backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the hub dimensions do not match the array, or a wiring
-    /// resistance is not positive and finite.
+    /// Creates an engine with wired lines (the `detailed` backend). Panics
+    /// like [`PulseEngine::new`], or on a wiring resistance the network
+    /// cannot stamp.
     pub(crate) fn wired(
         array: CrossbarArray,
         hub: CrosstalkHub,
@@ -440,12 +425,9 @@ impl PulseEngine {
         }
     }
 
-    /// Sets up a pulse of `amplitude` to `address` and returns the columns
-    /// it biases: `(selected row, [its span, every other row's span])`.
-    /// Ideal lines stamp the voltage buffer once and bias the nonzero
-    /// columns of its two row patterns; wired lines drive the network at
-    /// the scheme's line levels and bias every cell, because line
-    /// resistance leaves no cell at exactly 0 V.
+    /// Sets up the line stage for a pulse of `amplitude` to `address` and
+    /// returns the columns it biases: `(selected row, [its span, every
+    /// other row's span])`, every column with wired lines.
     fn bias(&mut self, address: CellAddress, amplitude: Volts) -> (usize, [(usize, usize); 2]) {
         let (rows, cols) = (self.array.rows(), self.array.cols());
         match &mut self.lines {

@@ -170,6 +170,11 @@ fn job_crud_lifecycle_over_http() {
     let zero_parasitics = r#"{"spec": {"backends": [{"kind": "detailed", "driver_ohms": 0}]}}"#;
     let (status, body) = http::call(&addr, "POST", "/jobs", Some(zero_parasitics)).unwrap();
     assert_eq!(status, 400, "{body}");
+    // So is a detailed array whose line network would not fit in memory.
+    let oversized = r#"{"spec": {"backends": ["detailed"], "array_sizes": [[64, 64]]}}"#;
+    let (status, body) = http::call(&addr, "POST", "/jobs", Some(oversized)).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("at most 1024 cells"), "{body}");
 
     let body = format!("{{\"shards\": 4, \"spec\": {}}}", grid().to_json());
     let (status, created) = http::call(&addr, "POST", "/jobs", Some(&body)).unwrap();

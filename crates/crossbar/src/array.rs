@@ -239,12 +239,15 @@ impl CrossbarArray {
     }
 
     /// Returns every cell to the HRS at ambient with no imported crosstalk,
-    /// under its own parameters — an engine's reset.
+    /// under its own parameters, and clears its stress time and conduction
+    /// charge — an engine's reset, after which the array equals a fresh
+    /// one.
     pub(crate) fn reset_cells(&mut self) {
         self.for_each_cell_mut(|_, mut cell| {
             cell.force_state(DigitalState::Hrs);
             cell.set_crosstalk_delta(Kelvin(0.0));
         });
+        self.bank.clear_diagnostics();
     }
 
     /// Exported filament temperatures of all cells, row-major (the hub's

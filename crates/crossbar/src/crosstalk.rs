@@ -29,6 +29,19 @@
 //! those spans dilated by the coupling support and reports the dilated
 //! spans back. [`CrosstalkHub::update_batched`] is the case where every
 //! span is the whole row.
+//!
+//! The span update is a stencil over a *rise plane*: the clamped
+//! self-heating rise of every cell, row-major, with zero columns padded on
+//! both sides by the support's column reach and on the right by one
+//! block less a cell. The plane holds `+0.0` everywhere except inside each
+//! row's nonzero span; each update clears the previous span before writing
+//! the new rises, so the invariant holds between updates, after
+//! [`CrosstalkHub::reset`] and in a clone. Each destination row is then
+//! computed in blocks of eight cells: the block's targets accumulate in
+//! registers over every coupling tap, in descending-offset order, reading
+//! the padded plane without clipping. A row offset's taps run over every
+//! column offset between its smallest and largest, with a zero
+//! coefficient where the support has a hole.
 
 use serde::{Deserialize, Serialize};
 
@@ -46,37 +59,83 @@ pub struct CrosstalkHub {
     /// Current ΔT state per cell, K.
     state: Vec<f64>,
     /// Nonzero coupling offsets `(Δrow, Δcol, α)` excluding the self offset,
-    /// precomputed from the α matrix for the batched update. Sorted
-    /// *descending* by offset: the offset-major axpy then accumulates each
-    /// destination's contributions in ascending-source order, i.e. in the
-    /// exact order a source-major scatter (or the gather loop, per
-    /// destination) adds them.
+    /// precomputed from the α matrix. Sorted *descending* by offset:
+    /// accumulating the taps in this order adds each destination's
+    /// contributions in ascending-source order, i.e. in the exact order a
+    /// source-major scatter (or the gather loop, per destination) adds
+    /// them.
     support: Vec<(isize, isize, f64)>,
-    /// The column offsets the support reaches per row offset,
-    /// `(Δrow, min Δcol, max Δcol)`: dilating a source row's hot columns by
-    /// them gives the destination columns a span update must visit.
-    reach: Vec<(isize, isize, isize)>,
-    /// Reused scratch, so updates never allocate: the gather's snapshot of
-    /// the previous state, and the span update's one-row target
-    /// accumulator (its first `cols` entries).
+    /// The support's row offsets, descending (see [`TapRow`]).
+    tap_rows: Vec<TapRow>,
+    /// The stencil's coefficients: per row offset, α at every column
+    /// offset from its largest down to its smallest — the support's order
+    /// — and `0.0` where the support has a hole (the self offset among
+    /// them).
+    taps: Vec<f64>,
+    /// Reused snapshot of the previous state for the gather, so updates
+    /// never allocate.
     scratch: Vec<f64>,
-    /// Reused buffer of clamped per-source self-heating rises for the
-    /// span update (exactly `0.0` where a source contributes nothing).
-    rise: Vec<f64>,
-    /// Reused per-row `[lo, hi)` nonzero column span of `rise`. Crosstalk
-    /// is local, so most rows are hot only near the biased lines; clipping
-    /// the accumulation to the span skips adds of `α · 0.0` terms, which
+    /// The rise plane of the span update: per row, `left` zero columns,
+    /// the clamped self-heating rise of each cell (exactly `0.0` where a
+    /// source contributes nothing), then zero columns up to `stride`. It
+    /// is `+0.0` outside each row's `span`.
+    plane: Vec<f64>,
+    /// Zero columns left of each plane row: the support's largest Δcol.
+    left: usize,
+    /// Length of one plane row: `left`, the row's cells, then the
+    /// support's largest −Δcol and one block less a cell.
+    stride: usize,
+    /// Per-row `[lo, hi)` nonzero column span of the plane. Crosstalk is
+    /// local, so most rows are hot only near the biased lines; skipping the
+    /// taps that read only outside it skips adds of `α · 0.0` terms, which
     /// are bit-neutral (the accumulator is never `-0.0` — see
-    /// [`CrosstalkHub::update_spans`]).
+    /// [`CrosstalkHub::update_spans`]). The previous update's spans tell
+    /// the next one which plane entries to clear.
     span: Vec<(usize, usize)>,
+    /// Reused per-row-offset scratch of the span update: where each row
+    /// offset's taps read for the destination row at hand.
+    sources: Vec<Source>,
+    /// The last [`BLENDS`] `(dt bits, blend factor)` pairs, and the slot
+    /// the next new one replaces; the bits of a NaN `dt`, which no update
+    /// takes, mark a slot empty.
+    blends: [(u64, f64); BLENDS],
+    next_blend: usize,
     /// Every row's whole span: the span table of
     /// [`CrosstalkHub::update_batched`] (the dilation of a whole row is the
     /// whole row, so the update leaves it as it is).
     whole: Vec<(usize, usize)>,
 }
 
+/// Width of a destination block of the span update's stencil.
+const BLOCK: usize = 8;
+
+/// Blend factors the hub keeps: a hammer loop's sub-steps take four
+/// lengths at most — a pulse's full sub-step and its remainder, an idle's
+/// and its remainder.
+const BLENDS: usize = 4;
+
+/// The coupling taps of one row offset: their column offsets lie in
+/// `[d_col_min, d_col_max]`, and `taps[first..]` holds one coefficient per
+/// column offset of that range, descending. Dilating a source row's
+/// nonzero span by the range gives the destination columns the taps reach.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct TapRow {
+    d_row: isize,
+    d_col_min: isize,
+    d_col_max: isize,
+    first: usize,
+}
+
+impl TapRow {
+    /// Number of column offsets in the row offset's range.
+    fn width(&self) -> usize {
+        (self.d_col_max - self.d_col_min) as usize + 1
+    }
+}
+
 /// Two hubs are equal when their coupling physics and state agree; the
-/// derived `support` table and the `scratch`/`rise` buffers are excluded.
+/// derived tap tables, the blend factors and the `scratch`/`plane` buffers
+/// are excluded.
 impl PartialEq for CrosstalkHub {
     fn eq(&self, other: &Self) -> bool {
         self.rows == other.rows
@@ -113,13 +172,36 @@ impl CrosstalkHub {
             .collect();
         // Descending offset order — see the field's invariant note.
         support.sort_by_key(|&(d_row, d_col, _)| std::cmp::Reverse((d_row, d_col)));
-        let mut reach: Vec<(isize, isize, isize)> = Vec::new();
+        let mut tap_rows: Vec<TapRow> = Vec::new();
         for &(d_row, d_col, _) in &support {
-            match reach.iter_mut().find(|(row, ..)| *row == d_row) {
-                Some((_, lo, hi)) => (*lo, *hi) = ((*lo).min(d_col), (*hi).max(d_col)),
-                None => reach.push((d_row, d_col, d_col)),
+            match tap_rows.last_mut() {
+                Some(taps) if taps.d_row == d_row => {
+                    taps.d_col_min = taps.d_col_min.min(d_col);
+                    taps.d_col_max = taps.d_col_max.max(d_col);
+                }
+                _ => tap_rows.push(TapRow {
+                    d_row,
+                    d_col_min: d_col,
+                    d_col_max: d_col,
+                    first: 0,
+                }),
             }
         }
+        let mut taps = Vec::new();
+        for row in &mut tap_rows {
+            row.first = taps.len();
+            taps.resize(row.first + row.width(), 0.0);
+            for &(_, d_col, alpha) in support.iter().filter(|tap| tap.0 == row.d_row) {
+                taps[row.first + (row.d_col_max - d_col) as usize] = alpha;
+            }
+        }
+        let sources = vec![Source::COLD; tap_rows.len()];
+        // The plane's zero columns: the support's reach to either side.
+        let pad = |side: fn(&(isize, isize, f64)) -> isize| {
+            support.iter().map(side).max().unwrap_or(0).max(0) as usize
+        };
+        let left = pad(|&(_, d_col, _)| d_col);
+        let stride = left + cols + pad(|&(_, d_col, _)| -d_col) + BLOCK - 1;
         CrosstalkHub {
             rows,
             cols,
@@ -127,10 +209,16 @@ impl CrosstalkHub {
             tau: tau.0,
             state: vec![0.0; rows * cols],
             support,
-            reach,
+            tap_rows,
+            taps,
             scratch: vec![0.0; rows * cols],
-            rise: vec![0.0; rows * cols],
+            plane: vec![0.0; rows * stride],
+            left,
+            stride,
             span: vec![(0, 0); rows],
+            sources,
+            blends: [(f64::NAN.to_bits(), f64::NAN); BLENDS],
+            next_blend: 0,
             whole: vec![(0, cols); rows],
         }
     }
@@ -292,13 +380,23 @@ impl CrosstalkHub {
         }
     }
 
-    /// Exact first-order-lag blend factor for a piecewise-constant target.
-    fn blend(&self, dt: Seconds) -> f64 {
-        if self.tau == 0.0 {
+    /// Exact first-order-lag blend factor for a piecewise-constant target,
+    /// looked up by the bits of `dt` among the last [`BLENDS`] ones: an
+    /// engine's sub-steps repeat a handful of lengths, and the exponential
+    /// costs a sizeable share of a small array's span update.
+    fn blend(&mut self, dt: Seconds) -> f64 {
+        let key = dt.0.to_bits();
+        if let Some(&(_, blend)) = self.blends.iter().find(|&&(bits, _)| bits == key) {
+            return blend;
+        }
+        let blend = if self.tau == 0.0 {
             1.0
         } else {
             1.0 - (-dt.0 / self.tau).exp()
-        }
+        };
+        self.blends[self.next_blend] = (key, blend);
+        self.next_blend = (self.next_blend + 1) % BLENDS;
+        blend
     }
 
     /// Advances the hub by `dt` like [`CrosstalkHub::update`]:
@@ -323,30 +421,40 @@ impl CrosstalkHub {
     /// positive); such a cell contributes no term to any target, and its
     /// own target is `+0.0` unless a source within the coupling support has
     /// a rise. So the update visits each row's own span together with the
-    /// hot columns of the rows around it dilated by the support
-    /// (`reach`), and leaves every other cell at `+0.0`, which is exactly
-    /// where the whole-array update puts it. The state is updated in place,
-    /// never swapped with a stale buffer, so a cell the update skips keeps
-    /// its own value.
+    /// hot columns of the rows around it dilated by the support, and leaves
+    /// every other cell at `+0.0`, which is exactly where the whole-array
+    /// update puts it. The state is updated in place, never swapped with a
+    /// stale buffer, so a cell the update skips keeps its own value.
     ///
-    /// The targets are computed by accumulating each coupling *offset*'s
-    /// contribution as one strided axpy (`acc[dst..] += α · rise[src..]`,
-    /// row by row) instead of gathering over every source per destination.
-    /// For the compact synthetic/extracted α profiles a hammer campaign uses
-    /// (a handful of coupled rings), this turns the per-sub-step cost from
-    /// `O((rows·cols)²)` into `O(rows·cols · support)`, and the
-    /// offset-major loop walks the buffers contiguously with the boundary
-    /// clipping hoisted out of the inner loop. When the support is as dense
-    /// as the array itself the method falls back to the gather loop over
-    /// every cell and reports every span as the whole row.
+    /// The update first writes the clamped rises over the spans into the
+    /// rise plane (see the module docs), after clearing each row's previous
+    /// nonzero span, so the plane is `+0.0` outside the new nonzero spans.
+    /// It then computes each destination row's targets as a stencil over
+    /// the plane. The cells no tap reaches from a hot source have target
+    /// `+0.0`; the others are taken a block of eight at a time: the block's
+    /// accumulators take `α · plane[src]` for every tap, in descending
+    /// offset order, then blend into the state. The plane's zero padding
+    /// stands in for the sources beyond the array edges, so no tap is
+    /// clipped, and a row offset whose source row holds no rise within
+    /// reach of the block adds only zeros and is skipped. For the compact
+    /// synthetic/extracted α profiles a hammer campaign uses (a handful of
+    /// coupled rings), this costs `O(rows·cols · support)` per sub-step
+    /// instead of the gather's `O((rows·cols)²)`. When the support is as
+    /// dense as the array itself the method falls back to the gather loop
+    /// over every cell and reports every span as the whole row.
     ///
-    /// For finite temperatures the result is **bit-identical** to
-    /// [`CrosstalkHub::update`] (tests pin this). The descending offset
-    /// order of `support` makes every destination accumulate its
-    /// contributions in ascending-source order, the order the gather adds
-    /// them in; the terms only one side adds — the gather's sources outside
-    /// the support, the axpy's cold sources — are all `±0.0`, which leave
-    /// an accumulator that is never `-0.0` unchanged.
+    /// For finite temperatures and coefficients the result is
+    /// **bit-identical** to [`CrosstalkHub::update`] (tests pin this). The
+    /// descending offset order of the taps makes every destination
+    /// accumulate its contributions in ascending-source order, the order
+    /// the gather adds them in. Each multiply and add is a separate
+    /// rounding, never a fused multiply-add. The terms only one side adds —
+    /// the gather's sources outside the support; the stencil's cold and
+    /// padded sources, `α · 0.0`, and its holes, `0.0 · rise` — are all
+    /// `±0.0` (the plane stores an exact `0.0` where a source contributes
+    /// nothing, and a finite rise is never negative), and they leave an
+    /// accumulator that is never `-0.0` unchanged: it starts at `+0.0`,
+    /// and partial sums of finite terms that cancel round to `+0.0`.
     ///
     /// # Panics
     ///
@@ -368,94 +476,142 @@ impl CrosstalkHub {
         assert_eq!(spans.len(), rows, "span table length mismatch");
         assert!(dt.0 >= 0.0, "dt must be non-negative");
         if self.support.len() >= rows * cols {
-            // Dense coupling (e.g. a full FEM extraction): scattering would
+            // Dense coupling (e.g. a full FEM extraction): the stencil would
             // cost more than gathering.
             self.update(temperatures, ambient, dt);
             spans.fill((0, cols));
             return;
         }
         let blend = self.blend(dt);
-        // Clamped self-heating rises over the spans, and each row's nonzero
-        // span of them. Storing an exact `0.0` where a source contributes
-        // nothing (`r > 0.0` is false for NaN and `-0.0` too) keeps the
-        // axpy bit-neutral there: the accumulator is never `-0.0` (it
-        // starts at `+0.0` and partial sums of finite terms that cancel
-        // round to `+0.0`), so adding `α·0.0` preserves every bit. Outside
-        // the spans the rises are `0.0` by the caller's promise, so the
-        // nonzero spans are the whole-array ones.
+        // The rise plane over the spans, and each row's nonzero span of it.
+        // `r > 0.0` is false for NaN and `-0.0` too, so a source that
+        // contributes nothing stores an exact `0.0`. Outside the spans the
+        // rises are `0.0` by the caller's promise, so the nonzero spans are
+        // the whole-array ones.
         for (row, &(lo, hi)) in spans.iter().enumerate() {
             assert!(lo <= hi && hi <= cols, "span outside its row");
+            let plane = &mut self.plane[row * self.stride + self.left..][..cols];
+            let (old_lo, old_hi) = self.span[row];
+            plane[old_lo..old_hi].fill(0.0);
             let cells = row * cols + lo..row * cols + hi;
-            let rise = &mut self.rise[cells.clone()];
             let sources = temperatures[cells.clone()].iter().zip(&self.state[cells]);
-            for (slot, (&t, &p)) in rise.iter_mut().zip(sources) {
+            for (slot, (&t, &p)) in plane[lo..hi].iter_mut().zip(sources) {
                 let r = t - ambient.0 - p;
                 *slot = if r > 0.0 { r } else { 0.0 };
             }
-            self.span[row] = match nonzero_span(rise) {
+            self.span[row] = match nonzero_span(&plane[lo..hi]) {
                 (first, last) if first == last => (0, 0),
                 (first, last) => (lo + first, lo + last),
             };
         }
-        // Each row's targets: its own span (whose cells may hold ΔT) and
-        // the hot columns of the rows the support reaches it from.
-        let (rows, icols) = (rows as isize, cols as isize);
+        // Each destination row: the columns its taps carry a hot source's
+        // rise to, and its targets — its own span (whose cells may hold
+        // ΔT) and those columns. The cells no tap reaches blend towards
+        // `+0.0`, the reached ones a block at a time.
+        let mut sources = std::mem::take(&mut self.sources);
+        let icols = cols as isize;
         for (dst_row, span) in spans.iter_mut().enumerate() {
-            if *span == (0, cols) {
-                // A whole row cannot widen.
-                continue;
+            let mut reach = (0, 0);
+            for (taps, source) in self.tap_rows.iter().zip(&mut sources) {
+                *source = self.source(dst_row, taps);
+                if source.lo < source.hi {
+                    let lo = source.lo.clamp(0, icols) as usize;
+                    let hi = source.hi.clamp(0, icols) as usize;
+                    reach = hull(reach, (lo, hi));
+                }
             }
-            for &(d_row, d_col_min, d_col_max) in &self.reach {
-                let src_row = dst_row as isize - d_row;
-                if src_row < 0 || src_row >= rows {
-                    continue;
+            *span = hull(*span, reach);
+            let (t_lo, t_hi) = *span;
+            let (r_lo, r_hi) = if reach.0 == reach.1 {
+                (t_lo, t_lo)
+            } else {
+                reach
+            };
+            let (before, after) = self.state[dst_row * cols..][..cols].split_at_mut(r_hi);
+            for cells in [&mut before[t_lo..r_lo], &mut after[..t_hi - r_hi]] {
+                for s in cells {
+                    *s = *s + (0.0 - *s) * blend;
                 }
-                let (nz_lo, nz_hi) = self.span[src_row as usize];
-                if nz_lo == nz_hi {
-                    continue;
+            }
+            for c0 in (r_lo..r_hi).step_by(BLOCK) {
+                let targets = self.block_targets(&sources, c0);
+                let width = BLOCK.min(r_hi - c0);
+                let state = &mut self.state[dst_row * cols + c0..][..width];
+                for (s, &a) in state.iter_mut().zip(&targets) {
+                    *s = *s + (a - *s) * blend;
                 }
-                let lo = (nz_lo as isize + d_col_min).clamp(0, icols) as usize;
-                let hi = (nz_hi as isize + d_col_max).clamp(0, icols) as usize;
-                *span = hull(*span, (lo, hi));
             }
         }
-        // One destination row at a time: the row's targets are zeroed in
-        // the accumulator, accumulated over every offset, then blended into
-        // the state in place while still cache-hot. Per destination the
-        // contributions arrive in descending-offset order.
-        let acc = &mut self.scratch[..cols];
-        for (dst_row, &(t_lo, t_hi)) in spans.iter().enumerate() {
-            if t_lo == t_hi {
-                continue;
-            }
-            acc[t_lo..t_hi].fill(0.0);
-            for &(d_row, d_col, alpha) in &self.support {
-                let src_row = dst_row as isize - d_row;
-                if src_row < 0 || src_row >= rows {
-                    continue;
-                }
-                // Hot source columns whose destination `src + d_col` is a
-                // target; a cold row's empty span skips it whole.
-                let (nz_lo, nz_hi) = self.span[src_row as usize];
-                let col_lo = (t_lo as isize - d_col).max(nz_lo as isize);
-                let col_hi = (t_hi as isize - d_col).min(nz_hi as isize);
-                if col_lo >= col_hi {
-                    continue;
-                }
-                let src_base = src_row as usize * cols + col_lo as usize;
-                let width = (col_hi - col_lo) as usize;
-                let src = &self.rise[src_base..src_base + width];
-                let dst_off = (col_lo + d_col) as usize;
-                for (d, &r) in acc[dst_off..dst_off + width].iter_mut().zip(src) {
-                    *d += alpha * r;
-                }
-            }
-            let state = &mut self.state[dst_row * cols + t_lo..dst_row * cols + t_hi];
-            for (s, &a) in state.iter_mut().zip(&acc[t_lo..t_hi]) {
-                *s = *s + (a - *s) * blend;
-            }
+        self.sources = sources;
+    }
+
+    /// Where the taps of `taps` read for destination row `dst_row` (see
+    /// [`Source`]).
+    #[inline]
+    fn source(&self, dst_row: usize, taps: &TapRow) -> Source {
+        let src_row = dst_row as isize - taps.d_row;
+        let Some(&(lo, hi)) = usize::try_from(src_row).ok().and_then(|r| self.span.get(r)) else {
+            return Source::COLD;
+        };
+        if lo == hi {
+            return Source::COLD;
+        }
+        Source {
+            lo: lo as isize + taps.d_col_min,
+            hi: hi as isize + taps.d_col_max,
+            start: src_row * self.stride as isize + self.left as isize - taps.d_col_max,
         }
     }
+
+    /// The targets of the [`BLOCK`] cells of a destination row from column
+    /// `c0` on, given its row offsets' `sources`: `Σ α · plane[src]` over
+    /// the taps in descending-offset order, skipping the row offsets whose
+    /// source row holds no rise within reach of the block (their taps read
+    /// only zeros). Columns past the row's end read the plane's padding;
+    /// the caller drops them.
+    #[inline]
+    fn block_targets(&self, sources: &[Source], c0: usize) -> [f64; BLOCK] {
+        let mut acc = [0.0; BLOCK];
+        let (lo, hi) = (c0 as isize, (c0 + BLOCK) as isize);
+        for (taps, source) in self.tap_rows.iter().zip(sources) {
+            if hi <= source.lo || lo >= source.hi {
+                continue;
+            }
+            // The k-th tap (Δcol `d_col_max − k`) reads the block at `k`
+            // of this window.
+            let start = (source.start + lo) as usize;
+            let window = &self.plane[start..start + taps.width() + BLOCK - 1];
+            let alphas = &self.taps[taps.first..taps.first + taps.width()];
+            for (src, &alpha) in window.windows(BLOCK).zip(alphas) {
+                for (a, &r) in acc.iter_mut().zip(src) {
+                    *a += alpha * r;
+                }
+            }
+        }
+        acc
+    }
+}
+
+/// Where one row offset's taps read for the current destination row.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct Source {
+    /// The destination columns `[lo, hi)` the taps carry the source row's
+    /// nonzero span to; empty when the source row is outside the array or
+    /// holds no rise.
+    lo: isize,
+    hi: isize,
+    /// The plane index the taps' window starts at for destination column
+    /// 0: the source row's column `−d_col_max`.
+    start: isize,
+}
+
+impl Source {
+    /// A source row that is outside the array or holds no rise.
+    const COLD: Source = Source {
+        lo: isize::MAX,
+        hi: isize::MIN,
+        start: 0,
+    };
 }
 
 /// The `[lo, hi)` span of the entries of `values` that are not zero
@@ -600,8 +756,8 @@ mod tests {
                 cold_rows,
             ),
             // FEM-shaped α on arrays the size of the extraction: the support
-            // is cells − 1, one short of the gather fallback, so the axpy
-            // path runs with every offset coupled.
+            // is cells − 1, one short of the gather fallback, so the stencil
+            // runs with every offset coupled.
             (
                 CrosstalkHub::new(5, 5, fem_shaped_alpha(5), Seconds(30e-9)),
                 field(25),
@@ -629,13 +785,13 @@ mod tests {
     }
 
     #[test]
-    fn axpy_update_is_bit_identical_to_a_source_major_scatter() {
-        // The offset-major axpy must reproduce the straightforward
-        // source-major scatter (each source pushed over the support, sources
-        // ascending) bit for bit — this is what keeps batched campaign
-        // results stable across the loop restructure. Exercised on an array
-        // larger than the support and on one narrower than the coupling
-        // reach (every offset clipped).
+    fn stencil_update_is_bit_identical_to_a_source_major_scatter() {
+        // The stencil must reproduce the straightforward source-major
+        // scatter (each source pushed over the support, sources ascending)
+        // bit for bit — this is what keeps batched campaign results stable
+        // across the loop restructure. Exercised on an array larger than
+        // the support and on one narrower than the coupling reach (every
+        // tap reads the plane's padding).
         for (rows, cols) in [(6, 7), (2, 2)] {
             let mut hub = CrosstalkHub::uniform(rows, cols, 0.1, 0.05, 0.02, Seconds(40e-9));
             let mut expected_state: Vec<f64> = hub.state.clone();
@@ -713,6 +869,71 @@ mod tests {
         AlphaMatrix::from_values(4, 6, (1, 2), values)
     }
 
+    /// The tightest spans the span update's contract allows for `hot`
+    /// (per row, the `[lo, hi)` columns heated this step): each row's cells
+    /// that hold ΔT, widened by its hot ones.
+    fn tight_spans(hub: &CrosstalkHub, hot: &[(usize, usize)]) -> Vec<(usize, usize)> {
+        let cols = hub.cols;
+        hub.deltas()
+            .chunks(cols)
+            .map(nonzero_span)
+            .zip(hot)
+            .map(|(held, &heated)| hull(held, heated))
+            .collect()
+    }
+
+    /// Runs one step on both hubs — the gather on every cell, the span
+    /// update on `spans` — and asserts they agree bit for bit and that the
+    /// span update leaves `+0.0` outside the spans it reports.
+    fn step_both(
+        gather: &mut CrosstalkHub,
+        scatter: &mut CrosstalkHub,
+        temps: &[f64],
+        mut spans: Vec<(usize, usize)>,
+        dt: Seconds,
+        context: &str,
+    ) {
+        let cols = gather.cols;
+        gather.update(temps, Kelvin(300.0), dt);
+        scatter.update_spans(temps, Kelvin(300.0), dt, &mut spans);
+        for (idx, (a, b)) in gather.deltas().iter().zip(scatter.deltas()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{context} cell {idx}: {a} vs {b}");
+            let (lo, hi) = spans[idx / cols];
+            assert!(
+                (lo..hi).contains(&(idx % cols)) || b.to_bits() == 0,
+                "{context}: cell {idx} holds {b} outside its span"
+            );
+        }
+    }
+
+    /// One random step: heats random cells inside random column spans,
+    /// leaves every other cell at ambient, and feeds the span update the
+    /// tightest spans (see [`step_both`]).
+    fn random_step(
+        gather: &mut CrosstalkHub,
+        scatter: &mut CrosstalkHub,
+        state: &mut u64,
+        context: &str,
+    ) {
+        let (rows, cols) = (gather.rows, gather.cols);
+        let mut temps = vec![300.0; rows * cols];
+        let mut hot = vec![(0, 0); rows];
+        for (row, heated) in hot.iter_mut().enumerate() {
+            if next(state).is_multiple_of(3) {
+                continue;
+            }
+            let lo = (next(state) as usize) % cols;
+            let hi = lo + 1 + (next(state) as usize) % (cols - lo);
+            for temp in &mut temps[row * cols + lo..row * cols + hi] {
+                *temp = 250.0 + (next(state) % 700) as f64;
+            }
+            *heated = (lo, hi);
+        }
+        let spans = tight_spans(scatter, &hot);
+        let dt = Seconds(1e-9 * (1 + next(state) % 40) as f64);
+        step_both(gather, scatter, &temps, spans, dt, context);
+    }
+
     #[test]
     fn span_update_matches_the_gather_update() {
         // Random arrays from 1×1 to 12×15 under the two-ring profile and an
@@ -735,35 +956,85 @@ mod tests {
             };
             let (mut gather, mut scatter) = (hub.clone(), hub);
             for step in 0..8 {
-                let mut spans: Vec<(usize, usize)> =
-                    scatter.deltas().chunks(cols).map(nonzero_span).collect();
-                let mut temps = vec![300.0; rows * cols];
-                for (row, span) in spans.iter_mut().enumerate() {
-                    if next(&mut state).is_multiple_of(3) {
-                        continue;
+                let context = format!("case {case} ({rows}x{cols}) step {step}");
+                random_step(&mut gather, &mut scatter, &mut state, &context);
+            }
+        }
+
+        // A support whose column reach (four each way) is wider than the
+        // array, with fewer entries than cells: the stencil runs, not the
+        // gather fallback, and every tap reads the plane's padding.
+        let wide = AlphaMatrix::from_values(
+            1,
+            9,
+            (0, 4),
+            vec![0.01, 0.02, 0.05, 0.12, 1.0, 0.11, 0.04, 0.03, 0.015],
+        );
+        for tau in [0.0, 30e-9] {
+            let hub = CrosstalkHub::new(4, 3, wide.clone(), Seconds(tau));
+            assert!(hub.support.len() < 4 * 3 && hub.left > 3);
+            let (mut gather, mut scatter) = (hub.clone(), hub);
+            for step in 0..12 {
+                let context = format!("1x9 support on 4x3, tau {tau}, step {step}");
+                random_step(&mut gather, &mut scatter, &mut state, &context);
+            }
+        }
+
+        // Spans that move away: a lone hot cell holds no ΔT itself, so the
+        // next step's tight span leaves its column out while the plane
+        // still holds its rise from the step before. The update must clear
+        // it before it reads the plane: row 1's hot cell moves from column
+        // 0 to column 4, within one block of it, then the row cools.
+        let hub = CrosstalkHub::two_ring(3, 12, 0.13, Seconds(30e-9));
+        let (mut gather, mut scatter) = (hub.clone(), hub);
+        let moves = [
+            [(0, 0), (0, 1), (0, 0)],
+            [(0, 0), (4, 5), (0, 0)],
+            [(9, 10), (0, 0), (0, 0)],
+            [(0, 0), (0, 0), (0, 0)],
+            [(0, 0), (0, 0), (3, 4)],
+        ];
+        for (step, hot) in moves.iter().enumerate() {
+            let mut temps = vec![300.0; 3 * 12];
+            for (row, &(lo, hi)) in hot.iter().enumerate() {
+                temps[row * 12 + lo..row * 12 + hi].fill(850.0);
+            }
+            let spans = tight_spans(&scatter, hot);
+            if step == 1 {
+                assert_eq!(spans[1], (1, 5), "column 0 left row 1's span");
+            }
+            let context = format!("moving spans, step {step}");
+            step_both(
+                &mut gather,
+                &mut scatter,
+                &temps,
+                spans,
+                Seconds(10e-9),
+                &context,
+            );
+        }
+
+        // Reset and clone between steps: a reset hub's plane still holds
+        // the last rises, and a clone carries the plane over.
+        for case in 0..12 {
+            let (rows, cols) = (1 + case % 5, 2 + case * 3 % 11);
+            let hub = if case % 2 == 0 {
+                CrosstalkHub::two_ring(rows, cols, 0.13, Seconds(30e-9))
+            } else {
+                CrosstalkHub::new(rows, cols, asymmetric_alpha(&mut state), Seconds(0.0))
+            };
+            let (mut gather, mut scatter) = (hub.clone(), hub);
+            for step in 0..10 {
+                match step % 4 {
+                    1 => {
+                        gather.reset();
+                        scatter.reset();
                     }
-                    let lo = (next(&mut state) as usize) % cols;
-                    let hi = lo + 1 + (next(&mut state) as usize) % (cols - lo);
-                    for temp in &mut temps[row * cols + lo..row * cols + hi] {
-                        *temp = 250.0 + (next(&mut state) % 700) as f64;
-                    }
-                    *span = hull(*span, (lo, hi));
+                    3 => scatter = scatter.clone(),
+                    _ => {}
                 }
-                let dt = Seconds(1e-9 * (1 + next(&mut state) % 40) as f64);
-                gather.update(&temps, Kelvin(300.0), dt);
-                scatter.update_spans(&temps, Kelvin(300.0), dt, &mut spans);
-                for (idx, (a, b)) in gather.deltas().iter().zip(scatter.deltas()).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "case {case} ({rows}x{cols}) step {step} cell {idx}: {a} vs {b}"
-                    );
-                    let (lo, hi) = spans[idx / cols];
-                    assert!(
-                        (lo..hi).contains(&(idx % cols)) || b.to_bits() == 0,
-                        "case {case} step {step}: cell {idx} holds {b} outside its span"
-                    );
-                }
+                let context = format!("reset/clone case {case} ({rows}x{cols}) step {step}");
+                random_step(&mut gather, &mut scatter, &mut state, &context);
             }
         }
     }

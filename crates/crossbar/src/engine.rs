@@ -18,8 +18,9 @@
 //!    [`EngineConfig::threads`] scoped threads (gaps take the all-grounded
 //!    relax update instead),
 //! 2. the crosstalk hub redistributes the exported filament temperatures
-//!    through its scatter-based [`CrosstalkHub::update_spans`], which
-//!    costs `O(cells · coupling-support)` instead of the dense gather's
+//!    through [`CrosstalkHub::update_spans`], a register-blocked stencil
+//!    over a zero-padded plane of the cells' rises, which costs
+//!    `O(cells · coupling-support)` instead of the dense gather's
 //!    `O(cells²)` and is bit-identical to it.
 //!
 //! # Warm spans
@@ -53,9 +54,10 @@
 //! [`PulseEngine::hub_mut`], `force_state`, `force_normalized_state` and
 //! `reset` mark the cells they may touch warm.
 //!
-//! No sub-step of the ideal stage allocates. The sub-step length is chosen
-//! from the hub's thermal time constant so the first-order coupling lag is
-//! resolved. [`crate::BackendKind`] selects the line stage;
+//! No sub-step of the ideal stage allocates; `tests/substep_allocations.rs`
+//! (workspace root) counts allocations to pin this. The sub-step length is
+//! chosen from the hub's thermal time constant so the first-order coupling
+//! lag is resolved. [`crate::BackendKind`] selects the line stage;
 //! `tests/engine_agreement.rs` (workspace root) checks the two stages
 //! agree when line resistance is negligible.
 
@@ -865,6 +867,60 @@ mod tests {
         assert!(engine.lines != fresh.lines);
         engine.reset();
         assert!(engine.lines == fresh.lines);
+    }
+
+    #[test]
+    fn a_reset_engine_equals_a_fresh_one() {
+        let ideal = |array| {
+            let hub = CrosstalkHub::two_ring(3, 4, 0.15, Seconds(30e-9));
+            PulseEngine::new(array, hub, EngineConfig::default())
+        };
+        let wired = |array| {
+            let hub = CrosstalkHub::two_ring(3, 4, 0.15, Seconds(30e-9));
+            PulseEngine::wired(
+                array,
+                hub,
+                EngineConfig::default(),
+                WiringParasitics::default(),
+            )
+        };
+        let nominal = DeviceParams::default();
+        let mut spread = CrossbarArray::new(3, 4, nominal.clone());
+        let mut table = rram_jart::ParamColumns::uniform(nominal.clone(), 12);
+        let radii = (0..12).map(|i| nominal.filament_radius * (0.9 + 0.02 * i as f64));
+        table.set_column(rram_jart::ParamField::FilamentRadius, radii.collect());
+        spread.set_param_columns(table);
+        let fresh_engines = [
+            ideal(CrossbarArray::new(3, 4, nominal.clone())),
+            ideal(spread),
+            wired(CrossbarArray::new(3, 4, nominal)),
+        ];
+        for fresh in fresh_engines {
+            let mut engine = fresh.clone();
+            let aggressor = CellAddress::new(1, 2);
+            engine.force_state(aggressor, DigitalState::Lrs);
+            for _ in 0..3 {
+                engine.apply_pulse(aggressor, Volts(1.05), 50.0.ns());
+                engine.idle(50.0.ns());
+            }
+            engine.apply_pulse(CellAddress::new(0, 0), Volts(-1.3), 30.0.ns());
+            let burst = engine.clone();
+            assert!(
+                engine != fresh,
+                "{}: the burst left no trace",
+                engine.label()
+            );
+            engine.reset();
+            assert!(
+                engine == fresh,
+                "{}: reset differs from fresh",
+                engine.label()
+            );
+            // Stress time and charge are the lanes the reset used to keep.
+            let (spent, new) = (burst.array.bank(), fresh.array.bank());
+            assert!(spent.stress_times() != new.stress_times());
+            assert!(spent.charges() != new.charges());
+        }
     }
 
     #[test]

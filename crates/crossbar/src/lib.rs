@@ -16,7 +16,7 @@
 //!
 //! One simulation engine drives the array: [`engine::PulseEngine`], which
 //! integrates the cells in one kernel call per sub-step and couples them
-//! through the scatter-based crosstalk hub. Its line stage decides where
+//! through the crosstalk hub's stencil. Its line stage decides where
 //! the cell voltages come from: the write scheme's line levels with ideal
 //! drivers (the engine of every hammer campaign), or the resistive line
 //! network of [`detailed`], wiring parasitics included, solved at every

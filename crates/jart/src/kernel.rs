@@ -144,6 +144,13 @@ impl CellBank {
         self.op_cache_v_bits.fill(0);
     }
 
+    /// Zeroes every lane's accumulated stress time and conduction charge,
+    /// as in a fresh bank.
+    pub fn clear_diagnostics(&mut self) {
+        self.stress_time.fill(0.0);
+        self.charge.fill(0.0);
+    }
+
     /// Number of lanes (cells).
     pub fn lanes(&self) -> usize {
         self.n_disc.len()
@@ -634,7 +641,8 @@ fn check_ranges(ranges: &[Range<usize>], lanes: usize) {
 
 /// The body of [`step_lane_ranges`] on checked arguments: the zero-voltage
 /// lanes relax in place, and the biased ones, in lane order across every
-/// range, go through one [`BiasedLanes`] scan.
+/// range, go through one [`BiasedLanes`] scan, with slot parameter sets of
+/// the source's kind.
 fn step_ranges(
     params: LaneParams<'_>,
     voltages: &[f64],
@@ -642,8 +650,45 @@ fn step_ranges(
     ranges: impl Iterator<Item = Range<usize>>,
     dt: Seconds,
 ) {
+    match params {
+        LaneParams::Shared(shared) => {
+            scan_ranges(params, SharedSet(shared), voltages, lanes, ranges, dt);
+        }
+        LaneParams::Columns { table, base, .. } => {
+            let sets = ColumnSets {
+                table,
+                base,
+                sets: std::array::from_fn(|_| table.nominal().clone()),
+            };
+            scan_ranges(params, sets, voltages, lanes, ranges, dt);
+        }
+    }
+}
+
+/// [`step_ranges`] with the group's parameter sets `sets` built.
+#[inline]
+fn scan_ranges<S: SlotParams>(
+    params: LaneParams<'_>,
+    sets: S,
+    voltages: &[f64],
+    lanes: &mut CellBankView<'_>,
+    ranges: impl Iterator<Item = Range<usize>>,
+    dt: Seconds,
+) {
     let relax = params.relax_shared();
-    let mut biased = BiasedLanes::new(params, dt.0);
+    let mut biased = BiasedLanes {
+        sets,
+        dt: dt.0,
+        group: Group {
+            len: 0,
+            slots: [Slot::EMPTY; LOCKSTEP],
+        },
+        source: None,
+        pending: [(0, 0); PENDING],
+        pending_len: 0,
+        lookups: 0,
+        hits: 0,
+    };
     for range in ranges {
         let mut base = range.start;
         while base + LANE_CHUNK <= range.end {
@@ -654,13 +699,13 @@ fn step_ranges(
                 relax_chunk(params, relax, lanes, base);
             } else {
                 for (offset, &v_cell) in chunk.iter().enumerate() {
-                    biased.step_or_relax(relax, lanes, base + offset, v_cell);
+                    biased.step_or_relax(params, relax, lanes, base + offset, v_cell);
                 }
             }
             base += LANE_CHUNK;
         }
         for (lane, &v_cell) in voltages.iter().enumerate().take(range.end).skip(base) {
-            biased.step_or_relax(relax, lanes, lane, v_cell);
+            biased.step_or_relax(params, relax, lanes, lane, v_cell);
         }
     }
     biased.finish(lanes);
@@ -1029,6 +1074,59 @@ fn substep_end(params: &DeviceParams, n: f64, rate: f64, rate_mid: f64, sub_dt: 
 /// group is open.
 const PENDING: usize = LOCKSTEP;
 
+/// Where the slots of a [`Group`] find their parameter sets. The sets live
+/// outside the slots, so opening a group or joining a lane copies no
+/// parameter set.
+trait SlotParams {
+    /// Whether every lane shares one set, so that lanes with equal keys
+    /// replay (see [`BiasedLanes`]).
+    const SHARED: bool;
+    /// Makes slot `k`'s set the one of lane `lane`.
+    fn load(&mut self, k: usize, lane: usize);
+    /// The set of slot `k`.
+    fn get(&self, k: usize) -> &DeviceParams;
+}
+
+/// One set shared by every slot.
+struct SharedSet<'a>(&'a DeviceParams);
+
+impl SlotParams for SharedSet<'_> {
+    const SHARED: bool = true;
+
+    #[inline]
+    fn load(&mut self, _: usize, _: usize) {}
+
+    #[inline]
+    fn get(&self, _: usize) -> &DeviceParams {
+        self.0
+    }
+}
+
+/// One set per slot, from a column table: each starts as a copy of the
+/// nominal set, made once per call, and loading a lane writes only the
+/// table's column values over it. A set holds the nominal value of every
+/// other field, so it equals the table's lane bit for bit.
+struct ColumnSets<'a> {
+    table: &'a ParamColumns,
+    /// Table lane of the call's first lane.
+    base: usize,
+    sets: [DeviceParams; LOCKSTEP],
+}
+
+impl SlotParams for ColumnSets<'_> {
+    const SHARED: bool = false;
+
+    #[inline]
+    fn load(&mut self, k: usize, lane: usize) {
+        self.table.write_lane(self.base + lane, &mut self.sets[k]);
+    }
+
+    #[inline]
+    fn get(&self, k: usize) -> &DeviceParams {
+        &self.sets[k]
+    }
+}
+
 /// The biased lanes of one [`step_lane_ranges`] call, or of one block of
 /// [`step_lane_ranges_threaded`], taken in lane order.
 ///
@@ -1047,14 +1145,17 @@ const PENDING: usize = LOCKSTEP;
 /// roundings on the lane's own running value. Under a column table every
 /// lane has parameters of its own, so no lane replays.
 ///
-/// **The groups.** Every other biased lane joins the open [`Group`]. The
-/// group is stepped when it holds [`LOCKSTEP`] lanes, when [`PENDING`]
-/// replays wait for it, and at the end of the call; the replays that
-/// waited are copied right after.
-struct BiasedLanes<'a> {
-    params: LaneParams<'a>,
+/// **The groups.** Every other biased lane joins the open [`Group`], and
+/// `sets` loads its parameter set into the slot's place. The group is
+/// stepped when it holds [`LOCKSTEP`] lanes, when [`PENDING`] replays wait
+/// for it, and at the end of the call; the replays that waited are copied
+/// right after. The scan is built in place in [`scan_ranges`]'s frame and
+/// holds only plain scalars besides the sets, so setting it up is one
+/// block fill.
+struct BiasedLanes<S> {
+    sets: S,
     dt: f64,
-    group: Group<'a>,
+    group: Group,
     /// The last lane that joined a group, with its key. It is in the open
     /// group exactly when the group is not empty.
     source: Option<(usize, [u64; 4])>,
@@ -1067,33 +1168,21 @@ struct BiasedLanes<'a> {
     hits: u64,
 }
 
-impl<'a> BiasedLanes<'a> {
-    fn new(params: LaneParams<'a>, dt: f64) -> Self {
-        BiasedLanes {
-            params,
-            dt,
-            group: Group::new(),
-            source: None,
-            pending: [(0, 0); PENDING],
-            pending_len: 0,
-            lookups: 0,
-            hits: 0,
-        }
-    }
-
+impl<S: SlotParams> BiasedLanes<S> {
     /// Relaxes a zero-voltage lane in place (at `v = 0` the reference step
     /// solves nothing, accrues no stress time and adds a `+0.0` charge
     /// term); scans a biased one.
     #[inline]
     fn step_or_relax(
         &mut self,
+        params: LaneParams<'_>,
         relax: Option<&DeviceParams>,
         lanes: &mut CellBankView<'_>,
         lane: usize,
         v_cell: f64,
     ) {
         if v_cell == 0.0 {
-            relax_lane_of(self.params, relax, lanes, lane);
+            relax_lane_of(params, relax, lanes, lane);
         } else {
             self.scan(lanes, lane, v_cell);
         }
@@ -1101,7 +1190,7 @@ impl<'a> BiasedLanes<'a> {
 
     /// Replays a biased lane from its source, or adds it to the open group.
     fn scan(&mut self, lanes: &mut CellBankView<'_>, lane: usize, v_cell: f64) {
-        if let LaneParams::Shared(_) = self.params {
+        if S::SHARED {
             let key = [
                 v_cell.to_bits(),
                 lanes.crosstalk[lane].to_bits(),
@@ -1126,7 +1215,8 @@ impl<'a> BiasedLanes<'a> {
                 _ => self.source = Some((lane, key)),
             }
         }
-        self.group.join(self.params, lane, v_cell);
+        self.sets.load(self.group.len, lane);
+        self.group.join(lane, v_cell);
         if self.group.len == LOCKSTEP {
             self.flush(lanes);
         }
@@ -1134,7 +1224,7 @@ impl<'a> BiasedLanes<'a> {
 
     /// Steps the open group, then copies the replays that waited for it.
     fn flush(&mut self, lanes: &mut CellBankView<'_>) {
-        self.group.step(lanes, self.dt);
+        self.group.step(&self.sets, lanes, self.dt);
         for &(lane, source) in &self.pending[..self.pending_len] {
             replay(lanes, lane, source, self.dt);
         }
@@ -1142,7 +1232,7 @@ impl<'a> BiasedLanes<'a> {
     }
 
     /// Steps what is left and adds the call's tallies to the telemetry.
-    fn finish(mut self, lanes: &mut CellBankView<'_>) {
+    fn finish(&mut self, lanes: &mut CellBankView<'_>) {
         self.flush(lanes);
         flush_echo_telemetry(self.lookups, self.hits);
     }
@@ -1189,21 +1279,25 @@ enum Stage {
 /// changes, so a stepped lane is bit-identical to the reference. Each
 /// phase's operating points come from the lanes' one-entry caches or from
 /// one solve over the phase's misses: [`solve_operating_points`] in
-/// lockstep, or its one-cell case when a single lane misses. The cache is
-/// exact because `(v_cell, n)` pins the Newton solve completely
-/// (temperature does not enter it), and it hits because the refresh solve
-/// that ends one call is the first solve of the lane's next call.
-struct Group<'a> {
+/// lockstep, sized to the misses, or its one-cell case when a single lane
+/// misses. The cache is exact because `(v_cell, n)` pins the Newton solve
+/// completely (temperature does not enter it), and it hits because the
+/// refresh solve that ends one call is the first solve of the lane's next
+/// call.
+///
+/// The slots are plain scalars and the parameter sets live in the scan's
+/// [`SlotParams`] (slot `k` uses set `k`), so the group opens with one
+/// block fill and a lane joins with a few stores.
+struct Group {
+    /// The joined lanes are `slots[..len]`.
     len: usize,
-    /// The joined lanes are `slots[..len]`. The slots start empty, so
-    /// opening a group costs a tag per slot, not a whole slot.
-    slots: [Option<Slot<'a>>; LOCKSTEP],
+    slots: [Slot; LOCKSTEP],
 }
 
 /// One lane of a [`Group`] and its place in the loop.
-struct Slot<'a> {
+#[derive(Debug, Clone, Copy)]
+struct Slot {
     lane: usize,
-    params: Cow<'a, DeviceParams>,
     v_cell: f64,
     stage: Stage,
     /// The concentration the next operating point is wanted at, and that
@@ -1219,35 +1313,43 @@ struct Slot<'a> {
     sub_dt: f64,
 }
 
-impl<'a> Group<'a> {
-    fn new() -> Self {
-        Group {
-            len: 0,
-            slots: [const { None }; LOCKSTEP],
-        }
-    }
+impl Slot {
+    /// An unused slot, all zero bytes, so that opening a group is one
+    /// zero fill.
+    const EMPTY: Slot = Slot {
+        lane: 0,
+        v_cell: 0.0,
+        stage: Stage::Start,
+        at: 0.0,
+        op: OperatingPoint {
+            v_cell: 0.0,
+            current: 0.0,
+            v_active: 0.0,
+            power_active: 0.0,
+            resistance: 0.0,
+        },
+        remaining: 0.0,
+        n: 0.0,
+        rate: 0.0,
+        sub_dt: 0.0,
+    };
+}
 
-    /// Adds a biased lane; the caller steps the group before it overflows.
-    fn join(&mut self, params: LaneParams<'a>, lane: usize, v_cell: f64) {
-        self.slots[self.len] = Some(Slot {
-            lane,
-            params: params.of(lane),
-            v_cell,
-            stage: Stage::Start,
-            at: 0.0,
-            op: OperatingPoint::zero(),
-            remaining: 0.0,
-            n: 0.0,
-            rate: 0.0,
-            sub_dt: 0.0,
-        });
+impl Group {
+    /// Adds a biased lane; the caller has loaded its parameter set into
+    /// slot `len` and steps the group before it overflows.
+    #[inline]
+    fn join(&mut self, lane: usize, v_cell: f64) {
+        let slot = &mut self.slots[self.len];
+        slot.lane = lane;
+        slot.v_cell = v_cell;
         self.len += 1;
     }
 
     /// Advances every lane of the group by `dt`, and empties the group.
-    fn step(&mut self, lanes: &mut CellBankView<'_>, dt: f64) {
+    fn step<S: SlotParams>(&mut self, sets: &S, lanes: &mut CellBankView<'_>, dt: f64) {
         let slots = &mut self.slots[..self.len];
-        for slot in slots.iter_mut().flatten() {
+        for slot in slots.iter_mut() {
             lanes.stress_time[slot.lane] += dt;
             slot.remaining = dt;
             slot.stage = Stage::Start;
@@ -1257,48 +1359,40 @@ impl<'a> Group<'a> {
             // refresh of a lane whose time is up. Even for dt == 0 it is
             // refreshed, so callers can observe the instantaneous
             // temperature under the new bias.
-            for slot in slots
-                .iter_mut()
-                .flatten()
-                .filter(|slot| slot.stage != Stage::Done)
-            {
+            for slot in slots.iter_mut().filter(|slot| slot.stage != Stage::Done) {
                 slot.at = lanes.n_disc[slot.lane];
             }
-            operating_points(slots, lanes);
+            operating_points(slots, sets, lanes);
             let mut open = false;
-            for slot in slots
-                .iter_mut()
-                .flatten()
-                .filter(|slot| slot.stage != Stage::Done)
-            {
-                open |= slot.begin_substep(lanes);
+            for (k, slot) in slots.iter_mut().enumerate() {
+                if slot.stage != Stage::Done {
+                    open |= slot.begin_substep(sets.get(k), lanes);
+                }
             }
             if !open {
                 break;
             }
-            operating_points(slots, lanes);
-            for slot in slots
-                .iter_mut()
-                .flatten()
-                .filter(|slot| slot.stage != Stage::Done)
-            {
-                slot.end_substep(lanes);
+            operating_points(slots, sets, lanes);
+            for (k, slot) in slots.iter_mut().enumerate() {
+                if slot.stage != Stage::Done {
+                    slot.end_substep(sets.get(k), lanes);
+                }
             }
         }
-        for slot in slots.iter().flatten() {
-            lanes.digital[slot.lane] = digital_of(&slot.params, lanes.n_disc[slot.lane]);
+        for (k, slot) in slots.iter().enumerate() {
+            lanes.digital[slot.lane] = digital_of(sets.get(k), lanes.n_disc[slot.lane]);
         }
         self.len = 0;
     }
 }
 
-impl Slot<'_> {
+impl Slot {
     /// After the operating point at `n`: stores the temperature and the
     /// point, then either ends the lane (a refresh, no time left, or a
     /// vanishing rate) or plans a sub-step and asks for its midpoint.
     /// Returns whether the lane goes on.
-    fn begin_substep(&mut self, lanes: &mut CellBankView<'_>) -> bool {
-        let (lane, params, op, n) = (self.lane, &*self.params, self.op, self.at);
+    fn begin_substep(&mut self, params: &DeviceParams, lanes: &mut CellBankView<'_>) -> bool {
+        let (lane, op, n) = (self.lane, self.op, self.at);
         let temperature = filament_temperature(params, op.power_active, lanes.crosstalk[lane]);
         lanes.temperature[lane] = temperature;
         lanes.last_op[lane] = op;
@@ -1323,6 +1417,7 @@ impl Slot<'_> {
 
     /// Takes a freshly solved operating point and caches it under the key
     /// `(v_cell, at)`.
+    #[inline]
     fn cache(&mut self, lanes: &mut CellBankView<'_>, op: OperatingPoint) {
         self.op = op;
         lanes.op_cache_v_bits[self.lane] = self.v_cell.to_bits();
@@ -1332,8 +1427,8 @@ impl Slot<'_> {
 
     /// After the operating point at the midpoint: the sub-step's new `n`;
     /// the lane goes round again, or takes the refresh once its time is up.
-    fn end_substep(&mut self, lanes: &mut CellBankView<'_>) {
-        let (lane, params, op, n_mid) = (self.lane, &*self.params, self.op, self.at);
+    fn end_substep(&mut self, params: &DeviceParams, lanes: &mut CellBankView<'_>) {
+        let (lane, op, n_mid) = (self.lane, self.op, self.at);
         let t_mid = filament_temperature(params, op.power_active, lanes.crosstalk[lane]);
         let rate_mid = concentration_rate(params, op.v_active, t_mid, n_mid);
         lanes.n_disc[lane] = substep_end(params, self.n, self.rate, rate_mid, self.sub_dt);
@@ -1350,10 +1445,10 @@ impl Slot<'_> {
 /// concentration: read from the lane's one-entry cache when the key
 /// matches, otherwise solved with the phase's other misses in one lockstep
 /// call, and cached.
-fn operating_points(slots: &mut [Option<Slot<'_>>], lanes: &mut CellBankView<'_>) {
+fn operating_points<S: SlotParams>(slots: &mut [Slot], sets: &S, lanes: &mut CellBankView<'_>) {
     let mut misses = [0; LOCKSTEP];
     let mut count = 0;
-    for (k, slot) in slots.iter_mut().flatten().enumerate() {
+    for (k, slot) in slots.iter_mut().enumerate() {
         if slot.stage == Stage::Done {
             continue;
         }
@@ -1368,35 +1463,49 @@ fn operating_points(slots: &mut [Option<Slot<'_>>], lanes: &mut CellBankView<'_>
         }
     }
     let misses = &misses[..count];
-    match *misses {
-        [] => {}
+    // The lockstep state is sized to the misses: a phase where two lanes
+    // miss sets up two Newton states, not sixteen.
+    match misses.len() {
+        0 => {}
         // A lane that outlasts the rest of its group (a switching cell takes
         // many short sub-steps) misses alone: the one-cell solve sets up no
         // lockstep state.
-        [k] => {
-            let slot = slots[k].as_mut().expect("a joined slot");
-            let op = solve_operating_point(&slot.params, slot.v_cell, slot.at);
+        1 => {
+            let (k, slot) = (misses[0], &mut slots[misses[0]]);
+            let op = solve_operating_point(sets.get(k), slot.v_cell, slot.at);
             slot.cache(lanes, op);
         }
-        [first, ..] => {
-            let joined = |k: usize| slots[k].as_ref().expect("a joined slot");
-            let mut params = [&*joined(first).params; LOCKSTEP];
-            let (mut v_cell, mut n) = ([0.0; LOCKSTEP], [0.0; LOCKSTEP]);
-            for (m, &k) in misses.iter().enumerate() {
-                let slot = joined(k);
-                (params[m], v_cell[m], n[m]) = (&slot.params, slot.v_cell, slot.at);
-            }
-            let mut solved = [OperatingPoint::zero(); LOCKSTEP];
-            solve_operating_points::<LOCKSTEP>(
-                &params[..count],
-                &v_cell[..count],
-                &n[..count],
-                &mut solved[..count],
-            );
-            for (&k, op) in misses.iter().zip(solved) {
-                slots[k].as_mut().expect("a joined slot").cache(lanes, op);
-            }
-        }
+        2 => solve_misses::<2, S>(slots, misses, sets, lanes),
+        3..=4 => solve_misses::<4, S>(slots, misses, sets, lanes),
+        5..=8 => solve_misses::<8, S>(slots, misses, sets, lanes),
+        _ => solve_misses::<LOCKSTEP, S>(slots, misses, sets, lanes),
+    }
+}
+
+/// Solves the operating points of the slots `misses` (at most `N`) in one
+/// lockstep call, and caches them.
+#[inline]
+fn solve_misses<const N: usize, S: SlotParams>(
+    slots: &mut [Slot],
+    misses: &[usize],
+    sets: &S,
+    lanes: &mut CellBankView<'_>,
+) {
+    let count = misses.len();
+    let mut params = [sets.get(misses[0]); N];
+    let (mut v_cell, mut n) = ([0.0; N], [0.0; N]);
+    for (m, &k) in misses.iter().enumerate() {
+        (params[m], v_cell[m], n[m]) = (sets.get(k), slots[k].v_cell, slots[k].at);
+    }
+    let mut solved = [OperatingPoint::zero(); N];
+    solve_operating_points::<N>(
+        &params[..count],
+        &v_cell[..count],
+        &n[..count],
+        &mut solved[..count],
+    );
+    for (&k, &op) in misses.iter().zip(&solved) {
+        slots[k].cache(lanes, op);
     }
 }
 

@@ -575,7 +575,7 @@ impl ParamColumns {
     /// Writes lane `lane`'s column values into `params`; every other field
     /// of `params` is left as it is.
     #[inline]
-    fn write_lane(&self, lane: usize, params: &mut DeviceParams) {
+    pub(crate) fn write_lane(&self, lane: usize, params: &mut DeviceParams) {
         for (field, values) in &self.columns {
             field.set(params, values[lane]);
         }

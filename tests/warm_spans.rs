@@ -85,6 +85,7 @@ impl Oracle {
             cell.force_state(DigitalState::Hrs);
             cell.set_crosstalk_delta(Kelvin(0.0));
         });
+        self.array.bank_mut().clear_diagnostics();
         self.hub.reset();
         self.elapsed = 0.0;
     }

@@ -12,15 +12,19 @@
 //! round-robin until the victim reads LRS or the budget is spent. A guard
 //! is an optional observer of that loop. It sees every write and the
 //! array's peak crosstalk, and its answers are carried out on the engine
-//! ([`Interventions::carry_out`]). [`run_attack`] is the loop without a
-//! guard; [`crate::countermeasures::run_guarded_attack`] adds one and the
-//! benign-workload accounting.
+//! ([`Interventions::carry_out`]). One call runs a whole guard family —
+//! campaign points that differ only in their guard — on one shared
+//! trajectory that forks where a guard first acts ([`Trunk`]).
+//! [`run_attack`] is the loop with one member and no guard;
+//! [`crate::countermeasures::run_guarded_attack`] runs one guarded member
+//! and the benign-workload accounting, and
+//! [`crate::countermeasures::run_guard_family`] a whole family.
 
 use serde::{Deserialize, Serialize};
 
 use crate::pattern::AttackPattern;
 use rram_crossbar::{CellAddress, HammerBackend};
-use rram_defense::{Countermeasure, Interventions};
+use rram_defense::{Countermeasure, Interventions, Observer, Trunk};
 use rram_jart::DigitalState;
 use rram_units::{Kelvin, Seconds, Volts};
 
@@ -103,8 +107,19 @@ pub struct AttackResult {
     pub trace: Vec<TracePoint>,
 }
 
+/// One member's end of a [`hammer`] run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Hammered {
+    /// The attack result.
+    pub attack: AttackResult,
+    /// Crosstalk ΔT at the victim's hub node when the attack ended, K.
+    pub final_crosstalk: Kelvin,
+    /// What the member's guard did (nothing for a member without one).
+    pub interventions: Interventions,
+}
+
 /// Runs a NeuroHammer campaign on any [`HammerBackend`]: [`hammer`] with
-/// no guard.
+/// one member and no guard.
 ///
 /// # Panics
 ///
@@ -113,12 +128,15 @@ pub fn run_attack<B: HammerBackend + ?Sized>(
     engine: &mut B,
     config: &AttackConfig,
 ) -> AttackResult {
-    hammer(engine, config, None).0
+    let mut ends = hammer(engine, config, vec![None]);
+    ends.swap_remove(0).attack
 }
 
 /// Hammers the aggressors round-robin until the victim flips or the pulse
-/// budget is spent, with `guard`, if any, observing every write. Returns
-/// the attack result and what the guard did.
+/// budget is spent, once for a whole *guard family*: one member per entry
+/// of `guards`, `None` for a member without a guard. Returns each member's
+/// end, in order, identical to running the member alone on a copy of
+/// `engine`.
 ///
 /// The engine's array is used as-is apart from two preparations that mirror
 /// the paper's setup: every aggressor is switched to the LRS ("the red cell
@@ -126,20 +144,26 @@ pub fn run_attack<B: HammerBackend + ?Sized>(
 /// and the victim is switched to the HRS so a SET-direction flip can be
 /// detected.
 ///
-/// After each pulse the guard samples the array's peak crosstalk ΔT, the
-/// hottest instant, before the trace readout and the inter-pulse gap. It
-/// judges the write after the gap, and its action is carried out before
-/// the victim is read. Pulse batching runs only when there is neither a
-/// guard nor a trace, since both must see every pulse.
+/// After each pulse the guards sample the array's peak crosstalk ΔT, the
+/// hottest instant, before the trace readout and the inter-pulse gap. They
+/// judge the write after the gap, and an action is carried out before the
+/// victim is read. The members share one trajectory, the *trunk*, and a
+/// guard forks off it where it first acts ([`Trunk`]). Pulse batching runs
+/// only when there is neither a guard nor a trace, since both must see
+/// every pulse: with batching off, the members without a guard ride the
+/// trunk to its end; with it on, they run their own batched loop first, on
+/// a fork of the prepared engine.
 ///
 /// # Panics
 ///
-/// Panics if the victim or an aggressor lies outside the engine's array.
+/// Panics if the victim or an aggressor lies outside the engine's array, or
+/// if the family must fork an engine that cannot fork
+/// ([`HammerBackend::fork`]); a one-member family never forks.
 pub fn hammer<B: HammerBackend + ?Sized>(
     engine: &mut B,
     config: &AttackConfig,
-    mut guard: Option<&mut dyn Countermeasure>,
-) -> (AttackResult, Interventions) {
+    guards: Vec<Option<&mut dyn Countermeasure>>,
+) -> Vec<Hammered> {
     let rows = engine.rows();
     let cols = engine.cols();
     let aggressors = config.pattern.aggressors(config.victim, rows, cols);
@@ -153,99 +177,193 @@ pub fn hammer<B: HammerBackend + ?Sized>(
         engine.force_state(aggressor, DigitalState::Lrs);
     }
     engine.force_state(config.victim, DigitalState::Hrs);
-    let reference = engine.read_all();
+    let plan = Plan {
+        config,
+        aggressors,
+        reference: engine.read_all(),
+        start_time: engine.elapsed(),
+        batching: config.batching && !config.trace,
+    };
+    let start = Progress {
+        pulses: 0,
+        next: 0,
+        trace: Vec::new(),
+        window_start_state: engine.normalized_state(config.victim),
+        pulses_in_window: 0,
+    };
 
-    let mut pulses: u64 = 0;
-    let start_time = engine.elapsed();
-    let mut trace = Vec::new();
-    let mut interventions = Interventions::default();
-    let use_batching = config.batching && !config.trace && guard.is_none();
-    let victim_is_lrs = |engine: &B| engine.read(config.victim) == DigitalState::Lrs;
+    let mut ends = vec![None; guards.len()];
+    let (mut riders, mut observers) = (Vec::new(), Vec::new());
+    for (member, guard) in guards.into_iter().enumerate() {
+        match guard {
+            Some(guard) => observers.push(Observer::new(member, guard)),
+            None => riders.push(member),
+        }
+    }
+    if plan.batching && !observers.is_empty() && !riders.is_empty() {
+        let mut fork = engine
+            .fork()
+            .expect("a guard family forks only engines that can fork");
+        let end = run(
+            fork.as_mut(),
+            &plan,
+            start.clone(),
+            Trunk::default(),
+            &mut ends,
+        );
+        for rider in riders.drain(..) {
+            ends[rider] = Some(end.clone());
+        }
+    }
+    if !observers.is_empty() || !riders.is_empty() {
+        let trunk = Trunk::new(observers, !riders.is_empty());
+        let end = run(engine, &plan, start, trunk, &mut ends);
+        for rider in riders {
+            ends[rider] = Some(end.clone());
+        }
+    }
+    ends.into_iter()
+        .map(|end| end.expect("every member of the family finishes"))
+        .collect()
+}
 
-    // Batching bookkeeping: progress of the victim per simulated window.
-    // The first `warmup` pulses are always simulated exactly so the thermal
-    // state has settled before any extrapolation happens.
+/// What every trajectory of one [`hammer`] call shares.
+struct Plan<'a> {
+    config: &'a AttackConfig,
+    aggressors: Vec<CellAddress>,
+    /// The array's read-out after the preparation, for collateral flips.
+    reference: Vec<DigitalState>,
+    start_time: Seconds,
+    /// Whether a trajectory that no guard watches may batch pulses.
+    batching: bool,
+}
+
+/// Where a trajectory stands between two pulses; a fork copies it.
+#[derive(Clone)]
+struct Progress {
+    pulses: u64,
+    /// The aggressor of the current round to pulse next.
+    next: usize,
+    trace: Vec<TracePoint>,
+    /// Batching bookkeeping: the victim's state when the window opened, and
+    /// the pulses simulated in it.
+    window_start_state: f64,
+    pulses_in_window: u64,
+}
+
+/// Runs a trajectory from `at` until the victim flips or the budget is
+/// spent, files the end of every guard still on `trunk` in `ends`, and
+/// returns the trunk's own end (with no interventions) for its riders.
+fn run<B: HammerBackend + ?Sized>(
+    engine: &mut B,
+    plan: &Plan<'_>,
+    mut at: Progress,
+    mut trunk: Trunk<'_>,
+    ends: &mut [Option<Hammered>],
+) -> Hammered {
+    let config = plan.config;
+    let aggressors = &plan.aggressors;
+    let batching = plan.batching && !trunk.is_watched();
+    // Batching: the first `warmup` pulses are always simulated exactly so
+    // the thermal state has settled before any extrapolation happens.
     let window: u64 = 16;
     let batch_factor: u64 = 4;
     let warmup: u64 = 2 * window;
-    let mut window_start_state = engine.normalized_state(config.victim);
-    let mut pulses_in_window: u64 = 0;
-
-    let mut flipped = false;
-    while !flipped && pulses < config.max_pulses {
-        // Round-robin over the aggressors: one pulse each.
-        for &aggressor in &aggressors {
-            engine.apply_pulse(aggressor, config.amplitude, config.pulse_length);
-            pulses += 1;
-            pulses_in_window += 1;
-            let peak = guard.is_some().then(|| engine.peak_crosstalk());
-            if config.trace {
-                let victim = engine.thermal_readout(config.victim);
-                let aggressor = engine.thermal_readout(aggressors[0]);
-                trace.push(TracePoint {
-                    pulses,
-                    time: Seconds(engine.elapsed().0 - start_time.0),
-                    aggressor_temperature: aggressor.temperature,
-                    victim_temperature: victim.temperature,
-                    victim_crosstalk: victim.crosstalk,
-                    victim_state: victim.normalized_state,
-                });
+    loop {
+        // The last pulse, if any, has been judged.
+        let flipped = engine.read(config.victim) == DigitalState::Lrs;
+        if flipped || at.pulses >= config.max_pulses || at.next == aggressors.len() {
+            // A round over the aggressors ends (or the run starts).
+            at.next = 0;
+            // Pulse batching: once the thermal state has settled (a full
+            // window has been simulated), extrapolate the victim's slow
+            // drift over `batch_factor` windows instead of simulating them
+            // pulse by pulse.
+            if !flipped && batching && at.pulses >= warmup && at.pulses_in_window >= window {
+                let state_now = engine.normalized_state(config.victim);
+                let delta_per_pulse =
+                    (state_now - at.window_start_state) / at.pulses_in_window as f64;
+                let flip_state = 0.5;
+                // Only extrapolate while the victim is still far from the
+                // flip threshold and the per-window progress is small
+                // (quasi-steady).
+                if delta_per_pulse > 0.0
+                    && delta_per_pulse * window as f64 * batch_factor as f64 + state_now
+                        < 0.8 * flip_state
+                {
+                    let skip_pulses =
+                        (window * batch_factor).min(config.max_pulses.saturating_sub(at.pulses));
+                    let new_norm = engine.normalized_state(config.victim)
+                        + delta_per_pulse * skip_pulses as f64;
+                    engine.force_normalized_state(config.victim, new_norm);
+                    at.pulses += skip_pulses;
+                }
+                at.window_start_state = engine.normalized_state(config.victim);
+                at.pulses_in_window = 0;
             }
-            if config.gap.0 > 0.0 {
-                engine.idle(config.gap);
-            }
-            if let (Some(guard), Some(peak)) = (guard.as_deref_mut(), peak) {
-                let action = guard.on_write(aggressor, engine.elapsed(), peak);
-                interventions.carry_out(engine, aggressor, pulses, action);
-            }
-            flipped = victim_is_lrs(engine);
-            if flipped || pulses >= config.max_pulses {
+            if flipped || at.pulses >= config.max_pulses {
                 break;
             }
         }
 
-        // Pulse batching: once the thermal state has settled (a full window
-        // has been simulated), extrapolate the victim's slow drift over
-        // `batch_factor` windows instead of simulating them pulse by pulse.
-        if !flipped && use_batching && pulses >= warmup && pulses_in_window >= window {
-            let state_now = engine.normalized_state(config.victim);
-            let delta_per_pulse = (state_now - window_start_state) / pulses_in_window as f64;
-            let flip_state = 0.5;
-            // Only extrapolate while the victim is still far from the flip
-            // threshold and the per-window progress is small (quasi-steady).
-            if delta_per_pulse > 0.0
-                && delta_per_pulse * window as f64 * batch_factor as f64 + state_now
-                    < 0.8 * flip_state
-            {
-                let skip_pulses =
-                    (window * batch_factor).min(config.max_pulses.saturating_sub(pulses));
-                let new_norm =
-                    engine.normalized_state(config.victim) + delta_per_pulse * skip_pulses as f64;
-                engine.force_normalized_state(config.victim, new_norm);
-                pulses += skip_pulses;
-            }
-            window_start_state = engine.normalized_state(config.victim);
-            pulses_in_window = 0;
+        // Round-robin over the aggressors: one pulse each.
+        let aggressor = aggressors[at.next];
+        at.next += 1;
+        engine.apply_pulse(aggressor, config.amplitude, config.pulse_length);
+        at.pulses += 1;
+        at.pulses_in_window += 1;
+        let peak = trunk.is_watched().then(|| engine.peak_crosstalk());
+        if config.trace {
+            let victim = engine.thermal_readout(config.victim);
+            let aggressor = engine.thermal_readout(aggressors[0]);
+            at.trace.push(TracePoint {
+                pulses: at.pulses,
+                time: Seconds(engine.elapsed().0 - plan.start_time.0),
+                aggressor_temperature: aggressor.temperature,
+                victim_temperature: victim.temperature,
+                victim_crosstalk: victim.crosstalk,
+                victim_state: victim.normalized_state,
+            });
+        }
+        if config.gap.0 > 0.0 {
+            engine.idle(config.gap);
+        }
+        if let Some(peak) = peak {
+            trunk.judge(engine, aggressor, at.pulses, peak, |fork, observer| {
+                let alone = Trunk::new(vec![observer], false);
+                run(fork, plan, at.clone(), alone, ends);
+            });
         }
     }
 
+    let victim = config.victim;
     let collateral_flips = engine
-        .changed_cells(&reference)
+        .changed_cells(&plan.reference)
         .into_iter()
-        .filter(|&c| c != config.victim)
+        .filter(|&c| c != victim)
         .count();
-    let result = AttackResult {
-        // Read again: a batching step may have moved the victim since the
-        // loop last read it.
-        flipped: victim_is_lrs(engine),
-        pulses,
-        elapsed: Seconds(engine.elapsed().0 - start_time.0),
-        victim_state: engine.read(config.victim),
-        victim_drift: engine.normalized_state(config.victim),
-        collateral_flips,
-        trace,
+    let end = Hammered {
+        attack: AttackResult {
+            // Read again: a batching step may have moved the victim since
+            // the loop last read it.
+            flipped: engine.read(victim) == DigitalState::Lrs,
+            pulses: at.pulses,
+            elapsed: Seconds(engine.elapsed().0 - plan.start_time.0),
+            victim_state: engine.read(victim),
+            victim_drift: engine.normalized_state(victim),
+            collateral_flips,
+            trace: at.trace,
+        },
+        final_crosstalk: engine.hub().delta(victim.row, victim.col),
+        interventions: Interventions::default(),
     };
-    (result, interventions)
+    for observer in trunk.into_observers() {
+        ends[observer.member] = Some(Hammered {
+            interventions: observer.interventions,
+            ..end.clone()
+        });
+    }
+    end
 }
 
 #[cfg(test)]

@@ -164,7 +164,10 @@ pub struct CampaignSpec {
     /// ([`GuardSpec::None`] is the undefended baseline). Guarded points run
     /// pulse by pulse (the guard observes every write) and additionally
     /// replay a benign workload for false-positive accounting — see
-    /// [`crate::countermeasures::run_guarded_attack`].
+    /// [`crate::countermeasures::run_guarded_attack`]. The points that
+    /// differ only in their guard run on one shared trajectory that forks
+    /// where a guard first acts
+    /// ([`crate::countermeasures::run_guard_family`]).
     pub guards: Vec<GuardSpec>,
     /// Scale factors applied to every spread's width — the σ grid axis.
     /// `vec![1.0]` runs the spreads as declared; `vec![0.0, 0.5, 1.0]`
@@ -399,7 +402,11 @@ pub struct CampaignOutcome {
     /// false triggers on the benign workload, energy/latency overhead.
     pub defense: Option<DefenseOutcome>,
     /// Wall-clock time the point took to simulate, in nanoseconds
-    /// ([`None`] when replayed from a pre-telemetry checkpoint).
+    /// ([`None`] when replayed from a pre-telemetry checkpoint). The
+    /// executor simulates a guard family — the points that differ only in
+    /// their guard — on one shared trajectory, so each member reports an
+    /// even share of its family's time
+    /// ([`crate::countermeasures::run_guard_family`]).
     ///
     /// Pure observability metadata: it is **not** part of the point's
     /// [`PointKey`] fingerprint, it never enters [`CampaignReport`]'s JSON,

@@ -8,7 +8,10 @@
 //! the shard's points on worker threads, delivering a [`CampaignEvent`] to
 //! the caller's sink *as each point completes* — long FEM-backed grids
 //! render progressively, persist partial results through
-//! [`super::checkpoint`], and split across processes or machines.
+//! [`super::checkpoint`], and split across processes or machines. The
+//! pending points that differ only in their guard run as one guard family
+//! on one engine ([`run_guard_family`]), bit-identical to running each
+//! alone.
 //!
 //! # Examples
 //!
@@ -44,7 +47,7 @@ use serde::{Deserialize, Serialize};
 use super::{
     CampaignError, CampaignOutcome, CampaignPoint, CampaignReport, CampaignSpec, PointKey,
 };
-use crate::countermeasures::run_guarded_attack;
+use crate::countermeasures::{run_guard_family, GuardSpec};
 use rram_fem::AlphaMatrix;
 
 /// One slice of a campaign grid: shard `index` of `of` equal partitions.
@@ -350,30 +353,29 @@ impl CampaignExecutor {
         if !pending.is_empty() {
             let run_started = std::time::Instant::now();
             let mut fresh_done = 0u64;
-            let threads = self.spec.threads.max(1).min(pending.len());
+            let units = self.units_of_work(&pending);
+            let threads = self.spec.threads.max(1).min(units.len());
             let next = AtomicUsize::new(0);
             let (sender, receiver) = mpsc::channel();
             std::thread::scope(|scope| {
                 for _ in 0..threads {
                     let sender = sender.clone();
                     let next = &next;
-                    let pending = &pending;
+                    let units = &units;
                     let couplings = &couplings;
                     let point_seconds = &point_seconds;
                     scope.spawn(move || loop {
                         let slot = next.fetch_add(1, Ordering::SeqCst);
-                        if slot >= pending.len() {
+                        let Some(members) = units.get(slot) else {
                             break;
-                        }
-                        let (key, point) = &pending[slot];
-                        let started = std::time::Instant::now();
-                        let result = self.execute_point(*key, point, couplings).map(|mut o| {
-                            let elapsed = started.elapsed();
-                            o.wall_ns = Some(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
-                            point_seconds.observe(elapsed.as_secs_f64());
-                            o
-                        });
-                        if sender.send(result).is_err() {
+                        };
+                        let sent = match self.execute_family(members, couplings, point_seconds) {
+                            Ok(outcomes) => {
+                                outcomes.into_iter().all(|o| sender.send(Ok(o)).is_ok())
+                            }
+                            Err(error) => sender.send(Err(error)).is_ok(),
+                        };
+                        if !sent {
                             break;
                         }
                     });
@@ -413,13 +415,48 @@ impl CampaignExecutor {
         })
     }
 
-    /// Runs one grid point against its pre-resolved coupling matrix.
-    fn execute_point(
+    /// Deals the pending points into units of work: one per *guard family*
+    /// (the points that differ only in their guard, in grid order), or one
+    /// per point when there are fewer families than threads, so a grid
+    /// smaller than the thread count keeps its parallelism.
+    fn units_of_work(
         &self,
-        key: PointKey,
-        point: &CampaignPoint,
+        pending: &[(PointKey, CampaignPoint)],
+    ) -> Vec<Vec<(PointKey, CampaignPoint)>> {
+        let mut families: Vec<Vec<(PointKey, CampaignPoint)>> = Vec::new();
+        let mut family_of = HashMap::new();
+        for &(key, point) in pending {
+            // Every coordinate but the guard: the device, and with it the
+            // Monte Carlo seed, and the backend.
+            let unguarded = CampaignPoint {
+                guard: GuardSpec::None,
+                ..point
+            };
+            let family = *family_of.entry(unguarded.id()).or_insert_with(|| {
+                families.push(Vec::new());
+                families.len() - 1
+            });
+            families[family].push((key, point));
+        }
+        if families.len() >= self.spec.threads.max(1) {
+            families
+        } else {
+            pending.iter().map(|&member| vec![member]).collect()
+        }
+    }
+
+    /// Runs one guard family against its pre-resolved coupling matrix, on
+    /// one engine ([`run_guard_family`]), and returns its members'
+    /// outcomes in order, each with an even share of the family's wall
+    /// time (also observed in `point_seconds`).
+    fn execute_family(
+        &self,
+        members: &[(PointKey, CampaignPoint)],
         couplings: &HashMap<super::CouplingKey, AlphaMatrix>,
-    ) -> Result<CampaignOutcome, CampaignError> {
+        point_seconds: &rram_telemetry::Histogram,
+    ) -> Result<Vec<CampaignOutcome>, CampaignError> {
+        let started = std::time::Instant::now();
+        let (_, point) = &members[0];
         let coupling_key = (point.rows, point.cols, point.spacing_nm.to_bits());
         let alpha = couplings
             .get(&coupling_key)
@@ -430,25 +467,35 @@ impl CampaignExecutor {
             })?
             .clone();
         let mut backend = self.spec.backend_with_alpha(point, alpha)?;
-        let guarded = run_guarded_attack(
+        let guards: Vec<GuardSpec> = members.iter().map(|(_, member)| member.guard).collect();
+        let guarded = run_guard_family(
             backend.as_mut(),
             &self.spec.attack_config(point),
-            &point.guard,
+            &guards,
             &self.spec.benign_workload(point),
         );
-        Ok(CampaignOutcome {
-            key,
-            point: *point,
-            flipped: guarded.attack.flipped,
-            pulses: guarded.attack.pulses,
-            victim_drift: guarded.attack.victim_drift,
-            final_crosstalk: guarded.final_crosstalk,
-            sim_time: guarded.attack.elapsed,
-            collateral_flips: guarded.attack.collateral_flips,
-            // Unguarded points report no defence at all.
-            defense: (!point.guard.is_none()).then_some(guarded.defense),
-            wall_ns: None,
-        })
+        let share = started.elapsed() / members.len() as u32;
+        let wall_ns = u64::try_from(share.as_nanos()).unwrap_or(u64::MAX);
+        Ok(members
+            .iter()
+            .zip(guarded)
+            .map(|(&(key, point), guarded)| {
+                point_seconds.observe(share.as_secs_f64());
+                CampaignOutcome {
+                    key,
+                    point,
+                    flipped: guarded.attack.flipped,
+                    pulses: guarded.attack.pulses,
+                    victim_drift: guarded.attack.victim_drift,
+                    final_crosstalk: guarded.final_crosstalk,
+                    sim_time: guarded.attack.elapsed,
+                    collateral_flips: guarded.attack.collateral_flips,
+                    // Unguarded points report no defence at all.
+                    defense: (!point.guard.is_none()).then_some(guarded.defense),
+                    wall_ns: Some(wall_ns),
+                }
+            })
+            .collect())
     }
 }
 

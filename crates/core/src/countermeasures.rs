@@ -9,7 +9,9 @@
 //! [`run_guarded_attack`], which runs a hammering campaign with a guard
 //! observing the attack loop ([`crate::attack::hammer`]) on any
 //! [`HammerBackend`] and reports both the attack result and the defence
-//! outcome (including the guard's cost on a benign write workload).
+//! outcome (including the guard's cost on a benign write workload), and
+//! [`run_guard_family`], which does the same for every guard of a
+//! campaign point's family on one shared trajectory.
 //!
 //! Campaigns sweep whole guard grids through
 //! [`crate::campaign::CampaignSpec::guards`]; the defence/overhead Pareto
@@ -17,8 +19,9 @@
 //! `defense_pareto`) on top of [`rram_analysis::pareto`].
 
 pub use rram_defense::{
-    apply_refresh, run_benign_workload, BenignWorkload, Countermeasure, DefenseOutcome,
-    GuardAction, GuardSpec, Interventions, ScrubbingGuard, ThermalSensorGuard, WriteCounterGuard,
+    apply_refresh, run_benign_family, run_benign_workload, BenignWorkload, Countermeasure,
+    DefenseOutcome, GuardAction, GuardSpec, Interventions, ScrubbingGuard, ThermalSensorGuard,
+    WriteCounterGuard,
 };
 
 use crate::attack::{hammer, AttackConfig, AttackResult};
@@ -42,6 +45,7 @@ pub struct GuardedAttackOutcome {
 /// Runs a hammering campaign with the guard of `spec` observing the attack
 /// loop, then replays `benign` against a fresh guard instance for
 /// false-positive and overhead accounting. Works on any [`HammerBackend`].
+/// This is [`run_guard_family`] with one member, which never forks.
 ///
 /// The guard sees every write ([`crate::attack::hammer`] says when it
 /// samples and judges), and may refresh victims ([`apply_refresh`]) or
@@ -90,62 +94,100 @@ pub fn run_guarded_attack<B: HammerBackend + ?Sized>(
     spec: &GuardSpec,
     benign: &BenignWorkload,
 ) -> GuardedAttackOutcome {
-    let mut guard = spec.build();
-    let observer = guard
-        .as_mut()
-        .map(|g| g.as_mut() as &mut dyn Countermeasure);
-    let (attack, interventions) = hammer(engine, config, observer);
-    let final_crosstalk = engine.hub().delta(config.victim.row, config.victim.col);
-    let defense = DefenseOutcome {
-        blocked: !attack.flipped,
-        detections: interventions.count,
-        pulses_to_detection: interventions.first,
-        refreshes: interventions.refreshes,
-        throttle_time: interventions.throttle_time,
-        benign_writes: 0,
-        false_triggers: 0,
-        energy_overhead: Joules(0.0),
-        latency_overhead: Seconds(0.0),
-        overhead_fraction: 0.0,
-    };
-    let Some(mut benign_guard) = spec.build() else {
-        return GuardedAttackOutcome {
-            attack,
-            final_crosstalk,
-            defense,
-        };
-    };
+    let mut outcomes = run_guard_family(engine, config, std::slice::from_ref(spec), benign);
+    outcomes.swap_remove(0)
+}
 
-    // Benign phase: a fresh guard instance against legitimate traffic on a
-    // pristine array (the same sampled devices).
+/// Runs a *guard family* — one campaign point per entry of `specs`, the
+/// points differing only in their guard — on one engine, and returns each
+/// member's outcome, in order, identical to [`run_guarded_attack`] of that
+/// member on a copy of `engine`.
+///
+/// The attack phase is one [`crate::attack::hammer`] trunk observed by
+/// every guard, forked where a guard first acts; the unguarded member
+/// rides it when `config.batching` is off. The benign phase resets the
+/// engine once and replays `benign` as one trunk observed by a fresh
+/// instance of every guard ([`run_benign_family`]).
+///
+/// # Panics
+///
+/// Panics if the victim or an aggressor lies outside the engine's array,
+/// or if the family must fork an engine that cannot fork
+/// ([`HammerBackend::fork`]); a one-member family never forks.
+pub fn run_guard_family<B: HammerBackend + ?Sized>(
+    engine: &mut B,
+    config: &AttackConfig,
+    specs: &[GuardSpec],
+    benign: &BenignWorkload,
+) -> Vec<GuardedAttackOutcome> {
+    let mut guards: Vec<_> = specs.iter().map(GuardSpec::build).collect();
+    let observers = guards
+        .iter_mut()
+        .map(|guard| guard.as_deref_mut().map(|g| g as &mut dyn Countermeasure))
+        .collect();
+    let mut outcomes: Vec<GuardedAttackOutcome> = hammer(engine, config, observers)
+        .into_iter()
+        .map(|end| GuardedAttackOutcome {
+            defense: DefenseOutcome {
+                blocked: !end.attack.flipped,
+                detections: end.interventions.count,
+                pulses_to_detection: end.interventions.first,
+                refreshes: end.interventions.refreshes,
+                throttle_time: end.interventions.throttle_time,
+                benign_writes: 0,
+                false_triggers: 0,
+                energy_overhead: Joules(0.0),
+                latency_overhead: Seconds(0.0),
+                overhead_fraction: 0.0,
+            },
+            attack: end.attack,
+            final_crosstalk: end.final_crosstalk,
+        })
+        .collect();
+
+    // Benign phase: a fresh instance of every guard against legitimate
+    // traffic on a pristine array (the same sampled devices).
+    let mut benign_guards: Vec<(usize, Box<dyn Countermeasure>)> = specs
+        .iter()
+        .enumerate()
+        .filter_map(|(member, spec)| spec.build().map(|guard| (member, guard)))
+        .collect();
+    if benign_guards.is_empty() {
+        return outcomes;
+    }
     engine.reset();
-    let false_triggers = run_benign_workload(engine, benign_guard.as_mut(), benign);
-    let energy_overhead = Joules(
-        benign.writes as f64 * spec.sense_energy_per_write().0
-            + false_triggers.refreshed_cells as f64 * rram_defense::REFRESH_ENERGY_PER_CELL.0,
-    );
-    let latency_overhead = Seconds(
-        false_triggers.throttle_time.0
-            + false_triggers.refreshed_cells as f64 * rram_defense::REFRESH_LATENCY_PER_CELL.0,
-    );
-    let nominal_time = benign.nominal_time();
-    let overhead_fraction = if nominal_time.0 > 0.0 {
-        latency_overhead.0 / nominal_time.0
-    } else {
-        0.0
-    };
-    GuardedAttackOutcome {
-        attack,
-        final_crosstalk,
-        defense: DefenseOutcome {
+    let observers = benign_guards
+        .iter_mut()
+        .map(|(_, guard)| guard.as_mut() as &mut dyn Countermeasure)
+        .collect();
+    let tallies = run_benign_family(engine, observers, benign);
+    for (&(member, _), false_triggers) in benign_guards.iter().zip(tallies) {
+        let spec = &specs[member];
+        let energy_overhead = Joules(
+            benign.writes as f64 * spec.sense_energy_per_write().0
+                + false_triggers.refreshed_cells as f64 * rram_defense::REFRESH_ENERGY_PER_CELL.0,
+        );
+        let latency_overhead = Seconds(
+            false_triggers.throttle_time.0
+                + false_triggers.refreshed_cells as f64 * rram_defense::REFRESH_LATENCY_PER_CELL.0,
+        );
+        let nominal_time = benign.nominal_time();
+        let overhead_fraction = if nominal_time.0 > 0.0 {
+            latency_overhead.0 / nominal_time.0
+        } else {
+            0.0
+        };
+        let defense = &mut outcomes[member].defense;
+        *defense = DefenseOutcome {
             benign_writes: benign.writes,
             false_triggers: false_triggers.count,
             energy_overhead,
             latency_overhead,
             overhead_fraction,
-            ..defense
-        },
+            ..*defense
+        };
     }
+    outcomes
 }
 
 #[cfg(test)]

@@ -79,8 +79,9 @@ pub use campaign::{
     DefenseParetoPoint, PointKey, Shard, VariabilityGroup,
 };
 pub use countermeasures::{
-    run_guarded_attack, BenignWorkload, Countermeasure, DefenseOutcome, GuardAction, GuardSpec,
-    GuardedAttackOutcome, ScrubbingGuard, ThermalSensorGuard, WriteCounterGuard,
+    run_guard_family, run_guarded_attack, BenignWorkload, Countermeasure, DefenseOutcome,
+    GuardAction, GuardSpec, GuardedAttackOutcome, ScrubbingGuard, ThermalSensorGuard,
+    WriteCounterGuard,
 };
 pub use estimate::{estimate_attack, AttackEstimate};
 pub use experiments::{ablation_report, fig2a_temperature_matrix, AblationReport, Fig2aResult};

@@ -147,6 +147,15 @@ pub trait HammerBackend {
         )
     }
 
+    /// An independent copy of this engine that continues bit for bit as
+    /// this one would under the same calls, or `None` if the engine cannot
+    /// be copied (the default). A guard family forks its shared trajectory
+    /// this way where a guard first acts (`neurohammer::attack::hammer`);
+    /// [`PulseEngine`] forks by `Clone`.
+    fn fork(&self) -> Option<Box<dyn HammerBackend>> {
+        None
+    }
+
     /// Worker threads this engine actually integrates lanes with — the
     /// clamped, effective count, not whatever a configuration asked for.
     /// Engines without a threaded path report 1.

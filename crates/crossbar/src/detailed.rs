@@ -16,6 +16,8 @@
 //! those; `tests/engine_agreement.rs` (workspace root) checks the two agree
 //! when line resistance is negligible.
 
+use std::sync::Arc;
+
 use crate::array::CrossbarArray;
 use rram_circuit::{CircuitError, DenseMatrix};
 use rram_jart::current::{differential_conductance, solve_operating_point};
@@ -66,8 +68,9 @@ impl Default for WiringParasitics {
 pub(crate) struct LineNetwork {
     rows: usize,
     cols: usize,
-    /// The sources, driver resistors and segments.
-    lines: DenseMatrix,
+    /// The sources, driver resistors and segments, stamped once and shared
+    /// by every clone (a forked engine copies no line matrix).
+    lines: Arc<DenseMatrix>,
     /// The right-hand side before the crosspoints: zero node rows, then
     /// the source levels, V.
     levels: Vec<f64>,
@@ -101,7 +104,7 @@ impl LineNetwork {
         LineNetwork {
             rows,
             cols,
-            lines,
+            lines: Arc::new(lines),
             levels: vec![0.0; dim],
             solution: vec![0.0; dim],
         }
@@ -143,7 +146,7 @@ impl LineNetwork {
         let nodes = self.nodes();
         let mut last_update = f64::INFINITY;
         for _ in 0..MAX_ITERATIONS {
-            let mut matrix = self.lines.clone();
+            let mut matrix = DenseMatrix::clone(&self.lines);
             let mut rhs = self.levels.clone();
             for lane in 0..self.rows * self.cols {
                 let (word, bit) = self.crosspoint(lane);
@@ -429,6 +432,23 @@ mod tests {
             assert!((again - first).abs() < 1e-9, "{again} vs {first}");
         }
         assert!(voltages[4] > 0.9 && voltages[4] < 1.05, "{}", voltages[4]);
+    }
+
+    #[test]
+    fn a_cloned_network_shares_its_stamped_lines() {
+        let mut network = LineNetwork::new(3, 3, WiringParasitics::default());
+        network.drive(&[0.525, 1.05, 0.525], &[0.525, 0.0, 0.525]);
+        network.solve(resistive).unwrap();
+        let mut fork = network.clone();
+        assert!(Arc::ptr_eq(&fork.lines, &network.lines));
+        // The fork's solves leave the shared matrix as it was stamped.
+        fork.drive(&[1.05, 0.525, 0.525], &[0.0, 0.525, 0.525]);
+        fork.solve(resistive).unwrap();
+        assert_eq!(
+            fork.lines,
+            LineNetwork::new(3, 3, WiringParasitics::default()).lines
+        );
+        assert!(fork != network);
     }
 
     #[test]

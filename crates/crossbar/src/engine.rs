@@ -538,6 +538,10 @@ impl HammerBackend for PulseEngine {
         }
     }
 
+    fn fork(&self) -> Option<Box<dyn HammerBackend>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn worker_threads(&self) -> usize {
         self.threads()
     }
@@ -869,8 +873,9 @@ mod tests {
         assert!(engine.lines == fresh.lines);
     }
 
-    #[test]
-    fn a_reset_engine_equals_a_fresh_one() {
+    /// Fresh 3×4 engines on every stage: ideal lines with one shared
+    /// parameter set, ideal lines under a column table, and wired lines.
+    fn every_stage() -> [PulseEngine; 3] {
         let ideal = |array| {
             let hub = CrosstalkHub::two_ring(3, 4, 0.15, Seconds(30e-9));
             PulseEngine::new(array, hub, EngineConfig::default())
@@ -890,12 +895,16 @@ mod tests {
         let radii = (0..12).map(|i| nominal.filament_radius * (0.9 + 0.02 * i as f64));
         table.set_column(rram_jart::ParamField::FilamentRadius, radii.collect());
         spread.set_param_columns(table);
-        let fresh_engines = [
+        [
             ideal(CrossbarArray::new(3, 4, nominal.clone())),
             ideal(spread),
             wired(CrossbarArray::new(3, 4, nominal)),
-        ];
-        for fresh in fresh_engines {
+        ]
+    }
+
+    #[test]
+    fn a_reset_engine_equals_a_fresh_one() {
+        for fresh in every_stage() {
             let mut engine = fresh.clone();
             let aggressor = CellAddress::new(1, 2);
             engine.force_state(aggressor, DigitalState::Lrs);
@@ -920,6 +929,111 @@ mod tests {
             let (spent, new) = (burst.array.bank(), fresh.array.bank());
             assert!(spent.stress_times() != new.stress_times());
             assert!(spent.charges() != new.charges());
+        }
+    }
+
+    /// Every lane of the bank, the hub and the clock, as bits.
+    fn lane_bits(engine: &PulseEngine) -> Vec<u64> {
+        let bank = engine.array.bank();
+        let lanes = [
+            bank.concentrations(),
+            bank.crosstalk(),
+            bank.temperatures(),
+            bank.stress_times(),
+            bank.charges(),
+            engine.hub.deltas(),
+        ];
+        let mut words: Vec<u64> = lanes
+            .iter()
+            .flat_map(|l| l.iter().map(|v| v.to_bits()))
+            .collect();
+        words.extend(bank.digital().iter().map(|&d| d as u64));
+        words.push(engine.elapsed.to_bits());
+        words
+    }
+
+    /// What a backend shows through the trait, as bits.
+    fn backend_bits(backend: &dyn HammerBackend) -> Vec<u64> {
+        let cells = (0..backend.rows() * backend.cols())
+            .map(|lane| CellAddress::new(lane / backend.cols(), lane % backend.cols()));
+        let mut words: Vec<u64> = cells
+            .flat_map(|cell| {
+                let readout = backend.thermal_readout(cell);
+                [
+                    readout.temperature.0,
+                    readout.crosstalk.0,
+                    readout.normalized_state,
+                ]
+            })
+            .chain(backend.hub().deltas().iter().copied())
+            .chain([backend.elapsed().0])
+            .map(f64::to_bits)
+            .collect();
+        words.extend(backend.read_all().iter().map(|&s| s as u64));
+        words
+    }
+
+    /// One step of a script driven on several engines.
+    type Step<'a> = &'a dyn Fn(&mut dyn HammerBackend);
+
+    #[test]
+    fn a_fork_taken_mid_burst_continues_bit_for_bit() {
+        let aggressor = CellAddress::new(1, 2);
+        let burst = |engine: &mut dyn HammerBackend| {
+            engine.force_state(aggressor, DigitalState::Lrs);
+            for _ in 0..3 {
+                engine.apply_pulse(aggressor, Volts(1.05), 50.0.ns());
+                engine.idle(50.0.ns());
+            }
+        };
+        // A guard's refresh: every HRS cell on the aggressor's lines
+        // rewritten.
+        let refresh = |engine: &mut dyn HammerBackend| {
+            for lane in 0..12 {
+                let cell = CellAddress::new(lane / 4, lane % 4);
+                let on_lines = cell.row == aggressor.row || cell.col == aggressor.col;
+                if on_lines && engine.read(cell) == DigitalState::Hrs {
+                    engine.force_state(cell, DigitalState::Hrs);
+                }
+            }
+        };
+        let script: [Step<'_>; 7] = [
+            &|e| e.idle(50.0.ns()),
+            &burst,
+            &refresh,
+            &|e| e.apply_pulse(CellAddress::new(0, 0), Volts(-1.3), 30.0.ns()),
+            &|e| e.idle(1.0.us()),
+            &|e| e.reset(),
+            &burst,
+        ];
+        for fresh in every_stage() {
+            let mut engine = fresh;
+            engine.force_state(aggressor, DigitalState::Lrs);
+            engine.apply_pulse(aggressor, Volts(1.05), 50.0.ns());
+            engine.idle(50.0.ns());
+            engine.apply_pulse(aggressor, Volts(1.05), 50.0.ns());
+            let mut clone = engine.clone();
+            let mut fork = engine.fork().expect("a pulse engine forks");
+            for (step, action) in script.iter().enumerate() {
+                action(&mut engine);
+                action(&mut clone);
+                action(fork.as_mut());
+                let label = engine.label();
+                assert!(
+                    clone == engine,
+                    "{label}: the clone differs after step {step}"
+                );
+                assert_eq!(
+                    lane_bits(&clone),
+                    lane_bits(&engine),
+                    "{label}: step {step}"
+                );
+                assert_eq!(
+                    backend_bits(fork.as_ref()),
+                    backend_bits(&engine),
+                    "{label}: the fork differs after step {step}"
+                );
+            }
         }
     }
 

@@ -27,8 +27,15 @@ pub enum GuardAction {
 
 /// A runtime defence observing the write stream and the thermal state.
 ///
-/// Implementations must be deterministic: campaign reproducibility relies
-/// on a guard answering identically for the identical observation sequence.
+/// Implementations must be deterministic, and their answers may depend
+/// only on the observations they are given (the `on_write` arguments so
+/// far), never on the engine or on anything outside the guard: campaign
+/// reproducibility relies on a guard answering identically for the
+/// identical observation sequence, and a guard family
+/// ([`crate::Trunk`]) runs every guard of a campaign point's family on one
+/// shared trajectory, which is exact only because a guard that has
+/// answered [`GuardAction::Allow`] to every write so far cannot tell that
+/// trajectory from its own.
 pub trait Countermeasure: std::fmt::Debug {
     /// Called for every write pulse issued to `cell` at simulated time
     /// `now`; `peak_crosstalk` is the hottest crosstalk ΔT anywhere in the

@@ -18,7 +18,9 @@
 //!   guard on any [`rram_crossbar::HammerBackend`], for false-positive and
 //!   overhead accounting, and [`Interventions::carry_out`], which carries
 //!   out a guard's [`GuardAction`] on the engine and tallies it — for the
-//!   benign stream and the attack alike.
+//!   benign stream and the attack alike — and [`Trunk`], which runs a
+//!   *guard family* (points that differ only in their guard) on one shared
+//!   trajectory and forks it where a guard first acts.
 //!
 //! The guarded attack harness itself lives in
 //! `neurohammer::countermeasures` (it needs the attack configuration);
@@ -69,4 +71,7 @@ pub use spec::{
     GuardSpec, COUNTER_ENERGY_PER_WRITE, REFRESH_ENERGY_PER_CELL, REFRESH_LATENCY_PER_CELL,
     SENSE_ENERGY_PER_SAMPLE,
 };
-pub use workload::{apply_refresh, run_benign_workload, BenignWorkload, Interventions};
+pub use workload::{
+    apply_refresh, run_benign_family, run_benign_workload, BenignWorkload, Interventions, Observer,
+    Trunk,
+};

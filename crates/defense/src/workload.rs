@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use crate::guard::{Countermeasure, GuardAction};
 use rram_crossbar::{CellAddress, HammerBackend};
 use rram_jart::DigitalState;
-use rram_units::{Seconds, Volts};
+use rram_units::{Kelvin, Seconds, Volts};
 
 /// A deterministic benign write stream.
 ///
@@ -117,6 +117,112 @@ impl Interventions {
     }
 }
 
+/// One guard of a *guard family* — campaign points that differ only in
+/// their guard — watching a write stream the family shares: the member's
+/// position in the family, its guard, and what the guard has done on the
+/// stream.
+#[derive(Debug)]
+pub struct Observer<'g> {
+    /// Position of the member in its family.
+    pub member: usize,
+    /// The member's guard.
+    pub guard: &'g mut dyn Countermeasure,
+    /// The guard's interventions so far.
+    pub interventions: Interventions,
+}
+
+impl<'g> Observer<'g> {
+    /// Member `member`'s guard, before it has seen a write.
+    pub fn new(member: usize, guard: &'g mut dyn Countermeasure) -> Self {
+        Observer {
+            member,
+            guard,
+            interventions: Interventions::default(),
+        }
+    }
+}
+
+/// The guards watching one trajectory of a guard family (a *trunk*).
+///
+/// Until a guard answers something other than [`GuardAction::Allow`], it
+/// changes nothing its member simulates, so every member runs the same
+/// trajectory up to its guard's first action and the family runs it once.
+/// [`Trunk::judge`] shows each write to every guard on the trunk. A guard
+/// that acts leaves: the engine is forked ([`HammerBackend::fork`]), the
+/// action is carried out on the fork, and the member's loop finishes alone
+/// there before the trunk goes on (depth-first, so at most one fork is
+/// alive beside a trunk). The last guard on a trunk without a *rider* (a
+/// member without a guard, which needs the trunk's own end) carries its
+/// actions out on the trunk itself, so a one-member family never forks.
+///
+/// This is exact because a guard's answers may depend only on the
+/// observations it is given (see [`Countermeasure`]).
+#[derive(Debug, Default)]
+pub struct Trunk<'g> {
+    observers: Vec<Observer<'g>>,
+    rider: bool,
+}
+
+impl<'g> Trunk<'g> {
+    /// A trunk watched by `observers`, in member order; `rider` says a
+    /// member without a guard rides it to its end.
+    pub fn new(observers: Vec<Observer<'g>>, rider: bool) -> Self {
+        Trunk { observers, rider }
+    }
+
+    /// Whether any guard is still watching.
+    pub fn is_watched(&self) -> bool {
+        !self.observers.is_empty()
+    }
+
+    /// Shows write number `write` (1-based) of `cell` to every guard on the
+    /// trunk: `peak` is the crosstalk ΔT sampled after the pulse, the time
+    /// is the engine's after the gap. Each guard that acts and must leave
+    /// gets a fork of `engine` with its action carried out, and `branch`
+    /// finishes the member's loop on it; the fork is dropped when `branch`
+    /// returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a guard must leave and `engine` cannot fork.
+    pub fn judge<B: HammerBackend + ?Sized>(
+        &mut self,
+        engine: &mut B,
+        cell: CellAddress,
+        write: u64,
+        peak: Kelvin,
+        mut branch: impl FnMut(&mut dyn HammerBackend, Observer<'g>),
+    ) {
+        let now = engine.elapsed();
+        let mut i = 0;
+        while i < self.observers.len() {
+            let action = self.observers[i].guard.on_write(cell, now, peak);
+            if action == GuardAction::Allow {
+                i += 1;
+            } else if self.observers.len() == 1 && !self.rider {
+                self.observers[i]
+                    .interventions
+                    .carry_out(engine, cell, write, action);
+                i += 1;
+            } else {
+                let mut observer = self.observers.remove(i);
+                let mut fork = engine
+                    .fork()
+                    .expect("a guard family forks only engines that can fork");
+                observer
+                    .interventions
+                    .carry_out(fork.as_mut(), cell, write, action);
+                branch(fork.as_mut(), observer);
+            }
+        }
+    }
+
+    /// The guards still on the trunk.
+    pub fn into_observers(self) -> Vec<Observer<'g>> {
+        self.observers
+    }
+}
+
 /// Refreshes the half-selected neighbours of `cell`: every HRS cell in its
 /// row and column is rewritten (erasing partial SET drift); LRS cells are
 /// left alone so legitimate data survives. Returns the number of cells
@@ -148,28 +254,84 @@ fn refresh_if_hrs<B: HammerBackend + ?Sized>(engine: &mut B, address: CellAddres
 /// interventions, every one of them a false trigger. Deterministic: the
 /// cell sequence depends only on [`BenignWorkload::seed`], and guards are
 /// required to answer deterministically, so the same workload and guard
-/// state produce the identical tally on every backend, shard and run.
+/// state produce the identical tally on every backend, shard and run. This
+/// is [`run_benign_family`] with one guard, which never forks.
 pub fn run_benign_workload<B: HammerBackend + ?Sized>(
     engine: &mut B,
     guard: &mut dyn Countermeasure,
     workload: &BenignWorkload,
 ) -> Interventions {
+    run_benign_family(engine, vec![guard], workload)[0]
+}
+
+/// Replays the workload once for a guard family: every guard in `guards`
+/// watches one shared stream on `engine`, and a guard leaves it on a fork
+/// where it first acts ([`Trunk`]). Returns each guard's interventions, in
+/// order, each identical to [`run_benign_workload`] with that guard alone
+/// on a copy of `engine`.
+///
+/// # Panics
+///
+/// Panics if a guard must fork off an engine that cannot fork
+/// ([`HammerBackend::fork`]); one guard never forks.
+pub fn run_benign_family<B: HammerBackend + ?Sized>(
+    engine: &mut B,
+    guards: Vec<&mut dyn Countermeasure>,
+    workload: &BenignWorkload,
+) -> Vec<Interventions> {
+    let mut tallies = vec![Interventions::default(); guards.len()];
+    let observers = guards.into_iter().enumerate();
+    let trunk = Trunk::new(observers.map(|(i, g)| Observer::new(i, g)).collect(), false);
+    let start = Replay {
+        write: 0,
+        stream: workload.seed,
+    };
+    replay(engine, workload, start, trunk, &mut tallies);
+    tallies
+}
+
+/// Where a benign replay stands between two writes; a fork copies it.
+#[derive(Debug, Clone, Copy)]
+struct Replay {
+    /// Writes made so far.
+    write: u64,
+    /// The cell-selection stream's state.
+    stream: u64,
+}
+
+/// Runs the workload from `at` to its end on `engine` under `trunk`, and
+/// files each guard's tally in `tallies` when its member finishes.
+fn replay<B: HammerBackend + ?Sized>(
+    engine: &mut B,
+    workload: &BenignWorkload,
+    mut at: Replay,
+    mut trunk: Trunk<'_>,
+    tallies: &mut [Interventions],
+) {
     let (rows, cols) = (engine.rows(), engine.cols());
     let cells = (rows * cols) as u64;
-    let mut stream = workload.seed;
-    let mut interventions = Interventions::default();
-    for write in 1..=workload.writes {
-        let index = (splitmix64(&mut stream) % cells) as usize;
+    while at.write < workload.writes {
+        at.write += 1;
+        let index = (splitmix64(&mut at.stream) % cells) as usize;
         let cell = CellAddress::new(index / cols, index % cols);
         engine.apply_pulse(cell, workload.amplitude, workload.pulse_length);
         let peak = engine.peak_crosstalk();
         if workload.gap.0 > 0.0 {
             engine.idle(workload.gap);
         }
-        let action = guard.on_write(cell, engine.elapsed(), peak);
-        interventions.carry_out(engine, cell, write, action);
+        trunk.judge(engine, cell, at.write, peak, |fork, observer| {
+            replay(
+                fork,
+                workload,
+                at,
+                Trunk::new(vec![observer], false),
+                tallies,
+            );
+        });
     }
-    interventions
+    for observer in trunk.into_observers() {
+        tallies[observer.member] = observer.interventions;
+    }
 }
 
 /// One step of the splitmix64 stream — the tiny, portable PRNG behind the

@@ -658,7 +658,7 @@ fn step_ranges(
             let sets = ColumnSets {
                 table,
                 base,
-                sets: std::array::from_fn(|_| None),
+                sets: std::array::from_fn(|_| table.nominal().clone()),
             };
             scan_ranges(params, sets, voltages, lanes, ranges, dt);
         }
@@ -1102,16 +1102,15 @@ impl SlotParams for SharedSet<'_> {
     }
 }
 
-/// One set per slot, from a column table: a slot's set is copied from the
-/// nominal set the first time the call loads the slot, so a call pays for
-/// the slots it uses only, and loading a lane writes only the table's
-/// column values over it. A set holds the nominal value of every other
-/// field, so it equals the table's lane bit for bit.
+/// One set per slot, from a column table: each starts as a copy of the
+/// nominal set, made once per call, and loading a lane writes only the
+/// table's column values over it. A set holds the nominal value of every
+/// other field, so it equals the table's lane bit for bit.
 struct ColumnSets<'a> {
     table: &'a ParamColumns,
     /// Table lane of the call's first lane.
     base: usize,
-    sets: [Option<DeviceParams>; LOCKSTEP],
+    sets: [DeviceParams; LOCKSTEP],
 }
 
 impl SlotParams for ColumnSets<'_> {
@@ -1119,15 +1118,12 @@ impl SlotParams for ColumnSets<'_> {
 
     #[inline]
     fn load(&mut self, k: usize, lane: usize) {
-        let set = self.sets[k].get_or_insert_with(|| self.table.nominal().clone());
-        self.table.write_lane(self.base + lane, set);
+        self.table.write_lane(self.base + lane, &mut self.sets[k]);
     }
 
     #[inline]
     fn get(&self, k: usize) -> &DeviceParams {
-        self.sets[k]
-            .as_ref()
-            .expect("a slot's set is loaded before its lane steps")
+        &self.sets[k]
     }
 }
 

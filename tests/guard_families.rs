@@ -147,6 +147,21 @@ fn assert_matches(got: &[CampaignOutcome], reference: &[CampaignOutcome], case: 
     }
 }
 
+/// Whether the executor dealt `outcomes` as guard families: the members of
+/// a family report one even share of its time, while a point run as its
+/// own unit of work times itself.
+fn dealt_as_families(outcomes: &[CampaignOutcome]) -> bool {
+    let mut shares = std::collections::HashMap::new();
+    outcomes.iter().all(|outcome| {
+        let family = CampaignPoint {
+            guard: GuardSpec::None,
+            ..outcome.point
+        }
+        .id();
+        *shares.entry(family).or_insert(outcome.wall_ns) == outcome.wall_ns
+    })
+}
+
 /// The guards act where the spec says: thermal on the first write, the
 /// counter on the 32nd, the scrub only on benign traffic, the silent
 /// counter never.
@@ -186,6 +201,7 @@ fn families_reproduce_standalone_points_bit_for_bit() {
             assert_eq!(report.outcomes.len(), reference.len());
             let case = format!("batching {batching}, {threads} threads");
             assert_matches(&report.outcomes, &reference, &case);
+            assert!(dealt_as_families(&report.outcomes), "{case}");
         }
     }
 }
@@ -203,7 +219,9 @@ fn shards_and_resumes_that_split_families_reproduce_standalone_points() {
             .unwrap()
             .execute(|_| {})
             .unwrap();
-        assert_matches(&report.outcomes, &reference, &format!("shard {index}/3"));
+        let case = format!("shard {index}/3");
+        assert_matches(&report.outcomes, &reference, &case);
+        assert!(dealt_as_families(&report.outcomes), "{case}");
     }
 
     // A checkpoint holding the unguarded and counter points of every
@@ -225,7 +243,8 @@ fn shards_and_resumes_that_split_families_reproduce_standalone_points() {
     let report = executor.execute(|_| {}).unwrap();
     assert_matches(&report.outcomes, &reference, "resumed");
 
-    // One family on two threads: every point is its own unit of work.
+    // One family on two threads: with two cores or more every point is its
+    // own unit of work, so the grid keeps its parallelism.
     let single = CampaignSpec {
         spread_scales: vec![0.1],
         trials: 1,
@@ -234,6 +253,12 @@ fn shards_and_resumes_that_split_families_reproduce_standalone_points() {
     let reference = standalone_outcomes(&single);
     let report = single.run().unwrap();
     assert_matches(&report.outcomes, &reference, "one family, two threads");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(
+        dealt_as_families(&report.outcomes),
+        cores < 2,
+        "one family, two threads, {cores} cores"
+    );
 }
 
 #[test]
@@ -266,4 +291,5 @@ fn a_detailed_family_reproduces_standalone_points() {
     assert_eq!(detections, [None, Some(1), Some(8), None]);
     let report = spec.run().unwrap();
     assert_matches(&report.outcomes, &reference, "detailed");
+    assert!(dealt_as_families(&report.outcomes), "detailed");
 }

@@ -39,7 +39,8 @@
 //!   stderr to be a terminal;
 //! * `--html <path>` — additionally export the finished report as one
 //!   self-contained HTML file (inline SVG charts, campaign fingerprint,
-//!   deterministic telemetry snapshot), byte-reproducible per spec.
+//!   deterministic telemetry snapshot), byte-reproducible per spec at any
+//!   thread count.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

@@ -10,8 +10,9 @@
 //! * [`render_html`] exports a finished [`CampaignReport`] as one
 //!   self-contained HTML file: inline SVG sweep charts, the numeric
 //!   tables, the campaign fingerprint and the deterministic telemetry
-//!   snapshot. Identical reports export byte-identical files (the
-//!   `report-smoke` CI job diffs two runs).
+//!   snapshot. Identical reports export byte-identical files, at any
+//!   thread count (the `report-smoke` CI job diffs two runs, and
+//!   `defense-smoke` a one- and a two-thread run).
 
 use std::io::{IsTerminal, Write};
 use std::path::PathBuf;
@@ -241,8 +242,10 @@ fn log_axis(values: impl Iterator<Item = f64> + Clone) -> bool {
 
 /// Renders a campaign report as one self-contained HTML document — see
 /// the module docs for the sections. Pure function of its inputs plus
-/// the global telemetry registry's deterministic snapshot, so identical
-/// reports render byte-identically.
+/// the global telemetry registry's deterministic snapshot, which leaves
+/// out wall-clock series and the kernel's simulation-work counters (see
+/// [`Registry::snapshot_json`]), so identical reports render
+/// byte-identically however the executor dealt their points.
 pub fn render_html(
     title: &str,
     spec: &CampaignSpec,
@@ -323,8 +326,10 @@ pub fn render_html(
     doc.section("Telemetry snapshot");
     doc.paragraph(
         "Deterministic subset of the process-global telemetry registry: \
-         volatile families (durations, rates, histograms) are excluded, so \
-         identical campaigns snapshot identically.",
+         volatile families (durations, rates, histograms) and the kernel's \
+         simulation-work counters, which depend on how points shared \
+         trajectories, are excluded, so identical campaigns snapshot \
+         identically at any thread count.",
     );
     doc.preformatted(Registry::global().snapshot_json(SnapshotMode::Deterministic));
 

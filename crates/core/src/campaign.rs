@@ -165,9 +165,9 @@ pub struct CampaignSpec {
     /// pulse by pulse (the guard observes every write) and additionally
     /// replay a benign workload for false-positive accounting — see
     /// [`crate::countermeasures::run_guarded_attack`]. The points that
-    /// differ only in their guard run on one shared trajectory that forks
-    /// where a guard first acts
-    /// ([`crate::countermeasures::run_guard_family`]).
+    /// differ only in their guard (and, on a device that samples nothing,
+    /// in their trial) run on one shared trajectory that forks where a
+    /// guard first acts ([`crate::countermeasures::run_guard_family`]).
     pub guards: Vec<GuardSpec>,
     /// Scale factors applied to every spread's width — the σ grid axis.
     /// `vec![1.0]` runs the spreads as declared; `vec![0.0, 0.5, 1.0]`
@@ -331,6 +331,11 @@ impl CampaignPoint {
     /// backend of a cross-engine comparison — and every guard of a defence
     /// sweep — simulates the identical sampled devices (guard comparisons
     /// are paired, not confounded by resampling).
+    ///
+    /// The trial index enters only through this seed, that is the sampled
+    /// devices and the benign write stream ([`CampaignSpec::point_seed`]).
+    /// A point that samples no device ([`CampaignSpec::samples_device`])
+    /// runs the same attack in every trial.
     pub fn device_id(&self) -> u64 {
         self.coordinate_hash(true)
     }
@@ -403,9 +408,9 @@ pub struct CampaignOutcome {
     pub defense: Option<DefenseOutcome>,
     /// Wall-clock time the point took to simulate, in nanoseconds
     /// ([`None`] when replayed from a pre-telemetry checkpoint). The
-    /// executor simulates a guard family — the points that differ only in
-    /// their guard — on one shared trajectory, so each member reports an
-    /// even share of its family's time
+    /// executor simulates a device family — the points that share their
+    /// whole attack phase — on one shared trajectory, so each member
+    /// reports an even share of its family's time
     /// ([`crate::countermeasures::run_guard_family`]).
     ///
     /// Pure observability metadata: it is **not** part of the point's
@@ -806,19 +811,44 @@ impl CampaignSpec {
     /// seeded campaigns bit-identical across `--shard` splits and
     /// checkpoint resume; staleness protection against changed execution
     /// profiles lives in the [`PointKey`] fingerprint, not here.
+    ///
+    /// The seed feeds the device sampling ([`CampaignSpec::sampled_columns`])
+    /// and the benign write stream ([`CampaignSpec::benign_workload`]), and
+    /// nothing else: these are the only two places where the trial index
+    /// reaches the simulation.
     pub fn point_seed(&self, point: &CampaignPoint) -> u64 {
         fnv1a_words(&[self.seed, point.device_id()])
     }
 
+    /// Whether a grid point samples its own device population. It does not
+    /// when the spec carries no spreads, or when the point's σ-axis value
+    /// is exactly `0.0` *and* every spread is centred on the nominal value
+    /// (omitted `mean`/`median`): scaled sampling would reproduce the
+    /// nominal device anyway. Off-centre spreads (explicit `mean`/`median`,
+    /// uniform intervals) collapse onto their *own* centre as σ → 0, so
+    /// they keep sampling — the σ axis stays continuous at 0.
+    ///
+    /// Decided from the spec alone, without sampling anything. A point
+    /// that samples no device runs the nominal device in every trial
+    /// ([`CampaignSpec::sampled_columns`] is `None`), so its trials differ
+    /// only in their benign write stream's seed, and the executor runs
+    /// their attack phase once.
+    pub fn samples_device(&self, point: &CampaignPoint) -> bool {
+        let centred_on_nominal = |spread: &ParamSpread| {
+            matches!(
+                spread.distribution,
+                Distribution::Normal { mean: None, .. }
+                    | Distribution::LogNormal { median: None, .. }
+            )
+        };
+        !self.spreads.is_empty()
+            && (point.spread_scale != 0.0 || !self.spreads.iter().all(centred_on_nominal))
+    }
+
     /// Samples the per-cell parameters of one grid point as a column table
     /// (the nominal set plus one column per spread field), or `None` when
-    /// the spec carries no spreads — or the point's σ-axis value is
-    /// exactly `0.0` *and* every spread is centred on the nominal value
-    /// (omitted `mean`/`median`), in which case scaled sampling would
-    /// reproduce the nominal device anyway and the cheap homogeneous path
-    /// is exact. Off-centre spreads (explicit `mean`/`median`, uniform
-    /// intervals) collapse onto their *own* centre as σ → 0, so they keep
-    /// sampling — the σ axis stays continuous at 0.
+    /// the point samples no device ([`CampaignSpec::samples_device`]), in
+    /// which case the cheap homogeneous path is exact.
     ///
     /// The spec's spreads are scaled by the point's
     /// [`CampaignPoint::spread_scale`] before sampling
@@ -836,16 +866,7 @@ impl CampaignSpec {
         &self,
         point: &CampaignPoint,
     ) -> Result<Option<ParamColumns>, CampaignError> {
-        let centred_on_nominal = |spread: &ParamSpread| {
-            matches!(
-                spread.distribution,
-                Distribution::Normal { mean: None, .. }
-                    | Distribution::LogNormal { median: None, .. }
-            )
-        };
-        if self.spreads.is_empty()
-            || (point.spread_scale == 0.0 && self.spreads.iter().all(centred_on_nominal))
-        {
+        if !self.samples_device(point) {
             return Ok(None);
         }
         let spreads: Vec<ParamSpread> = self
@@ -2198,6 +2219,68 @@ mod tests {
             }
         }
         assert_eq!(sampled, spec.num_points() / 2);
+    }
+
+    #[test]
+    fn samples_device_agrees_with_sampled_columns() {
+        let nominal = DeviceParams::default();
+        let radius = nominal.filament_radius;
+        let spread = |field, distribution| ParamSpread {
+            field,
+            distribution,
+            truncate_low: None,
+            truncate_high: None,
+        };
+        let normal = ParamSpread::relative_normal(ParamField::FilamentRadius, 0.1, &nominal);
+        let log_normal = ParamSpread::relative_lognormal(ParamField::LDisc, 0.05);
+        let mean = spread(
+            ParamField::FilamentRadius,
+            Distribution::Normal {
+                mean: Some(radius),
+                sigma: 0.1 * radius,
+            },
+        );
+        let median = spread(
+            ParamField::LDisc,
+            Distribution::LogNormal {
+                median: Some(nominal.l_disc),
+                sigma: 0.05,
+            },
+        );
+        let uniform = spread(
+            ParamField::FilamentRadius,
+            Distribution::Uniform {
+                low: 0.9 * radius,
+                high: 1.1 * radius,
+            },
+        );
+        // Each set of spreads, and whether it samples a device at σ = 0.
+        let cases = [
+            ("no spreads", vec![], false),
+            ("centred normal", vec![normal], false),
+            ("centred log-normal", vec![log_normal], false),
+            ("both centred", vec![normal, log_normal], false),
+            ("explicit mean", vec![mean], true),
+            ("explicit median", vec![median], true),
+            ("uniform", vec![uniform], true),
+            ("centred and uniform", vec![normal, uniform], true),
+        ];
+        for (case, spreads, at_zero) in cases {
+            let spec = CampaignSpec {
+                spreads: spreads.clone(),
+                spread_scales: vec![0.0, 0.05, 1.0],
+                trials: 2,
+                seed: 5,
+                ..CampaignSpec::default()
+            };
+            for point in spec.points() {
+                let sigma = point.spread_scale;
+                let sampled = spec.sampled_columns(&point).unwrap().is_some();
+                assert_eq!(spec.samples_device(&point), sampled, "{case}, σ {sigma}");
+                let expected = !spreads.is_empty() && (sigma != 0.0 || at_zero);
+                assert_eq!(sampled, expected, "{case}, σ {sigma}");
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A checkpoint is a plain-text file with one compact JSON
 //! [`CampaignOutcome`] per line, flushed as each point completes — so a
 //! killed or interrupted run keeps everything it finished. The points of a
-//! guard family complete together, when the whole family has run (see
+//! device family complete together, when the whole family has run (see
 //! [`super::executor`]). The reader is deliberately forgiving: a truncated
 //! final line (the run died mid-write) is dropped, and duplicate keys (a
 //! resumed run re-recording replayed points) are de-duplicated, first

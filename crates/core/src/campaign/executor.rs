@@ -9,11 +9,17 @@
 //! the caller's sink *as points complete* — long FEM-backed grids
 //! render progressively, persist partial results through
 //! [`super::checkpoint`], and split across processes or machines. The
-//! pending points that differ only in their guard run as one guard family
-//! on one engine ([`run_guard_family`]), bit-identical to running each
-//! alone. A family's members complete together, when the family returns:
-//! their events, checkpoint lines and progress arrive at once, and a run
-//! killed mid-family keeps none of that family's members.
+//! pending points that share their whole attack phase run as one *device
+//! family* on one engine ([`run_guard_family`]), bit-identical to running
+//! each alone: the points that differ only in their guard, and, where the
+//! spec samples no device for them ([`CampaignSpec::samples_device`]), in
+//! their Monte Carlo trial, which then changes only the benign stream's
+//! seed. The attack phase runs once per distinct guard and the benign
+//! phase once per trial. A shard with fewer device families than threads
+//! that can run at once falls back to guard families (trials apart), then
+//! to single points. A family's members complete together, when the family
+//! returns: their events, checkpoint lines and progress arrive at once,
+//! and a run killed mid-family keeps none of that family's members.
 //!
 //! # Examples
 //!
@@ -126,7 +132,7 @@ impl std::fmt::Display for Shard {
 /// Events are delivered to the sink passed to [`CampaignExecutor::execute`]
 /// in order: one `Started`, then one `PointFinished` per grid point of the
 /// executor's shard (resumed points first, in grid order; fresh points as
-/// their workers complete them, a guard family's members together), then
+/// their workers complete them, a family's members together), then
 /// one `Finished`.
 // One event exists per grid point, each the product of seconds of
 // simulation — the variant-size asymmetry (outcomes now carry an optional
@@ -290,7 +296,7 @@ impl CampaignExecutor {
     }
 
     /// Executes the shard's points on worker threads, delivering a
-    /// [`CampaignEvent`] to `on_event` as each guard family completes (one
+    /// [`CampaignEvent`] to `on_event` as each unit of work completes (one
     /// per member, in grid order), and returns the shard's report
     /// (outcomes in grid order).
     ///
@@ -419,46 +425,59 @@ impl CampaignExecutor {
         })
     }
 
-    /// Deals the pending points into units of work: one per *guard family*
-    /// (the points that differ only in their guard, in grid order), or one
-    /// per point when there are fewer families than threads that can run at
-    /// once (`threads`, capped at the machine's available parallelism), so
-    /// a grid with fewer families than cores keeps its parallelism. On a
-    /// two-core VM, `fig_defense`'s quick grid cut to one family took 31 %
-    /// less wall time on two threads dealt per point than as one family,
-    /// while two and four of its families on three and five threads took
-    /// 10 % and 4 % less as families.
+    /// Deals the pending points into units of work, in grid order: the
+    /// coarsest grouping that still gives at least as many units as threads
+    /// that can run at once (`threads`, capped at the machine's available
+    /// parallelism), so a grid with fewer families than cores keeps its
+    /// parallelism. The ladder runs from *device families* (the points
+    /// that share their whole attack phase: same point but for the guard,
+    /// and but for the trial when the point samples no device,
+    /// [`CampaignSpec::samples_device`]) through *guard families* (the
+    /// points that differ only in their guard) to single points. On a
+    /// two-core VM, `fig_defense`'s quick grid cut to one guard family
+    /// took 31 % less wall time on two threads dealt per point than as one
+    /// family, while two and four of its families on three and five threads
+    /// took 10 % and 4 % less as families.
     fn units_of_work(
         &self,
         pending: &[(PointKey, CampaignPoint)],
     ) -> Vec<Vec<(PointKey, CampaignPoint)>> {
-        let mut families: Vec<Vec<(PointKey, CampaignPoint)>> = Vec::new();
-        let mut family_of = HashMap::new();
-        for &(key, point) in pending {
-            // Every coordinate but the guard: the device, and with it the
-            // Monte Carlo seed, and the backend.
-            let unguarded = CampaignPoint {
-                guard: GuardSpec::None,
-                ..point
-            };
-            let family = *family_of.entry(unguarded.id()).or_insert_with(|| {
-                families.push(Vec::new());
-                families.len() - 1
-            });
-            families[family].push((key, point));
-        }
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if families.len() >= self.spec.threads.max(1).min(cores) {
-            families
-        } else {
-            pending.iter().map(|&member| vec![member]).collect()
+        let wanted = self.spec.threads.max(1).min(cores);
+        for share_trials in [true, false] {
+            let mut families: Vec<Vec<(PointKey, CampaignPoint)>> = Vec::new();
+            let mut family_of = HashMap::new();
+            for &(key, point) in pending {
+                // Every coordinate but the guard, and but the trial where
+                // it seeds nothing but the benign stream.
+                let shared = CampaignPoint {
+                    guard: GuardSpec::None,
+                    trial: if share_trials && !self.spec.samples_device(&point) {
+                        0
+                    } else {
+                        point.trial
+                    },
+                    ..point
+                };
+                let family = *family_of.entry(shared.id()).or_insert_with(|| {
+                    families.push(Vec::new());
+                    families.len() - 1
+                });
+                families[family].push((key, point));
+            }
+            if families.len() >= wanted {
+                return families;
+            }
         }
+        pending.iter().map(|&member| vec![member]).collect()
     }
 
-    /// Runs one guard family against its pre-resolved coupling matrix, on
-    /// one engine ([`run_guard_family`]), and returns its members'
-    /// outcomes in order, each with an even share of the family's wall
-    /// time (also observed in `point_seconds`).
+    /// Runs one unit of work — a device family, a guard family or a single
+    /// point — against its pre-resolved coupling matrix, on one engine
+    /// ([`run_guard_family`]), and returns its members' outcomes in order,
+    /// each with an even share of the unit's wall time (also observed in
+    /// `point_seconds`). The engine is built from the first member: the
+    /// members of a unit share its device and backend.
     fn execute_family(
         &self,
         members: &[(PointKey, CampaignPoint)],
@@ -477,13 +496,11 @@ impl CampaignExecutor {
             })?
             .clone();
         let mut backend = self.spec.backend_with_alpha(point, alpha)?;
-        let guards: Vec<GuardSpec> = members.iter().map(|(_, member)| member.guard).collect();
-        let guarded = run_guard_family(
-            backend.as_mut(),
-            &self.spec.attack_config(point),
-            &guards,
-            &self.spec.benign_workload(point),
-        );
+        let family: Vec<_> = members
+            .iter()
+            .map(|(_, member)| (member.guard, self.spec.benign_workload(member)))
+            .collect();
+        let guarded = run_guard_family(backend.as_mut(), &self.spec.attack_config(point), &family);
         let share = started.elapsed() / members.len() as u32;
         let wall_ns = u64::try_from(share.as_nanos()).unwrap_or(u64::MAX);
         Ok(members

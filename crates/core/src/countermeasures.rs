@@ -10,8 +10,9 @@
 //! observing the attack loop ([`crate::attack::hammer`]) on any
 //! [`HammerBackend`] and reports both the attack result and the defence
 //! outcome (including the guard's cost on a benign write workload), and
-//! [`run_guard_family`], which does the same for every guard of a
-//! campaign point's family on one shared trajectory.
+//! [`run_guard_family`], which does the same for a family of points that
+//! share their whole attack phase (different guards, and on a device that
+//! samples nothing different trials) on one shared trajectory.
 //!
 //! Campaigns sweep whole guard grids through
 //! [`crate::campaign::CampaignSpec::guards`]; the defence/overhead Pareto
@@ -94,100 +95,150 @@ pub fn run_guarded_attack<B: HammerBackend + ?Sized>(
     spec: &GuardSpec,
     benign: &BenignWorkload,
 ) -> GuardedAttackOutcome {
-    let mut outcomes = run_guard_family(engine, config, std::slice::from_ref(spec), benign);
+    let mut outcomes = run_guard_family(engine, config, &[(*spec, *benign)]);
     outcomes.swap_remove(0)
 }
 
-/// Runs a *guard family* — one campaign point per entry of `specs`, the
-/// points differing only in their guard — on one engine, and returns each
-/// member's outcome, in order, identical to [`run_guarded_attack`] of that
-/// member on a copy of `engine`.
+/// Runs a *family* of campaign points that share their whole attack phase
+/// on one engine: one member per entry of `members`, each a guard and the
+/// benign workload that guard is charged on. Returns each member's
+/// outcome, in order, identical to [`run_guarded_attack`] of that member on
+/// a copy of `engine`.
 ///
-/// The attack phase is one [`crate::attack::hammer`] trunk observed by
-/// every guard, forked where a guard first acts; the unguarded member
-/// rides it when `config.batching` is off. The benign phase resets the
-/// engine once and replays `benign` as one trunk observed by a fresh
-/// instance of every guard ([`run_benign_family`]).
+/// The members differ only in their guard and their benign stream: the
+/// points of one device and backend that differ in their guard, and, on a
+/// device that samples nothing, in their Monte Carlo trial (which changes
+/// only the stream's seed). The attack phase runs once per distinct guard,
+/// as one [`crate::attack::hammer`] trunk observed by every distinct
+/// guard, forked where a guard first acts; each guard's end goes to every
+/// member with that guard, and the unguarded members ride the trunk when
+/// `config.batching` is off. The benign phase runs once per distinct
+/// stream: it resets the engine and replays the stream as one trunk
+/// observed by a fresh instance of the guard of every guarded member on it
+/// ([`run_benign_family`]).
 ///
 /// # Panics
 ///
 /// Panics if the victim or an aggressor lies outside the engine's array,
 /// or if the family must fork an engine that cannot fork
-/// ([`HammerBackend::fork`]); a one-member family never forks.
+/// ([`HammerBackend::fork`]); a family with one distinct guard and one
+/// distinct stream never forks.
 pub fn run_guard_family<B: HammerBackend + ?Sized>(
     engine: &mut B,
     config: &AttackConfig,
-    specs: &[GuardSpec],
-    benign: &BenignWorkload,
+    members: &[(GuardSpec, BenignWorkload)],
 ) -> Vec<GuardedAttackOutcome> {
+    // Attack phase: one observer per distinct guard (by its bits).
+    let mut specs = Vec::new();
+    let slots: Vec<usize> = members
+        .iter()
+        .map(|(spec, _)| slot_of(&mut specs, *spec, GuardSpec::fingerprint_words))
+        .collect();
     let mut guards: Vec<_> = specs.iter().map(GuardSpec::build).collect();
     let observers = guards
         .iter_mut()
         .map(|guard| guard.as_deref_mut().map(|g| g as &mut dyn Countermeasure))
         .collect();
-    let mut outcomes: Vec<GuardedAttackOutcome> = hammer(engine, config, observers)
-        .into_iter()
-        .map(|end| GuardedAttackOutcome {
-            defense: DefenseOutcome {
-                blocked: !end.attack.flipped,
-                detections: end.interventions.count,
-                pulses_to_detection: end.interventions.first,
-                refreshes: end.interventions.refreshes,
-                throttle_time: end.interventions.throttle_time,
-                benign_writes: 0,
-                false_triggers: 0,
-                energy_overhead: Joules(0.0),
-                latency_overhead: Seconds(0.0),
-                overhead_fraction: 0.0,
-            },
-            attack: end.attack,
-            final_crosstalk: end.final_crosstalk,
+    let ends = hammer(engine, config, observers);
+    let mut outcomes: Vec<GuardedAttackOutcome> = slots
+        .iter()
+        .map(|&slot| {
+            let end = &ends[slot];
+            GuardedAttackOutcome {
+                defense: DefenseOutcome {
+                    blocked: !end.attack.flipped,
+                    detections: end.interventions.count,
+                    pulses_to_detection: end.interventions.first,
+                    refreshes: end.interventions.refreshes,
+                    throttle_time: end.interventions.throttle_time,
+                    benign_writes: 0,
+                    false_triggers: 0,
+                    energy_overhead: Joules(0.0),
+                    latency_overhead: Seconds(0.0),
+                    overhead_fraction: 0.0,
+                },
+                attack: end.attack.clone(),
+                final_crosstalk: end.final_crosstalk,
+            }
         })
         .collect();
 
-    // Benign phase: a fresh instance of every guard against legitimate
-    // traffic on a pristine array (the same sampled devices).
-    let mut benign_guards: Vec<(usize, Box<dyn Countermeasure>)> = specs
+    // Benign phase: per distinct stream, a fresh instance of the guard of
+    // every guarded member on it against legitimate traffic on a pristine
+    // array (the same sampled devices).
+    let mut streams = Vec::new();
+    let guarded: Vec<(usize, usize)> = members
         .iter()
         .enumerate()
-        .filter_map(|(member, spec)| spec.build().map(|guard| (member, guard)))
+        .filter(|(_, (spec, _))| !spec.is_none())
+        .map(|(member, (_, benign))| (slot_of(&mut streams, *benign, stream_bits), member))
         .collect();
-    if benign_guards.is_empty() {
-        return outcomes;
-    }
-    engine.reset();
-    let observers = benign_guards
-        .iter_mut()
-        .map(|(_, guard)| guard.as_mut() as &mut dyn Countermeasure)
-        .collect();
-    let tallies = run_benign_family(engine, observers, benign);
-    for (&(member, _), false_triggers) in benign_guards.iter().zip(tallies) {
-        let spec = &specs[member];
-        let energy_overhead = Joules(
-            benign.writes as f64 * spec.sense_energy_per_write().0
-                + false_triggers.refreshed_cells as f64 * rram_defense::REFRESH_ENERGY_PER_CELL.0,
-        );
-        let latency_overhead = Seconds(
-            false_triggers.throttle_time.0
-                + false_triggers.refreshed_cells as f64 * rram_defense::REFRESH_LATENCY_PER_CELL.0,
-        );
-        let nominal_time = benign.nominal_time();
-        let overhead_fraction = if nominal_time.0 > 0.0 {
-            latency_overhead.0 / nominal_time.0
-        } else {
-            0.0
-        };
-        let defense = &mut outcomes[member].defense;
-        *defense = DefenseOutcome {
-            benign_writes: benign.writes,
-            false_triggers: false_triggers.count,
-            energy_overhead,
-            latency_overhead,
-            overhead_fraction,
-            ..*defense
-        };
+    for (stream, benign) in streams.iter().enumerate() {
+        let mut benign_guards: Vec<(usize, Box<dyn Countermeasure>)> = guarded
+            .iter()
+            .filter(|&&(on, _)| on == stream)
+            .filter_map(|&(_, member)| members[member].0.build().map(|guard| (member, guard)))
+            .collect();
+        engine.reset();
+        let observers = benign_guards
+            .iter_mut()
+            .map(|(_, guard)| guard.as_mut() as &mut dyn Countermeasure)
+            .collect();
+        let tallies = run_benign_family(engine, observers, benign);
+        for (&(member, _), false_triggers) in benign_guards.iter().zip(tallies) {
+            let spec = &members[member].0;
+            let energy_overhead = Joules(
+                benign.writes as f64 * spec.sense_energy_per_write().0
+                    + false_triggers.refreshed_cells as f64
+                        * rram_defense::REFRESH_ENERGY_PER_CELL.0,
+            );
+            let latency_overhead = Seconds(
+                false_triggers.throttle_time.0
+                    + false_triggers.refreshed_cells as f64
+                        * rram_defense::REFRESH_LATENCY_PER_CELL.0,
+            );
+            let nominal_time = benign.nominal_time();
+            let overhead_fraction = if nominal_time.0 > 0.0 {
+                latency_overhead.0 / nominal_time.0
+            } else {
+                0.0
+            };
+            let defense = &mut outcomes[member].defense;
+            *defense = DefenseOutcome {
+                benign_writes: benign.writes,
+                false_triggers: false_triggers.count,
+                energy_overhead,
+                latency_overhead,
+                overhead_fraction,
+                ..*defense
+            };
+        }
     }
     outcomes
+}
+
+/// The position of `item` in `known` by `key`, appending it if new.
+fn slot_of<T, K: PartialEq>(known: &mut Vec<T>, item: T, key: impl Fn(&T) -> K) -> usize {
+    let bits = key(&item);
+    known
+        .iter()
+        .position(|other| key(other) == bits)
+        .unwrap_or_else(|| {
+            known.push(item);
+            known.len() - 1
+        })
+}
+
+/// The bits of a benign stream: two streams with the same bits replay
+/// identically.
+fn stream_bits(benign: &BenignWorkload) -> [u64; 5] {
+    [
+        benign.writes,
+        benign.seed,
+        benign.amplitude.0.to_bits(),
+        benign.pulse_length.0.to_bits(),
+        benign.gap.0.to_bits(),
+    ]
 }
 
 #[cfg(test)]

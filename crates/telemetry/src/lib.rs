@@ -528,14 +528,20 @@ impl Registry {
     ///
     /// With [`SnapshotMode::Deterministic`] every histogram is skipped, as
     /// is any family whose name marks a wall-clock quantity (contains
-    /// `_seconds` or ends in `_per_sec`): what remains — point, pulse and
-    /// cache counters, configuration gauges — is a pure function of the
-    /// campaign spec, which is what lets `--html` artifacts embed a
-    /// telemetry section and still be byte-reproducible.
+    /// `_seconds` or ends in `_per_sec`) or simulation work (starts with
+    /// `kernel_`: pulses simulated and replay-cache lookups, which depend
+    /// on how the executor dealt the points, since a shared trajectory
+    /// simulates a pulse once for several points). What remains — point
+    /// counters, queue and configuration gauges — is a pure function of the
+    /// campaign spec and its checkpoint, which is what lets `--html`
+    /// artifacts embed a telemetry section and still be byte-reproducible
+    /// at any thread count.
     pub fn snapshot_json(&self, mode: SnapshotMode) -> String {
         let families = self.families.lock().unwrap();
         let mut out = String::from("{\"counters\":{");
-        let volatile = |name: &str| name.contains("_seconds") || name.ends_with("_per_sec");
+        let volatile = |name: &str| {
+            name.contains("_seconds") || name.ends_with("_per_sec") || name.starts_with("kernel_")
+        };
         let mut first = true;
         for (name, family) in families.iter() {
             if family.kind != Kind::Counter {
@@ -894,6 +900,23 @@ mod tests {
         assert!(!deterministic.contains("points_per_sec"));
         assert!(!deterministic.contains("point_seconds"));
         assert!(deterministic.ends_with("\"histograms\":{}}"));
+    }
+
+    #[test]
+    fn deterministic_snapshot_skips_simulation_work_counters() {
+        let registry = Registry::new();
+        registry.counter("kernel_pulses_total", "Pulses").add(4_601);
+        registry.counter("kernel_echo_hits_total", "Hits").add(3);
+        registry.counter("campaign_points_total", "Points").add(5);
+        let full = registry.snapshot_json(SnapshotMode::Full);
+        assert!(full.contains("\"kernel_pulses_total\":4601"));
+        assert!(full.contains("\"kernel_echo_hits_total\":3"));
+        let deterministic = registry.snapshot_json(SnapshotMode::Deterministic);
+        assert!(!deterministic.contains("kernel_"), "{deterministic}");
+        assert!(deterministic.contains("\"campaign_points_total\":5"));
+        assert!(registry
+            .prometheus_text()
+            .contains("kernel_pulses_total 4601"));
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! Guard families: the campaign executor runs the points that differ only
-//! in their guard on one shared trajectory, forking it where a guard first
-//! acts. Every executor outcome must equal, bit for bit and in every field
-//! but `wall_ns`, the outcome of running that point alone on a freshly
-//! built backend — `run_attack` for the unguarded point, `run_guarded_attack`
-//! for the rest.
+//! Device families: the campaign executor runs the points that share their
+//! whole attack phase — the points that differ only in their guard, and,
+//! on a device that samples nothing, in their trial — on one shared
+//! trajectory, forking it where a guard first acts, and replays each
+//! trial's own benign stream. Every executor outcome must equal, bit for
+//! bit and in every field but `wall_ns`, the outcome of running that point
+//! alone on a freshly built backend — `run_attack` for the unguarded point,
+//! `run_guarded_attack` for the rest.
 
 use neurohammer_repro::attack::campaign::{
     CampaignExecutor, CampaignOutcome, CampaignPoint, CampaignSpec, PointKey, Shard,
@@ -26,10 +28,12 @@ const COUNTER: GuardSpec = GuardSpec::WriteCounter {
     threshold: 32,
     window: Seconds(1.0),
 };
-/// A scrub whose period outlasts the 100-pulse attack (20 µs) but not the
-/// benign stream (25.6 µs): it acts in the benign phase only.
+/// A scrub whose period outlasts the 40-pulse attack (8 µs) but not the
+/// benign stream (25.6 µs): it acts in the benign phase only, first after
+/// 45 writes, while the cells the stream has not written yet (and so how
+/// many it rewrites) depend on the stream's seed.
 const SCRUB: GuardSpec = GuardSpec::Scrubbing {
-    period: Seconds(22e-6),
+    period: Seconds(9e-6),
 };
 /// A write counter above the pulse budget: it never acts.
 const SILENT: GuardSpec = GuardSpec::WriteCounter {
@@ -37,8 +41,10 @@ const SILENT: GuardSpec = GuardSpec::WriteCounter {
     window: Seconds(1.0),
 };
 
-/// Five guards (stride 4: two σ values × two trials) on a 5×5 Monte Carlo
-/// array, 100 ns pulses, a 100-pulse budget and 128 benign writes.
+/// Five guards (stride 6: two σ values × three trials) on a 5×5 Monte
+/// Carlo array, 100 ns pulses, a 40-pulse budget and 128 benign writes.
+/// The σ-0 points sample no device, so each is one device family over its
+/// three trials; each σ-0.1 trial is a device family of its own.
 fn family_spec(batching: bool, threads: usize) -> CampaignSpec {
     let nominal = DeviceParams::default();
     CampaignSpec {
@@ -50,14 +56,27 @@ fn family_spec(batching: bool, threads: usize) -> CampaignSpec {
             ParamSpread::relative_normal(ParamField::FilamentRadius, 1.0, &nominal),
             ParamSpread::relative_normal(ParamField::LDisc, 1.0, &nominal),
         ],
-        trials: 2,
+        trials: 3,
         seed: 7,
         backends: vec![BackendKind::Batched],
-        max_pulses: 100,
+        max_pulses: 40,
         benign_writes: 128,
         batching,
         threads,
         ..CampaignSpec::default()
+    }
+}
+
+/// The same guards on the nominal device: no spreads, two amplitudes and
+/// two trials, so two device families of ten members each.
+fn nominal_spec(batching: bool, threads: usize) -> CampaignSpec {
+    CampaignSpec {
+        name: "nominal device families".into(),
+        amplitudes_v: vec![1.05, 1.15],
+        spread_scales: vec![1.0],
+        spreads: Vec::new(),
+        trials: 2,
+        ..family_spec(batching, threads)
     }
 }
 
@@ -147,19 +166,64 @@ fn assert_matches(got: &[CampaignOutcome], reference: &[CampaignOutcome], case: 
     }
 }
 
-/// Whether the executor dealt `outcomes` as guard families: the members of
-/// a family report one even share of its time, while a point run as its
-/// own unit of work times itself.
-fn dealt_as_families(outcomes: &[CampaignOutcome]) -> bool {
-    let mut shares = std::collections::HashMap::new();
-    outcomes.iter().all(|outcome| {
-        let family = CampaignPoint {
-            guard: GuardSpec::None,
-            ..outcome.point
-        }
-        .id();
-        *shares.entry(family).or_insert(outcome.wall_ns) == outcome.wall_ns
-    })
+/// How the executor dealt a shard's points into units of work.
+#[derive(Debug, PartialEq)]
+enum Dealing {
+    /// Device families: the points that differ only in their guard, and in
+    /// their trial where the point samples no device.
+    Devices,
+    /// Guard families: the points that differ only in their guard.
+    Guards,
+    /// Every point alone.
+    Points,
+}
+
+/// The family `point` belongs to: every coordinate but the guard, and but
+/// the trial when `share_trials` and the point samples no device.
+fn family(spec: &CampaignSpec, point: &CampaignPoint, share_trials: bool) -> u64 {
+    let trial = if share_trials && !spec.samples_device(point) {
+        0
+    } else {
+        point.trial
+    };
+    CampaignPoint {
+        guard: GuardSpec::None,
+        trial,
+        ..*point
+    }
+    .id()
+}
+
+/// How the executor dealt `outcomes`: the members of a unit of work report
+/// one even share of its time, while a point run as its own unit times
+/// itself. A grid whose device families are its guard families reads as
+/// `Devices`.
+fn dealing(spec: &CampaignSpec, outcomes: &[CampaignOutcome]) -> Dealing {
+    let shares_time = |share_trials| {
+        let mut shares = std::collections::HashMap::new();
+        outcomes.iter().all(|outcome| {
+            let unit = family(spec, &outcome.point, share_trials);
+            *shares.entry(unit).or_insert(outcome.wall_ns) == outcome.wall_ns
+        })
+    };
+    if shares_time(true) {
+        Dealing::Devices
+    } else if shares_time(false) {
+        Dealing::Guards
+    } else {
+        Dealing::Points
+    }
+}
+
+/// What the executor deals a grid into on two threads when its preferred
+/// grouping has fewer units than two: on one core, one unit suffices.
+fn on_two_threads(fallback: Dealing) -> Dealing {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cores < 2 {
+        Dealing::Devices
+    } else {
+        fallback
+    }
 }
 
 /// The guards act where the spec says: thermal on the first write, the
@@ -186,22 +250,46 @@ fn assert_guards_act_as_designed(reference: &[CampaignOutcome]) {
     }
 }
 
+/// Some guarded point of `spec` that samples no device reports a different
+/// defence record in different trials: only their benign streams differ,
+/// so a family that replayed one trial's stream for all would be caught.
+fn assert_some_trials_differ(spec: &CampaignSpec, reference: &[CampaignOutcome]) {
+    let mut trials = std::collections::HashMap::new();
+    for outcome in reference {
+        let point = &outcome.point;
+        if !point.guard.is_none() && !spec.samples_device(point) {
+            let member = (family(spec, point, true), point.guard.fingerprint_words());
+            let records = trials.entry(member).or_insert_with(Vec::new);
+            records.push(bits(outcome)[2..].to_vec());
+        }
+    }
+    assert!(
+        trials
+            .values()
+            .any(|records| records.iter().any(|r| *r != records[0])),
+        "{}: every guarded point reports one defence record in all trials",
+        spec.name
+    );
+}
+
 #[test]
 fn families_reproduce_standalone_points_bit_for_bit() {
     for batching in [false, true] {
-        let spec = family_spec(batching, 1);
-        let reference = standalone_outcomes(&spec);
-        assert_guards_act_as_designed(&reference);
-        for threads in [1, 2] {
-            let spec = CampaignSpec {
-                threads,
-                ..spec.clone()
-            };
-            let report = spec.run().unwrap();
-            assert_eq!(report.outcomes.len(), reference.len());
-            let case = format!("batching {batching}, {threads} threads");
-            assert_matches(&report.outcomes, &reference, &case);
-            assert!(dealt_as_families(&report.outcomes), "{case}");
+        for spec in [family_spec(batching, 1), nominal_spec(batching, 1)] {
+            let reference = standalone_outcomes(&spec);
+            assert_guards_act_as_designed(&reference);
+            assert_some_trials_differ(&spec, &reference);
+            for threads in [1, 2] {
+                let spec = CampaignSpec {
+                    threads,
+                    ..spec.clone()
+                };
+                let report = spec.run().unwrap();
+                assert_eq!(report.outcomes.len(), reference.len());
+                let case = format!("{}, batching {batching}, {threads} threads", spec.name);
+                assert_matches(&report.outcomes, &reference, &case);
+                assert_eq!(dealing(&spec, &report.outcomes), Dealing::Devices, "{case}");
+            }
         }
     }
 }
@@ -211,25 +299,38 @@ fn shards_and_resumes_that_split_families_reproduce_standalone_points() {
     let spec = family_spec(false, 2);
     let reference = standalone_outcomes(&spec);
 
-    // Three shards deal the guard stride of 4 so every family is split.
-    for index in 0..3 {
-        let report = CampaignExecutor::new(spec.clone())
-            .unwrap()
-            .with_shard(Shard { index, of: 3 })
-            .unwrap()
-            .execute(|_| {})
-            .unwrap();
-        let case = format!("shard {index}/3");
-        assert_matches(&report.outcomes, &reference, &case);
-        assert!(dealt_as_families(&report.outcomes), "{case}");
+    // Two shards split each σ-0 device family's trials (shard 0 holds
+    // trials 0 and 2, shard 1 trial 1) and keep its guards together; four
+    // split both, so a shard's σ-0 family mixes guards of different trials.
+    for of in [2, 4] {
+        for index in 0..of {
+            let report = CampaignExecutor::new(spec.clone())
+                .unwrap()
+                .with_shard(Shard { index, of })
+                .unwrap()
+                .execute(|_| {})
+                .unwrap();
+            let case = format!("shard {index}/{of}");
+            assert_matches(&report.outcomes, &reference, &case);
+            if of == 2 {
+                assert_eq!(dealing(&spec, &report.outcomes), Dealing::Devices, "{case}");
+            }
+        }
     }
 
-    // A checkpoint holding the unguarded and counter points of every
-    // family: the resumed run simulates the other three members of each.
+    // A checkpoint holding trial 0 of every σ-0 point and the unguarded
+    // and counter points of every σ-0.1 trial: the resumed run simulates
+    // the other two trials of each σ-0 family and three members of each
+    // σ-0.1 family.
     let recovered: Vec<CampaignOutcome> = reference
         .iter()
         .filter(|outcome| {
-            matches!(outcome.point.guard, GuardSpec::None) || outcome.point.guard == COUNTER
+            let point = &outcome.point;
+            if point.spread_scale == 0.0 {
+                point.trial == 0
+            } else {
+                point.guard.is_none() || point.guard == COUNTER
+            }
         })
         .map(|outcome| CampaignOutcome {
             wall_ns: Some(1),
@@ -239,12 +340,39 @@ fn shards_and_resumes_that_split_families_reproduce_standalone_points() {
     let executor = CampaignExecutor::new(spec.clone())
         .unwrap()
         .resume_from(recovered);
-    assert_eq!(executor.pending_points().len(), 12);
+    assert_eq!(executor.pending_points().len(), 19);
     let report = executor.execute(|_| {}).unwrap();
     assert_matches(&report.outcomes, &reference, "resumed");
+    let fresh: Vec<CampaignOutcome> = report
+        .outcomes
+        .into_iter()
+        .filter(|outcome| outcome.wall_ns != Some(1))
+        .collect();
+    assert_eq!(fresh.len(), 19);
+    assert_eq!(dealing(&spec, &fresh), Dealing::Devices, "resumed");
 
-    // One family on two threads: with two cores or more every point is its
-    // own unit of work, so the grid keeps its parallelism.
+    // The dealing ladder: one device family (σ 0 only) on two threads
+    // falls back to its two guard families, not to single points.
+    let ladder = CampaignSpec {
+        spread_scales: vec![0.0],
+        trials: 2,
+        ..spec.clone()
+    };
+    let reference = standalone_outcomes(&ladder);
+    let report = ladder.run().unwrap();
+    assert_matches(
+        &report.outcomes,
+        &reference,
+        "one device family, two threads",
+    );
+    assert_eq!(
+        dealing(&ladder, &report.outcomes),
+        on_two_threads(Dealing::Guards),
+        "one device family, two threads"
+    );
+
+    // One guard family on two threads: with two cores or more every point
+    // is its own unit of work, so the grid keeps its parallelism.
     let single = CampaignSpec {
         spread_scales: vec![0.1],
         trials: 1,
@@ -253,18 +381,18 @@ fn shards_and_resumes_that_split_families_reproduce_standalone_points() {
     let reference = standalone_outcomes(&single);
     let report = single.run().unwrap();
     assert_matches(&report.outcomes, &reference, "one family, two threads");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     assert_eq!(
-        dealt_as_families(&report.outcomes),
-        cores < 2,
-        "one family, two threads, {cores} cores"
+        dealing(&single, &report.outcomes),
+        on_two_threads(Dealing::Points),
+        "one family, two threads"
     );
 }
 
 #[test]
 fn a_detailed_family_reproduces_standalone_points() {
+    // No spreads: both trials run the nominal device, one device family.
     let spec = CampaignSpec {
-        name: "detailed guard family".into(),
+        name: "detailed device family".into(),
         array_sizes: vec![(3, 3)],
         pulse_lengths_ns: vec![100.0],
         guards: vec![
@@ -276,6 +404,7 @@ fn a_detailed_family_reproduces_standalone_points() {
             },
             SILENT,
         ],
+        trials: 2,
         backends: vec![BackendKind::detailed()],
         max_pulses: 24,
         benign_writes: 12,
@@ -288,8 +417,15 @@ fn a_detailed_family_reproduces_standalone_points() {
         .iter()
         .map(|o| o.defense.and_then(|d| d.pulses_to_detection))
         .collect();
-    assert_eq!(detections, [None, Some(1), Some(8), None]);
+    assert_eq!(
+        detections,
+        [None, None, Some(1), Some(1), Some(8), Some(8), None, None]
+    );
     let report = spec.run().unwrap();
     assert_matches(&report.outcomes, &reference, "detailed");
-    assert!(dealt_as_families(&report.outcomes), "detailed");
+    assert_eq!(
+        dealing(&spec, &report.outcomes),
+        Dealing::Devices,
+        "detailed"
+    );
 }
